@@ -54,6 +54,7 @@ from .tomography import (
     forward_sinogram,
     line_integral_scalar,
     line_integral_vector,
+    line_integrals_scalar,
     parallel_geometry,
     plane_restrict,
     radon_invert_scalar,

@@ -16,6 +16,7 @@ from .fields import (
     ShortRangeField,
     TransversalField,
 )
+from .errors import TailNotBounded
 
 
 def _calibrate_envelope(func_mag, eps0: float, r_lo: float = 0.8, r_hi: float = 80.0) -> DecayEnvelope:
@@ -80,12 +81,14 @@ def _scalar_gaussian_bumps(params, dim):
 def _scalar_power(params, dim):
     c = float(params.get("c", 1.0))
     p_exp = float(params.get("p", 1.0))
+    if p_exp <= 1.0:
+        raise TailNotBounded(f"power decay p={p_exp:g} <= 1 is not integrable along a line")
 
     def f(p):
         r2 = np.sum(p**2, axis=1)
         return c * (1 + r2) ** (-p_exp / 2)
 
-    return f, DecayEnvelope(C=abs(c), eps0=max(p_exp - 1.0, 1e-6))
+    return f, DecayEnvelope(C=abs(c), eps0=p_exp - 1.0)
 
 
 SCALAR_KINDS = {

@@ -23,6 +23,7 @@ from .errors import (
     NotTransversal,
     OriginSingularity,
     RegionTouchesObstacle,
+    TailNotBounded,
 )
 
 ORIGIN_TOL = 1e-12
@@ -69,10 +70,21 @@ class DecayEnvelope:
         return self.C * (1.0 + np.asarray(r, dtype=float) ** 2) ** (-(1.0 + self.eps0) / 2)
 
     def truncation_radius(self, tail_tol: float) -> float:
-        """S with integral of C s^(-1-eps0) over (S, inf) below tail_tol."""
+        """S with integral of C s^(-1-eps0) over (S, inf) below tail_tol.
+
+        Raises TailNotBounded when S is not a finite float, i.e. when eps0 is
+        so small that the decay is not integrable in practice.
+        """
         if self.C == 0:
             return 1.0
-        return (self.C / (self.eps0 * tail_tol)) ** (1.0 / self.eps0)
+        try:
+            S = (self.C / (self.eps0 * tail_tol)) ** (1.0 / self.eps0)
+        except OverflowError:
+            S = np.inf
+        if not np.isfinite(S):
+            raise TailNotBounded(
+                f"decay rate eps0={self.eps0:g} cannot bound the tail below {tail_tol:g}")
+        return float(S)
 
 
 @dataclass(frozen=True)

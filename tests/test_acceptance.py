@@ -36,13 +36,13 @@ from gaugekit.scattering import (
     gauge_equivalence_solver,
     near_diagonal_growth,
 )
+from oracles import line_integral_vector_quadrature
 from gaugekit.tomography import (
     Line,
     Plane,
     antipodal_defect,
     find_gauge_scalar,
     forward_sinogram,
-    line_integral_vector_quadrature,
     parallel_geometry,
     plane_restrict,
     radon_invert_scalar,

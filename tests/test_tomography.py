@@ -2,6 +2,7 @@
 plane restrictions."""
 import numpy as np
 import pytest
+from scipy.special import gamma
 
 from gaugekit import catalog
 from gaugekit.angular import AngularFunction, SphereFunction, sphere_grid
@@ -9,6 +10,7 @@ from gaugekit.errors import (
     BranchAmbiguous,
     InsufficientCoverage,
     LineHitsObstacle,
+    NonConvergent,
     NotCurlFree,
     PlaneHitsObstacle,
     ResidualFlux,
@@ -33,7 +35,7 @@ from gaugekit.tomography import (
     line_at,
     line_integral_scalar,
     line_integral_vector,
-    line_integral_vector_quadrature,
+    line_integrals_scalar,
     parallel_geometry,
     plane_restrict,
     radon_invert_scalar,
@@ -41,6 +43,8 @@ from gaugekit.tomography import (
     resolve_winding,
     synthetic_winding_family,
 )
+from gaugekit.tomography import _line_quad
+from oracles import adaptive_line_integral, line_integral_vector_quadrature
 
 
 def _power_scalar(p_exp=3.0, amp=1.0, dim=2):
@@ -95,6 +99,89 @@ class TestLineIntegralScalar:
         with pytest.raises(TailNotBounded):
             line_integral_scalar(lambda p: np.ones(p.shape[0]),
                                  Line.from_impact_angle(2.0, 0.0))
+
+
+def _power_closed_form(c, p, d):
+    # int c (1 + d^2 + s^2)^(-p/2) ds over the whole line
+    return c * np.sqrt(np.pi) * gamma((p - 1) / 2) / gamma(p / 2) * (1 + d**2) ** ((1 - p) / 2)
+
+
+def _random_lines(seed, n=32):
+    rng = np.random.default_rng(seed)
+    return [Line.from_impact_angle(rng.uniform(1.05, 6.0), rng.uniform(0, 2 * np.pi))
+            for _ in range(n)]
+
+
+class TestLineRule:
+    @pytest.mark.parametrize("p", [1.2, 1.5, 3.0])
+    def test_closed_form_power_slow_decay(self, p):
+        V = catalog.build_scalar("power", {"c": 0.8, "p": p})
+        lines = _random_lines(31)
+        d = np.array([ln.distance for ln in lines])
+        exact = _power_closed_form(0.8, p, d)
+        vals, est = line_integrals_scalar(V, lines)
+        assert np.max(np.abs(vals - exact)) < 1e-9
+        assert np.max(est) < 1e-9
+        for ln, ref in zip(lines[:5], exact):
+            assert abs(line_integral_scalar(V, ln) - ref) < 1e-9
+
+    @pytest.mark.parametrize("p", [0.8, 1.0])
+    def test_non_integrable_decay_is_typed(self, p):
+        with pytest.raises(TailNotBounded):
+            catalog.build_scalar("power", {"p": p})
+        # the envelope catalog power scalars used to declare for p <= 1
+        V = ScalarPotential(dimension=2, func=lambda x: (1 + np.sum(x**2, axis=1)) ** (-p / 2),
+                            envelope=DecayEnvelope(C=1.0, eps0=1e-6))
+        ln = Line.from_impact_angle(2.0, 0.3)
+        with pytest.raises(TailNotBounded):
+            line_integral_scalar(V, ln)
+        with pytest.raises(TailNotBounded):
+            line_integrals_scalar(V, [ln, Line.from_impact_angle(3.0, 1.0)])
+
+    @pytest.mark.parametrize("kind,params", [
+        ("zero", {}),
+        ("gaussian_ring", {"amplitude": 0.8, "r0": 2.15, "sigma": 0.4,
+                           "modulation": [[2, 0.2, -0.1]]}),
+        ("gaussian_ring", {"amplitude": 1.0, "r0": 1.5, "sigma": 0.25}),
+        ("gaussian_bumps", {"bumps": [[0.45, 0.2, 0.0, 0.75], [0.45, -0.1, 0.17, 0.75]]}),
+        ("gaussian_bumps", {"bumps": [[0.5, 2.0, 0.7, 0.5], [-0.4, -1.5, 1.6, 0.8]]}),
+        ("power", {"c": 0.75, "p": 1.5}),
+        ("power", {"c": 0.75, "p": 3.0}),
+    ])
+    def test_scalar_kinds_match_adaptive_oracle(self, kind, params):
+        V = catalog.build_scalar(kind, params)
+        lines = _random_lines(5)
+        vals, _ = _line_quad(V, [ln.x0 for ln in lines], [ln.omega for ln in lines],
+                             V.envelope, 1e-9)
+        ref = [adaptive_line_integral(V, ln, V.envelope) for ln in lines]
+        np.testing.assert_allclose(vals, ref, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("kind,params", [
+        ("zero", {}),
+        ("grad_power", {"c": 1.0, "p": 1.0}),
+        ("grad_bumps", {"bumps": [[0.5, 1.6, 0.4, 0.5], [-0.2, -1.0, 1.2, 0.6]]}),
+        ("ring_bump_tangential", {"b0": 1.0, "r0": 1.5, "sigma": 0.25}),
+    ])
+    def test_vector_kinds_match_adaptive_oracle(self, kind, params):
+        F = catalog.build_vector(kind, params)
+        lines = _random_lines(6)
+        vals, _ = _line_quad(F, [ln.x0 for ln in lines], [ln.omega for ln in lines],
+                             F.envelope, 1e-9)
+        ref = [adaptive_line_integral(F, ln, F.envelope) for ln in lines]
+        np.testing.assert_allclose(vals, ref, rtol=0, atol=1e-12)
+
+    def test_narrow_spike_raises_non_convergent(self):
+        V = catalog.build_scalar("gaussian_bumps", {"bumps": [[1.0, 2.0, 0.0, 0.01]]})
+        with pytest.raises(NonConvergent):
+            line_integral_scalar(V, Line(x0=np.array([2.0, 0.0]), omega=np.array([0.0, 1.0])))
+
+    def test_batch_equals_single_lines(self):
+        V = catalog.build_scalar("gaussian_ring", {"amplitude": 0.7, "r0": 2.0, "sigma": 0.3})
+        lines = _random_lines(9, n=8)
+        vals, est = line_integrals_scalar(V, lines)
+        single = [line_integral_scalar(V, ln) for ln in lines]
+        np.testing.assert_allclose(vals, single, rtol=0, atol=1e-15)
+        assert est.shape == (8,) and np.all(est < 1e-12)
 
 
 class TestLineIntegralVector:
@@ -301,6 +388,16 @@ class TestFindGaugeScalar:
                               envelope=DecayEnvelope(C=10.0, eps0=1.0))
         with pytest.raises(NotCurlFree):
             find_gauge_scalar(fld, r_in=1.2, r_out=4.0)
+
+    def test_batch_evaluate_matches_points(self):
+        fld = catalog.build_vector("grad_bumps", {"bumps": [[0.5, 2.0, 0.7, 0.8]]})
+        gs = find_gauge_scalar(fld, r_in=1.2, r_out=4.0)
+        rng = np.random.default_rng(4)
+        r = rng.uniform(1.3, 3.8, 25)
+        th = rng.uniform(0, 2 * np.pi, 25)
+        pts = np.column_stack([r * np.cos(th), r * np.sin(th)])
+        one_by_one = np.array([gs(q) for q in pts])
+        np.testing.assert_allclose(gs.evaluate(pts), one_by_one, rtol=0, atol=1e-13)
 
     def test_gradient_residual_on_probes(self):
         fld = catalog.build_vector("grad_bumps",
