@@ -11,7 +11,6 @@ from .errors import (
     BranchAmbiguous,
     CircleInsideObstacle,
     DimensionMismatch,
-    EnvelopeViolation,
     GaugekitError,
     GridMismatch,
     InsufficientCoverage,

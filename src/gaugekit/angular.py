@@ -19,13 +19,6 @@ MEAN_TOL = 1e-10
 _REALNESS_TOL = 1e-9
 
 
-def _as_points(omega) -> np.ndarray:
-    w = np.asarray(omega, dtype=float)
-    if w.ndim == 1:
-        w = w[None, :]
-    return w
-
-
 @dataclass(frozen=True)
 class AngularFunction:
     """Real trigonometric polynomial f(theta) = sum_k c_k e^{i k theta}.
@@ -358,7 +351,6 @@ class SphereFunction:
 
     grid: SphereGrid
     values: np.ndarray
-    order: int = 1
 
     def __post_init__(self):
         vals = np.asarray(self.values, dtype=float)
@@ -389,25 +381,22 @@ class SphereFunction:
         fi, bary = self.grid.locate(w)
         return float(self.values[self.grid.faces[fi]] @ bary)
 
-    def antipodal_map(self) -> "SphereFunction":
-        return SphereFunction(self.grid, self.values[self.grid.antipode], self.order)
-
     def mean(self) -> float:
         return float(np.mean(self.values))
 
     def __add__(self, other: "SphereFunction") -> "SphereFunction":
         if other.grid is not self.grid:
             raise ValueError("sphere functions live on different grids")
-        return SphereFunction(self.grid, self.values + other.values, self.order)
+        return SphereFunction(self.grid, self.values + other.values)
 
     def __neg__(self) -> "SphereFunction":
-        return SphereFunction(self.grid, -self.values, self.order)
+        return SphereFunction(self.grid, -self.values)
 
     def __sub__(self, other: "SphereFunction") -> "SphereFunction":
         return self + (-other)
 
     def __mul__(self, scalar: float) -> "SphereFunction":
-        return SphereFunction(self.grid, self.values * float(scalar), self.order)
+        return SphereFunction(self.grid, self.values * float(scalar))
 
     __rmul__ = __mul__
 

@@ -12,8 +12,6 @@ import json
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from .angular import AngularFunction
 from .errors import GaugekitError
 from .fields import GaugeElement, PotentialConfig, decompose_transversal

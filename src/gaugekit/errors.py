@@ -21,10 +21,6 @@ class DimensionMismatch(GaugekitError):
     """Operands declare different ambient dimensions."""
 
 
-class EnvelopeViolation(GaugekitError):
-    """Declared decay envelope fails on sampled points."""
-
-
 class CircleInsideObstacle(GaugekitError):
     """Flux circle does not enclose the obstacle strictly."""
 

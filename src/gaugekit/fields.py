@@ -14,11 +14,10 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .angular import AngularFunction, SphereFunction, SphereGrid, sphere_grid, zero_mean_antiderivative
+from .angular import AngularFunction, SphereFunction, SphereGrid, zero_mean_antiderivative
 from .errors import (
     CircleInsideObstacle,
     DimensionMismatch,
-    EnvelopeViolation,
     NonConvergent,
     NotTransversal,
     OriginSingularity,
@@ -28,6 +27,8 @@ from .errors import (
 
 ORIGIN_TOL = 1e-12
 TRANSVERSAL_TOL = 1e-10
+_DECOMPOSE_DEGREE = 64  # a raw callable is sampled at 2 * degree + 1 circle nodes
+_FLUX_NODES = 2048
 
 
 def _points(x, dim: int) -> tuple[np.ndarray, bool]:
@@ -57,7 +58,11 @@ def eval_ab_potential(alpha: float, x) -> np.ndarray:
 
 @dataclass(frozen=True)
 class DecayEnvelope:
-    """Bound |f(x)| <= C (1+|x|^2)^(-(1+eps0)/2) with decay rate eps0 > 0."""
+    """Bound |f(x)| <= C (1+|x|^2)^(-(1+eps0)/2) with decay rate eps0 > 0.
+
+    The envelope is trusted as declared: nothing checks it against the field
+    at run time, and tail truncation and the line rule's tail bounds rely on it.
+    """
 
     C: float
     eps0: float
@@ -65,9 +70,6 @@ class DecayEnvelope:
     def __post_init__(self):
         if self.C < 0 or self.eps0 <= 0:
             raise ValueError("need C >= 0 and eps0 > 0")
-
-    def bound(self, r) -> np.ndarray:
-        return self.C * (1.0 + np.asarray(r, dtype=float) ** 2) ** (-(1.0 + self.eps0) / 2)
 
     def truncation_radius(self, tail_tol: float) -> float:
         """S with integral of C s^(-1-eps0) over (S, inf) below tail_tol.
@@ -104,16 +106,6 @@ class ShortRangeField:
             raise ValueError("field callable must map (m,n) points to (m,n) values")
         return out[0] if single else out
 
-    def verify_envelope(self, points, tol: float = 1e-9) -> None:
-        p, _ = _points(points, self.dimension)
-        mags = np.linalg.norm(self(p), axis=1)
-        bound = self.envelope.bound(np.linalg.norm(p, axis=1))
-        bad = mags > bound * (1 + tol) + tol
-        if np.any(bad):
-            i = int(np.argmax(mags - bound))
-            raise EnvelopeViolation(
-                f"|A|={mags[i]:.3e} exceeds envelope {bound[i]:.3e} at |x|={np.linalg.norm(p[i]):.3f}")
-
 
 @dataclass(frozen=True)
 class ScalarPotential:
@@ -131,13 +123,6 @@ class ScalarPotential:
         if out.shape != (p.shape[0],):
             raise ValueError("scalar callable must map (m,n) points to (m,) values")
         return float(out[0]) if single else out
-
-    def verify_envelope(self, points, tol: float = 1e-9) -> None:
-        p, _ = _points(points, self.dimension)
-        mags = np.abs(self(p))
-        bound = self.envelope.bound(np.linalg.norm(p, axis=1))
-        if np.any(mags > bound * (1 + tol) + tol):
-            raise EnvelopeViolation("scalar potential exceeds its declared envelope")
 
 
 @dataclass(frozen=True)
@@ -200,14 +185,8 @@ class FluxDecomposition:
     def reassembled(self) -> "TransversalField":
         return TransversalField.from_profile(self.a0.derivative() + self.alpha)
 
-    def gradient_part(self, x) -> np.ndarray:
-        """grad of a0(theta(x)); equals the full field minus the vortex part."""
-        p, single = _points(x, 2)
-        out = self.a0.derivative()(np.arctan2(p[:, 1], p[:, 0]))[:, None] * vortex(p)
-        return out[0] if single else out
 
-
-def decompose_transversal(field, degree: int = 64, tol: float = TRANSVERSAL_TOL) -> FluxDecomposition:
+def decompose_transversal(field) -> FluxDecomposition:
     """Split a plane transversal field into vortex flux plus an exact gradient.
 
     The flux is the profile mean; the gradient part is the zero-mean
@@ -222,13 +201,13 @@ def decompose_transversal(field, degree: int = 64, tol: float = TRANSVERSAL_TOL)
             raise DimensionMismatch("decomposition is defined in the plane")
         a_hat = field.a_hat
     else:
-        m = 2 * degree + 1
+        m = 2 * _DECOMPOSE_DEGREE + 1
         theta = np.arange(m) * 2 * np.pi / m
         units = np.column_stack([np.cos(theta), np.sin(theta)])
         vals = np.asarray(field(units), dtype=float)
         radial = np.abs(np.sum(vals * units, axis=1))
         scale = max(1.0, float(np.max(np.abs(vals))))
-        if np.max(radial) > tol * scale:
+        if np.max(radial) > TRANSVERSAL_TOL * scale:
             raise NotTransversal(f"max radial component {np.max(radial):.3e}")
         for t in (2.0, 5.0):
             far = np.asarray(field(t * units), dtype=float)
@@ -348,41 +327,39 @@ class GaugeElement:
 # operations
 # ===================================================================
 
-def flux(field, circle_radius: float, obstacle_radius: float | None = None,
-         n_nodes: int = 2048) -> float:
+def flux(field, circle_radius: float) -> float:
     """(1/2 pi) times the circulation along the circle |x| = circle_radius.
 
-    Accepts a PotentialConfig, a TransversalField, or a callable. Uses the
+    Accepts a PotentialConfig, a TransversalField, or a callable; only a
+    PotentialConfig declares an obstacle for the circle to enclose. Uses the
     periodic trapezoid rule, which is spectrally accurate for smooth fields.
     """
+    evaluate = field
     if isinstance(field, PotentialConfig):
-        if obstacle_radius is None:
-            obstacle_radius = field.obstacle_radius
+        if circle_radius <= field.obstacle_radius:
+            raise CircleInsideObstacle(f"circle radius {circle_radius} does not enclose "
+                                       f"the obstacle {field.obstacle_radius}")
         evaluate = field.vector_potential
-    else:
-        evaluate = field
-    if obstacle_radius is not None and circle_radius <= obstacle_radius:
-        raise CircleInsideObstacle(
-            f"circle radius {circle_radius} does not enclose the obstacle {obstacle_radius}")
-    theta = np.arange(n_nodes) * 2 * np.pi / n_nodes
+    theta = np.arange(_FLUX_NODES) * 2 * np.pi / _FLUX_NODES
     pts = circle_radius * np.column_stack([np.cos(theta), np.sin(theta)])
     tangents = np.column_stack([-np.sin(theta), np.cos(theta)])
     vals = np.asarray(evaluate(pts), dtype=float)
-    return float(np.sum(vals * tangents) * circle_radius / n_nodes)
+    return float(np.sum(vals * tangents) * circle_radius / _FLUX_NODES)
 
 
-def curl(field, points, step_rel: float = 1e-3, step_abs: float | None = None,
-         obstacle_radius: float = 0.0):
-    """Centered-difference curl at the given points.
+def curl(field, points, step_rel: float = 1e-3):
+    """Centered-difference curl at the given points, with step step_rel * |x|.
 
     Plane fields give scalar values dA2/dx1 - dA1/dx2; fields in 3-space give
     the three independent two-form components ordered (B12, B13, B23), which
-    is antisymmetric by construction.
+    is antisymmetric by construction. A PotentialConfig's stencil must stay
+    outside its obstacle.
     """
+    obstacle_radius = 0.0
     if isinstance(field, PotentialConfig):
         dim = field.dimension
         evaluate = field.vector_potential
-        obstacle_radius = max(obstacle_radius, field.obstacle_radius)
+        obstacle_radius = field.obstacle_radius
     elif isinstance(field, (TransversalField, ShortRangeField)):
         dim = field.dimension
         evaluate = field
@@ -392,7 +369,7 @@ def curl(field, points, step_rel: float = 1e-3, step_abs: float | None = None,
         dim = probe.shape[-1]
     p, single = _points(points, dim)
     r = np.linalg.norm(p, axis=1)
-    h = np.full(p.shape[0], step_abs) if step_abs is not None else step_rel * r
+    h = step_rel * r
     if np.any(r - h * np.sqrt(dim) <= obstacle_radius):
         raise RegionTouchesObstacle("difference stencil reaches the obstacle")
 
@@ -424,6 +401,19 @@ def sample_on_spheres(f: Callable, radii: Sequence[float], grid: SphereGrid) -> 
     return np.stack(rows)
 
 
+def neville_at_zero(xs, values):
+    """Value at x = 0 of the polynomial through (xs[i], values[i]), by
+    Neville's tableau. Returns the limit and its last correction (the limit
+    minus the top of the previous level)."""
+    tab = list(values)
+    prev_top = tab[0]
+    for lvl in range(1, len(tab)):
+        prev_top = tab[0]
+        tab = [(xs[i] * tab[i + 1] - xs[i + lvl] * tab[i]) / (xs[i] - xs[i + lvl])
+               for i in range(len(tab) - 1)]
+    return tab[0], tab[0] - prev_top
+
+
 def extract_leading_order(radii, values, grid: SphereGrid, tol: float = 1e-6,
                           return_residual: bool = False):
     """Limit of |x|^2 B(x) along rays, by polynomial extrapolation in 1/|x|.
@@ -441,21 +431,10 @@ def extract_leading_order(radii, values, grid: SphereGrid, tol: float = 1e-6,
         raise ValueError("radii must increase")
     if vals.shape[0] != radii.size or vals.shape[1] != grid.size:
         raise ValueError("values must be sampled on (radii, grid nodes)")
-    u = 1.0 / radii
     g = vals * (radii**2).reshape((-1,) + (1,) * (vals.ndim - 1))
-    # Neville tableau evaluated at u = 0
-    tab = [g[j] for j in range(radii.size)]
-    prev_top = tab[0]
-    for lvl in range(1, radii.size):
-        nxt = []
-        for i in range(radii.size - lvl):
-            x0, x1 = u[i], u[i + lvl]
-            nxt.append((x0 * tab[i + 1] - x1 * tab[i]) / (x0 - x1))
-        prev_top = tab[0]
-        tab = nxt
-    limit = tab[0]
+    limit, correction = neville_at_zero(1.0 / radii, list(g))
     scale = max(1.0, float(np.max(np.abs(limit))))
-    residual = float(np.max(np.abs(limit - prev_top)))
+    residual = float(np.max(np.abs(correction)))
     if residual > tol * scale:
         raise NonConvergent(
             f"extrapolation residual {residual:.3e} exceeds {tol:.1e} (decay slower than |x|^-2?)")

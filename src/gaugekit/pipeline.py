@@ -2,11 +2,12 @@
 kernels, single-configuration tomographic recovery, and report emission.
 
 Kernel provenance: there is no forward solver from a general (A, V) to a
-scattering kernel. Classify scenarios synthesize kernels from the analytic
-flux family: kernel 1 from the decomposition of config 1, kernel 2 either by
-the gauge action on kernel 1 (when the scenario declares the relating gauge)
-or independently from config 2's decomposition. The report records which
-route produced each kernel.
+scattering kernel. Classify and kernel-lab scenarios synthesize plane kernels
+from the analytic flux family: kernel 1 from the decomposition of config 1,
+kernel 2 either by the gauge action on kernel 1 (when the scenario declares
+the relating gauge) or independently from config 2's decomposition. The
+report records which route produced each kernel. Configurations in 3-space
+are rejected with DimensionMismatch before any stage runs.
 
 Reports are deterministic: fixed scenario seeds, no timestamps, and every
 numeric entry carries the tolerance it was checked against and the operation
@@ -22,7 +23,7 @@ import numpy as np
 
 from . import catalog
 from .angular import AngularFunction, sphere_grid
-from .errors import GaugekitError, NotCurlFree, ResidualFlux
+from .errors import DimensionMismatch, NotCurlFree, ResidualFlux
 from .fields import (
     DecayEnvelope,
     GaugeElement,
@@ -48,6 +49,7 @@ from .tomography import (
     find_gauge_scalar,
     line_integrals_scalar,
     parallel_geometry,
+    polar_points,
     radon_invert_scalar,
     recover_field_2d,
 )
@@ -230,13 +232,13 @@ def _remainder_from_spec(spec: dict | None):
     raise ValueError(f"unknown remainder kind {kind!r}")
 
 
-def _gauge_from_spec(spec: dict | None, dimension: int) -> GaugeElement | None:
+def _gauge_from_spec(spec: dict | None) -> GaugeElement | None:
     if spec is None:
         return None
     phi = None
     if spec.get("phi"):
         phi = AngularFunction.from_triples(spec["phi"])
-    return GaugeElement(dimension=dimension, m=int(spec.get("m", 0)), phi=phi)
+    return GaugeElement(dimension=2, m=int(spec.get("m", 0)), phi=phi)
 
 
 def synthesize_kernels(scenario: Scenario):
@@ -246,7 +248,10 @@ def synthesize_kernels(scenario: Scenario):
     the gradient-part phases). Kernel 2 comes from the gauge action when the
     scenario declares the relating gauge; otherwise it is synthesized
     independently from config 2's decomposition with the same remainder.
+    Raises DimensionMismatch for configurations in 3-space.
     """
+    if scenario.config1.dimension != 2:
+        raise DimensionMismatch("classify and kernel-lab compare plane kernels")
     ks = scenario.kernels
     n_grid = int(ks.get("n_grid", 512))
     lam = float(ks.get("lam", 1.0))
@@ -257,7 +262,7 @@ def synthesize_kernels(scenario: Scenario):
     p1 = dec1.a0 if dec1 else AngularFunction.zero()
     S1 = assemble_kernel(a1, a0_in=p1, a0_out=p1, smooth=rem, lam=lam, n_grid=n_grid)
     prov = {"kernel1": "synthesized from config1 flux decomposition"}
-    g_rel = _gauge_from_spec(ks.get("relating_gauge"), scenario.config1.dimension)
+    g_rel = _gauge_from_spec(ks.get("relating_gauge"))
     if g_rel is not None:
         S2 = apply_gauge_to_kernel(S1, g_rel)
         prov["kernel2"] = "gauge action on kernel1 (declared relating gauge)"
@@ -345,31 +350,28 @@ def run_classify(scenario: Scenario) -> Report:
     if cfg1.scalar is not None or cfg2.scalar is not None:
         r = rng.uniform(r_in, r_out, 200)
         th = rng.uniform(0, 2 * np.pi, 200)
-        pts = np.column_stack([r * np.cos(th), r * np.sin(th)]) \
-            if cfg1.dimension == 2 else _sphere_points(rng, r)
+        pts = np.column_stack([r * np.cos(th), r * np.sin(th)])
         v1 = cfg1.scalar(pts) if cfg1.scalar else np.zeros(len(pts))
         v2 = cfg2.scalar(pts) if cfg2.scalar else np.zeros(len(pts))
         scale_v = max(float(np.max(np.abs(v1))), float(np.max(np.abs(v2))), 1e-12)
         rep.add("scalar_pointwise_difference", float(np.max(np.abs(v2 - v1))) / scale_v,
                 tol["scalar_tol"] / min(1.0, scale_v), "pointwise probe")
-        if cfg1.dimension == 2:
-            lines = [Line.from_impact_angle(rng.uniform(r_in, 0.9 * r_out),
-                                            rng.uniform(0, 2 * np.pi)) for _ in range(40)]
-            absent = (np.zeros(len(lines)), np.zeros(len(lines)))
-            i1, e1 = line_integrals_scalar(cfg1.scalar, lines, tail_tol=tol["tail_tol"]) \
-                if cfg1.scalar else absent
-            i2, e2 = line_integrals_scalar(cfg2.scalar, lines, tail_tol=tol["tail_tol"]) \
-                if cfg2.scalar else absent
-            worst = float(np.max(np.abs(i2 - i1)))
-            rep.provenance["scalar_transform_error_estimate"] = float(max(e1.max(), e2.max()))
-            rep.add("scalar_transform_difference", worst / scale_v,
-                    tol["scalar_tol"] / min(1.0, scale_v), "line_integrals_scalar probe")
+        lines = [Line.from_impact_angle(rng.uniform(r_in, 0.9 * r_out),
+                                        rng.uniform(0, 2 * np.pi)) for _ in range(40)]
+        absent = (np.zeros(len(lines)), np.zeros(len(lines)))
+        i1, e1 = line_integrals_scalar(cfg1.scalar, lines, tail_tol=tol["tail_tol"]) \
+            if cfg1.scalar else absent
+        i2, e2 = line_integrals_scalar(cfg2.scalar, lines, tail_tol=tol["tail_tol"]) \
+            if cfg2.scalar else absent
+        worst = float(np.max(np.abs(i2 - i1)))
+        rep.provenance["scalar_transform_error_estimate"] = float(max(e1.max(), e2.max()))
+        rep.add("scalar_transform_difference", worst / scale_v,
+                tol["scalar_tol"] / min(1.0, scale_v), "line_integrals_scalar probe")
         if not all(e.passed for e in rep.entries if e.name.startswith("scalar")):
             rep.verdict = "not_equivalent"
             rep.witness = {"stage": "scalar_compare",
                            "kind": "scalar_transform",
-                           "max_line_integral_mismatch": worst * scale_v
-                           if cfg1.dimension == 2 else None,
+                           "max_line_integral_mismatch": worst * scale_v,
                            "note": "scalar potentials produce different line integrals"}
             return rep
 
@@ -402,18 +404,11 @@ def run_classify(scenario: Scenario) -> Report:
     return rep
 
 
-def _sphere_points(rng, radii: np.ndarray) -> np.ndarray:
-    d = rng.normal(size=(radii.size, 3))
-    d /= np.linalg.norm(d, axis=1)[:, None]
-    return radii[:, None] * d
-
-
 def _short_range_difference(cfg1: PotentialConfig, cfg2: PotentialConfig,
                             r_in: float, r_out: float):
     """Difference of short-range vector parts as a field, plus its probe scale."""
     if cfg1.short_range is None and cfg2.short_range is None:
         return None, 0.0
-    dim = cfg1.dimension
 
     def diff(p):
         p = np.atleast_2d(np.asarray(p, dtype=float))
@@ -425,19 +420,18 @@ def _short_range_difference(cfg1: PotentialConfig, cfg2: PotentialConfig,
             if f is not None and f.envelope is not None]
     env = DecayEnvelope(C=sum(e.C for e in envs), eps0=min(e.eps0 for e in envs)) \
         if envs else None
-    field_obj = ShortRangeField(dimension=dim, func=diff, envelope=env)
+    field_obj = ShortRangeField(dimension=2, func=diff, envelope=env)
     rng = np.random.default_rng(1)
     r = rng.uniform(r_in, r_out, 64)
     th = rng.uniform(0, 2 * np.pi, 64)
-    pts = np.column_stack([r * np.cos(th), r * np.sin(th)]) if dim == 2 \
-        else _sphere_points(rng, r)
+    pts = np.column_stack([r * np.cos(th), r * np.sin(th)])
     scale = float(np.max(np.abs(field_obj(pts))))
     return field_obj, scale
 
 
-def _gradient_residual(gs, field_obj, r_in: float, r_out: float, seed: int,
-                       n_probe: int = 20, h: float = 1e-5) -> float:
-    """Max |grad L - field| over probe points, by central differences."""
+def _gradient_residual(gs, field_obj, r_in: float, r_out: float, seed: int) -> float:
+    """Max |grad L - field| over 20 probe points, by central differences."""
+    n_probe, h = 20, 1e-5
     rng = np.random.default_rng(seed + 1)
     r = rng.uniform(r_in, r_out, n_probe)
     th = rng.uniform(0, 2 * np.pi, n_probe)
@@ -472,7 +466,6 @@ def run_reconstruct(scenario: Scenario) -> Report:
     if has_vector:
         sino_a = forward_sinogram(cfg, angles, offsets, kind="vector")
         rep.artifacts["sinogram_vector"] = sino_a
-        half = offsets.size // 2
         top = sino_a.values[:, -1]  # largest positive offset: orientation +1
         alpha_hat = float(np.mean(top)) / np.pi
         spread = float(np.ptp(top))
@@ -483,18 +476,9 @@ def run_reconstruct(scenario: Scenario) -> Report:
         rep.provenance["flux_recovered"] = alpha_hat
         recB = recover_field_2d(sino_a)
         rep.artifacts["reconstruction_b"] = recB
-
-        def b_truth(p):
-            return curl(cfg, np.atleast_2d(p), step_rel=1e-5)
-
-        rr, tt = np.meshgrid(recB.radii, recB.thetas, indexing="ij")
-        pts = np.column_stack([(rr * np.cos(tt)).ravel(), (rr * np.sin(tt)).ravel()])
-        ref = np.asarray(b_truth(pts), dtype=float).reshape(rr.shape)
-        scale_b = float(np.max(np.abs(ref)))
-        if scale_b > 1e-9:
-            w = recB.radii[:, None]
-            rel = np.sqrt(np.sum(w * (recB.values - ref) ** 2) / np.sum(w * ref**2))
-            rep.add("field_reconstruction_rel_l2", float(rel),
+        ref = recB.sample(lambda p: curl(cfg, p, step_rel=1e-5))
+        if float(np.max(np.abs(ref))) > 1e-9:
+            rep.add("field_reconstruction_rel_l2", recB.l2_relative_error(ref),
                     tol["recon_b_rel"], "recover_field_2d")
         else:
             rep.add("field_reconstruction_max", recB.max_abs(), None, "recover_field_2d")
@@ -602,12 +586,10 @@ def emit_report(report: Report, out_dir) -> list:
 
 
 def _gauge_scalar_to_csv(gs, path) -> None:
-    radii = np.linspace(gs.far_radius / 8.0, gs.far_radius / 2.0, 24)
-    thetas = np.arange(48) * 2 * np.pi / 48
-    rr, tt = (a.ravel() for a in np.meshgrid(radii, thetas, indexing="ij"))
-    vals = gs.evaluate(np.column_stack([rr * np.cos(tt), rr * np.sin(tt)]))
-    np.savetxt(path, np.column_stack([rr, tt, vals]), delimiter=",", header="r,theta,L",
-               comments="")
+    r, t, pts = polar_points(np.linspace(gs.far_radius / 8.0, gs.far_radius / 2.0, 24),
+                             np.arange(48) * 2 * np.pi / 48)
+    np.savetxt(path, np.column_stack([r, t, gs.evaluate(pts)]), delimiter=",",
+               header="r,theta,L", comments="")
 
 
 def _leading_to_csv(leads, path) -> None:
@@ -620,10 +602,10 @@ def _leading_to_csv(leads, path) -> None:
     np.savetxt(path, np.column_stack(cols), delimiter=",", header=header, comments="")
 
 
-def kernel_slice_csv(kernel: ScatteringKernel, path, stride: int = 8) -> None:
-    """One off-diagonal band of kernel values, for plotting."""
+def kernel_slice_csv(kernel: ScatteringKernel, path) -> None:
+    """The off-diagonal band theta' = theta - 8 cells of kernel values, for plotting."""
     M = kernel.n_grid
-    cols = (np.arange(M) - stride) % M
+    cols = (np.arange(M) - 8) % M
     vals = kernel.value_grid()[np.arange(M), cols]
     body = np.column_stack([kernel.thetas, vals.real, vals.imag])
     np.savetxt(path, body, delimiter=",", header="theta,re,im", comments="")

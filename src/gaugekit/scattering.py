@@ -26,7 +26,6 @@ spectrum(gauged kernel) = spectrum of flux alpha + m.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Callable
 
 import numpy as np
 from scipy.integrate import quad
@@ -38,10 +37,11 @@ from .errors import (
     RemainderBoundViolated,
     SingularPartMissing,
 )
-from .fields import GaugeElement
+from .fields import GaugeElement, neville_at_zero
 
 DIAG_MARGIN_CELLS = 5
 INTEGER_FLUX_TOL = 1e-9
+_CHANNEL_JUMP_TOL = 1e-6  # smallest channel step read as the flux jump
 
 
 def flux_step(alpha: float) -> int:
@@ -49,8 +49,8 @@ def flux_step(alpha: float) -> int:
     return int(np.floor(alpha + 1e-12))
 
 
-def is_integer_flux(alpha: float, tol: float = INTEGER_FLUX_TOL) -> bool:
-    return abs(alpha - np.round(alpha)) < tol
+def is_integer_flux(alpha: float) -> bool:
+    return abs(alpha - np.round(alpha)) < INTEGER_FLUX_TOL
 
 
 # ===================================================================
@@ -134,17 +134,9 @@ def ab_channel_pv_quadrature(alpha: float, k: int,
                      eps, 2 * np.pi - eps, limit=400, epsabs=1e-13, epsrel=1e-12)
         return re + 1j * im
 
-    vals = [pv_at(e) for e in exclusion_radii]
     # Richardson in the radius: the exclusion error is linear in eps
-    e = np.asarray(exclusion_radii, dtype=float)
-    levels = len(vals)
-    for lvl in range(1, levels):
-        nxt = []
-        for i in range(levels - lvl):
-            x0, x1 = e[i], e[i + lvl]
-            nxt.append((x0 * vals[i + 1] - x1 * vals[i]) / (x0 - x1))
-        vals = nxt
-    pv = vals[0]
+    pv, _ = neville_at_zero(np.asarray(exclusion_radii, dtype=float),
+                            [pv_at(e) for e in exclusion_radii])
     return complex(np.cos(np.pi * alpha) + 1j * np.sin(np.pi * alpha) / np.pi * pv)
 
 
@@ -390,10 +382,10 @@ def _gauge_phase_on_grid(g: GaugeElement, grid: SphereGrid) -> np.ndarray:
     return np.zeros(grid.size)
 
 
-def kernel_distance(S1, S2, diag_margin: int = DIAG_MARGIN_CELLS) -> float:
+def kernel_distance(S1, S2) -> float:
     """Off-diagonal sup distance plus channel-spectrum distance.
 
-    The diagonal band (|i - j| <= diag_margin cells, cyclically) is excluded:
+    The diagonal band (|i - j| <= DIAG_MARGIN_CELLS, cyclically) is excluded:
     remainders may blow up there and the delta term is not discretized.
     """
     if isinstance(S1, SphereScatteringKernel) and isinstance(S2, SphereScatteringKernel):
@@ -413,21 +405,22 @@ def kernel_distance(S1, S2, diag_margin: int = DIAG_MARGIN_CELLS) -> float:
     idx = np.arange(M)
     sep = np.abs(np.subtract.outer(idx, idx))
     sep = np.minimum(sep, M - sep)
-    mask = sep > diag_margin
+    mask = sep > DIAG_MARGIN_CELLS
     off = float(np.max(np.abs(S1.value_grid() - S2.value_grid())[mask]))
     chan = S1.channel_spectrum().distance(S2.channel_spectrum())
     return off + chan
 
 
-def near_diagonal_growth(S: ScatteringKernel, u_lo: float = 1e-3, u_hi: float = 1e-1,
-                         n_samples: int = 24, theta0: float = 0.37) -> tuple[float, float]:
-    """Fitted (exponent, constant) of |S(theta0 + u, theta0)| ~ C u^{-p}."""
-    us = np.geomspace(u_lo, u_hi, n_samples)
-    vals = np.abs(S.evaluate(theta0 + us, np.full(n_samples, theta0)))
+def near_diagonal_growth(S: ScatteringKernel) -> tuple[float, float]:
+    """Fitted (exponent, constant) of |S(theta0 + u, theta0)| ~ C u^{-p} at
+    theta0 = 0.37, over 24 geometric u from 1e-3 to 1e-1."""
+    us = np.geomspace(1e-3, 1e-1, 24)
+    theta0 = 0.37
+    vals = np.abs(S.evaluate(theta0 + us, np.full(us.size, theta0)))
     if isinstance(vals, np.ndarray) and vals.ndim == 2:
         vals = np.diag(vals)
     logs = np.log(vals)
-    A = np.column_stack([np.log(us), np.ones(n_samples)])
+    A = np.column_stack([np.log(us), np.ones(us.size)])
     slope, intercept = np.linalg.lstsq(A, logs, rcond=None)[0]
     return float(-slope), float(np.exp(intercept))
 
@@ -456,18 +449,14 @@ class SphereScatteringKernel:
         object.__setattr__(self, "values", v)
 
 
-def synthesize_sphere_kernel(grid: SphereGrid, base: Callable | None = None,
-                             lam: float = 1.0, width: float = 0.6,
+def synthesize_sphere_kernel(grid: SphereGrid, lam: float = 1.0,
                              singular_support: bool = True) -> SphereScatteringKernel:
-    """Diagonal-concentrated smooth stand-in kernel: base defaults to
-    exp(-|w - w'|^2 / width^2) plus a fixed small offset so the ratio is
-    anchored everywhere near the diagonal."""
+    """Diagonal-concentrated smooth stand-in kernel exp(-|w - w'|^2 / width^2)
+    with width 0.6, plus a fixed small offset so the ratio is anchored
+    everywhere near the diagonal."""
     V = grid.vertices
-    if base is None:
-        d2 = np.maximum(2.0 - 2.0 * (V @ V.T), 0.0)
-        vals = np.exp(-d2 / width**2) + 0.05
-    else:
-        vals = np.asarray(base(V), dtype=complex)
+    d2 = np.maximum(2.0 - 2.0 * (V @ V.T), 0.0)
+    vals = np.exp(-d2 / 0.6**2) + 0.05
     return SphereScatteringKernel(grid=grid, values=vals, lam=lam,
                                   singular_support=singular_support)
 
@@ -489,12 +478,12 @@ class SolverResult:
         return self.verdict == "equivalent"
 
 
-def _spectrum_flux(spec: ChannelSpectrum, tol: float = 1e-6):
+def _spectrum_flux(spec: ChannelSpectrum):
     """Effective flux from a channel spectrum: step index from the jump
     location, fractional part from the argument on the upper side. Returns
     None for a constant spectrum (integer flux: no jump to locate)."""
     vals = spec.values
-    jumps = np.nonzero(np.abs(np.diff(vals)) > tol)[0]
+    jumps = np.nonzero(np.abs(np.diff(vals)) > _CHANNEL_JUMP_TOL)[0]
     if jumps.size == 0:
         return None
     if jumps.size > 1:
@@ -508,31 +497,30 @@ def _spectrum_flux(spec: ChannelSpectrum, tol: float = 1e-6):
     return step + frac
 
 
-def _fit_plane_gauge(S1: ScatteringKernel, S2: ScatteringKernel, m: int,
-                     k_max: int | None = None):
+def _fit_plane_gauge(S1: ScatteringKernel, S2: ScatteringKernel, m: int):
     """Fit the periodic phase phi from the off-diagonal value ratio.
 
     Along each band theta' = theta - u the ratio of a gauge pair equals
     e^{i m (u - pi)} e^{i (phi(theta) - phi(theta - u + pi))}; after removing
     the known constant, the Fourier transform over theta gives
     phi_hat[k] (1 - e^{i k (pi - u)}) per band, solved per harmonic in least
-    squares over several bands.
+    squares over several bands. Harmonics above min(M/4, 64) are not fitted.
     """
     M = S1.n_grid
-    th = S1.thetas
-    if k_max is None:
-        k_max = min(M // 4, 64)
+    k_max = min(M // 4, 64)
     strides = [p for p in (8, 9, 16, 24, 32, 48) if p < M // 2]
     strides = strides + [-p for p in strides]
     G1, G2 = S1.value_grid(), S2.value_grid()
+    rows = np.arange(M)
+    # G2/G1 along each band theta' = theta - 2 pi p / M, including the two
+    # adjacent bands of the winding cross-check below
+    ratio = {p: G2[rows, (rows - p) % M] / G1[rows, (rows - p) % M] for p in {*strides, 8, 9}}
     ks = np.fft.fftfreq(M, d=1.0 / M).astype(int)
     num = np.zeros(M, dtype=complex)
     den = np.zeros(M)
     for p in strides:
         u = 2 * np.pi * p / M
-        cols = (np.arange(M) - p) % M
-        ratio = G2[np.arange(M), cols] / G1[np.arange(M), cols]
-        core = ratio * np.exp(-1j * m * (u - np.pi))
+        core = ratio[p] * np.exp(-1j * m * (u - np.pi))
         xi = np.unwrap(np.angle(core))
         xi = xi - np.mean(xi)
         xi_hat = np.fft.fft(xi) / M
@@ -547,13 +535,8 @@ def _fit_plane_gauge(S1: ScatteringKernel, S2: ScatteringKernel, m: int,
     phi = AngularFunction.from_coefficients(coeffs) if coeffs else AngularFunction.zero()
     # cross-check of the winding from two adjacent bands: the constant phase
     # advances by m times the band spacing
-    pa, pb = 8, 9
-    ua, ub = 2 * np.pi * pa / M, 2 * np.pi * pb / M
-    ca = (np.arange(M) - pa) % M
-    cb = (np.arange(M) - pb) % M
-    qa = G2[np.arange(M), ca] / G1[np.arange(M), ca]
-    qb = G2[np.arange(M), cb] / G1[np.arange(M), cb]
-    incr = np.angle(qb * np.conj(qa))
+    ua, ub = 2 * np.pi * 8 / M, 2 * np.pi * 9 / M
+    incr = np.angle(ratio[9] * np.conj(ratio[8]))
     m_check = float(np.mean(incr) / (ub - ua))
     return phi, m_check
 

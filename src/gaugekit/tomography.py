@@ -31,7 +31,7 @@ import numpy as np
 from scipy.integrate import quad
 from scipy.interpolate import CubicSpline
 
-from .angular import AngularFunction, SphereFunction
+from .angular import SphereFunction
 from .errors import (
     BranchAmbiguous,
     DimensionMismatch,
@@ -60,6 +60,11 @@ _CORE_HALF = 1.35 ** np.arange(12)  # core panel widths, growing away from s = 0
 _CORE_WIDTHS = np.concatenate([_CORE_HALF[::-1], _CORE_HALF]) / _CORE_HALF.sum()
 _CORE_EDGES = np.cumsum(np.concatenate([[-1.0], _CORE_WIDTHS]))
 _GAUGE_NODES = 200  # nodes per gauge-scalar path leg
+_SINOGRAM_NODES = 384  # tangent-rule nodes per sinogram line
+_TIE_MARGIN = 0.25  # winding limits this close to a half-integer are ambiguous
+_INVERT_THETAS = 128  # angles of the inverted polar grid
+_INVERT_NODES = 160  # Gauss-Legendre nodes of the harmonic integrals
+_AMPLIFICATION_CAP = 1e8
 
 
 @lru_cache(maxsize=None)
@@ -212,12 +217,12 @@ def _line_quad(evaluate: Callable, x0s, omegas, envelope: DecayEnvelope | None,
 
 
 def line_integrals_scalar(potential, lines: Sequence[Line], tail_tol: float = TAIL_TOL,
-                          obstacle_radius: float = 0.0,
-                          envelope: DecayEnvelope | None = None):
+                          obstacle_radius: float = 0.0):
     """Integrals of a short-range scalar potential along admissible lines.
 
     Returns (values, error estimates), one of each per line, from one pass of
-    the vectorised line rule. The envelope defaults to the potential's own.
+    the vectorised line rule. The tails are bounded by the potential's own
+    envelope; a potential without one raises TailNotBounded.
     """
     lines = tuple(lines)
     for ln in lines:
@@ -226,14 +231,13 @@ def line_integrals_scalar(potential, lines: Sequence[Line], tail_tol: float = TA
     if not lines:
         return np.zeros(0), np.zeros(0)
     return _line_quad(potential, [ln.x0 for ln in lines], [ln.omega for ln in lines],
-                      envelope or getattr(potential, "envelope", None), tail_tol)
+                      getattr(potential, "envelope", None), tail_tol)
 
 
 def line_integral_scalar(potential, line: Line, tail_tol: float = TAIL_TOL,
-                         obstacle_radius: float = 0.0,
-                         envelope: DecayEnvelope | None = None) -> float:
+                         obstacle_radius: float = 0.0) -> float:
     """Integral of a short-range scalar potential along an admissible line."""
-    vals, _ = line_integrals_scalar(potential, [line], tail_tol, obstacle_radius, envelope)
+    vals, _ = line_integrals_scalar(potential, [line], tail_tol, obstacle_radius)
     return float(vals[0])
 
 
@@ -349,12 +353,11 @@ class Sinogram:
                    obstacle_radius=obstacle_radius)
 
 
-def forward_sinogram(config: PotentialConfig, angles, offsets, kind: str = "scalar",
-                     n_nodes: int = 384) -> Sinogram:
+def forward_sinogram(config: PotentialConfig, angles, offsets, kind: str = "scalar") -> Sinogram:
     """Vectorized forward projection on a parallel grid.
 
-    Gauss-Legendre rule in the tangent substitution s = c tan(t); accurate to
-    ~1e-11 for the smooth rapidly decaying fields in the catalog. The
+    384-node Gauss-Legendre rule in the tangent substitution s = c tan(t);
+    accurate to ~1e-11 for the smooth rapidly decaying fields in the catalog. The
     line_integral_* functions, which carry an error estimate, remain the
     per-line reference.
     """
@@ -367,7 +370,7 @@ def forward_sinogram(config: PotentialConfig, angles, offsets, kind: str = "scal
             evaluate = config.scalar
     elif kind != "vector":
         raise ValueError("kind must be 'scalar' or 'vector'")
-    xg, wg = _gauss_legendre(n_nodes)
+    xg, wg = _gauss_legendre(_SINOGRAM_NODES)
     t_nodes = 0.5 * (xg + 1.0) * (np.pi - 2e-10) - (np.pi / 2 - 1e-10)
     t_weights = 0.5 * (np.pi - 2e-10) * wg
     out = np.zeros((angles.size, offsets.size))
@@ -383,7 +386,8 @@ def forward_sinogram(config: PotentialConfig, angles, offsets, kind: str = "scal
             vals = np.asarray(evaluate(pts), dtype=float)
         else:
             vals = np.asarray(config.vector_potential(pts), dtype=float) @ w
-        out[i] = np.sum(vals.reshape(offsets.size, n_nodes) * jac * t_weights[None, :], axis=1)
+        out[i] = np.sum(vals.reshape(offsets.size, _SINOGRAM_NODES) * jac * t_weights[None, :],
+                        axis=1)
     return Sinogram(angles=angles, offsets=offsets, values=out, kind=kind,
                     obstacle_radius=config.obstacle_radius)
 
@@ -392,14 +396,14 @@ def forward_sinogram(config: PotentialConfig, angles, offsets, kind: str = "scal
 # winding resolution
 # ===================================================================
 
-def resolve_winding(data: XRayData, tie_margin: float = 0.25) -> int:
+def resolve_winding(data: XRayData) -> int:
     """Integer branch count of exponentiated difference data along a receding
     family of parallel lines.
 
     Anchors at the principal argument of the nearest line, continues the
     phase by nearest branch as |x0| grows, and rounds the limit over 2 pi.
     Raises BranchAmbiguous when consecutive phases jump by >= pi (sampling
-    too coarse to continue) or the limit sits near a half-integer.
+    too coarse to continue) or the limit sits within 0.25 of a half-integer.
     """
     if data.kind != "vector_exp":
         raise ValueError("winding resolution consumes exponentiated vector data")
@@ -414,7 +418,7 @@ def resolve_winding(data: XRayData, tie_margin: float = 0.25) -> int:
         raise BranchAmbiguous("consecutive phases jump by >= pi; sampling too coarse")
     limit = float(args[0] + np.sum(inc))
     m = float(np.round(limit / (2 * np.pi)))
-    if abs(limit / (2 * np.pi) - m) >= tie_margin:
+    if abs(limit / (2 * np.pi) - m) >= _TIE_MARGIN:
         raise BranchAmbiguous(
             f"phase limit {limit:.4f} sits {abs(limit/(2*np.pi)-m):.3f} from an integer branch")
     return int(m)
@@ -478,10 +482,15 @@ class PolarGridField:
              + (1 - fr) * ft * self.values[ri, tj] + fr * ft * self.values[ri + 1, tj])
         return v if v.size > 1 else float(v[0])
 
-    def l2_relative_error(self, reference: Callable) -> float:
-        rr, tt = np.meshgrid(self.radii, self.thetas, indexing="ij")
-        pts = np.column_stack([(rr * np.cos(tt)).ravel(), (rr * np.sin(tt)).ravel()])
-        ref = np.asarray(reference(pts), dtype=float).reshape(rr.shape)
+    def sample(self, f: Callable) -> np.ndarray:
+        """f at the grid points, shaped like values."""
+        _, _, pts = polar_points(self.radii, self.thetas)
+        return np.asarray(f(pts), dtype=float).reshape(self.values.shape)
+
+    def l2_relative_error(self, reference) -> float:
+        """Radius-weighted relative L2 error against a callable, or against
+        its samples on the grid (shaped like values)."""
+        ref = self.sample(reference) if callable(reference) else reference
         w = self.radii[:, None]
         num = float(np.sum(w * (self.values - ref) ** 2))
         den = float(np.sum(w * ref**2))
@@ -491,24 +500,27 @@ class PolarGridField:
         return float(np.max(np.abs(self.values)))
 
     def to_csv(self, path) -> None:
-        body = np.column_stack([np.repeat(self.radii, self.thetas.size),
-                                np.tile(self.thetas, self.radii.size),
-                                self.values.ravel()])
-        np.savetxt(path, body, delimiter=",", header="r,theta,value", comments="")
+        r, t, _ = polar_points(self.radii, self.thetas)
+        np.savetxt(path, np.column_stack([r, t, self.values.ravel()]), delimiter=",",
+                   header="r,theta,value", comments="")
 
 
-def radon_invert_scalar(sino: Sinogram, radii: np.ndarray | None = None,
-                        n_theta: int = 128, l_max: int | None = None,
-                        amplification_cap: float = 1e8,
-                        taper: str | None = None,
-                        n_gauss: int = 160) -> PolarGridField:
+def polar_points(radii, thetas):
+    """Radius-major polar grid: flat r and theta columns and the (m, 2) points."""
+    r, t = (a.ravel() for a in np.meshgrid(radii, thetas, indexing="ij"))
+    return r, t, np.column_stack([r * np.cos(t), r * np.sin(t)])
+
+
+def radon_invert_scalar(sino: Sinogram) -> PolarGridField:
     """Invert exterior parallel-beam data by circular-harmonic decomposition.
 
     For each angular harmonic l of the full-circle sinogram,
     v_l(r) = -(1/pi) integral_0^{arccosh(T/r)} p_l'(r cosh s) cosh(l s) ds
-    recovers the harmonic of the function on the covered annulus. Harmonics
-    whose amplification cosh(l arccosh(T/r)) exceeds the cap are dropped and
-    reported (exterior data cannot determine them stably).
+    recovers the harmonic of the function on the covered annulus, sampled on
+    96 radii from 1.02 r_min to 0.92 T and 128 angles. Harmonics above
+    min(2/3 of the angle count, 48) are not used; those whose amplification
+    cosh(l arccosh(T/r)) exceeds 1e8 are dropped and reported (exterior data
+    cannot determine them stably).
     """
     n_ang = sino.angles.size
     half = sino.offsets.size // 2
@@ -516,47 +528,38 @@ def radon_invert_scalar(sino: Sinogram, radii: np.ndarray | None = None,
         raise InsufficientCoverage("need at least 8 angles and 8 offsets per bank")
     t_pos = sino.offsets[half:]
     T = float(t_pos[-1])
-    r_in, r_out = sino.r_min, T
-    if radii is None:
-        radii = np.linspace(r_in * 1.02, r_out * 0.92, 96)
-    radii = np.asarray(radii, dtype=float)
-    if radii[0] < r_in or radii[-1] >= r_out:
-        raise InsufficientCoverage("requested radii leave the covered annulus")
+    radii = np.linspace(sino.r_min * 1.02, T * 0.92, 96)
     # full-circle extension p(phi+pi, t) = p(phi, -t)
     P_full = np.concatenate([sino.values[:, half:], sino.values[:, :half][:, ::-1]], axis=0)
     p_hat = np.fft.fft(P_full, axis=0) / (2 * n_ang)
     ls = np.fft.fftfreq(2 * n_ang, d=1.0 / (2 * n_ang)).astype(int)
-    if l_max is None:
-        l_max = min(2 * n_ang // 3, 48)
+    l_max = min(2 * n_ang // 3, 48)
     floor = 1e-12 * max(np.max(np.abs(P_full)), 1e-300)
-    xg, wg = _gauss_legendre(n_gauss)
-    thetas = np.arange(n_theta) * 2 * np.pi / n_theta
-    out = np.zeros((radii.size, n_theta), dtype=complex)
+    xg, wg = _gauss_legendre(_INVERT_NODES)
+    thetas = np.arange(_INVERT_THETAS) * 2 * np.pi / _INVERT_THETAS
+    out = np.zeros((radii.size, _INVERT_THETAS), dtype=complex)
     dropped = []
     smax_worst = np.arccosh(T / radii[0])
     for il, l in enumerate(ls):
         pl = p_hat[il]
         if abs(l) > l_max or np.max(np.abs(pl)) < floor:
             continue
-        if np.cosh(abs(l) * smax_worst) > amplification_cap:
+        if np.cosh(abs(l) * smax_worst) > _AMPLIFICATION_CAP:
             dropped.append(int(l))
             continue
-        weight = 1.0
-        if taper == "hann":
-            weight = 0.5 * (1 + np.cos(np.pi * l / (l_max + 1)))
         dpl = CubicSpline(t_pos, pl).derivative()
         smax = np.arccosh(T / radii)  # per radius
         s = 0.5 * smax[:, None] * (xg[None, :] + 1.0)
         sw = 0.5 * smax[:, None] * wg[None, :]
         tv = radii[:, None] * np.cosh(s)
         vl = -(1.0 / np.pi) * np.sum(dpl(np.minimum(tv, T)) * np.cosh(l * s) * sw, axis=1)
-        out += weight * vl[:, None] * np.exp(1j * l * thetas[None, :])
+        out += vl[:, None] * np.exp(1j * l * thetas[None, :])
     return PolarGridField(radii=radii, thetas=thetas, values=out.real,
                           annulus=(float(radii[0]), float(radii[-1])),
                           dropped_harmonics=tuple(sorted(dropped)))
 
 
-def recover_field_2d(sino: Sinogram, **invert_kwargs) -> PolarGridField:
+def recover_field_2d(sino: Sinogram) -> PolarGridField:
     """Magnetic field from vector-transform data.
 
     The offset derivative of the vector transform equals the scalar
@@ -574,7 +577,7 @@ def recover_field_2d(sino: Sinogram, **invert_kwargs) -> PolarGridField:
             dvals[i, sl] = sp.derivative()(sino.offsets[sl])
     dsino = Sinogram(angles=sino.angles, offsets=sino.offsets, values=dvals,
                      kind="scalar", obstacle_radius=sino.obstacle_radius)
-    return radon_invert_scalar(dsino, **invert_kwargs)
+    return radon_invert_scalar(dsino)
 
 
 # ===================================================================
@@ -632,23 +635,22 @@ class GaugeScalar:
 
 
 def find_gauge_scalar(field, r_in: float, r_out: float,
-                      envelope: DecayEnvelope | None = None,
                       curl_tol: float = 1e-6, loop_tol: float = 1e-6,
-                      tail_tol: float = TAIL_TOL, far_factor: float = 8.0,
-                      n_probe: int = 100, seed: int = 11) -> GaugeScalar:
+                      tail_tol: float = TAIL_TOL, seed: int = 11) -> GaugeScalar:
     """Scalar L with grad L equal to the given curl-free short-range field.
 
-    Verifies curl-freeness on probe points and a vanishing loop integral
-    (plane only), then integrates along arc-then-radial paths anchored at a
-    far radius, normalizing so L -> 0 at infinity. Path independence is
-    checked on probe pairs and the worst defect is recorded.
+    Verifies curl-freeness on 100 probe points and a vanishing loop integral
+    (plane only), then integrates along arc-then-radial paths anchored at the
+    far radius 8 r_out, normalizing so L -> 0 at infinity with the tail
+    bounded by the field's own envelope. Path independence is checked on
+    probe pairs and the worst defect is recorded.
     """
-    envelope = envelope or getattr(field, "envelope", None)
+    envelope = getattr(field, "envelope", None)
     if envelope is None:
         raise TailNotBounded("need an envelope to anchor the potential at infinity")
     rng = np.random.default_rng(seed)
-    r = rng.uniform(r_in, r_out, n_probe)
-    th = rng.uniform(0, 2 * np.pi, n_probe)
+    r = rng.uniform(r_in, r_out, 100)
+    th = rng.uniform(0, 2 * np.pi, 100)
     probes = np.column_stack([r * np.cos(th), r * np.sin(th)])
     curls = curl(field, probes, step_rel=1e-4)
     if np.max(np.abs(curls)) > curl_tol:
@@ -656,7 +658,7 @@ def find_gauge_scalar(field, r_in: float, r_out: float,
     loop = 2 * np.pi * flux(field, 0.5 * (r_in + r_out))
     if abs(loop) > loop_tol:
         raise ResidualFlux(f"loop integral {loop:.3e} exceeds {loop_tol:.1e}")
-    far_radius = far_factor * r_out
+    far_radius = 8.0 * r_out
     # outward correction along the theta = 0 ray, truncated by the envelope
     S = max(envelope.truncation_radius(tail_tol), far_radius * 1.5)
 

@@ -6,6 +6,7 @@ import pytest
 
 from gaugekit import catalog, cli
 from gaugekit.angular import AngularFunction
+from gaugekit.errors import DimensionMismatch
 from gaugekit.fields import (
     GaugeElement,
     PotentialConfig,
@@ -42,6 +43,14 @@ def _plane_config(alpha=None, extra=None, scalar=None, short=None, label=""):
         tv = TransversalField.from_profile(_profile(alpha, extra))
     return PotentialConfig(dimension=2, obstacle_radius=1.0, transversal=tv,
                            short_range=short, scalar=scalar, label=label)
+
+
+def _space_config(transversal=True):
+    tv = catalog.cross_axis_transversal(c=0.4) if transversal else None
+    short = catalog.build_vector("grad_bumps", {"bumps": [[0.3, 1.3, 0.0, 0.0, 0.5]]},
+                                 dimension=3)
+    return PotentialConfig(dimension=3, obstacle_radius=1.0, transversal=tv,
+                           short_range=short)
 
 
 def _gauge_pair_scenario(m=1, label="gauge-pair"):
@@ -398,6 +407,30 @@ class TestEmitReport:
         assert len(rows) == grid_size + 1
 
 
+class TestPlaneOnly:
+    """Kernels are synthesized from the plane flux decomposition, so classify
+    and kernel-lab reject configurations in 3-space before any stage runs."""
+
+    @pytest.mark.parametrize("transversal", [True, False])
+    def test_classify_rejects_space_pair(self, transversal):
+        cfg = _space_config(transversal)
+        sc = Scenario(kind="classify", config1=cfg, config2=cfg, kernels=dict(FAST_KERNELS))
+        with pytest.raises(DimensionMismatch, match="plane kernels"):
+            run_classify(sc)
+
+    def test_classify_rejects_declared_space_gauge(self):
+        cfg = _space_config(transversal=False)
+        sc = Scenario(kind="classify", config1=cfg, config2=cfg,
+                      kernels={**FAST_KERNELS, "relating_gauge": {"m": 0}})
+        with pytest.raises(DimensionMismatch, match="plane kernels"):
+            run_classify(sc)
+
+    def test_kernel_lab_rejects_space_config(self):
+        sc = Scenario(kind="kernel-lab", config1=_space_config(), kernels=dict(FAST_KERNELS))
+        with pytest.raises(DimensionMismatch, match="plane kernels"):
+            run_kernel_lab(sc)
+
+
 class TestCli:
     def _write_gauge_pair_scenario(self, tmp_path, alpha=0.3):
         phi = AngularFunction.from_coefficients({2: 0.05})
@@ -434,6 +467,16 @@ class TestCli:
         path = tmp_path / "scenario.json"
         path.write_text(sc.to_json())
         assert cli.main(["classify", "--scenario", str(path)]) == 1
+
+    def test_classify_space_scenario_exit_one(self, tmp_path, capsys):
+        cfg = _space_config(transversal=False)
+        sc = Scenario(kind="classify", config1=cfg, config2=cfg, kernels=dict(FAST_KERNELS))
+        path = tmp_path / "scenario.json"
+        path.write_text(sc.to_json())
+        assert cli.main(["classify", "--scenario", str(path),
+                         "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: DimensionMismatch: ")
 
     def test_missing_scenario_exit_one(self, tmp_path):
         assert cli.main(["classify", "--scenario",
