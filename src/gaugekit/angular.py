@@ -175,12 +175,6 @@ class AngularFunction:
 
     __rmul__ = __mul__
 
-    def coefficient(self, k: int) -> complex:
-        n = self.degree
-        if abs(k) > n:
-            return 0j
-        return complex(self.coefficients[n + k])
-
     def distance(self, other: "AngularFunction") -> float:
         n = max(self.degree, other.degree)
         return float(np.max(np.abs(self._padded(n) - other._padded(n))))

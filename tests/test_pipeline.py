@@ -6,7 +6,7 @@ import pytest
 
 from gaugekit import catalog, cli
 from gaugekit.angular import AngularFunction
-from gaugekit.errors import DimensionMismatch
+from gaugekit.errors import DimensionMismatch, GaugekitError
 from gaugekit.fields import (
     GaugeElement,
     PotentialConfig,
@@ -429,6 +429,33 @@ class TestPlaneOnly:
         sc = Scenario(kind="kernel-lab", config1=_space_config(), kernels=dict(FAST_KERNELS))
         with pytest.raises(DimensionMismatch, match="plane kernels"):
             run_kernel_lab(sc)
+
+
+class TestKindDimensionContract:
+    """Every scenario kind x dimension either runs to a verdict or raises a
+    typed GaugekitError; this table pins which one."""
+
+    @pytest.mark.parametrize("kind,dimension,rejected", [
+        ("classify", 2, None),
+        ("classify", 3, DimensionMismatch),
+        ("reconstruct", 2, None),
+        ("reconstruct", 3, None),
+        ("kernel-lab", 2, None),
+        ("kernel-lab", 3, DimensionMismatch),
+    ])
+    def test_runs_or_raises_typed(self, kind, dimension, rejected):
+        cfg = _plane_config(0.3, {1: 0.025}) if dimension == 2 else _space_config()
+        sc = Scenario(kind=kind, config1=cfg, config2=cfg if kind == "classify" else None,
+                      geometry=dict(SMALL_GEO), kernels=dict(FAST_KERNELS))
+        if rejected is not None:
+            with pytest.raises(rejected) as info:
+                run_scenario(sc)
+            assert isinstance(info.value, GaugekitError)
+            return
+        rep = run_scenario(sc)
+        assert isinstance(rep, Report)
+        assert rep.verdict in {"equivalent", "not_equivalent", "ambiguous",
+                               "reconstructed", "inspected"}
 
 
 class TestCli:

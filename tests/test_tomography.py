@@ -8,6 +8,7 @@ from gaugekit import catalog
 from gaugekit.angular import AngularFunction, SphereFunction, sphere_grid
 from gaugekit.errors import (
     BranchAmbiguous,
+    DimensionMismatch,
     InsufficientCoverage,
     LineHitsObstacle,
     NonConvergent,
@@ -36,6 +37,7 @@ from gaugekit.tomography import (
     line_integral_scalar,
     line_integral_vector,
     line_integrals_scalar,
+    line_integrals_vector,
     parallel_geometry,
     plane_restrict,
     radon_invert_scalar,
@@ -43,7 +45,7 @@ from gaugekit.tomography import (
     resolve_winding,
     synthetic_winding_family,
 )
-from gaugekit.tomography import _line_quad
+from gaugekit.tomography import _line_rule
 from oracles import adaptive_line_integral, line_integral_vector_quadrature
 
 
@@ -151,7 +153,7 @@ class TestLineRule:
     def test_scalar_kinds_match_adaptive_oracle(self, kind, params):
         V = catalog.build_scalar(kind, params)
         lines = _random_lines(5)
-        vals, _ = _line_quad(V, [ln.x0 for ln in lines], [ln.omega for ln in lines],
+        vals, _ = _line_rule(V, [ln.x0 for ln in lines], [ln.omega for ln in lines],
                              V.envelope, 1e-9)
         ref = [adaptive_line_integral(V, ln, V.envelope) for ln in lines]
         np.testing.assert_allclose(vals, ref, rtol=0, atol=1e-12)
@@ -165,7 +167,7 @@ class TestLineRule:
     def test_vector_kinds_match_adaptive_oracle(self, kind, params):
         F = catalog.build_vector(kind, params)
         lines = _random_lines(6)
-        vals, _ = _line_quad(F, [ln.x0 for ln in lines], [ln.omega for ln in lines],
+        vals, _ = _line_rule(F, [ln.x0 for ln in lines], [ln.omega for ln in lines],
                              F.envelope, 1e-9)
         ref = [adaptive_line_integral(F, ln, F.envelope) for ln in lines]
         np.testing.assert_allclose(vals, ref, rtol=0, atol=1e-12)
@@ -245,10 +247,67 @@ class TestLineIntegralVector:
         om = np.array([1.0, -1.0, 3.0])
         om = om / np.linalg.norm(om)
         x0 = x0 - np.dot(x0, om) * om
-        ln = Line(x0=x0, omega=om)
-        split = line_integral_vector(cfg, ln)
-        brute = line_integral_vector_quadrature(cfg, ln)
-        assert split == pytest.approx(brute, abs=1e-8)
+        lines = [Line(x0=x0, omega=om)] + _random_space_lines(23, n=16)
+        split = line_integrals_vector(cfg, lines)
+        brute = [line_integral_vector_quadrature(cfg, ln) for ln in lines]
+        np.testing.assert_allclose(split, brute, rtol=0, atol=1e-8)
+
+    def test_batch_equals_single_lines(self):
+        prof = AngularFunction.constant(0.45) + AngularFunction.harmonic(2, sin_amp=0.1)
+        cfg = PotentialConfig(
+            dimension=2, obstacle_radius=1.0,
+            transversal=TransversalField.from_profile(prof),
+            short_range=catalog.build_vector("ring_bump_tangential",
+                                             {"b0": 0.4, "r0": 1.9, "sigma": 0.3}))
+        lines = _random_lines(12, n=16)
+        single = [line_integral_vector(cfg, ln) for ln in lines]
+        np.testing.assert_allclose(line_integrals_vector(cfg, lines), single,
+                                   rtol=0, atol=1e-15)
+        assert line_integrals_vector(cfg, []).shape == (0,)
+
+    def test_sinogram_nodes_equal_line_integrals(self):
+        prof = AngularFunction.constant(0.3) + AngularFunction.harmonic(1, cos_amp=0.2)
+        cfg = PotentialConfig(
+            dimension=2, obstacle_radius=1.0,
+            transversal=TransversalField.from_profile(prof),
+            short_range=catalog.build_vector(
+                "grad_bumps", {"bumps": [[0.5, 1.6, 0.4, 0.5], [-0.2, -1.0, 1.2, 0.6]]}))
+        angles, offsets = parallel_geometry(6, 10, 1.001, 3.5)
+        sino = forward_sinogram(cfg, angles, offsets, kind="vector")
+        for i, ang in enumerate(angles):
+            for j, t in enumerate(offsets):
+                ref = line_integral_vector(cfg, line_at(ang, t))
+                assert abs(sino.values[i, j] - ref) < 1e-13
+
+    def test_line_dimension_mismatch_is_typed(self):
+        vortex = TransversalField.from_profile(AngularFunction.constant(0.2))
+        plane = PotentialConfig(dimension=2, obstacle_radius=1.0, transversal=vortex)
+        space = PotentialConfig(dimension=3, obstacle_radius=1.0,
+                                transversal=catalog.cross_axis_transversal(c=0.3))
+        with pytest.raises(DimensionMismatch):
+            line_integrals_vector(plane, _random_space_lines(1, n=2))
+        with pytest.raises(DimensionMismatch):
+            line_integral_vector(space, Line.from_impact_angle(2.0, 0.3))
+
+    def test_line_through_obstacle(self):
+        vortex = TransversalField.from_profile(AngularFunction.constant(0.2))
+        cfg = PotentialConfig(dimension=2, obstacle_radius=1.0, transversal=vortex)
+        with pytest.raises(LineHitsObstacle):
+            line_integrals_vector(cfg, [Line.from_impact_angle(2.0, 0.0),
+                                        Line.from_impact_angle(0.5, 0.0)])
+
+
+def _random_space_lines(seed, n):
+    rng = np.random.default_rng(seed)
+    lines = []
+    for _ in range(n):
+        om = rng.normal(size=3)
+        om /= np.linalg.norm(om)
+        x0 = rng.normal(size=3)
+        x0 -= np.dot(x0, om) * om
+        x0 *= rng.uniform(1.2, 5.0) / np.linalg.norm(x0)
+        lines.append(Line(x0=x0, omega=om))
+    return lines
 
 
 class TestResolveWinding:
@@ -334,6 +393,17 @@ class TestRadonInvertScalar:
         np.testing.assert_allclose(back.values, sino.values, atol=1e-15)
 
 
+class TestForwardSinogram:
+    @pytest.mark.parametrize("kind", ["scalar", "vector"])
+    def test_space_config_rejected(self, kind):
+        # no scalar part: a scalar sinogram must not come back as silent zeros
+        cfg = PotentialConfig(dimension=3, obstacle_radius=1.0,
+                              transversal=catalog.cross_axis_transversal(c=0.3))
+        angles, offsets = parallel_geometry(8, 8, 1.001, 3.0)
+        with pytest.raises(DimensionMismatch, match="planar"):
+            forward_sinogram(cfg, angles, offsets, kind=kind)
+
+
 class TestRecoverField2d:
     def test_ab_data_gives_zero_field(self):
         tr = TransversalField.from_profile(AngularFunction.constant(0.8))
@@ -364,6 +434,13 @@ class TestFindGaugeScalar:
         pts = np.column_stack([r * np.cos(th), r * np.sin(th)])
         expected = (1.0 + r**2) ** -0.5
         np.testing.assert_allclose(gs(pts), expected, atol=1e-8)
+
+    def test_far_correction_closed_form(self):
+        # int_R^inf of -s (1 + s^2)^(-3/2) ds along the theta = 0 ray
+        fld = catalog.build_vector("grad_power", {"c": 1.0, "p": 1.0})
+        gs = find_gauge_scalar(fld, r_in=1.2, r_out=4.0)
+        exact = -(1.0 + gs.far_radius**2) ** -0.5
+        assert abs(gs.far_correction - exact) < 1e-13
 
     def test_zero_field(self):
         fld = catalog.build_vector("zero")
