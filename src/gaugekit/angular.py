@@ -252,11 +252,15 @@ class SphereGrid:
         return self.vertices.shape[0]
 
     def edges(self) -> np.ndarray:
-        e = set()
-        for a, b, c in self.faces:
-            for p, q in ((a, b), (b, c), (a, c)):
-                e.add((min(p, q), max(p, q)))
-        return np.array(sorted(e))
+        """Unique (i, j) vertex pairs with i < j, one per face edge, in
+        lexicographic order; read-only and cached."""
+        if "edges" not in self._inv_cache:
+            f = self.faces
+            pairs = np.sort(np.concatenate([f[:, [0, 1]], f[:, [1, 2]], f[:, [0, 2]]]), axis=1)
+            e = np.unique(pairs, axis=0)
+            e.flags.writeable = False
+            self._inv_cache["edges"] = e
+        return self._inv_cache["edges"]
 
     def _face_inverses(self) -> np.ndarray:
         if "inv" not in self._inv_cache:
@@ -356,14 +360,10 @@ class SphereFunction:
 
     @classmethod
     def from_callable(cls, f: Callable, refinement: int = 4) -> "SphereFunction":
+        """Sample f, which maps an (m, 3) array of unit vectors to the (m,)
+        array of its values, at the grid nodes in one call."""
         grid = sphere_grid(refinement)
-        try:
-            vals = np.asarray(f(grid.vertices), dtype=float)
-            if vals.shape != (grid.size,):
-                raise ValueError
-        except Exception:
-            vals = np.array([float(f(p)) for p in grid.vertices])
-        return cls(grid=grid, values=vals)
+        return cls(grid=grid, values=f(grid.vertices))
 
     def __call__(self, omega) -> float:
         w = np.asarray(omega, dtype=float)

@@ -214,7 +214,7 @@ def build_vector(kind: str, params: dict | None = None, dimension: int = 2,
 
 def cross_axis_transversal(axis=(0.0, 0.0, 1.0), c: float = 1.0) -> TransversalField:
     func, _ = _vector_cross_axis({"axis": list(axis), "c": c}, 3)
-    return TransversalField(dimension=3, profile=lambda w: func(np.asarray(w, dtype=float)[None, :])[0])
+    return TransversalField(dimension=3, profile=func)
 
 
 # ---------------- config serialization ----------------

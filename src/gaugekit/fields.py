@@ -131,7 +131,9 @@ class TransversalField:
 
     In the plane the field is a_hat(theta) * (-x2, x1)/|x|^2 for a circle
     profile a_hat. In 3-space a tangent profile W on the unit sphere gives
-    A(x) = W(x/|x|)/|x|.
+    A(x) = W(x/|x|)/|x|; the profile maps an (m, 3) array of unit vectors to
+    the (m, 3) array of their tangent vectors, and every evaluation of the
+    field calls it once.
     """
 
     dimension: int
@@ -152,10 +154,13 @@ class TransversalField:
     @classmethod
     def from_sphere_profile(cls, profile: Callable, check_points: int = 64,
                             tol: float = TRANSVERSAL_TOL) -> "TransversalField":
+        """3-space field from a profile mapping (m, 3) unit vectors to (m, 3)
+        tangent vectors; NotTransversal when the profile, evaluated on all
+        check points in one call, has a radial component."""
         rng = np.random.default_rng(7)
         w = rng.normal(size=(check_points, 3))
         w /= np.linalg.norm(w, axis=1)[:, None]
-        vals = np.asarray([profile(p) for p in w], dtype=float)
+        vals = np.asarray(profile(w), dtype=float)
         radial = np.abs(np.sum(vals * w, axis=1))
         if np.max(radial) > tol * max(1.0, float(np.max(np.abs(vals)))):
             raise NotTransversal("sphere profile has a radial component")
@@ -170,7 +175,10 @@ class TransversalField:
             theta = np.arctan2(p[:, 1], p[:, 0])
             out = self.a_hat(theta)[:, None] * np.column_stack([-p[:, 1], p[:, 0]]) / (r**2)[:, None]
         else:
-            out = np.array([self.profile(q / nq) / nq for q, nq in zip(p, r)], dtype=float)
+            out = np.asarray(self.profile(p / r[:, None]), dtype=float)
+            if out.shape != p.shape:
+                raise ValueError("sphere profile must map (m,3) unit vectors to (m,3) values")
+            out = out / r[:, None]
         return out[0] if single else out
 
 
@@ -263,6 +271,8 @@ class GaugeElement:
     In the plane: integer winding m and a zero-mean circle profile phi.
     In 3-space: no winding; phi is a function of the direction (sampled on
     the sphere grid, optionally backed by a callable for smooth gradients).
+    phi_callable maps an (m, 3) array of unit vectors to the (m,) array of
+    phase values.
     The scalar part L is short-range; its envelope entry bounds grad L.
     """
 
@@ -447,16 +457,20 @@ def extract_leading_order(radii, values, grid: SphereGrid, tol: float = 1e-6,
 
 def gradient_of_direction_function(psi: Callable, points: np.ndarray,
                                    step: float = 1e-6) -> np.ndarray:
-    """grad of x -> psi(x/|x|) by central differences; psi takes a unit 3-vector."""
+    """grad of x -> psi(x/|x|) by central differences.
+
+    psi maps an (k, 3) array of unit vectors to the (k,) array of its values;
+    it is called once, on the six stencil arrays stacked.
+    """
     p, single = _points(points, 3)
-    out = np.zeros_like(p)
-    for j in range(3):
-        e = np.zeros(3)
-        e[j] = step
-        for i, q in enumerate(p):
-            a = (q + e) / np.linalg.norm(q + e)
-            b = (q - e) / np.linalg.norm(q - e)
-            out[i, j] = (psi(a) - psi(b)) / (2 * step)
+    e = step * np.eye(3)
+    q = np.concatenate([p[None] + e[:, None], p[None] - e[:, None]])  # (6, m, 3)
+    q = q / np.linalg.norm(q, axis=2)[..., None]
+    vals = np.asarray(psi(q.reshape(-1, 3)), dtype=float)
+    if vals.shape != (q.shape[0] * q.shape[1],):
+        raise ValueError("direction function must map (k,3) unit vectors to (k,) values")
+    vals = vals.reshape(2, 3, p.shape[0])
+    out = ((vals[0] - vals[1]) / (2 * step)).T
     return out[0] if single else out
 
 
@@ -480,7 +494,7 @@ def apply_gauge_to_potential(config: PotentialConfig, g: GaugeElement) -> Potent
         psi = g.phi_callable
         if psi is None and g.phi_sphere is not None:
             sph = g.phi_sphere
-            psi = lambda w: sph(w)
+            psi = lambda W: np.array([sph(w) for w in W])
         if psi is not None:
             prev = transversal
             def profile(w, _psi=psi, _prev=prev):

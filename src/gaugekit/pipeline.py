@@ -40,6 +40,7 @@ from .scattering import (
     apply_gauge_to_kernel,
     assemble_kernel,
     gauge_equivalence_solver,
+    singular_offdiagonal,
 )
 from .tomography import (
     Line,
@@ -603,9 +604,13 @@ def _leading_to_csv(leads, path) -> None:
 
 
 def kernel_slice_csv(kernel: ScatteringKernel, path) -> None:
-    """The off-diagonal band theta' = theta - 8 cells of kernel values, for plotting."""
+    """The off-diagonal band theta' = theta - 8 cells of kernel values, for
+    plotting; only the band is evaluated, as value_grid() would give it."""
     M = kernel.n_grid
-    cols = (np.arange(M) - 8) % M
-    vals = kernel.value_grid()[np.arange(M), cols]
+    rows = np.arange(M)
+    cols = (rows - 8) % M
+    th = kernel.thetas
+    pref = kernel.prefactor_out(th) * kernel.prefactor_in(th)[cols]
+    vals = pref * (singular_offdiagonal(kernel.alpha, th - th[cols]) + kernel.remainder[rows, cols])
     body = np.column_stack([kernel.thetas, vals.real, vals.imag])
     np.savetxt(path, body, delimiter=",", header="theta,re,im", comments="")

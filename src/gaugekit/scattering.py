@@ -28,7 +28,10 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 import numpy as np
+from scipy import sparse
 from scipy.integrate import quad
+from scipy.sparse.csgraph import connected_components
+from scipy.sparse.linalg import spsolve
 
 from .angular import AngularFunction, SphereFunction, SphereGrid
 from .errors import (
@@ -554,8 +557,9 @@ def gauge_equivalence_solver(S1, S2, verify_tol: float = 1e-6,
     Sphere: requires declared singular support on S1; the diagonal ratio
     gives the odd part of the phase (it must vanish for a legitimate gauge:
     direction functions entering gauges are antipodally even), near-diagonal
-    pairs give even-part differences solved in least squares over the grid
-    graph; verified by applying the fitted gauge.
+    pairs on the grid edges give even-part differences, fitted in least
+    squares by a sparse graph-Laplacian solve; anchored pairs that leave the
+    grid disconnected give Ambiguous. Verified by applying the fitted gauge.
     """
     if isinstance(S1, ScatteringKernel) and isinstance(S2, ScatteringKernel):
         return _solve_plane(S1, S2, verify_tol, phase_tol)
@@ -634,28 +638,34 @@ def _solve_sphere(S1: SphereScatteringKernel, S2: SphereScatteringKernel,
             "odd_antisymmetry_defect": evenness_defect}
     # even part differences on grid edges: for neighbors w_j ~ w_i the kernel
     # entry (i, j) carries phi(w_i) - phi(-w_j) = o_i + o_j + e_i - e_j
-    rows, rhs = [], []
-    eq = 0
-    for (i, j) in grid.edges():
-        if abs(S1.values[i, j]) < floor:
-            continue
-        beta = float(np.angle(S2.values[i, j] / S1.values[i, j])) - odd[i] - odd[j]
-        beta = (beta + np.pi) % (2 * np.pi) - np.pi
-        rows.append((eq, i, 1.0))
-        rows.append((eq, j, -1.0))
-        rhs.append(beta)
-        eq += 1
-    if eq < n:
+    i, j = grid.edges().T
+    s1 = S1.values[i, j]
+    keep = np.abs(s1) >= floor
+    i, j, s1 = i[keep], j[keep], s1[keep]
+    beta = np.angle(S2.values[i, j] / s1) - odd[i] - odd[j]
+    beta = (beta + np.pi) % (2 * np.pi) - np.pi
+    if i.size < n:
         return SolverResult(verdict="ambiguous",
                             reason="too few anchored near-diagonal pairs to fit the phase",
                             provenance=prov)
-    A = np.zeros((eq + 1, n))
-    for (r, c, v) in rows:
-        A[r, c] = v
-    A[eq, :] = 1.0  # mean-zero normalization
-    b = np.asarray(rhs + [0.0])
-    even, *_ = np.linalg.lstsq(A, b, rcond=None)
-    residual = float(np.max(np.abs(A[:-1] @ even - b[:-1])))
+    rows = np.arange(i.size)
+    D = sparse.csr_matrix((np.r_[np.ones(i.size), -np.ones(i.size)],
+                           (np.r_[rows, rows], np.r_[i, j])), shape=(i.size, n))
+    L = (D.T @ D).tocsc()
+    n_parts, _ = connected_components(L, directed=False)
+    if n_parts > 1:
+        return SolverResult(verdict="ambiguous",
+                            reason=f"anchored near-diagonal pairs split the grid into "
+                                   f"{n_parts} components; the phase offsets between "
+                                   f"them are undetermined",
+                            provenance=prov)
+    # least squares through the normal equations L e = D^T beta (the graph
+    # Laplacian), grounded at vertex 0; the mean-zero shift is the solution
+    # of minimum norm
+    even = np.zeros(n)
+    even[1:] = spsolve(L[1:, 1:], (D.T @ beta)[1:])
+    even -= np.mean(even)
+    residual = float(np.max(np.abs(even[i] - even[j] - beta)))
     prov["even_fit_residual"] = residual
     phi_vals = even + odd
     phi = SphereFunction(grid=grid, values=phi_vals)

@@ -1,7 +1,8 @@
-"""Adaptive-quadrature references for the line integrals.
+"""Slow references for the vectorised rules in gaugekit.
 
-These are slow, one-callback-per-point integrals kept only to check the
-vectorised rules in gaugekit against an independent method.
+Adaptive-quadrature line integrals (one callback per point) and the sphere
+solver's phase fit as a dense least-squares problem, kept only to check the
+library against an independent method.
 """
 import numpy as np
 from scipy.integrate import quad
@@ -47,3 +48,29 @@ def line_integral_vector_quadrature(config, line) -> float:
     val, _ = quad(integrand, -np.pi / 2 + 1e-10, np.pi / 2 - 1e-10,
                   limit=400, epsabs=1e-12, epsrel=1e-11)
     return val
+
+
+def dense_sphere_phase_fit(S1, S2):
+    """The sphere solver's phase fit as a dense least-squares problem.
+
+    One row e_i - e_j = beta_ij per grid edge whose base-kernel entry is
+    above the solver's floor, plus a mean-zero row, solved by
+    np.linalg.lstsq. Returns the fitted phase (even plus odd part) at the
+    grid nodes.
+    """
+    grid = S1.grid
+    floor = 1e-8 * float(np.max(np.abs(S1.values)))
+    odd = 0.5 * np.angle(np.diagonal(S2.values) / np.diagonal(S1.values))
+    pairs, rhs = [], []
+    for (i, j) in grid.edges():
+        if abs(S1.values[i, j]) < floor:
+            continue
+        beta = float(np.angle(S2.values[i, j] / S1.values[i, j])) - odd[i] - odd[j]
+        pairs.append((i, j))
+        rhs.append((beta + np.pi) % (2 * np.pi) - np.pi)
+    A = np.zeros((len(pairs) + 1, grid.size))
+    for r, (i, j) in enumerate(pairs):
+        A[r, i], A[r, j] = 1.0, -1.0
+    A[-1, :] = 1.0
+    even = np.linalg.lstsq(A, np.asarray(rhs + [0.0]), rcond=None)[0]
+    return even + odd

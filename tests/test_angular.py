@@ -162,3 +162,28 @@ class TestSphereGrid:
         w = rng.normal(size=3)
         w /= np.linalg.norm(w)
         assert abs(f(w) - w[2] ** 2) < 5e-3
+
+    @pytest.mark.parametrize("refinement", [0, 1, 3])
+    def test_edges_match_set_construction(self, refinement):
+        grid = sphere_grid(refinement)
+        pairs = set()
+        for a, b, c in grid.faces:
+            for p, q in ((a, b), (b, c), (a, c)):
+                pairs.add((min(p, q), max(p, q)))
+        want = np.array(sorted(pairs))
+        got = grid.edges()
+        assert got.dtype == want.dtype
+        assert np.array_equal(got, want)
+        assert grid.edges() is got
+
+    def test_from_callable_takes_arrays_only(self):
+        shapes = []
+
+        def f(w):
+            shapes.append(w.shape)
+            return w[..., 2]
+
+        SphereFunction.from_callable(f, refinement=1)
+        assert shapes == [(sphere_grid(1).size, 3)]
+        with pytest.raises(ValueError):
+            SphereFunction.from_callable(lambda w: w[2], refinement=1)

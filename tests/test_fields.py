@@ -3,7 +3,7 @@ import numpy as np
 import pytest
 
 from gaugekit import catalog
-from gaugekit.angular import AngularFunction, sphere_grid
+from gaugekit.angular import AngularFunction, SphereFunction, sphere_grid
 from gaugekit.errors import (
     CircleInsideObstacle,
     NonConvergent,
@@ -173,6 +173,53 @@ class TestCurl:
         assert vals.shape == (2, 3)
 
 
+def _directions(rng, n):
+    w = rng.normal(size=(n, 3))
+    return w / np.linalg.norm(w, axis=1)[:, None]
+
+
+def _space_phase(V):
+    """An antipodally even direction function on (m, 3) unit vectors."""
+    return 0.3 * V[:, 2] ** 2 + 0.2 * V[:, 0] * V[:, 1] - 0.1 * V[:, 0] * V[:, 2]
+
+
+class TestSpaceProfiles:
+    def test_profile_called_once_per_evaluation(self):
+        base = catalog.cross_axis_transversal(c=0.7).profile
+        shapes = []
+
+        def profile(w):
+            shapes.append(w.shape)
+            return base(w)
+
+        tr = TransversalField.from_sphere_profile(profile)
+        assert shapes == [(64, 3)]
+        rng = np.random.default_rng(11)
+        pts = _directions(rng, 500) * rng.uniform(1.2, 6.0, (500, 1))
+        shapes.clear()
+        vals = tr(pts)
+        assert shapes == [(500, 3)]
+        assert vals.shape == (500, 3)
+        # a gauged field calls the base profile and the phase once each
+        phases = []
+
+        def psi(V):
+            phases.append(V.shape)
+            return _space_phase(V)
+
+        cfg = PotentialConfig(dimension=3, obstacle_radius=1.0, transversal=tr)
+        gauged = apply_gauge_to_potential(cfg, GaugeElement(dimension=3, phi_callable=psi))
+        shapes.clear()
+        gauged.vector_potential(pts)
+        assert shapes == [(500, 3)]
+        assert phases == [(6 * 500, 3)]
+
+    def test_profile_must_return_one_vector_per_direction(self):
+        tr = TransversalField(dimension=3, profile=lambda w: np.zeros(3))
+        with pytest.raises(ValueError):
+            tr(np.array([[2.0, 0.0, 0.0], [0.0, 3.0, 0.0]]))
+
+
 class TestExtractLeadingOrder:
     def test_short_range_curl_limits_to_zero(self):
         sr = catalog.build_vector("grad_bumps",
@@ -282,8 +329,30 @@ class TestGaugeAction:
         np.testing.assert_allclose(seq.vector_potential(pts), comp.vector_potential(pts),
                                    atol=1e-12)
 
+    def test_space_gauge_keeps_curl(self):
+        cfg = PotentialConfig(dimension=3, obstacle_radius=1.0,
+                              transversal=catalog.cross_axis_transversal(c=0.4),
+                              short_range=catalog.build_vector(
+                                  "grad_bumps", {"bumps": [[0.4, 1.3, 0.2, -0.3, 0.5]]}, 3))
+        gauged = apply_gauge_to_potential(cfg, GaugeElement(dimension=3, phi_callable=_space_phase))
+        rng = np.random.default_rng(3)
+        pts = _directions(rng, 40) * rng.uniform(1.5, 5.0, (40, 1))
+        assert np.max(np.abs(gauged.vector_potential(pts) - cfg.vector_potential(pts))) > 1e-2
+        assert np.max(np.abs(curl(gauged, pts) - curl(cfg, pts))) < 1e-6
+
+    def test_sphere_function_gauge_is_transversal(self):
+        cfg = PotentialConfig(dimension=3, obstacle_radius=1.0,
+                              transversal=catalog.cross_axis_transversal(c=0.4))
+        phi = SphereFunction.from_callable(_space_phase, refinement=2)
+        gauged = apply_gauge_to_potential(cfg, GaugeElement(dimension=3, phi_sphere=phi))
+        rng = np.random.default_rng(8)
+        pts = _directions(rng, 10) * rng.uniform(1.5, 5.0, (10, 1))
+        diff = gauged.vector_potential(pts) - cfg.vector_potential(pts)
+        assert np.max(np.abs(diff)) > 1e-2
+        assert np.max(np.abs(np.sum(diff * pts, axis=1))) < 1e-8
+
     def test_sphere_direction_gradient_is_transversal(self):
-        psi = lambda w: w[0] * w[1] + 0.5 * w[2] ** 2
+        psi = lambda w: w[..., 0] * w[..., 1] + 0.5 * w[..., 2] ** 2
         rng = np.random.default_rng(7)
         pts = rng.normal(size=(30, 3))
         pts = pts / np.linalg.norm(pts, axis=1)[:, None] * rng.uniform(1.5, 5, (30, 1))

@@ -18,12 +18,14 @@ from gaugekit.pipeline import (
     Report,
     Scenario,
     emit_report,
+    kernel_slice_csv,
     run_classify,
     run_kernel_lab,
     run_reconstruct,
     run_scenario,
     synthesize_kernels,
 )
+from gaugekit.scattering import assemble_kernel
 
 SMALL_GEO = {"n_angles": 40, "n_offsets": 64, "r_min": 1.001, "r_max": 3.5}
 MID_GEO = {"n_angles": 90, "n_offsets": 128, "r_min": 1.001, "r_max": 3.5}
@@ -393,6 +395,21 @@ class TestEmitReport:
         rows = (tmp_path / "kernel1_slice.csv").read_text().strip().splitlines()
         assert rows[0] == "theta,re,im"
         assert len(rows) == 64 + 1
+
+    @pytest.mark.parametrize("n_grid", [256, 1024])
+    def test_kernel_slice_is_the_value_grid_band(self, tmp_path, n_grid):
+        def remainder(t, p):
+            return 0.04 * np.exp(-np.minimum(abs(t - p), 2 * np.pi - abs(t - p)) ** 2 / 0.3)
+
+        S = assemble_kernel(0.35, a0_out=AngularFunction.harmonic(2, 0.1, 0.05),
+                            a0_in=AngularFunction.harmonic(3, cos_amp=0.02),
+                            smooth=remainder, n_grid=n_grid, winding=1)
+        kernel_slice_csv(S, tmp_path / "slice.csv")
+        body = np.loadtxt(tmp_path / "slice.csv", delimiter=",", skiprows=1)
+        rows = np.arange(n_grid)
+        want = S.value_grid()[rows, (rows - 8) % n_grid]
+        np.testing.assert_array_equal(body[:, 0], S.thetas)
+        assert np.max(np.abs(body[:, 1] + 1j * body[:, 2] - want)) < 1e-15
 
     def test_space_leading_order_output(self, tmp_path):
         short = catalog.build_vector("cross_axis",

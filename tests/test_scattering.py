@@ -1,6 +1,9 @@
 """Scattering kernels: channels, assembly, gauge action, equivalence solver."""
+import warnings
+
 import numpy as np
 import pytest
+from oracles import dense_sphere_phase_fit
 
 from gaugekit.angular import AngularFunction, sphere_grid
 from gaugekit.errors import (
@@ -380,20 +383,72 @@ class TestPlaneSolver:
                                      assemble_kernel(0.3, n_grid=128))
 
 
+def _even_phase(a=0.4, b=-0.2, c=0.0):
+    """a z^2 + b x y + c x z on (m, 3) unit vectors: antipodally even."""
+    return lambda V: a * V[:, 2] ** 2 + b * V[:, 0] * V[:, 1] + c * V[:, 0] * V[:, 2]
+
+
 class TestSphereSolver:
-    def test_even_phase_round_trip(self):
-        grid = sphere_grid(refinement=2)
+    @staticmethod
+    def _even_round_trip(refinement):
+        grid = sphere_grid(refinement=refinement)
         K1 = synthesize_sphere_kernel(grid)
-        phi_true = 0.4 * grid.vertices[:, 2] ** 2 - 0.2 * grid.vertices[:, 0] * grid.vertices[:, 1]
-        g = GaugeElement(dimension=3,
-                         phi_callable=lambda V: 0.4 * np.atleast_2d(V)[:, 2] ** 2
-                         - 0.2 * np.atleast_2d(V)[:, 0] * np.atleast_2d(V)[:, 1])
-        K2 = apply_gauge_to_kernel(K1, g)
+        phi = _even_phase()
+        K2 = apply_gauge_to_kernel(K1, GaugeElement(dimension=3, phi_callable=phi))
         res = gauge_equivalence_solver(K1, K2)
         assert res.verdict == "equivalent"
         fitted = np.asarray(res.gauge.phi_sphere.values, dtype=float)
-        gap = fitted - phi_true
+        gap = fitted - phi(grid.vertices)
         assert np.max(gap) - np.min(gap) < 1e-6
+
+    def test_even_phase_round_trip(self):
+        self._even_round_trip(2)
+
+    def test_even_phase_round_trip_refinement_4(self):
+        self._even_round_trip(4)
+
+    @pytest.mark.parametrize("refinement", [1, 2, 3])
+    def test_sparse_fit_matches_dense_oracle(self, refinement):
+        grid = sphere_grid(refinement=refinement)
+        rng = np.random.default_rng(30 + refinement)
+        K1 = synthesize_sphere_kernel(grid)
+        phi = _even_phase(*rng.uniform(-0.4, 0.4, 3))
+        K2 = apply_gauge_to_kernel(K1, GaugeElement(dimension=3, phi_callable=phi))
+        noise = 1e-9 * (rng.standard_normal(K2.values.shape)
+                        + 1j * rng.standard_normal(K2.values.shape))
+        K2 = SphereScatteringKernel(grid=grid, values=K2.values + noise)
+        res = gauge_equivalence_solver(K1, K2)
+        assert res.verdict == "equivalent"
+        # the noise leaves edge residuals, so the fit is a true least-squares problem
+        assert res.provenance["even_fit_residual"] > 1e-10
+        want = dense_sphere_phase_fit(K1, K2)
+        assert np.max(np.abs(res.gauge.phi_sphere.values - want)) < 1e-12
+
+    def test_sphere_solve_calls_no_dense_least_squares(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("dense least squares in the sphere solver")
+
+        monkeypatch.setattr(np.linalg, "lstsq", refuse)
+        grid = sphere_grid(refinement=2)
+        K1 = synthesize_sphere_kernel(grid)
+        K2 = apply_gauge_to_kernel(K1, GaugeElement(dimension=3, phi_callable=_even_phase()))
+        assert gauge_equivalence_solver(K1, K2).verdict == "equivalent"
+
+    def test_disconnected_anchors_are_ambiguous(self):
+        grid = sphere_grid(refinement=1)
+        vals = np.array(synthesize_sphere_kernel(grid).values)
+        v = 5  # every edge entry at this vertex falls below the floor
+        others = np.arange(grid.size) != v
+        vals[v, others] = 0.0
+        vals[others, v] = 0.0
+        K1 = SphereScatteringKernel(grid=grid, values=vals)
+        K2 = apply_gauge_to_kernel(K1, GaugeElement(dimension=3, phi_callable=_even_phase()))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            res = gauge_equivalence_solver(K1, K2)
+        assert res.verdict == "ambiguous"
+        assert res.gauge is None
+        assert "2 components" in res.reason
 
     def test_odd_phase_rejected(self):
         grid = sphere_grid(refinement=2)
