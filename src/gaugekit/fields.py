@@ -311,7 +311,8 @@ class GaugeElement:
         )
 
     def compose(self, other: "GaugeElement") -> "GaugeElement":
-        """Gauge acting as self after other (phases add)."""
+        """Gauge acting as self after other (phases add). ValueError when one
+        direction phase is a callable and the other is sampled on a grid."""
         if self.dimension != other.dimension:
             raise DimensionMismatch("gauge elements in different dimensions")
         phi = None
@@ -321,6 +322,12 @@ class GaugeElement:
         if self.phi_sphere is not None or other.phi_sphere is not None:
             a, b = self.phi_sphere, other.phi_sphere
             phs = a + b if (a is not None and b is not None) else (a or b)
+        fa, fb = self.phi_callable, other.phi_callable
+        if (fa is not None or fb is not None) and phs is not None:
+            raise ValueError("cannot compose a callable direction phase with a sampled one")
+        phc = fa or fb
+        if fa is not None and fb is not None:
+            phc = lambda w, _f=fa, _g=fb: np.asarray(_f(w)) + np.asarray(_g(w))
         scalar = None
         if self.scalar is not None and other.scalar is not None:
             f, g = self.scalar.func, other.scalar.func
@@ -330,7 +337,7 @@ class GaugeElement:
         else:
             scalar = self.scalar or other.scalar
         return GaugeElement(dimension=self.dimension, m=self.m + other.m, phi=phi,
-                            phi_sphere=phs, scalar=scalar)
+                            phi_sphere=phs, phi_callable=phc, scalar=scalar)
 
 
 # ===================================================================

@@ -39,8 +39,8 @@ from .scattering import (
     ScatteringKernel,
     apply_gauge_to_kernel,
     assemble_kernel,
+    flux_step,
     gauge_equivalence_solver,
-    singular_offdiagonal,
 )
 from .tomography import (
     Line,
@@ -249,6 +249,8 @@ def synthesize_kernels(scenario: Scenario):
     the gradient-part phases). Kernel 2 comes from the gauge action when the
     scenario declares the relating gauge; otherwise it is synthesized
     independently from config 2's decomposition with the same remainder.
+    A synthesized kernel holds the integer step of its flux as the winding,
+    so the remainder carries the winding factor as under the gauge action.
     Raises DimensionMismatch for configurations in 3-space.
     """
     if scenario.config1.dimension != 2:
@@ -257,11 +259,17 @@ def synthesize_kernels(scenario: Scenario):
     n_grid = int(ks.get("n_grid", 512))
     lam = float(ks.get("lam", 1.0))
     rem = _remainder_from_spec(ks.get("remainder"))
+
+    def flux_kernel(alpha, a0):
+        w = flux_step(alpha)
+        return assemble_kernel(alpha - w, a0_in=a0, a0_out=a0, smooth=rem, lam=lam,
+                               n_grid=n_grid, winding=w)
+
     dec1 = decompose_transversal(scenario.config1.transversal) \
         if scenario.config1.transversal is not None else None
     a1 = dec1.alpha if dec1 else 0.0
     p1 = dec1.a0 if dec1 else AngularFunction.zero()
-    S1 = assemble_kernel(a1, a0_in=p1, a0_out=p1, smooth=rem, lam=lam, n_grid=n_grid)
+    S1 = flux_kernel(a1, p1)
     prov = {"kernel1": "synthesized from config1 flux decomposition"}
     g_rel = _gauge_from_spec(ks.get("relating_gauge"))
     if g_rel is not None:
@@ -269,11 +277,10 @@ def synthesize_kernels(scenario: Scenario):
         prov["kernel2"] = "gauge action on kernel1 (declared relating gauge)"
     elif scenario.config2 is not None and scenario.config2.transversal is not None:
         dec2 = decompose_transversal(scenario.config2.transversal)
-        S2 = assemble_kernel(dec2.alpha, a0_in=dec2.a0, a0_out=dec2.a0,
-                             smooth=rem, lam=lam, n_grid=n_grid)
+        S2 = flux_kernel(dec2.alpha, dec2.a0)
         prov["kernel2"] = "synthesized from config2 flux decomposition"
     else:
-        S2 = assemble_kernel(a1, a0_in=p1, a0_out=p1, smooth=rem, lam=lam, n_grid=n_grid)
+        S2 = flux_kernel(a1, p1)
         prov["kernel2"] = "synthesized from config1 flux decomposition (no transversal difference)"
     return S1, S2, prov
 
@@ -605,12 +612,7 @@ def _leading_to_csv(leads, path) -> None:
 
 def kernel_slice_csv(kernel: ScatteringKernel, path) -> None:
     """The off-diagonal band theta' = theta - 8 cells of kernel values, for
-    plotting; only the band is evaluated, as value_grid() would give it."""
-    M = kernel.n_grid
-    rows = np.arange(M)
-    cols = (rows - 8) % M
-    th = kernel.thetas
-    pref = kernel.prefactor_out(th) * kernel.prefactor_in(th)[cols]
-    vals = pref * (singular_offdiagonal(kernel.alpha, th - th[cols]) + kernel.remainder[rows, cols])
+    plotting."""
+    vals = kernel.band(8)
     body = np.column_stack([kernel.thetas, vals.real, vals.imag])
     np.savetxt(path, body, delimiter=",", header="theta,re,im", comments="")

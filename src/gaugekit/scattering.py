@@ -7,6 +7,11 @@ remainder grid with a declared diagonal bound C |theta - theta'|^{-delta}.
 The delta distribution on the diagonal is never discretized; channel
 arithmetic and off-diagonal closed forms carry the singular part exactly.
 
+On the uniform cyclic angle grid a cell (i, j) is read by its offset
+k = (i - j) mod M: the singular part, the angle gap and the diagonal-band mask
+are length-M tables in k, and kernel values read the singular table over all
+cells (value_grid) or on one band theta' = theta - 2 pi p / M (band).
+
 Channel constants. Writing u = theta - theta' and [a] for the integer step
 of the flux, the convolution part is
 
@@ -171,7 +176,6 @@ class ScatteringKernel:
     winding: int
     phase_out: AngularFunction
     phase_in: AngularFunction
-    thetas: np.ndarray
     remainder: np.ndarray
     bound_C: float
     bound_delta: float
@@ -179,24 +183,22 @@ class ScatteringKernel:
     dimension: int = 2
 
     def __post_init__(self):
-        th = np.asarray(self.thetas, dtype=float)
         R = np.asarray(self.remainder, dtype=complex)
-        M = th.size
-        if R.shape != (M, M):
-            raise ValueError("remainder grid must be square over the angle grid")
-        if M < 16 or not np.allclose(th, np.arange(M) * 2 * np.pi / M, atol=1e-12):
-            raise ValueError("angle grid must be uniform on [0, 2 pi), at least 16 nodes")
+        if R.ndim != 2 or R.shape[0] != R.shape[1] or R.shape[0] < 16:
+            raise ValueError("remainder grid must be square, at least 16 x 16")
         if not (0 <= self.bound_delta < 1):
             raise ValueError("remainder bound exponent must lie in [0, 1)")
-        th.flags.writeable = False
         R.flags.writeable = False
-        object.__setattr__(self, "thetas", th)
         object.__setattr__(self, "remainder", R)
-        verify_remainder_bound(th, R, self.bound_C, self.bound_delta)
+        verify_remainder_bound(self.thetas, R, self.bound_C, self.bound_delta)
 
     @property
     def n_grid(self) -> int:
-        return self.thetas.size
+        return self.remainder.shape[0]
+
+    @property
+    def thetas(self) -> np.ndarray:
+        return np.arange(self.n_grid) * 2 * np.pi / self.n_grid
 
     def effective_flux(self) -> float:
         return self.alpha + self.winding
@@ -241,16 +243,23 @@ class ScatteringKernel:
         pref = out * inc if np.ndim(u) <= 1 else np.multiply.outer(out, inc)
         return pref * (base + rem)
 
+    def _singular_table(self) -> np.ndarray:
+        """Singular part at each offset k, u = 2 pi k / M; 0 at k = 0."""
+        M = self.n_grid
+        return np.r_[0, singular_offdiagonal(self.alpha, 2 * np.pi * np.arange(1, M) / M)]
+
     def value_grid(self) -> np.ndarray:
         """Full off-diagonal value matrix on the stored grid (diagonal cells
         hold only prefactor * remainder; comparisons must mask the band)."""
-        th = self.thetas
-        u = np.subtract.outer(th, th)
-        mask = ~np.eye(th.size, dtype=bool)
-        base = np.zeros((th.size, th.size), dtype=complex)
-        base[mask] = singular_offdiagonal(self.alpha, u[mask])
-        pref = np.multiply.outer(self.prefactor_out(th), self.prefactor_in(th))
-        return pref * (base + self.remainder)
+        pref = np.multiply.outer(self.prefactor_out(self.thetas), self.prefactor_in(self.thetas))
+        return pref * (self._singular_table()[_cyclic_offsets(self.n_grid)[0]] + self.remainder)
+
+    def band(self, p: int) -> np.ndarray:
+        """Values on the band theta' = theta - 2 pi p / M, as value_grid() gives them."""
+        rows = np.arange(self.n_grid)
+        cols = (rows - p) % self.n_grid
+        pref = self.prefactor_out(self.thetas) * self.prefactor_in(self.thetas)[cols]
+        return pref * (self._singular_table()[p % self.n_grid] + self.remainder[rows, cols])
 
     def channel_spectrum(self, N: int = 32) -> ChannelSpectrum:
         """Channels of the convolution-plus-winding part: the winding
@@ -277,7 +286,6 @@ class ScatteringKernel:
         return cls(alpha=float(header["alpha"]), winding=int(header["winding"]),
                    phase_out=AngularFunction.from_triples(header["phase_out"]),
                    phase_in=AngularFunction.from_triples(header["phase_in"]),
-                   thetas=np.arange(M) * 2 * np.pi / M,
                    remainder=np.asarray(remainder, dtype=complex).reshape(M, M),
                    bound_C=float(header["C"]), bound_delta=float(header["delta"]),
                    lam=float(header["lam"]), dimension=int(header.get("dimension", 2)))
@@ -295,14 +303,27 @@ class ScatteringKernel:
         return (body[:, 2] + 1j * body[:, 3]).reshape(M, M)
 
 
+def _cyclic_offsets(M: int):
+    """Offset k = (i - j) mod M of each cell (i, j) of the uniform M-grid (as
+    a column index, row i's cell on offset k), and min(k, M - k) for each k."""
+    k = np.arange(M)
+    offsets = np.subtract.outer(k, k)
+    offsets[offsets < 0] += M
+    return offsets, np.minimum(k, M - k)
+
+
+def _offdiagonal_peaks(M: int, remainder: np.ndarray):
+    """Angle gap 2 pi min(k, M - k) / M and largest |R| per offset k = 1..M-1."""
+    offsets, cells = _cyclic_offsets(M)
+    peak = np.max(np.abs(remainder)[np.arange(M)[:, None], offsets], axis=0)
+    return 2 * np.pi * cells[1:] / M, peak[1:]
+
+
 def verify_remainder_bound(thetas: np.ndarray, remainder: np.ndarray,
                            C: float, delta: float) -> None:
-    """Check |R(theta, theta')| <= C dist(theta, theta')^{-delta} on the grid."""
-    u = np.abs(np.subtract.outer(thetas, thetas))
-    dist = np.minimum(u, 2 * np.pi - u)
-    mask = dist > 0
-    allowed = C * dist[mask] ** (-delta)
-    worst = np.max(np.abs(remainder[mask]) - allowed)
+    """Check |R(theta, theta')| <= C dist(theta, theta')^{-delta} off the diagonal."""
+    gap, peak = _offdiagonal_peaks(np.size(thetas), remainder)
+    worst = np.max(peak - C * gap ** (-delta))
     if worst > 1e-12 * max(1.0, C):
         raise RemainderBoundViolated(
             f"remainder exceeds C dist^-delta bound by {worst:.3e}")
@@ -311,11 +332,8 @@ def verify_remainder_bound(thetas: np.ndarray, remainder: np.ndarray,
 def fit_remainder_bound(thetas: np.ndarray, remainder: np.ndarray,
                         delta: float = 0.5) -> float:
     """Smallest constant C certifying |R| <= C dist^{-delta}, padded 5 percent."""
-    u = np.abs(np.subtract.outer(thetas, thetas))
-    dist = np.minimum(u, 2 * np.pi - u)
-    mask = dist > 0
-    vals = np.abs(remainder[mask]) * dist[mask] ** delta
-    top = float(np.max(vals)) if vals.size else 0.0
+    gap, peak = _offdiagonal_peaks(np.size(thetas), remainder)
+    top = float(np.max(peak * gap ** delta))
     return 1.05 * top if top > 0 else 0.0
 
 
@@ -345,9 +363,8 @@ def assemble_kernel(alpha: float, a0_in: AngularFunction | None = None,
             raise ValueError("remainder grid shape must match n_grid")
     C = fit_remainder_bound(thetas, R, bound_delta) if bound_C is None else float(bound_C)
     return ScatteringKernel(alpha=float(alpha), winding=int(winding),
-                            phase_out=a0_out, phase_in=a0_in, thetas=thetas,
-                            remainder=R, bound_C=C, bound_delta=float(bound_delta),
-                            lam=float(lam))
+                            phase_out=a0_out, phase_in=a0_in, remainder=R,
+                            bound_C=C, bound_delta=float(bound_delta), lam=float(lam))
 
 
 def apply_gauge_to_kernel(S, g: GaugeElement):
@@ -400,16 +417,13 @@ def kernel_distance(S1, S2) -> float:
         return float(np.max(np.abs(S1.values - S2.values)[mask]))
     if not (isinstance(S1, ScatteringKernel) and isinstance(S2, ScatteringKernel)):
         raise DimensionMismatch("kernel types differ")
-    if S1.n_grid != S2.n_grid or not np.allclose(S1.thetas, S2.thetas, atol=1e-12):
+    if S1.n_grid != S2.n_grid:
         raise GridMismatch("kernels on different angle grids")
     if S1.lam != S2.lam:
         raise GridMismatch("kernels at different energies")
-    M = S1.n_grid
-    idx = np.arange(M)
-    sep = np.abs(np.subtract.outer(idx, idx))
-    sep = np.minimum(sep, M - sep)
-    mask = sep > DIAG_MARGIN_CELLS
-    off = float(np.max(np.abs(S1.value_grid() - S2.value_grid())[mask]))
+    offsets, cells = _cyclic_offsets(S1.n_grid)
+    far = (cells > DIAG_MARGIN_CELLS)[offsets]
+    off = float(np.max(np.abs(S1.value_grid() - S2.value_grid())[far]))
     chan = S1.channel_spectrum().distance(S2.channel_spectrum())
     return off + chan
 
@@ -419,10 +433,7 @@ def near_diagonal_growth(S: ScatteringKernel) -> tuple[float, float]:
     theta0 = 0.37, over 24 geometric u from 1e-3 to 1e-1."""
     us = np.geomspace(1e-3, 1e-1, 24)
     theta0 = 0.37
-    vals = np.abs(S.evaluate(theta0 + us, np.full(us.size, theta0)))
-    if isinstance(vals, np.ndarray) and vals.ndim == 2:
-        vals = np.diag(vals)
-    logs = np.log(vals)
+    logs = np.log(np.abs(S.evaluate(theta0 + us, np.full(us.size, theta0))))
     A = np.column_stack([np.log(us), np.ones(us.size)])
     slope, intercept = np.linalg.lstsq(A, logs, rcond=None)[0]
     return float(-slope), float(np.exp(intercept))
@@ -513,11 +524,9 @@ def _fit_plane_gauge(S1: ScatteringKernel, S2: ScatteringKernel, m: int):
     k_max = min(M // 4, 64)
     strides = [p for p in (8, 9, 16, 24, 32, 48) if p < M // 2]
     strides = strides + [-p for p in strides]
-    G1, G2 = S1.value_grid(), S2.value_grid()
-    rows = np.arange(M)
-    # G2/G1 along each band theta' = theta - 2 pi p / M, including the two
+    # S2/S1 along each band theta' = theta - 2 pi p / M, including the two
     # adjacent bands of the winding cross-check below
-    ratio = {p: G2[rows, (rows - p) % M] / G1[rows, (rows - p) % M] for p in {*strides, 8, 9}}
+    ratio = {p: S2.band(p) / S1.band(p) for p in {*strides, 8, 9}}
     ks = np.fft.fftfreq(M, d=1.0 / M).astype(int)
     num = np.zeros(M, dtype=complex)
     den = np.zeros(M)
@@ -537,10 +546,9 @@ def _fit_plane_gauge(S1: ScatteringKernel, S2: ScatteringKernel, m: int):
               if keep[i] and abs(phi_hat[i]) > 1e-13}
     phi = AngularFunction.from_coefficients(coeffs) if coeffs else AngularFunction.zero()
     # cross-check of the winding from two adjacent bands: the constant phase
-    # advances by m times the band spacing
-    ua, ub = 2 * np.pi * 8 / M, 2 * np.pi * 9 / M
+    # advances by m times the band spacing 2 pi / M
     incr = np.angle(ratio[9] * np.conj(ratio[8]))
-    m_check = float(np.mean(incr) / (ub - ua))
+    m_check = float(np.mean(incr) * M / (2 * np.pi))
     return phi, m_check
 
 
@@ -570,7 +578,7 @@ def gauge_equivalence_solver(S1, S2, verify_tol: float = 1e-6,
 
 def _solve_plane(S1: ScatteringKernel, S2: ScatteringKernel,
                  verify_tol: float, phase_tol: float) -> SolverResult:
-    if S1.n_grid != S2.n_grid or not np.allclose(S1.thetas, S2.thetas, atol=1e-12):
+    if S1.n_grid != S2.n_grid:
         raise GridMismatch("kernels on different angle grids")
     if S1.lam != S2.lam:
         raise GridMismatch("kernels at different energies")

@@ -1,13 +1,15 @@
 """Slow references for the vectorised rules in gaugekit.
 
-Adaptive-quadrature line integrals (one callback per point) and the sphere
-solver's phase fit as a dense least-squares problem, kept only to check the
-library against an independent method.
+Adaptive-quadrature line integrals (one callback per point), the sphere
+solver's phase fit as a dense least-squares problem, and the plane kernel's
+value matrix evaluated cell by cell, kept only to check the library against
+an independent method.
 """
 import numpy as np
 from scipy.integrate import quad
 
 from gaugekit.errors import LineHitsObstacle
+from gaugekit.scattering import singular_offdiagonal
 
 _QUAD_OPTS = dict(limit=200, epsabs=1e-13, epsrel=1e-12)
 
@@ -74,3 +76,16 @@ def dense_sphere_phase_fit(S1, S2):
     A[-1, :] = 1.0
     even = np.linalg.lstsq(A, np.asarray(rhs + [0.0]), rcond=None)[0]
     return even + odd
+
+
+def direct_value_grid(S):
+    """A plane kernel's value matrix from the angle differences
+    theta_i - theta_j of every off-diagonal cell, with no offset table; the
+    diagonal holds only prefactor * remainder, as in value_grid."""
+    th = S.thetas
+    u = np.subtract.outer(th, th)
+    mask = ~np.eye(th.size, dtype=bool)
+    base = np.zeros((th.size, th.size), dtype=complex)
+    base[mask] = singular_offdiagonal(S.alpha, u[mask])
+    pref = np.multiply.outer(S.prefactor_out(th), S.prefactor_in(th))
+    return pref * (base + S.remainder)

@@ -329,6 +329,30 @@ class TestGaugeAction:
         np.testing.assert_allclose(seq.vector_potential(pts), comp.vector_potential(pts),
                                    atol=1e-12)
 
+    def test_compose_keeps_a_callable_phase(self):
+        g = GaugeElement(dimension=3, phi_callable=_space_phase)
+        W = _directions(np.random.default_rng(9), 100)
+        comp = g.compose(GaugeElement.identity(3))
+        np.testing.assert_array_equal(comp.phi_callable(W), _space_phase(W))
+
+    def test_compose_adds_callable_phases(self):
+        def other(V):
+            return 0.4 * V[:, 0] ** 2 - 0.1 * V[:, 1] * V[:, 2]
+
+        W = _directions(np.random.default_rng(10), 100)
+        comp = GaugeElement(dimension=3, phi_callable=_space_phase).compose(
+            GaugeElement(dimension=3, phi_callable=other))
+        np.testing.assert_allclose(comp.phi_callable(W), _space_phase(W) + other(W),
+                                   rtol=0, atol=1e-15)
+
+    def test_compose_rejects_callable_with_sampled_phase(self):
+        g = GaugeElement(dimension=3, phi_callable=_space_phase)
+        h = GaugeElement(dimension=3,
+                         phi_sphere=SphereFunction.from_callable(_space_phase, refinement=1))
+        for a, b in ((g, h), (h, g)):
+            with pytest.raises(ValueError):
+                a.compose(b)
+
     def test_space_gauge_keeps_curl(self):
         cfg = PotentialConfig(dimension=3, obstacle_radius=1.0,
                               transversal=catalog.cross_axis_transversal(c=0.4),

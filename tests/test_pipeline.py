@@ -172,6 +172,22 @@ class TestClassify:
         pb = AngularFunction.from_triples(rb.gauge["phi"])
         assert pf.distance(-pb) < 1e-6
 
+    @pytest.mark.parametrize("m", [-2, -1, 1, 2])
+    @pytest.mark.parametrize("remainder", [
+        {"kind": "separable_trig", "amplitude": 0.05},
+        {"kind": "diagonal_gaussian", "amplitude": 0.05, "width": 0.5}],
+        ids=["separable_trig", "diagonal_gaussian"])
+    def test_undeclared_winding_with_remainder_equivalent(self, m, remainder):
+        phi = AngularFunction.from_coefficients({2: 0.05})
+        cfg1 = _plane_config(0.3, {1: 0.025})
+        cfg2 = apply_gauge_to_potential(cfg1, GaugeElement(dimension=2, m=m, phi=phi))
+        sc = Scenario(kind="classify", config1=cfg1, config2=cfg2,
+                      kernels={**FAST_KERNELS, "remainder": remainder})
+        rep = run_classify(sc)
+        assert rep.verdict == "equivalent", rep.witness
+        assert rep.gauge["m"] == m
+        assert AngularFunction.from_triples(rep.gauge["phi"]).distance(phi) < 1e-6
+
     def test_identical_configs_equivalent_identity(self):
         cfg = _plane_config(0.5, {1: 0.02})
         sc = Scenario(kind="classify", config1=cfg, config2=cfg,

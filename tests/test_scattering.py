@@ -1,9 +1,12 @@
 """Scattering kernels: channels, assembly, gauge action, equivalence solver."""
+import dataclasses
 import warnings
 
 import numpy as np
 import pytest
-from oracles import dense_sphere_phase_fit
+from oracles import dense_sphere_phase_fit, direct_value_grid
+
+from gaugekit import scattering
 
 from gaugekit.angular import AngularFunction, sphere_grid
 from gaugekit.errors import (
@@ -28,6 +31,7 @@ from gaugekit.scattering import (
     near_diagonal_growth,
     singular_offdiagonal,
     synthesize_sphere_kernel,
+    verify_remainder_bound,
 )
 
 
@@ -204,6 +208,73 @@ class TestAssembleKernel:
         assert c == pytest.approx(np.cos(1.7 * np.pi))
         assert s == pytest.approx(np.sin(1.7 * np.pi))
         assert step == 1
+
+
+def _structured_kernel(M: int) -> ScatteringKernel:
+    """Winding, both phase profiles and a remainder peaked on the diagonal."""
+    def remainder(t, p):
+        u = np.mod(t - p + np.pi, 2 * np.pi) - np.pi
+        return 0.04 * np.exp(-u**2 / 0.3) + 0.01 * np.cos(t) * np.sin(2 * p)
+
+    return assemble_kernel(0.35, a0_out=_phi_sin(0.2) + _phi_cos(0.05, 3),
+                           a0_in=_phi_cos(0.15, 2), smooth=remainder, n_grid=M, winding=2)
+
+
+class TestOffsetTables:
+    @pytest.mark.parametrize("M", [64, 256, 1024])
+    def test_value_grid_matches_direct_grid(self, M):
+        S = _structured_kernel(M)
+        got, want = S.value_grid(), direct_value_grid(S)
+        off = ~np.eye(M, dtype=bool)
+        assert np.max(np.abs(got - want)[off] / np.abs(want)[off]) < 1e-12
+        np.testing.assert_array_equal(np.diagonal(got), np.diagonal(want))
+
+    def test_band_matches_value_grid(self):
+        M = 64
+        S = _structured_kernel(M)
+        grid = S.value_grid()
+        rows = np.arange(M)
+        for p in range(-M, M):
+            assert np.max(np.abs(S.band(p) - grid[rows, (rows - p) % M])) < 1e-15
+
+    @pytest.mark.parametrize("read", ["value_grid", "band"])
+    def test_singular_part_evaluated_once_per_offset(self, monkeypatch, read):
+        M = 256
+        S = _structured_kernel(M)
+        points = []
+
+        def counted(alpha, u):
+            points.append(np.size(u))
+            return singular_offdiagonal(alpha, u)
+
+        monkeypatch.setattr(scattering, "singular_offdiagonal", counted)
+        if read == "value_grid":
+            S.value_grid()
+        else:
+            S.band(8)
+        assert 0 < sum(points) <= M
+
+    @pytest.mark.parametrize("delta", [0.0, 0.5, 0.9])
+    def test_remainder_bounds_exclude_the_diagonal(self, delta):
+        M = 32
+        th = np.arange(M) * 2 * np.pi / M
+        rng = np.random.default_rng(11)
+        R = 0.1 * (rng.standard_normal((M, M)) + 1j * rng.standard_normal((M, M)))
+        R[np.diag_indices(M)] = 1e6
+        u = np.abs(np.subtract.outer(th, th))
+        dist = np.minimum(u, 2 * np.pi - u)
+        off = ~np.eye(M, dtype=bool)
+        want = 1.05 * np.max(np.abs(R[off]) * dist[off] ** delta)
+        C = fit_remainder_bound(th, R, delta)
+        assert C == pytest.approx(want, rel=1e-12)
+        verify_remainder_bound(th, R, C, delta)
+        with pytest.raises(RemainderBoundViolated):
+            verify_remainder_bound(th, R, 0.9 * C, delta)
+
+    def test_thetas_derived_from_the_remainder(self):
+        assert "thetas" not in {f.name for f in dataclasses.fields(ScatteringKernel)}
+        S = _structured_kernel(64)
+        np.testing.assert_array_equal(S.thetas, np.arange(64) * 2 * np.pi / 64)
 
 
 class TestGaugeActionOnKernels:
