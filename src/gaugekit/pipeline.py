@@ -456,9 +456,10 @@ def _gradient_residual(gs, field_obj, r_in: float, r_out: float, seed: int) -> f
 
 def run_reconstruct(scenario: Scenario) -> Report:
     """Forward-project a configuration and recover its pieces from the data:
-    flux from oriented vector integrals, the scalar potential by exterior
-    inversion, the magnetic field from the offset derivative of the vector
-    transform (plane) or sphere-sampled leading orders (3-space)."""
+    flux from the vector integrals at the outermost offsets +-T of both banks,
+    the scalar potential by exterior inversion, the magnetic field from the
+    offset derivative of the vector transform (plane) or sphere-sampled
+    leading orders (3-space)."""
     if scenario.kind != "reconstruct":
         raise ValueError("scenario kind must be 'reconstruct'")
     cfg = scenario.config1
@@ -474,13 +475,15 @@ def run_reconstruct(scenario: Scenario) -> Report:
     if has_vector:
         sino_a = forward_sinogram(cfg, angles, offsets, kind="vector")
         rep.artifacts["sinogram_vector"] = sino_a
-        top = sino_a.values[:, -1]  # largest positive offset: orientation +1
-        alpha_hat = float(np.mean(top)) / np.pi
-        spread = float(np.ptp(top))
+        # the lines at offsets T and -T share a direction and have opposite
+        # orientations: the vortex part gives 2 pi alpha, the gradient part cancels
+        banks = sino_a.values[:, -1] - sino_a.values[:, 0]
+        alpha_hat = float(np.mean(banks)) / (2 * np.pi)
+        spread = float(np.ptp(banks))
         truth = decompose_transversal(cfg.transversal).alpha if cfg.transversal else 0.0
         rep.add("flux_recovered_error", abs(alpha_hat - truth),
-                None, "mean oriented vector integral / pi")
-        rep.add("flux_line_spread", spread, None, "vector transform at fixed offset")
+                None, "mean of p(phi, T) - p(phi, -T) / 2 pi")
+        rep.add("flux_line_spread", spread, None, "p(phi, T) - p(phi, -T) over angles")
         rep.provenance["flux_recovered"] = alpha_hat
         recB = recover_field_2d(sino_a)
         rep.artifacts["reconstruction_b"] = recB
@@ -594,10 +597,11 @@ def emit_report(report: Report, out_dir) -> list:
 
 
 def _gauge_scalar_to_csv(gs, path) -> None:
-    r, t, pts = polar_points(np.linspace(gs.far_radius / 8.0, gs.far_radius / 2.0, 24),
-                             np.arange(48) * 2 * np.pi / 48)
-    np.savetxt(path, np.column_stack([r, t, gs.evaluate(pts)]), delimiter=",",
-               header="r,theta,L", comments="")
+    radii = np.linspace(gs.far_radius / 8.0, gs.far_radius / 2.0, 24)
+    thetas = np.arange(48) * 2 * np.pi / 48
+    r, t, _ = polar_points(radii, thetas)
+    np.savetxt(path, np.column_stack([r, t, gs.on_polar_grid(radii, thetas).ravel()]),
+               delimiter=",", header="r,theta,L", comments="")
 
 
 def _leading_to_csv(leads, path) -> None:

@@ -31,6 +31,7 @@ spectrum(gauged kernel) = spectrum of flux alpha + m.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import lru_cache
 
 import numpy as np
 from scipy import sparse
@@ -303,13 +304,18 @@ class ScatteringKernel:
         return (body[:, 2] + 1j * body[:, 3]).reshape(M, M)
 
 
+@lru_cache(maxsize=None)
 def _cyclic_offsets(M: int):
     """Offset k = (i - j) mod M of each cell (i, j) of the uniform M-grid (as
-    a column index, row i's cell on offset k), and min(k, M - k) for each k."""
+    a column index, row i's cell on offset k), and min(k, M - k) for each k.
+    Read-only, built once per M."""
     k = np.arange(M)
     offsets = np.subtract.outer(k, k)
     offsets[offsets < 0] += M
-    return offsets, np.minimum(k, M - k)
+    cells = np.minimum(k, M - k)
+    offsets.flags.writeable = False
+    cells.flags.writeable = False
+    return offsets, cells
 
 
 def _offdiagonal_peaks(M: int, remainder: np.ndarray):

@@ -60,6 +60,7 @@ _CORE_HALF = 1.35 ** np.arange(12)  # core panel widths, growing away from s = 0
 _CORE_WIDTHS = np.concatenate([_CORE_HALF[::-1], _CORE_HALF]) / _CORE_HALF.sum()
 _CORE_EDGES = np.cumsum(np.concatenate([[-1.0], _CORE_WIDTHS]))
 _GAUGE_NODES = 200  # nodes per gauge-scalar path leg
+_GAUGE_PANEL_NODES = 24  # nodes per panel between consecutive polar-grid radii
 _SINOGRAM_NODES = 384  # tangent-rule nodes per sinogram line
 _TIE_MARGIN = 0.25  # winding limits this close to a half-integer are ambiguous
 _INVERT_THETAS = 128  # angles of the inverted polar grid
@@ -281,11 +282,16 @@ def line_integrals_vector(config: PotentialConfig, lines: Sequence[Line],
     for ln in lines:
         if ln.dimension != config.dimension:
             raise DimensionMismatch(f"{ln.dimension}D line, {config.dimension}D configuration")
-    total = np.zeros(len(lines))
     if not lines:
-        return total
-    x0s = np.array([ln.x0 for ln in lines])
-    omegas = np.array([ln.omega for ln in lines])
+        return np.zeros(0)
+    return _vector_integrals(config, np.array([ln.x0 for ln in lines]),
+                             np.array([ln.omega for ln in lines]), tail_tol)
+
+
+def _vector_integrals(config: PotentialConfig, x0s, omegas, tail_tol: float) -> np.ndarray:
+    """line_integrals_vector on k valid lines x0s[i] + s omegas[i], given as
+    (k, n) arrays of matching dimension."""
+    total = np.zeros(len(x0s))
     d = np.linalg.norm(x0s, axis=1)
     if np.min(d) <= config.obstacle_radius:
         raise LineHitsObstacle(f"line at distance {np.min(d):.3f} meets the obstacle")
@@ -293,7 +299,8 @@ def line_integrals_vector(config: PotentialConfig, lines: Sequence[Line],
         if config.dimension == 2:
             dec = decompose_transversal(config.transversal)
             theta_w = np.arctan2(omegas[:, 1], omegas[:, 0])
-            total += dec.alpha * np.pi * np.array([ln.orientation() for ln in lines])
+            wedge = x0s[:, 0] * omegas[:, 1] - x0s[:, 1] * omegas[:, 0]
+            total += dec.alpha * np.pi * np.where(wedge < 0, -1.0, 1.0)  # Line.orientation
             total += dec.a0(theta_w) - dec.a0(theta_w + np.pi)
         else:
             total += _tangent_rule(config.transversal, x0s, omegas, d)
@@ -375,10 +382,11 @@ class Sinogram:
 def forward_sinogram(config: PotentialConfig, angles, offsets, kind: str = "scalar") -> Sinogram:
     """Line transforms of a plane configuration on a parallel grid.
 
-    Vector data are line_integrals_vector, one call per angle. Scalar data use
-    the tangent rule, which does not cover slow power decay: for the catalog
-    power scalar with p = 1.5 it misses about 5e-3 per line, where
-    line_integral_scalar is exact.
+    Vector data are line_integrals_vector on one array of lines per angle,
+    without building Line objects. Scalar data use the tangent rule, which
+    does not cover slow power decay: for the catalog power scalar with
+    p = 1.5 it misses about 5e-3 per line, where line_integral_scalar is
+    exact.
     """
     if config.dimension != 2:
         raise DimensionMismatch("parallel-beam sinograms are planar")
@@ -388,13 +396,13 @@ def forward_sinogram(config: PotentialConfig, angles, offsets, kind: str = "scal
     offsets = np.asarray(offsets, dtype=float)
     out = np.zeros((angles.size, offsets.size))
     for i, ang in enumerate(angles):
+        # the lines line_at(ang, offsets), as arrays
+        x0s = offsets[:, None] * np.array([np.cos(ang), np.sin(ang)])
+        omegas = np.broadcast_to([-np.sin(ang), np.cos(ang)], (offsets.size, 2))
         if kind == "vector":
-            out[i] = line_integrals_vector(config, [line_at(ang, t) for t in offsets])
+            out[i] = _vector_integrals(config, x0s, omegas, TAIL_TOL)
         elif config.scalar is not None:
-            n = np.array([np.cos(ang), np.sin(ang)])
-            w = np.array([-np.sin(ang), np.cos(ang)])
-            out[i] = _tangent_rule(config.scalar, offsets[:, None] * n[None, :],
-                                   np.broadcast_to(w, (offsets.size, 2)), np.abs(offsets))
+            out[i] = _tangent_rule(config.scalar, x0s, omegas, np.abs(offsets))
     return Sinogram(angles=angles, offsets=offsets, values=out, kind=kind,
                     obstacle_radius=config.obstacle_radius)
 
@@ -603,10 +611,13 @@ def _arc_integrals(field: Callable, radius, theta) -> np.ndarray:
     return np.sum(np.sum(vals * tangents, axis=2) * w, axis=1) * radius
 
 
-def _radial_integrals(field: Callable, r_from: float, r_to, theta) -> np.ndarray:
-    """int F . dx along each ray at angle theta, from radius r_from to r_to."""
-    xg, wg = _gauss_legendre(_GAUGE_NODES)
-    span = np.broadcast_to(np.asarray(r_to, dtype=float) - r_from, theta.shape)[:, None]
+def _radial_integrals(field: Callable, r_from, r_to, theta,
+                      n: int = _GAUGE_NODES) -> np.ndarray:
+    """int F . dx along each ray at angle theta, from radius r_from to r_to,
+    by an n-node Gauss-Legendre rule."""
+    xg, wg = _gauss_legendre(n)
+    r_from = np.broadcast_to(np.asarray(r_from, dtype=float), theta.shape)[:, None]
+    span = np.broadcast_to(np.asarray(r_to, dtype=float), theta.shape)[:, None] - r_from
     s = r_from + 0.5 * span * (xg + 1.0)
     w = 0.5 * span * wg
     direction = np.stack([np.cos(theta), np.sin(theta)], axis=-1)
@@ -618,10 +629,16 @@ def _radial_integrals(field: Callable, r_from: float, r_to, theta) -> np.ndarray
 @dataclass
 class GaugeScalar:
     """Path-integral potential of a curl-free short-range field, along the
-    far circle from angle 0 and then radially in to each point.
+    far circle from angle 0 to the point's angle in (-pi, pi], then radially
+    in to the point, each leg by a 200-node Gauss-Legendre rule.
 
     Normalized to vanish at infinity: the anchor value is corrected by the
     outward radial integral along the theta=0 ray.
+
+    evaluate takes arbitrary points. on_polar_grid takes the same paths on a
+    polar grid but shares their legs: one far arc per angle, and per ray one
+    leg in to the largest radius plus a 24-node panel between consecutive
+    radii, summed inward.
     """
 
     field: Callable
@@ -635,6 +652,22 @@ class GaugeScalar:
         th = np.arctan2(p[:, 1], p[:, 0])
         return (_arc_integrals(self.field, self.far_radius, th)
                 + _radial_integrals(self.field, self.far_radius, r, th) - self.far_correction)
+
+    def on_polar_grid(self, radii, thetas) -> np.ndarray:
+        """L on the polar grid, shaped (radii, thetas): the radius-major order
+        of polar_points."""
+        radii = np.asarray(radii, dtype=float)
+        th = np.arctan2(np.sin(thetas), np.cos(thetas))  # arcs end in (-pi, pi] as in evaluate
+        order = np.argsort(radii)[::-1]
+        r_desc = radii[order]
+        ray = _radial_integrals(self.field, self.far_radius, r_desc[0], th)
+        panels = _radial_integrals(self.field, np.tile(r_desc[:-1], th.size),
+                                   np.tile(r_desc[1:], th.size), np.repeat(th, r_desc.size - 1),
+                                   n=_GAUGE_PANEL_NODES).reshape(th.size, -1)
+        inward = np.cumsum(np.column_stack([ray, panels]), axis=1)
+        out = np.empty((radii.size, th.size))
+        out[order] = (inward + _arc_integrals(self.field, self.far_radius, th)[:, None]).T
+        return out - self.far_correction
 
     def __call__(self, points):
         out = self.evaluate(points)

@@ -3,7 +3,7 @@
 Adaptive-quadrature line integrals (one callback per point), the sphere
 solver's phase fit as a dense least-squares problem, and the plane kernel's
 value matrix evaluated cell by cell, kept only to check the library against
-an independent method.
+an independent method; plus a field wrapper that counts evaluation points.
 """
 import numpy as np
 from scipy.integrate import quad
@@ -89,3 +89,18 @@ def direct_value_grid(S):
     base[mask] = singular_offdiagonal(S.alpha, u[mask])
     pref = np.multiply.outer(S.prefactor_out(th), S.prefactor_in(th))
     return pref * (base + S.remainder)
+
+
+class CountingField:
+    """A field that counts the points it is evaluated at, to bound the cost
+    of a rule independently of timing."""
+
+    def __init__(self, field):
+        self.field = field
+        self.envelope = getattr(field, "envelope", None)
+        self.points = 0
+
+    def __call__(self, p):
+        p = np.atleast_2d(np.asarray(p, dtype=float))
+        self.points += len(p)
+        return self.field(p)

@@ -1,8 +1,10 @@
 """Scenario runners: classification, reconstruction, report emission, CLI."""
+import dataclasses
 import json
 
 import numpy as np
 import pytest
+from oracles import CountingField
 
 from gaugekit import catalog, cli
 from gaugekit.angular import AngularFunction
@@ -285,8 +287,19 @@ class TestReconstruct:
         assert entries["field_reconstruction_rel_l2"].passed
         assert entries["scalar_reconstruction_rel_l2"].passed
         # the ring bump still carries a little circulation past r_max, so the
-        # flux read off at the outermost offset sees that genuine tail
+        # flux read off at the outermost offsets sees that genuine tail
         assert entries["flux_recovered_error"].value < 1e-5
+
+    def test_flux_read_off_both_banks(self):
+        # the odd harmonic makes the gradient part's antipodal difference
+        # vary with the angle; it cancels between the offsets T and -T
+        cfg = _plane_config(0.3, {1: 0.03, 2: 0.02j})
+        rep = run_reconstruct(Scenario(kind="reconstruct", config1=cfg,
+                                       geometry=dict(SMALL_GEO)))
+        entries = {e.name: e for e in rep.entries}
+        assert entries["flux_recovered_error"].value < 1e-12
+        assert entries["flux_line_spread"].value < 1e-12
+        assert abs(rep.provenance["flux_recovered"] - 0.3) < 1e-12
 
     def test_empty_configuration(self):
         sc = Scenario(kind="reconstruct", config1=_plane_config(),
@@ -365,7 +378,36 @@ class TestReport:
         assert "[pass]" in text and "[FAIL]" in text and "verdict: equivalent" in text
 
 
+@pytest.fixture(scope="module")
+def scalar_part_report():
+    L = catalog.build_scalar("gaussian_bumps",
+                             {"bumps": [[0.4, 1.8, 0.6, 0.9]]}, dimension=2)
+    cfg1 = _plane_config(0.5)
+    cfg2 = apply_gauge_to_potential(cfg1, GaugeElement(dimension=2, scalar=L))
+    return run_classify(Scenario(kind="classify", config1=cfg1, config2=cfg2,
+                                 kernels=dict(FAST_KERNELS)))
+
+
 class TestEmitReport:
+    def test_gauge_scalar_csv_matches_evaluate(self, tmp_path, scalar_part_report):
+        emit_report(scalar_part_report, tmp_path)
+        path = tmp_path / "gauge_scalar.csv"
+        assert path.read_text().splitlines()[0] == "r,theta,L"
+        body = np.loadtxt(path, delimiter=",", skiprows=1)
+        assert body.shape == (24 * 48, 3)
+        r, th = body[:, 0], body[:, 1]
+        gs = scalar_part_report.artifacts["gauge_scalar"]
+        want = gs.evaluate(np.column_stack([r * np.cos(th), r * np.sin(th)]))
+        assert np.max(np.abs(want)) > 1e-3
+        assert np.max(np.abs(body[:, 2] - want)) <= 1e-12 * np.max(np.abs(want))
+
+    def test_gauge_scalar_csv_field_points(self, tmp_path, scalar_part_report):
+        # point-by-point paths would take 1,152 x 2 legs x 200 nodes = 460,800
+        gs = scalar_part_report.artifacts["gauge_scalar"]
+        counted = dataclasses.replace(gs, field=CountingField(gs.field))
+        emit_report(Report(kind="classify", artifacts={"gauge_scalar": counted}), tmp_path)
+        assert 0 < counted.field.points <= 50_000
+
     def test_classify_outputs(self, tmp_path):
         L = catalog.build_scalar("gaussian_bumps",
                                  {"bumps": [[0.4, 1.8, 0.6, 0.9]]}, dimension=2)

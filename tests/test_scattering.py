@@ -271,6 +271,13 @@ class TestOffsetTables:
         with pytest.raises(RemainderBoundViolated):
             verify_remainder_bound(th, R, 0.9 * C, delta)
 
+    def test_offset_table_read_only_and_shared(self):
+        offsets, cells = scattering._cyclic_offsets(64)
+        assert not offsets.flags.writeable and not cells.flags.writeable
+        assert scattering._cyclic_offsets(64)[0] is offsets
+        with pytest.raises(ValueError):
+            offsets[0, 1] = 0
+
     def test_thetas_derived_from_the_remainder(self):
         assert "thetas" not in {f.name for f in dataclasses.fields(ScatteringKernel)}
         S = _structured_kernel(64)

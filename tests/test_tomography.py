@@ -19,10 +19,12 @@ from gaugekit.errors import (
 )
 from gaugekit.fields import (
     DecayEnvelope,
+    GaugeElement,
     PotentialConfig,
     ScalarPotential,
     ShortRangeField,
     TransversalField,
+    apply_gauge_to_potential,
     gradient_of_direction_function,
 )
 from gaugekit.tomography import (
@@ -40,6 +42,7 @@ from gaugekit.tomography import (
     line_integrals_vector,
     parallel_geometry,
     plane_restrict,
+    polar_points,
     radon_invert_scalar,
     recover_field_2d,
     resolve_winding,
@@ -475,6 +478,29 @@ class TestFindGaugeScalar:
         pts = np.column_stack([r * np.cos(th), r * np.sin(th)])
         one_by_one = np.array([gs(q) for q in pts])
         np.testing.assert_allclose(gs.evaluate(pts), one_by_one, rtol=0, atol=1e-13)
+
+    @pytest.mark.parametrize("source", ["apply_gauge", "grad_bumps"])
+    def test_polar_grid_matches_evaluate(self, source):
+        if source == "apply_gauge":
+            L = catalog.build_scalar("gaussian_bumps", {"bumps": [[0.4, 1.8, 0.6, 0.9]]},
+                                     dimension=2)
+            cfg = apply_gauge_to_potential(PotentialConfig(dimension=2, obstacle_radius=1.0),
+                                           GaugeElement(dimension=2, scalar=L))
+            fld = cfg.short_range
+        else:
+            fld = catalog.build_vector("grad_bumps",
+                                       {"bumps": [[0.6, 2.0, 0.5, 0.6], [-0.4, -1.5, -1.0, 0.7]]})
+        gs = find_gauge_scalar(fld, r_in=1.05, r_out=3.5)
+        radii = np.linspace(gs.far_radius / 8.0, gs.far_radius / 2.0, 24)
+        thetas = np.arange(48) * 2 * np.pi / 48
+        want = gs.evaluate(polar_points(radii, thetas)[2]).reshape(24, 48)
+        got = gs.on_polar_grid(radii, thetas)
+        assert np.max(np.abs(want)) > 1e-3
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+        # the legs are shared by sorted radius, whatever order they come in
+        perm = np.random.default_rng(5).permutation(24)
+        np.testing.assert_allclose(gs.on_polar_grid(radii[perm], thetas), got[perm],
+                                   rtol=0, atol=1e-15)
 
     def test_gradient_residual_on_probes(self):
         fld = catalog.build_vector("grad_bumps",
