@@ -6,7 +6,6 @@ builders here return the callables together with calibrated decay envelopes.
 from __future__ import annotations
 
 import numpy as np
-from scipy.special import erf
 
 from .angular import AngularFunction
 from .fields import (
@@ -17,6 +16,17 @@ from .fields import (
     TransversalField,
 )
 from .errors import TailNotBounded
+
+
+def _sq_norms(p) -> np.ndarray:
+    """|p_i|^2 of each row of (m, n) points, summed column by column rather
+    than by a length-n reduction per row. On (m, 2) and (m, 3) points it
+    equals np.sum(p**2, axis=1) bit for bit and is several times faster than
+    that or than einsum, whose 3-column sum rounds differently."""
+    out = p[:, 0] * p[:, 0]
+    for k in range(1, p.shape[1]):
+        out += p[:, k] * p[:, k]
+    return out
 
 
 def _calibrate_envelope(func_mag, eps0: float, r_lo: float = 0.8, r_hi: float = 80.0) -> DecayEnvelope:
@@ -40,7 +50,7 @@ def _scalar_gaussian_ring(params, dim):
     mod = params.get("modulation", [])  # [[l, cos_amp, sin_amp], ...]
 
     def f(p):
-        r = np.linalg.norm(p, axis=1)
+        r = np.sqrt(_sq_norms(p))
         base = a * np.exp(-((r - r0) ** 2) / (2 * sig**2))
         if mod and p.shape[1] == 2:
             th = np.arctan2(p[:, 1], p[:, 0])
@@ -64,7 +74,7 @@ def _scalar_gaussian_bumps(params, dim):
         for b in bumps:
             a, *c, w = b
             c = np.asarray(c, dtype=float)
-            out += a * np.exp(-np.sum((p - c) ** 2, axis=1) / (2 * w**2))
+            out += a * np.exp(-_sq_norms(p - c) / (2 * w**2))
         return out
 
     def mag(r):
@@ -85,7 +95,7 @@ def _scalar_power(params, dim):
         raise TailNotBounded(f"power decay p={p_exp:g} <= 1 is not integrable along a line")
 
     def f(p):
-        r2 = np.sum(p**2, axis=1)
+        r2 = _sq_norms(p)
         return c * (1 + r2) ** (-p_exp / 2)
 
     return f, DecayEnvelope(C=abs(c), eps0=p_exp - 1.0)
@@ -111,7 +121,7 @@ def _vector_grad_power(params, dim):
     p_exp = float(params.get("p", 1.0))
 
     def f(pts):
-        r2 = np.sum(pts**2, axis=1)
+        r2 = _sq_norms(pts)
         return (-c * p_exp) * pts * ((1 + r2) ** (-(p_exp + 2) / 2))[:, None]
 
     def mag(r):
@@ -130,7 +140,7 @@ def _vector_grad_bumps(params, dim):
             a, *c, w = b
             c = np.asarray(c, dtype=float)
             diff = pts - c
-            out += (-a / w**2) * diff * np.exp(-np.sum(diff**2, axis=1) / (2 * w**2))[:, None]
+            out += (-a / w**2) * diff * np.exp(-_sq_norms(diff) / (2 * w**2))[:, None]
         return out
 
     def mag(r):
@@ -153,6 +163,8 @@ def _vector_ring_bump_tangential(params, dim):
     moment M removes the vortex tail, so the field decays faster than any
     power while curl A = b(r) is unchanged away from the origin.
     """
+    from scipy.special import erf  # here, so that only this kind loads scipy
+
     b0 = float(params.get("b0", 1.0))
     r0 = float(params.get("r0", 1.5))
     sig = float(params.get("sigma", 0.25))
@@ -166,7 +178,7 @@ def _vector_ring_bump_tangential(params, dim):
     M = float(F(np.asarray(r0 + 40 * sig)))
 
     def f(pts):
-        r = np.linalg.norm(pts, axis=1)
+        r = np.sqrt(_sq_norms(pts))
         coeff = (F(r) - M) / r**2
         return coeff[:, None] * np.column_stack([-pts[:, 1], pts[:, 0]])
 
@@ -179,7 +191,7 @@ def _vector_cross_axis(params, dim):
     c = float(params.get("c", 1.0))
 
     def f(pts):
-        r2 = np.sum(pts**2, axis=1)
+        r2 = _sq_norms(pts)
         return c * np.cross(np.broadcast_to(axis, pts.shape), pts) / r2[:, None]
 
     return f, None  # long-range; used as a transversal profile, not short-range

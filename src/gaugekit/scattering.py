@@ -19,8 +19,9 @@ of the flux, the convolution part is
 
 Its Fourier eigenvalues 2 pi c_k equal e^{+i a pi} for k >= [a] and
 e^{-i a pi} for k < [a]; the jump channel k = [a] sits on the + side. The
-closed form was fixed against the principal-value quadrature oracle
-(ab_channel_pv_quadrature), not assumed.
+closed form was fixed against a principal-value quadrature oracle
+(ab_channel_pv_quadrature, kept with the test oracles in tests/oracles.py),
+not assumed.
 
 The gauge e^{i(m theta + phi)} multiplies kernels by e^{i(m theta + phi(theta))}
 on the left and e^{-i(m(theta' + pi) + phi(theta' + pi))} on the right; the
@@ -34,10 +35,6 @@ from dataclasses import dataclass, replace
 from functools import lru_cache
 
 import numpy as np
-from scipy import sparse
-from scipy.integrate import quad
-from scipy.sparse.csgraph import connected_components
-from scipy.sparse.linalg import spsolve
 
 from .angular import AngularFunction, SphereFunction, SphereGrid
 from .errors import (
@@ -46,7 +43,7 @@ from .errors import (
     RemainderBoundViolated,
     SingularPartMissing,
 )
-from .fields import GaugeElement, neville_at_zero
+from .fields import GaugeElement
 
 DIAG_MARGIN_CELLS = 5
 INTEGER_FLUX_TOL = 1e-9
@@ -109,7 +106,8 @@ class ChannelSpectrum:
 def ab_kernel_channels(alpha: float, N: int) -> ChannelSpectrum:
     """Channel eigenvalues of the flux-alpha convolution kernel.
 
-    Closed form validated against ab_channel_pv_quadrature: e^{+i alpha pi}
+    Closed form validated against the test oracle ab_channel_pv_quadrature
+    (tests/oracles.py, adaptive principal-value quadrature): e^{+i alpha pi}
     at and above the step [alpha], e^{-i alpha pi} below. Integer flux gives
     the exact constant (-1)^alpha in every channel.
     """
@@ -123,30 +121,6 @@ def ab_kernel_channels(alpha: float, N: int) -> ChannelSpectrum:
     step = flux_step(alpha)
     vals = np.where(ks >= step, np.exp(1j * np.pi * alpha), np.exp(-1j * np.pi * alpha))
     return ChannelSpectrum(indices=ks, values=vals.astype(complex))
-
-
-def ab_channel_pv_quadrature(alpha: float, k: int,
-                             exclusion_radii=(1e-2, 1e-3, 1e-4)) -> complex:
-    """Oracle for one channel: symmetric-exclusion quadrature of the
-    principal-value integral with Richardson extrapolation in the radius.
-
-    2 pi c_k = cos(a pi) + (i sin(a pi)/pi) p.v. int_0^{2pi}
-               e^{i([a]-k)t} / (1 - e^{it}) dt.
-    """
-    step = flux_step(alpha)
-    n = step - k
-
-    def pv_at(eps):
-        re, _ = quad(lambda t: np.real(np.exp(1j * n * t) / (1 - np.exp(1j * t))),
-                     eps, 2 * np.pi - eps, limit=400, epsabs=1e-13, epsrel=1e-12)
-        im, _ = quad(lambda t: np.imag(np.exp(1j * n * t) / (1 - np.exp(1j * t))),
-                     eps, 2 * np.pi - eps, limit=400, epsabs=1e-13, epsrel=1e-12)
-        return re + 1j * im
-
-    # Richardson in the radius: the exclusion error is linear in eps
-    pv, _ = neville_at_zero(np.asarray(exclusion_radii, dtype=float),
-                            [pv_at(e) for e in exclusion_radii])
-    return complex(np.cos(np.pi * alpha) + 1j * np.sin(np.pi * alpha) / np.pi * pv)
 
 
 def singular_offdiagonal(alpha: float, u) -> np.ndarray:
@@ -631,6 +605,11 @@ def _solve_plane(S1: ScatteringKernel, S2: ScatteringKernel,
 
 def _solve_sphere(S1: SphereScatteringKernel, S2: SphereScatteringKernel,
                   verify_tol: float, phase_tol: float) -> SolverResult:
+    # scipy.sparse loads on the first sphere solve, not with the package
+    from scipy import sparse
+    from scipy.sparse.csgraph import connected_components
+    from scipy.sparse.linalg import spsolve
+
     if S1.grid is not S2.grid and S1.grid.refinement != S2.grid.refinement:
         raise GridMismatch("kernels on different sphere grids")
     if S1.lam != S2.lam:

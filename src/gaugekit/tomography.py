@@ -21,7 +21,9 @@ Scalar inversion uses Cormack's circular-harmonic exterior formula, which
 consumes exactly the admissible data (offsets |t| > R) and is exact on the
 covered annulus for smooth decaying functions. High harmonics are amplified
 by cosh(l arccosh(t/r)), where the exterior problem is ill-posed, so they
-are dropped beyond an amplification cap and recorded.
+are dropped beyond an amplification cap and recorded. Offset derivatives of
+sampled data come from a not-a-knot cubic spline on the sampled offsets
+(_not_a_knot_slopes), one tridiagonal solve for all columns of a bank.
 """
 from __future__ import annotations
 
@@ -30,7 +32,6 @@ from functools import lru_cache
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 from .angular import SphereFunction
 from .errors import (
@@ -353,6 +354,8 @@ class Sinogram:
         half = t.size // 2
         if t.size % 2 or not np.allclose(t[:half], -t[half:][::-1], atol=1e-12):
             raise ValueError("offsets must form symmetric signed banks")
+        if np.any(np.diff(t[half:]) <= 0):
+            raise ValueError("offsets must increase strictly within each bank")
         for arr in (a, t, v):
             arr.flags.writeable = False
         object.__setattr__(self, "angles", a)
@@ -526,6 +529,59 @@ def polar_points(radii, thetas):
     return r, t, np.column_stack([r * np.cos(t), r * np.sin(t)])
 
 
+def _not_a_knot_slopes(x, y) -> np.ndarray:
+    """Knot slopes of the not-a-knot cubic spline through (x, y[:, j]), for
+    every column j at once (de Boor, A Practical Guide to Splines, ch. IV).
+
+    x increases strictly and holds at least 4 knots, not necessarily evenly
+    spaced; y is (n,) or (n, k), real or complex, and the slopes are shaped
+    like y. The tridiagonal system and its end rows are those of scipy's
+    CubicSpline. One forward and one back sweep solve it without pivoting:
+    the first elimination step is exact and the interior rows are diagonally
+    dominant.
+    """
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y)
+    dx = np.diff(x)
+    h = dx.reshape(dx.shape + (1,) * (y.ndim - 1))  # broadcasts over the columns
+    slope = np.diff(y, axis=0) / h
+    b = np.empty(y.shape, dtype=slope.dtype)
+    b[1:-1] = 3 * (h[1:] * slope[:-1] + h[:-1] * slope[1:])
+    d0, d1 = x[2] - x[0], x[-1] - x[-3]
+    b[0] = ((dx[0] + 2 * d0) * dx[1] * slope[0] + dx[0] ** 2 * slope[1]) / d0
+    b[-1] = (dx[-1] ** 2 * slope[-2] + (2 * d1 + dx[-1]) * dx[-2] * slope[-1]) / d1
+    diag = np.concatenate([[dx[1]], 2 * (dx[:-1] + dx[1:]), [dx[-2]]])
+    lower = np.append(dx[1:], d1)  # entries (i + 1, i)
+    upper = np.insert(dx[:-1], 0, d0)  # entries (i, i + 1)
+    for i in range(1, x.size):
+        w = lower[i - 1] / diag[i - 1]
+        diag[i] -= w * upper[i - 1]
+        b[i] -= w * b[i - 1]
+    b[-1] /= diag[-1]
+    for i in range(x.size - 2, -1, -1):
+        b[i] = (b[i] - upper[i] * b[i + 1]) / diag[i]
+    return b
+
+
+def _spline_derivative(x, y, slopes, t) -> np.ndarray:
+    """Derivative at points t in [x[0], x[-1]] of the cubic through the knot
+    values y with the knot slopes given (as from _not_a_knot_slopes), on
+    the interval x[i] <= t < x[i + 1] that holds each point (the last one
+    closed). y and slopes are (n,) columns; the result is shaped like t."""
+    dx = np.diff(x)
+    slope = np.diff(y) / dx
+    excess = (slopes[:-1] + slopes[1:] - 2 * slope) / dx
+    cubic, quadratic = excess / dx, (slope - slopes[:-1]) / dx - excess  # per interval
+    i = np.clip(np.searchsorted(x, t, side="right") - 1, 0, x.size - 2)
+    h = t - x[i]
+    return (3 * cubic[i] * h + 2 * quadratic[i]) * h + slopes[i]
+
+
+def _check_coverage(sino: Sinogram) -> None:
+    if sino.angles.size < 8 or sino.offsets.size // 2 < 8:
+        raise InsufficientCoverage("need at least 8 angles and 8 offsets per bank")
+
+
 def radon_invert_scalar(sino: Sinogram) -> PolarGridField:
     """Invert exterior parallel-beam data by circular-harmonic decomposition.
 
@@ -537,10 +593,9 @@ def radon_invert_scalar(sino: Sinogram) -> PolarGridField:
     cosh(l arccosh(T/r)) exceeds 1e8 are dropped and reported (exterior data
     cannot determine them stably).
     """
+    _check_coverage(sino)
     n_ang = sino.angles.size
     half = sino.offsets.size // 2
-    if n_ang < 8 or half < 8:
-        raise InsufficientCoverage("need at least 8 angles and 8 offsets per bank")
     t_pos = sino.offsets[half:]
     T = float(t_pos[-1])
     radii = np.linspace(sino.r_min * 1.02, T * 0.92, 96)
@@ -552,22 +607,25 @@ def radon_invert_scalar(sino: Sinogram) -> PolarGridField:
     floor = 1e-12 * max(np.max(np.abs(P_full)), 1e-300)
     xg, wg = _gauss_legendre(_INVERT_NODES)
     thetas = np.arange(_INVERT_THETAS) * 2 * np.pi / _INVERT_THETAS
-    out = np.zeros((radii.size, _INVERT_THETAS), dtype=complex)
-    dropped = []
+    kept, dropped = [], []
     smax_worst = np.arccosh(T / radii[0])
     for il, l in enumerate(ls):
-        pl = p_hat[il]
-        if abs(l) > l_max or np.max(np.abs(pl)) < floor:
+        if abs(l) > l_max or np.max(np.abs(p_hat[il])) < floor:
             continue
         if np.cosh(abs(l) * smax_worst) > _AMPLIFICATION_CAP:
             dropped.append(int(l))
-            continue
-        dpl = CubicSpline(t_pos, pl).derivative()
-        smax = np.arccosh(T / radii)  # per radius
-        s = 0.5 * smax[:, None] * (xg[None, :] + 1.0)
-        sw = 0.5 * smax[:, None] * wg[None, :]
-        tv = radii[:, None] * np.cosh(s)
-        vl = -(1.0 / np.pi) * np.sum(dpl(np.minimum(tv, T)) * np.cosh(l * s) * sw, axis=1)
+        else:
+            kept.append(il)
+    slopes = _not_a_knot_slopes(t_pos, p_hat[kept].T)
+    smax = np.arccosh(T / radii)  # per radius
+    s = 0.5 * smax[:, None] * (xg[None, :] + 1.0)
+    sw = 0.5 * smax[:, None] * wg[None, :]
+    tv = np.minimum(radii[:, None] * np.cosh(s), T)
+    out = np.zeros((radii.size, _INVERT_THETAS), dtype=complex)
+    for j, il in enumerate(kept):
+        l = ls[il]
+        dpl = _spline_derivative(t_pos, p_hat[il], slopes[:, j], tv)
+        vl = -(1.0 / np.pi) * np.sum(dpl * np.cosh(l * s) * sw, axis=1)
         out += vl[:, None] * np.exp(1j * l * thetas[None, :])
     return PolarGridField(radii=radii, thetas=thetas, values=out.real,
                           annulus=(float(radii[0]), float(radii[-1])),
@@ -584,12 +642,11 @@ def recover_field_2d(sino: Sinogram) -> PolarGridField:
     """
     if sino.kind != "vector":
         raise ValueError("field recovery consumes vector-transform data")
+    _check_coverage(sino)
     half = sino.offsets.size // 2
-    dvals = np.zeros_like(sino.values)
-    for i in range(sino.angles.size):
-        for sl in (slice(None, half), slice(half, None)):
-            sp = CubicSpline(sino.offsets[sl], sino.values[i, sl])
-            dvals[i, sl] = sp.derivative()(sino.offsets[sl])
+    dvals = np.empty_like(sino.values)
+    for sl in (slice(None, half), slice(half, None)):
+        dvals[:, sl] = _not_a_knot_slopes(sino.offsets[sl], sino.values[:, sl].T).T
     dsino = Sinogram(angles=sino.angles, offsets=sino.offsets, values=dvals,
                      kind="scalar", obstacle_radius=sino.obstacle_radius)
     return radon_invert_scalar(dsino)

@@ -1,15 +1,17 @@
-"""Slow references for the vectorised rules in gaugekit.
+"""Slow references for the vectorised rules and closed forms in gaugekit.
 
-Adaptive-quadrature line integrals (one callback per point), the sphere
-solver's phase fit as a dense least-squares problem, and the plane kernel's
-value matrix evaluated cell by cell, kept only to check the library against
-an independent method; plus a field wrapper that counts evaluation points.
+Adaptive-quadrature line integrals (one callback per point), the
+principal-value quadrature of one flux-kernel channel, the sphere solver's
+phase fit as a dense least-squares problem, and the plane kernel's value
+matrix evaluated cell by cell, kept only to check the library against an
+independent method; plus a field wrapper that counts evaluation points.
 """
 import numpy as np
 from scipy.integrate import quad
 
 from gaugekit.errors import LineHitsObstacle
-from gaugekit.scattering import singular_offdiagonal
+from gaugekit.fields import neville_at_zero
+from gaugekit.scattering import flux_step, singular_offdiagonal
 
 _QUAD_OPTS = dict(limit=200, epsabs=1e-13, epsrel=1e-12)
 
@@ -50,6 +52,30 @@ def line_integral_vector_quadrature(config, line) -> float:
     val, _ = quad(integrand, -np.pi / 2 + 1e-10, np.pi / 2 - 1e-10,
                   limit=400, epsabs=1e-12, epsrel=1e-11)
     return val
+
+
+def ab_channel_pv_quadrature(alpha: float, k: int,
+                             exclusion_radii=(1e-2, 1e-3, 1e-4)) -> complex:
+    """Oracle for one channel: symmetric-exclusion quadrature of the
+    principal-value integral with Richardson extrapolation in the radius.
+
+    2 pi c_k = cos(a pi) + (i sin(a pi)/pi) p.v. int_0^{2pi}
+               e^{i([a]-k)t} / (1 - e^{it}) dt.
+    """
+    step = flux_step(alpha)
+    n = step - k
+
+    def pv_at(eps):
+        re, _ = quad(lambda t: np.real(np.exp(1j * n * t) / (1 - np.exp(1j * t))),
+                     eps, 2 * np.pi - eps, limit=400, epsabs=1e-13, epsrel=1e-12)
+        im, _ = quad(lambda t: np.imag(np.exp(1j * n * t) / (1 - np.exp(1j * t))),
+                     eps, 2 * np.pi - eps, limit=400, epsabs=1e-13, epsrel=1e-12)
+        return re + 1j * im
+
+    # Richardson in the radius: the exclusion error is linear in eps
+    pv, _ = neville_at_zero(np.asarray(exclusion_radii, dtype=float),
+                            [pv_at(e) for e in exclusion_radii])
+    return complex(np.cos(np.pi * alpha) + 1j * np.sin(np.pi * alpha) / np.pi * pv)
 
 
 def dense_sphere_phase_fit(S1, S2):

@@ -1,18 +1,26 @@
 """Every import and every private module-level name in the package modules
-and in the test oracles is used (stdlib ast; no linter needed).
+and in the test oracles is used (stdlib ast; no linter needed), and
+importing the package loads no scipy module.
 
-``__init__.py`` is skipped: its imports are re-exports. ``__future__``
-imports are directives, not names. A private name is a module-level
-constant, function or class whose name starts with one underscore; it must
-be read somewhere in its own module, because nothing outside should rely on it.
+``__init__.py`` is skipped by the usage rules: its imports are re-exports.
+``__future__`` imports are directives, not names. A private name is a
+module-level constant, function or class whose name starts with one
+underscore; it must be read somewhere in its own module, because nothing
+outside should rely on it. scipy is imported only inside the functions that
+need it (the sphere solver, one catalog kind), so ``import gaugekit`` and the
+CLI's cold start do not pay for it.
 """
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "gaugekit"
-MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+PACKAGE = sorted(SRC.glob("*.py"))
+MODULES = [p for p in PACKAGE if p.name != "__init__.py"]
 MODULES.append(Path(__file__).resolve().parent / "oracles.py")
 
 
@@ -68,3 +76,53 @@ def test_no_unused_imports(path):
 def test_detector_flags_an_unused_import():
     source = "from __future__ import annotations\nimport json\nimport numpy as np\nnp.zeros(1)\n"
     assert _unused_imports(source) == [(2, "json")]
+
+
+def _module_level_scipy_imports(source: str) -> list:
+    """(line, module) of each scipy import that runs when the module loads:
+    anywhere but inside a function body."""
+    found = []
+
+    def visit(node):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                continue
+            if isinstance(child, ast.Import):
+                found.extend((child.lineno, alias.name) for alias in child.names
+                             if alias.name.split(".")[0] == "scipy")
+            elif (isinstance(child, ast.ImportFrom) and child.level == 0
+                  and child.module.split(".")[0] == "scipy"):
+                found.append((child.lineno, child.module))
+            visit(child)
+
+    visit(ast.parse(source))
+    return sorted(found)
+
+
+@pytest.mark.parametrize("path", PACKAGE, ids=lambda p: p.name)
+def test_no_module_level_scipy_import(path):
+    assert _module_level_scipy_imports(path.read_text()) == []
+
+
+def test_detector_flags_a_module_level_scipy_import():
+    source = ("import numpy as np\nimport scipy.sparse as sp\n"
+              "from scipy.special import erf\nfrom . import scipy\n"
+              "try:\n    import scipy\nexcept ImportError:\n    pass\n"
+              "class Fit:\n    from scipy.linalg import solve\n"
+              "    def run(self):\n        from scipy.optimize import brentq\n"
+              "def build():\n    import scipy.interpolate\n")
+    assert _module_level_scipy_imports(source) == [
+        (2, "scipy.sparse"), (3, "scipy.special"), (6, "scipy"), (10, "scipy.linalg")]
+
+
+@pytest.mark.parametrize("module", ["gaugekit", "gaugekit.cli"])
+def test_import_loads_no_scipy(module):
+    """A fresh interpreter that imports the package (or the CLI) holds no
+    scipy module afterwards."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(SRC.parent)] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    out = subprocess.run(
+        [sys.executable, "-c", f"import sys, {module}; "
+         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"],
+        env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"

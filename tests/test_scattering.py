@@ -4,7 +4,7 @@ import warnings
 
 import numpy as np
 import pytest
-from oracles import dense_sphere_phase_fit, direct_value_grid
+from oracles import ab_channel_pv_quadrature, dense_sphere_phase_fit, direct_value_grid
 
 from gaugekit import scattering
 
@@ -20,7 +20,6 @@ from gaugekit.scattering import (
     ChannelSpectrum,
     ScatteringKernel,
     SphereScatteringKernel,
-    ab_channel_pv_quadrature,
     ab_kernel_channels,
     apply_gauge_to_kernel,
     assemble_kernel,

@@ -2,6 +2,7 @@
 plane restrictions."""
 import numpy as np
 import pytest
+from scipy.interpolate import CubicSpline
 from scipy.special import gamma
 
 from gaugekit import catalog
@@ -48,7 +49,7 @@ from gaugekit.tomography import (
     resolve_winding,
     synthetic_winding_family,
 )
-from gaugekit.tomography import _line_rule
+from gaugekit.tomography import _line_rule, _not_a_knot_slopes, _spline_derivative
 from oracles import adaptive_line_integral, line_integral_vector_quadrature
 
 
@@ -407,7 +408,73 @@ class TestForwardSinogram:
             forward_sinogram(cfg, angles, offsets, kind=kind)
 
 
+class TestNotAKnotSpline:
+    @pytest.mark.parametrize("n", [8, 32, 128])
+    @pytest.mark.parametrize("spacing", ["uniform", "non-uniform"])
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_matches_scipy_cubic_spline(self, n, spacing, dtype):
+        rng = np.random.default_rng(n)
+        if spacing == "uniform":
+            x = np.linspace(1.001, 3.5, n)
+        else:
+            x = 1.001 + np.cumsum(rng.uniform(0.05, 1.0, n))
+        y = rng.standard_normal((n, 5))
+        if dtype is complex:
+            y = y + 1j * rng.standard_normal((n, 5))
+        slopes = _not_a_knot_slopes(x, y)
+        t = np.concatenate([x, rng.uniform(x[0], x[-1], 1000)])
+        for j in range(y.shape[1]):
+            ref = CubicSpline(x, y[:, j]).derivative()(t)
+            got = _spline_derivative(x, y[:, j], slopes[:, j], t)
+            scale = np.max(np.abs(ref))
+            assert np.max(np.abs(got - ref)) <= 1e-13 * scale
+            assert np.max(np.abs(slopes[:, j] - ref[:n])) <= 1e-13 * scale
+
+    def test_cubic_data_reproduced(self):
+        # a cubic is its own not-a-knot spline, whatever the spacing
+        x = np.array([1.0, 1.3, 2.2, 2.4, 3.9, 4.0])
+        slopes = _not_a_knot_slopes(x, np.column_stack([x**3 - 2 * x, 5 - x**2]))
+        np.testing.assert_allclose(slopes, np.column_stack([3 * x**2 - 2, -2 * x]),
+                                   rtol=1e-13, atol=1e-13)
+        np.testing.assert_allclose(_not_a_knot_slopes(x, x**3 - 2 * x), 3 * x**2 - 2,
+                                   rtol=1e-13, atol=1e-13)
+
+    def test_non_increasing_offsets_rejected(self):
+        offsets = np.array([-1.0, -3.0, -2.0, 2.0, 3.0, 1.0])
+        with pytest.raises(ValueError, match="increase strictly"):
+            Sinogram(angles=np.zeros(1), offsets=offsets, values=np.zeros((1, 6)),
+                     kind="vector")
+
+
 class TestRecoverField2d:
+    def test_one_offset_per_bank_is_typed(self):
+        angles = np.arange(16) * np.pi / 16
+        sino = Sinogram(angles=angles, offsets=[-2.0, 2.0], values=np.ones((16, 2)),
+                        kind="vector", obstacle_radius=1.0)
+        with pytest.raises(InsufficientCoverage, match="8 offsets per bank"):
+            recover_field_2d(sino)
+
+    def test_non_uniform_csv_sinogram(self, tmp_path):
+        """Non-uniform offsets read back from CSV invert to the field that a
+        scipy CubicSpline offset derivative gives."""
+        sr = catalog.build_vector("ring_bump_tangential", {"b0": 1.0, "r0": 2.0, "sigma": 0.3})
+        cfg = PotentialConfig(dimension=2, obstacle_radius=1.0, short_range=sr)
+        pos = np.geomspace(1.001, 3.5, 24)
+        angles = np.arange(24) * np.pi / 24
+        sino = forward_sinogram(cfg, angles, np.concatenate([-pos[::-1], pos]), kind="vector")
+        path = tmp_path / "sino.csv"
+        sino.to_csv(path)
+        back = Sinogram.from_csv(path, kind="vector", obstacle_radius=1.0)
+        rec = recover_field_2d(back)
+        dvals = np.concatenate(
+            [np.array([CubicSpline(t, row).derivative()(t) for row in back.values[:, sl]])
+             for sl, t in ((slice(None, 24), -pos[::-1]), (slice(24, None), pos))], axis=1)
+        ref = radon_invert_scalar(Sinogram(angles=angles, offsets=back.offsets, values=dvals,
+                                           kind="scalar", obstacle_radius=1.0))
+        assert np.max(np.abs(rec.values - ref.values)) <= 1e-12 * ref.max_abs()
+        bump = rec.sample(lambda p: np.exp(-(np.linalg.norm(p, axis=1) - 2.0) ** 2 / 0.18))
+        assert rec.l2_relative_error(bump) < 5e-3
+
     def test_ab_data_gives_zero_field(self):
         tr = TransversalField.from_profile(AngularFunction.constant(0.8))
         cfg = PotentialConfig(dimension=2, obstacle_radius=1.0, transversal=tr)
