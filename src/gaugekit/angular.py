@@ -110,13 +110,10 @@ class AngularFunction:
 
     def __call__(self, theta):
         th = np.asarray(theta, dtype=float)
-        scalar = th.ndim == 0
-        th = np.atleast_1d(th)
         n = self.degree
         ks = np.arange(-n, n + 1)
-        vals = np.exp(1j * np.outer(th, ks)) @ self.coefficients
-        out = vals.real
-        return float(out[0]) if scalar else out
+        vals = (np.exp(1j * np.outer(th, ks)) @ self.coefficients).real
+        return float(vals[0]) if th.ndim == 0 else vals.reshape(th.shape)
 
     def max_abs(self, samples: int = 4096) -> float:
         theta = np.arange(samples) * 2 * np.pi / samples
@@ -261,6 +258,16 @@ class SphereGrid:
             e.flags.writeable = False
             self._inv_cache["edges"] = e
         return self._inv_cache["edges"]
+
+    def far_pairs(self, angle: float) -> np.ndarray:
+        """(size, size) mask of the vertex pairs w, w' with w . w' < cos(angle),
+        i.e. more than angle apart; read-only and cached per angle."""
+        key = ("far_pairs", float(angle))
+        if key not in self._inv_cache:
+            mask = self.vertices @ self.vertices.T < np.cos(angle)
+            mask.flags.writeable = False
+            self._inv_cache[key] = mask
+        return self._inv_cache[key]
 
     def _face_inverses(self) -> np.ndarray:
         if "inv" not in self._inv_cache:

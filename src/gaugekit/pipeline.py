@@ -41,6 +41,7 @@ from .scattering import (
     assemble_kernel,
     flux_step,
     gauge_equivalence_solver,
+    sample_remainder,
 )
 from .tomography import (
     Line,
@@ -259,6 +260,8 @@ def synthesize_kernels(scenario: Scenario):
     n_grid = int(ks.get("n_grid", 512))
     lam = float(ks.get("lam", 1.0))
     rem = _remainder_from_spec(ks.get("remainder"))
+    if rem is not None:  # one grid for both kernels
+        rem = sample_remainder(rem, n_grid)
 
     def flux_kernel(alpha, a0):
         w = flux_step(alpha)

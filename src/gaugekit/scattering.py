@@ -10,7 +10,17 @@ arithmetic and off-diagonal closed forms carry the singular part exactly.
 On the uniform cyclic angle grid a cell (i, j) is read by its offset
 k = (i - j) mod M: the singular part, the angle gap and the diagonal-band mask
 are length-M tables in k, and kernel values read the singular table over all
-cells (value_grid) or on one band theta' = theta - 2 pi p / M (band).
+cells (value_grid) or on one band theta' = theta - 2 pi p / M (band). Each
+kernel builds its tables once, on the first read: the two prefactors on the
+M grid angles and the singular part per offset. Per-offset maxima (the
+remainder bound's check and fit, and the off-diagonal distance) read a
+skewed strided view of the column-doubled array, whose columns run along the
+offsets, so no M x M gather is formed (_offset_max).
+
+Off the grid, the remainder is trigonometric interpolation. A table of all
+pairs (remainder_at) goes through the 2-D transform of the grid; equal-shape
+angle arrays are read pairwise instead, contracting the grid with the
+Dirichlet weight rows of both angles (M values per angle, no 2-D transform).
 
 Channel constants. Writing u = theta - theta' and [a] for the integer step
 of the flux, the convolution part is
@@ -32,9 +42,10 @@ spectrum(gauged kernel) = spectrum of flux alpha + m.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 from .angular import AngularFunction, SphereFunction, SphereGrid
 from .errors import (
@@ -193,7 +204,8 @@ class ScatteringKernel:
 
     def remainder_at(self, theta, theta_prime) -> np.ndarray:
         """Trigonometric interpolation of the remainder grid (exact for
-        band-limited remainders; only meaningful off the diagonal)."""
+        band-limited remainders; only meaningful off the diagonal): the
+        (len(theta), len(theta_prime)) table, or a number for two numbers."""
         th = np.atleast_1d(np.asarray(theta, dtype=float))
         tp = np.atleast_1d(np.asarray(theta_prime, dtype=float))
         M = self.n_grid
@@ -204,37 +216,61 @@ class ScatteringKernel:
         vals = Eo @ fr @ Ei
         return vals[0, 0] if (np.isscalar(theta) and np.isscalar(theta_prime)) else vals
 
+    def _remainder_paired(self, th: np.ndarray, tp: np.ndarray) -> np.ndarray:
+        """R(th[p], tp[p]) for two equal-length vectors, by the same
+        interpolation as remainder_at: the Dirichlet weight rows
+        D[p, a] = (1/M) sum_j e^{i j th[p]} e^{-2 pi i j a / M} of both
+        angles contract the grid directly, D_out R D_in^T read on its
+        diagonal, with no 2-D transform of the grid."""
+        M = self.n_grid
+        js = np.fft.fftfreq(M, d=1.0 / M).astype(int)
+        d_out = np.fft.fft(np.exp(1j * np.outer(th, js)), axis=1) / M
+        d_in = np.fft.fft(np.exp(1j * np.outer(tp, js)), axis=1) / M
+        return ((d_out @ self.remainder) * d_in).sum(axis=1)
+
     def evaluate(self, theta, theta_prime) -> np.ndarray:
-        """Kernel value away from the diagonal (the delta term is excluded)."""
+        """Kernel value away from the diagonal (the delta term is excluded).
+
+        Equal shapes are read pairwise and give that shape (a number for two
+        numbers); other shapes give the table of every pair, shaped
+        theta.shape + theta_prime.shape."""
         th = np.asarray(theta, dtype=float)
         tp = np.asarray(theta_prime, dtype=float)
-        u = th - tp if th.shape == tp.shape else np.subtract.outer(th, tp)
-        base = singular_offdiagonal(self.alpha, u)
-        rem = self.remainder_at(theta, theta_prime)
-        if th.shape == tp.shape and rem.ndim == 2 and np.ndim(u) == 1:
-            rem = np.diag(rem)
-        out = self.prefactor_out(th)
-        inc = self.prefactor_in(tp)
-        pref = out * inc if np.ndim(u) <= 1 else np.multiply.outer(out, inc)
-        return pref * (base + rem)
+        if th.shape == tp.shape:
+            u = th - tp
+            rem = self._remainder_paired(th.ravel(), tp.ravel()).reshape(th.shape)
+            pref = self.prefactor_out(th) * self.prefactor_in(tp)
+        else:
+            u = np.subtract.outer(th, tp)
+            rem = self.remainder_at(th, tp).reshape(u.shape)
+            pref = np.multiply.outer(self.prefactor_out(th), self.prefactor_in(tp))
+        return pref * (singular_offdiagonal(self.alpha, u) + rem)
 
-    def _singular_table(self) -> np.ndarray:
-        """Singular part at each offset k, u = 2 pi k / M; 0 at k = 0."""
+    @cached_property
+    def _grid_tables(self) -> tuple:
+        """prefactor_out and prefactor_in on the stored angles, and the
+        singular part at each offset k (u = 2 pi k / M, 0 at k = 0): M values
+        each, read-only, built on the first read of the grid."""
         M = self.n_grid
-        return np.r_[0, singular_offdiagonal(self.alpha, 2 * np.pi * np.arange(1, M) / M)]
+        tables = (self.prefactor_out(self.thetas), self.prefactor_in(self.thetas),
+                  np.r_[0, singular_offdiagonal(self.alpha, 2 * np.pi * np.arange(1, M) / M)])
+        for t in tables:
+            t.flags.writeable = False
+        return tables
 
     def value_grid(self) -> np.ndarray:
         """Full off-diagonal value matrix on the stored grid (diagonal cells
         hold only prefactor * remainder; comparisons must mask the band)."""
-        pref = np.multiply.outer(self.prefactor_out(self.thetas), self.prefactor_in(self.thetas))
-        return pref * (self._singular_table()[_cyclic_offsets(self.n_grid)[0]] + self.remainder)
+        out, inc, singular = self._grid_tables
+        pref = np.multiply.outer(out, inc)
+        return pref * (singular[_cyclic_offsets(self.n_grid)[0]] + self.remainder)
 
     def band(self, p: int) -> np.ndarray:
         """Values on the band theta' = theta - 2 pi p / M, as value_grid() gives them."""
+        out, inc, singular = self._grid_tables
         rows = np.arange(self.n_grid)
         cols = (rows - p) % self.n_grid
-        pref = self.prefactor_out(self.thetas) * self.prefactor_in(self.thetas)[cols]
-        return pref * (self._singular_table()[p % self.n_grid] + self.remainder[rows, cols])
+        return out * inc[cols] * (singular[p % self.n_grid] + self.remainder[rows, cols])
 
     def channel_spectrum(self, N: int = 32) -> ChannelSpectrum:
         """Channels of the convolution-plus-winding part: the winding
@@ -292,11 +328,24 @@ def _cyclic_offsets(M: int):
     return offsets, cells
 
 
+def _offset_max(A: np.ndarray) -> np.ndarray:
+    """Largest entry of a real M x M array on each offset k = (i - j) mod M.
+
+    The array is doubled along its columns, [A A], and read through a skewed
+    strided view whose row i, column c is A[i, (i + c) mod M], the cell on
+    offset (-c) mod M: a column maximum of the view is an offset maximum,
+    with no gather of the M^2 cells."""
+    M = A.shape[0]
+    doubled = np.concatenate([A, A], axis=1)
+    s_row, s_col = doubled.strides
+    skewed = as_strided(doubled, shape=(M, M), strides=(s_row + s_col, s_col), writeable=False)
+    return skewed.max(axis=0)[-np.arange(M) % M]
+
+
 def _offdiagonal_peaks(M: int, remainder: np.ndarray):
     """Angle gap 2 pi min(k, M - k) / M and largest |R| per offset k = 1..M-1."""
-    offsets, cells = _cyclic_offsets(M)
-    peak = np.max(np.abs(remainder)[np.arange(M)[:, None], offsets], axis=0)
-    return 2 * np.pi * cells[1:] / M, peak[1:]
+    cells = _cyclic_offsets(M)[1]
+    return 2 * np.pi * cells[1:] / M, _offset_max(np.abs(remainder))[1:]
 
 
 def verify_remainder_bound(thetas: np.ndarray, remainder: np.ndarray,
@@ -317,6 +366,14 @@ def fit_remainder_bound(thetas: np.ndarray, remainder: np.ndarray,
     return 1.05 * top if top > 0 else 0.0
 
 
+def sample_remainder(smooth, n_grid: int) -> np.ndarray:
+    """A remainder callable R(theta, theta') on the uniform n_grid x n_grid
+    angle grid, as assemble_kernel samples it."""
+    thetas = np.arange(n_grid) * 2 * np.pi / n_grid
+    tt, pp = np.meshgrid(thetas, thetas, indexing="ij")
+    return np.asarray(smooth(tt, pp), dtype=complex)
+
+
 def assemble_kernel(alpha: float, a0_in: AngularFunction | None = None,
                     a0_out: AngularFunction | None = None,
                     smooth=None, lam: float = 1.0, n_grid: int = 256,
@@ -335,8 +392,7 @@ def assemble_kernel(alpha: float, a0_in: AngularFunction | None = None,
     if smooth is None:
         R = np.zeros((n_grid, n_grid), dtype=complex)
     elif callable(smooth):
-        tt, pp = np.meshgrid(thetas, thetas, indexing="ij")
-        R = np.asarray(smooth(tt, pp), dtype=complex)
+        R = sample_remainder(smooth, n_grid)
     else:
         R = np.asarray(smooth, dtype=complex)
         if R.shape != (n_grid, n_grid):
@@ -393,19 +449,22 @@ def kernel_distance(S1, S2) -> float:
             raise GridMismatch("kernels on different sphere grids")
         if S1.lam != S2.lam:
             raise GridMismatch("kernels at different energies")
-        mask = S1.grid.vertices @ S1.grid.vertices.T < np.cos(0.15)
-        return float(np.max(np.abs(S1.values - S2.values)[mask]))
+        return float(np.max(np.abs(S1.values - S2.values)[S1.grid.far_pairs(0.15)]))
     if not (isinstance(S1, ScatteringKernel) and isinstance(S2, ScatteringKernel)):
         raise DimensionMismatch("kernel types differ")
     if S1.n_grid != S2.n_grid:
         raise GridMismatch("kernels on different angle grids")
     if S1.lam != S2.lam:
         raise GridMismatch("kernels at different energies")
-    offsets, cells = _cyclic_offsets(S1.n_grid)
-    far = (cells > DIAG_MARGIN_CELLS)[offsets]
-    off = float(np.max(np.abs(S1.value_grid() - S2.value_grid())[far]))
-    chan = S1.channel_spectrum().distance(S2.channel_spectrum())
-    return off + chan
+    return _plane_distance(S1, S2, S2.value_grid())
+
+
+def _plane_distance(S1: ScatteringKernel, S2: ScatteringKernel, grid2: np.ndarray) -> float:
+    """kernel_distance of two plane kernels on one grid, given S2's value grid:
+    the largest |S1 - S2| per offset, kept off the diagonal band."""
+    far = _cyclic_offsets(S1.n_grid)[1] > DIAG_MARGIN_CELLS
+    off = float(np.max(_offset_max(np.abs(S1.value_grid() - grid2))[far]))
+    return off + S1.channel_spectrum().distance(S2.channel_spectrum())
 
 
 def near_diagonal_growth(S: ScatteringKernel) -> tuple[float, float]:
@@ -591,8 +650,10 @@ def _solve_plane(S1: ScatteringKernel, S2: ScatteringKernel,
                      "m_from_spectra": m, "m_from_ratio": m_check},
             provenance=prov)
     g = GaugeElement(dimension=2, m=m, phi=phi)
-    dist = kernel_distance(apply_gauge_to_kernel(S1, g), S2)
-    scale = max(1.0, float(np.max(np.abs(S2.value_grid()))))
+    gauged = apply_gauge_to_kernel(S1, g)
+    grid2 = S2.value_grid()
+    dist = _plane_distance(gauged, S2, grid2)
+    scale = max(1.0, float(np.max(np.abs(grid2))))
     prov["verify_distance"] = dist
     if dist > verify_tol * scale:
         return SolverResult(

@@ -2,9 +2,11 @@
 
 Adaptive-quadrature line integrals (one callback per point), the
 principal-value quadrature of one flux-kernel channel, the sphere solver's
-phase fit as a dense least-squares problem, and the plane kernel's value
-matrix evaluated cell by cell, kept only to check the library against an
-independent method; plus a field wrapper that counts evaluation points.
+phase fit as a dense least-squares problem, the plane kernel's value
+matrix evaluated cell by cell, its per-offset maximum by a gather of every
+cell, and its remainder interpolated through the full 2-D transform, kept
+only to check the library against an independent method; plus a field
+wrapper that counts evaluation points.
 """
 import numpy as np
 from scipy.integrate import quad
@@ -115,6 +117,25 @@ def direct_value_grid(S):
     base[mask] = singular_offdiagonal(S.alpha, u[mask])
     pref = np.multiply.outer(S.prefactor_out(th), S.prefactor_in(th))
     return pref * (base + S.remainder)
+
+
+def gathered_offset_max(A):
+    """Largest entry of a square array on each offset k = (i - j) mod M, from
+    an explicit gather of every cell by its offset."""
+    M = A.shape[0]
+    rows = np.arange(M)[:, None]
+    return np.max(A[rows, (rows - np.arange(M)[None, :]) % M], axis=0)
+
+
+def fft2_remainder_pairs(S, theta, theta_prime):
+    """R(theta[p], theta_prime[p]) of a plane kernel by the trigonometric
+    interpolation of the full 2-D transform of its remainder grid: the
+    (p, q) table of every pair, read on its diagonal."""
+    M = S.n_grid
+    fr = np.fft.fft2(S.remainder) / M**2
+    js = np.fft.fftfreq(M, d=1.0 / M).astype(int)
+    table = np.exp(1j * np.outer(theta, js)) @ fr @ np.exp(1j * np.outer(js, theta_prime))
+    return np.diag(table)
 
 
 class CountingField:

@@ -4,7 +4,13 @@ import warnings
 
 import numpy as np
 import pytest
-from oracles import ab_channel_pv_quadrature, dense_sphere_phase_fit, direct_value_grid
+from oracles import (
+    ab_channel_pv_quadrature,
+    dense_sphere_phase_fit,
+    direct_value_grid,
+    fft2_remainder_pairs,
+    gathered_offset_max,
+)
 
 from gaugekit import scattering
 
@@ -277,10 +283,114 @@ class TestOffsetTables:
         with pytest.raises(ValueError):
             offsets[0, 1] = 0
 
+    @pytest.mark.parametrize("M", [16, 17, 64, 1024])
+    def test_offset_max_matches_gather(self, M):
+        A = np.random.default_rng(M).standard_normal((M, M))
+        np.testing.assert_array_equal(scattering._offset_max(A), gathered_offset_max(A))
+
+    def test_prefactor_tables_read_only_and_cached(self):
+        S = _structured_kernel(64)
+        tables = S._grid_tables
+        assert S._grid_tables is tables
+        for t, want in zip(tables, (S.prefactor_out(S.thetas), S.prefactor_in(S.thetas))):
+            np.testing.assert_array_equal(t, want)
+        assert not any(t.flags.writeable for t in tables)
+
     def test_thetas_derived_from_the_remainder(self):
         assert "thetas" not in {f.name for f in dataclasses.fields(ScatteringKernel)}
         S = _structured_kernel(64)
         np.testing.assert_array_equal(S.thetas, np.arange(64) * 2 * np.pi / 64)
+
+
+class TestRemainderBoundChecks:
+    def _kernel(self):
+        def bump(t, p):
+            return 0.5 * np.exp(-(((t - 2.0) ** 2) + (p - 4.0) ** 2) / 0.5)
+
+        return assemble_kernel(0.3, smooth=bump, n_grid=64)
+
+    def test_too_small_bound_rejected_at_construction(self):
+        S = self._kernel()
+        with pytest.raises(RemainderBoundViolated):
+            ScatteringKernel(alpha=S.alpha, winding=S.winding, phase_out=S.phase_out,
+                             phase_in=S.phase_in, remainder=S.remainder,
+                             bound_C=0.5 * S.bound_C, bound_delta=S.bound_delta)
+
+    def test_too_small_bound_rejected_through_replace(self):
+        S = self._kernel()
+        with pytest.raises(RemainderBoundViolated):
+            dataclasses.replace(S, bound_C=0.5 * S.bound_C)
+
+    def test_bound_verified_on_every_gauge_action(self, monkeypatch):
+        S = self._kernel()
+        calls = []
+
+        def counted(*args):
+            calls.append(1)
+            return verify_remainder_bound(*args)
+
+        monkeypatch.setattr(scattering, "verify_remainder_bound", counted)
+        apply_gauge_to_kernel(S, GaugeElement(dimension=2, m=1, phi=_phi_sin(0.1)))
+        assert len(calls) == 1
+
+
+class TestEvaluate:
+    @pytest.mark.parametrize("M", [64, 512, 1024])
+    def test_paired_remainder_matches_fft2_formula(self, M):
+        S = _structured_kernel(M)
+        th = 0.37 + np.geomspace(1e-3, 1e-1, 24)
+        tp = np.full(24, 0.37)
+        want = fft2_remainder_pairs(S, th, tp)
+        got = S._remainder_paired(th, tp)
+        assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+        value = S.evaluate(th, tp)
+        pref = S.prefactor_out(th) * S.prefactor_in(tp)
+        base = singular_offdiagonal(S.alpha, th - tp)
+        assert np.max(np.abs(value - pref * (base + want))) <= 1e-14 * np.max(np.abs(value))
+
+    def test_remainder_at_returns_the_outer_table(self):
+        S = _structured_kernel(64)
+        th, tp = np.array([0.5, 1.5, 2.5]), np.array([3.0, 4.0])
+        table = S.remainder_at(th, tp)
+        assert table.shape == (3, 2)
+        for j in range(2):
+            np.testing.assert_allclose(table[:, j], fft2_remainder_pairs(S, th, np.full(3, tp[j])),
+                                       rtol=0, atol=1e-15)
+
+    def test_near_diagonal_growth_takes_no_fft2(self, monkeypatch):
+        S = _structured_kernel(256)
+        want = near_diagonal_growth(S)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("fft2 of the remainder grid")
+
+        monkeypatch.setattr(np.fft, "fft2", refuse)
+        assert near_diagonal_growth(S) == pytest.approx(want, rel=1e-12)
+
+    def test_equal_shapes_read_pairwise(self):
+        S = _structured_kernel(64)
+        th = np.array([[0.5, 1.0], [1.5, 2.0]])
+        tp = np.array([[3.0, 4.0], [5.0, 6.0]])
+        got = S.evaluate(th, tp)
+        assert got.shape == (2, 2)
+        np.testing.assert_allclose(got.ravel(), S.evaluate(th.ravel(), tp.ravel()),
+                                   rtol=1e-14, atol=0)
+
+    def test_other_shapes_give_every_pair(self):
+        S = _structured_kernel(64)
+        th = np.array([[0.5, 1.0], [1.5, 2.0]])
+        tp = np.array([3.0, 4.0, 5.0])
+        got = S.evaluate(th, tp)
+        assert got.shape == (2, 2, 3)
+        for i, j, k in np.ndindex(got.shape):
+            assert abs(got[i, j, k] - S.evaluate(th[i, j], tp[k])) <= 1e-13 * abs(got[i, j, k])
+
+    def test_one_angle_against_a_number(self):
+        S = _structured_kernel(64)
+        got = S.evaluate(np.array([1.0]), 3.0)
+        assert got.shape == (1,)
+        assert got[0] == pytest.approx(S.evaluate(1.0, 3.0), rel=1e-13)
+        assert np.ndim(S.evaluate(1.0, 3.0)) == 0
 
 
 class TestGaugeActionOnKernels:
@@ -459,6 +569,44 @@ class TestPlaneSolver:
             gauge_equivalence_solver(assemble_kernel(0.3, n_grid=64),
                                      assemble_kernel(0.3, n_grid=128))
 
+    @staticmethod
+    def _gauge_pair(M):
+        S1 = _structured_kernel(M)
+        return S1, apply_gauge_to_kernel(S1, GaugeElement(dimension=2, m=1, phi=_phi_cos(0.1, 2)))
+
+    def test_two_value_grids_per_solve(self, monkeypatch):
+        S1, S2 = self._gauge_pair(256)
+        calls = []
+        value_grid = ScatteringKernel.value_grid
+
+        def counted(self):
+            calls.append(1)
+            return value_grid(self)
+
+        monkeypatch.setattr(ScatteringKernel, "value_grid", counted)
+        res = gauge_equivalence_solver(S1, S2)
+        assert res.equivalent and "verify_distance" in res.provenance
+        assert len(calls) == 2
+
+    def test_verify_distance_is_the_kernel_distance(self):
+        S1, S2 = self._gauge_pair(256)
+        res = gauge_equivalence_solver(S1, S2)
+        assert res.provenance["verify_distance"] == kernel_distance(
+            apply_gauge_to_kernel(S1, res.gauge), S2)
+
+    def test_gauge_fit_reads_each_profile_once(self, monkeypatch):
+        S1, S2 = self._gauge_pair(256)
+        calls = []
+        call = AngularFunction.__call__
+
+        def counted(self, theta):
+            calls.append(1)
+            return call(self, theta)
+
+        monkeypatch.setattr(AngularFunction, "__call__", counted)
+        scattering._fit_plane_gauge(S1, S2, 1)
+        assert len(calls) <= 4
+
 
 def _even_phase(a=0.4, b=-0.2, c=0.0):
     """a z^2 + b x y + c x z on (m, 3) unit vectors: antipodally even."""
@@ -500,6 +648,17 @@ class TestSphereSolver:
         assert res.provenance["even_fit_residual"] > 1e-10
         want = dense_sphere_phase_fit(K1, K2)
         assert np.max(np.abs(res.gauge.phi_sphere.values - want)) < 1e-12
+
+    def test_far_pair_mask_cached_read_only(self):
+        grid = sphere_grid(refinement=2)
+        K1 = synthesize_sphere_kernel(grid)
+        K2 = apply_gauge_to_kernel(K1, GaugeElement(dimension=3, phi_callable=_even_phase()))
+        d = kernel_distance(K1, K2)
+        mask = grid.far_pairs(0.15)
+        assert grid.far_pairs(0.15) is mask
+        assert not mask.flags.writeable
+        np.testing.assert_array_equal(mask, grid.vertices @ grid.vertices.T < np.cos(0.15))
+        assert d == np.max(np.abs(K1.values - K2.values)[mask])
 
     def test_sphere_solve_calls_no_dense_least_squares(self, monkeypatch):
         def refuse(*args, **kwargs):

@@ -439,6 +439,33 @@ class TestNotAKnotSpline:
         np.testing.assert_allclose(_not_a_knot_slopes(x, x**3 - 2 * x), 3 * x**2 - 2,
                                    rtol=1e-13, atol=1e-13)
 
+    def test_columns_match_one_column_at_a_time(self):
+        rng = np.random.default_rng(4)
+        x = 1.001 + np.cumsum(rng.uniform(0.05, 1.0, 40))
+        y = rng.standard_normal((40, 6)) + 1j * rng.standard_normal((40, 6))
+        slopes = _not_a_knot_slopes(x, y)
+        t = rng.uniform(x[0], x[-1], (7, 9))
+        got = _spline_derivative(x, y, slopes, t)
+        assert got.shape == (7, 9, 6)
+        for j in range(6):
+            np.testing.assert_array_equal(got[..., j], _spline_derivative(x, y[:, j], slopes[:, j], t))
+
+    def test_inversion_locates_the_nodes_once(self, monkeypatch):
+        angles, offsets = parallel_geometry(45, 64, 1.001, 3.5)
+        rng = np.random.default_rng(8)
+        sino = Sinogram(angles=angles, offsets=offsets, values=rng.standard_normal((45, 64)),
+                        kind="scalar", obstacle_radius=1.0)
+        calls = []
+        searchsorted = np.searchsorted
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return searchsorted(*args, **kwargs)
+
+        monkeypatch.setattr(np, "searchsorted", counted)
+        radon_invert_scalar(sino)
+        assert len(calls) == 1
+
     def test_non_increasing_offsets_rejected(self):
         offsets = np.array([-1.0, -3.0, -2.0, 2.0, 3.0, 1.0])
         with pytest.raises(ValueError, match="increase strictly"):
