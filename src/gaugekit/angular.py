@@ -17,6 +17,7 @@ from .errors import NonzeroMean
 DEFAULT_DEGREE = 64
 MEAN_TOL = 1e-10
 _REALNESS_TOL = 1e-9
+FAR_PAIR_ANGLE = 0.15  # radians; sphere kernel comparisons skip closer pairs
 
 
 @dataclass(frozen=True)
@@ -259,15 +260,14 @@ class SphereGrid:
             self._inv_cache["edges"] = e
         return self._inv_cache["edges"]
 
-    def far_pairs(self, angle: float) -> np.ndarray:
-        """(size, size) mask of the vertex pairs w, w' with w . w' < cos(angle),
-        i.e. more than angle apart; read-only and cached per angle."""
-        key = ("far_pairs", float(angle))
-        if key not in self._inv_cache:
-            mask = self.vertices @ self.vertices.T < np.cos(angle)
+    def far_pairs(self) -> np.ndarray:
+        """(size, size) mask of the vertex pairs more than FAR_PAIR_ANGLE
+        apart (w . w' < cos(FAR_PAIR_ANGLE)); read-only and cached."""
+        if "far_pairs" not in self._inv_cache:
+            mask = self.vertices @ self.vertices.T < np.cos(FAR_PAIR_ANGLE)
             mask.flags.writeable = False
-            self._inv_cache[key] = mask
-        return self._inv_cache[key]
+            self._inv_cache["far_pairs"] = mask
+        return self._inv_cache["far_pairs"]
 
     def _face_inverses(self) -> np.ndarray:
         if "inv" not in self._inv_cache:

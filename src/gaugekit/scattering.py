@@ -17,10 +17,11 @@ remainder bound's check and fit, and the off-diagonal distance) read a
 skewed strided view of the column-doubled array, whose columns run along the
 offsets, so no M x M gather is formed (_offset_max).
 
-Off the grid, the remainder is trigonometric interpolation. A table of all
-pairs (remainder_at) goes through the 2-D transform of the grid; equal-shape
-angle arrays are read pairwise instead, contracting the grid with the
-Dirichlet weight rows of both angles (M values per angle, no 2-D transform).
+Off the grid, the remainder is trigonometric interpolation: the grid is
+contracted with the Dirichlet weight rows of both angles (M values per
+angle, no 2-D transform of the grid). remainder_at gives the table of all
+pairs, D_out R D_in^T; equal-shape angle arrays are read pairwise, on the
+diagonal of that table without forming it.
 
 Channel constants. Writing u = theta - theta' and [a] for the integer step
 of the flux, the convolution part is
@@ -202,31 +203,28 @@ class ScatteringKernel:
         t = np.asarray(theta_prime, dtype=float) + np.pi
         return np.exp(-1j * (self.winding * t + self.phase_in(t)))
 
+    def _dirichlet_rows(self, theta: np.ndarray) -> np.ndarray:
+        """Trigonometric-interpolation weights of the grid angles at each angle:
+        D[p, a] = (1/M) sum_j e^{i j theta[p]} e^{-2 pi i j a / M}, summed over
+        the centred frequencies j; M values per angle."""
+        M = self.n_grid
+        js = np.fft.fftfreq(M, d=1.0 / M).astype(int)
+        return np.fft.fft(np.exp(1j * np.outer(theta, js)), axis=1) / M
+
     def remainder_at(self, theta, theta_prime) -> np.ndarray:
         """Trigonometric interpolation of the remainder grid (exact for
         band-limited remainders; only meaningful off the diagonal): the
-        (len(theta), len(theta_prime)) table, or a number for two numbers."""
-        th = np.atleast_1d(np.asarray(theta, dtype=float))
-        tp = np.atleast_1d(np.asarray(theta_prime, dtype=float))
-        M = self.n_grid
-        fr = np.fft.fft2(self.remainder) / M**2
-        js = np.fft.fftfreq(M, d=1.0 / M).astype(int)
-        Eo = np.exp(1j * np.outer(th, js))
-        Ei = np.exp(1j * np.outer(js, tp))
-        vals = Eo @ fr @ Ei
+        (len(theta), len(theta_prime)) table D_out R D_in^T, or a number for
+        two numbers."""
+        d_out = self._dirichlet_rows(np.atleast_1d(np.asarray(theta, dtype=float)))
+        d_in = self._dirichlet_rows(np.atleast_1d(np.asarray(theta_prime, dtype=float)))
+        vals = d_out @ self.remainder @ d_in.T
         return vals[0, 0] if (np.isscalar(theta) and np.isscalar(theta_prime)) else vals
 
     def _remainder_paired(self, th: np.ndarray, tp: np.ndarray) -> np.ndarray:
-        """R(th[p], tp[p]) for two equal-length vectors, by the same
-        interpolation as remainder_at: the Dirichlet weight rows
-        D[p, a] = (1/M) sum_j e^{i j th[p]} e^{-2 pi i j a / M} of both
-        angles contract the grid directly, D_out R D_in^T read on its
-        diagonal, with no 2-D transform of the grid."""
-        M = self.n_grid
-        js = np.fft.fftfreq(M, d=1.0 / M).astype(int)
-        d_out = np.fft.fft(np.exp(1j * np.outer(th, js)), axis=1) / M
-        d_in = np.fft.fft(np.exp(1j * np.outer(tp, js)), axis=1) / M
-        return ((d_out @ self.remainder) * d_in).sum(axis=1)
+        """R(th[p], tp[p]) for two equal-length vectors: the diagonal of
+        remainder_at's table, without forming the table."""
+        return ((self._dirichlet_rows(th) @ self.remainder) * self._dirichlet_rows(tp)).sum(axis=1)
 
     def evaluate(self, theta, theta_prime) -> np.ndarray:
         """Kernel value away from the diagonal (the delta term is excluded).
@@ -442,14 +440,15 @@ def kernel_distance(S1, S2) -> float:
     """Off-diagonal sup distance plus channel-spectrum distance.
 
     The diagonal band (|i - j| <= DIAG_MARGIN_CELLS, cyclically) is excluded:
-    remainders may blow up there and the delta term is not discretized.
+    remainders may blow up there and the delta term is not discretized. On
+    the sphere, direction pairs within angular.FAR_PAIR_ANGLE of each other are.
     """
     if isinstance(S1, SphereScatteringKernel) and isinstance(S2, SphereScatteringKernel):
         if S1.grid is not S2.grid and S1.grid.refinement != S2.grid.refinement:
             raise GridMismatch("kernels on different sphere grids")
         if S1.lam != S2.lam:
             raise GridMismatch("kernels at different energies")
-        return float(np.max(np.abs(S1.values - S2.values)[S1.grid.far_pairs(0.15)]))
+        return float(np.max(np.abs(S1.values - S2.values)[S1.grid.far_pairs()]))
     if not (isinstance(S1, ScatteringKernel) and isinstance(S2, ScatteringKernel)):
         raise DimensionMismatch("kernel types differ")
     if S1.n_grid != S2.n_grid:

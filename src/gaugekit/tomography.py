@@ -24,8 +24,8 @@ by cosh(l arccosh(t/r)), where the exterior problem is ill-posed, so they
 are dropped beyond an amplification cap and recorded. Offset derivatives of
 sampled data come from a not-a-knot cubic spline on the sampled offsets
 (_not_a_knot_slopes), one tridiagonal solve for all columns of a bank; the
-harmonic integrals read the derivatives of all kept harmonics at nodes
-located once (_spline_derivative on columns).
+harmonic integrals read every kept harmonic's spline at quadrature nodes
+located once (_spline_interval).
 """
 from __future__ import annotations
 
@@ -565,20 +565,24 @@ def _not_a_knot_slopes(x, y) -> np.ndarray:
     return b
 
 
-def _spline_derivative(x, y, slopes, t) -> np.ndarray:
+def _spline_interval(x, t):
+    """Index i of the interval x[i] <= t < x[i + 1] that holds each point t
+    in [x[0], x[-1]] (the last one closed), and the offset t - x[i]."""
+    i = np.clip(np.searchsorted(x, t, side="right") - 1, 0, x.size - 2)
+    return i, t - x[i]
+
+
+def _spline_derivative(x, y, slopes, t, interval=None) -> np.ndarray:
     """Derivative at points t in [x[0], x[-1]] of the cubic through the knot
     values y with the knot slopes given (as from _not_a_knot_slopes), on
-    the interval x[i] <= t < x[i + 1] that holds each point (the last one
-    closed). y and slopes are (n,) or (n, c), one spline per column; the
-    points are located once for all columns, and the result is shaped
-    t.shape + y.shape[1:]."""
-    trail = (1,) * (np.ndim(y) - 1)  # broadcasts over the columns
-    dx = np.diff(x).reshape((-1,) + trail)
-    slope = np.diff(y, axis=0) / dx
+    the interval that holds each point; interval is _spline_interval(x, t),
+    passed when several splines are read at the same points. y and slopes
+    are (n,) columns; the result is shaped like t."""
+    dx = np.diff(x)
+    slope = np.diff(y) / dx
     excess = (slopes[:-1] + slopes[1:] - 2 * slope) / dx
     cubic, quadratic = excess / dx, (slope - slopes[:-1]) / dx - excess  # per interval
-    i = np.clip(np.searchsorted(x, t, side="right") - 1, 0, x.size - 2)
-    h = (t - x[i]).reshape(np.shape(t) + trail)
+    i, h = _spline_interval(x, t) if interval is None else interval
     return (3 * cubic[i] * h + 2 * quadratic[i]) * h + slopes[i]
 
 
@@ -626,11 +630,12 @@ def radon_invert_scalar(sino: Sinogram) -> PolarGridField:
     s = 0.5 * smax[:, None] * (xg[None, :] + 1.0)
     sw = 0.5 * smax[:, None] * wg[None, :]
     tv = np.minimum(radii[:, None] * np.cosh(s), T)
-    dpl = _spline_derivative(t_pos, p_hat[kept].T, slopes, tv)  # (radii, nodes, kept)
+    interval = _spline_interval(t_pos, tv)  # the same nodes for every harmonic
     out = np.zeros((radii.size, _INVERT_THETAS), dtype=complex)
     for j, il in enumerate(kept):
         l = ls[il]
-        vl = -(1.0 / np.pi) * np.sum(dpl[..., j] * np.cosh(l * s) * sw, axis=1)
+        dpl = _spline_derivative(t_pos, p_hat[il], slopes[:, j], tv, interval)
+        vl = -(1.0 / np.pi) * np.sum(dpl * np.cosh(l * s) * sw, axis=1)
         out += vl[:, None] * np.exp(1j * l * thetas[None, :])
     return PolarGridField(radii=radii, thetas=thetas, values=out.real,
                           annulus=(float(radii[0]), float(radii[-1])),

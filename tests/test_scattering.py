@@ -348,14 +348,21 @@ class TestEvaluate:
         base = singular_offdiagonal(S.alpha, th - tp)
         assert np.max(np.abs(value - pref * (base + want))) <= 1e-14 * np.max(np.abs(value))
 
-    def test_remainder_at_returns_the_outer_table(self):
+    def test_remainder_at_returns_the_outer_table(self, monkeypatch):
         S = _structured_kernel(64)
         th, tp = np.array([0.5, 1.5, 2.5]), np.array([3.0, 4.0])
+        want = [fft2_remainder_pairs(S, th, np.full(3, tp[j])) for j in range(2)]
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("fft2 of the remainder grid")
+
+        monkeypatch.setattr(np.fft, "fft2", refuse)
         table = S.remainder_at(th, tp)
         assert table.shape == (3, 2)
         for j in range(2):
-            np.testing.assert_allclose(table[:, j], fft2_remainder_pairs(S, th, np.full(3, tp[j])),
-                                       rtol=0, atol=1e-15)
+            np.testing.assert_allclose(table[:, j], want[j], rtol=0, atol=1e-15)
+        one = S.remainder_at(0.5, 3.0)
+        assert np.ndim(one) == 0 and abs(one - table[0, 0]) <= 1e-15
 
     def test_near_diagonal_growth_takes_no_fft2(self, monkeypatch):
         S = _structured_kernel(256)
@@ -654,8 +661,8 @@ class TestSphereSolver:
         K1 = synthesize_sphere_kernel(grid)
         K2 = apply_gauge_to_kernel(K1, GaugeElement(dimension=3, phi_callable=_even_phase()))
         d = kernel_distance(K1, K2)
-        mask = grid.far_pairs(0.15)
-        assert grid.far_pairs(0.15) is mask
+        mask = grid.far_pairs()
+        assert grid.far_pairs() is mask
         assert not mask.flags.writeable
         np.testing.assert_array_equal(mask, grid.vertices @ grid.vertices.T < np.cos(0.15))
         assert d == np.max(np.abs(K1.values - K2.values)[mask])

@@ -49,7 +49,12 @@ from gaugekit.tomography import (
     resolve_winding,
     synthetic_winding_family,
 )
-from gaugekit.tomography import _line_rule, _not_a_knot_slopes, _spline_derivative
+from gaugekit.tomography import (
+    _line_rule,
+    _not_a_knot_slopes,
+    _spline_derivative,
+    _spline_interval,
+)
 from oracles import adaptive_line_integral, line_integral_vector_quadrature
 
 
@@ -439,16 +444,17 @@ class TestNotAKnotSpline:
         np.testing.assert_allclose(_not_a_knot_slopes(x, x**3 - 2 * x), 3 * x**2 - 2,
                                    rtol=1e-13, atol=1e-13)
 
-    def test_columns_match_one_column_at_a_time(self):
+    def test_shared_interval_matches_own_lookup(self):
         rng = np.random.default_rng(4)
         x = 1.001 + np.cumsum(rng.uniform(0.05, 1.0, 40))
         y = rng.standard_normal((40, 6)) + 1j * rng.standard_normal((40, 6))
         slopes = _not_a_knot_slopes(x, y)
-        t = rng.uniform(x[0], x[-1], (7, 9))
-        got = _spline_derivative(x, y, slopes, t)
-        assert got.shape == (7, 9, 6)
+        t = np.concatenate([x, rng.uniform(x[0], x[-1], 65)]).reshape(7, 15)
+        interval = _spline_interval(x, t)
         for j in range(6):
-            np.testing.assert_array_equal(got[..., j], _spline_derivative(x, y[:, j], slopes[:, j], t))
+            got = _spline_derivative(x, y[:, j], slopes[:, j], t, interval)
+            assert got.shape == (7, 15)
+            np.testing.assert_array_equal(got, _spline_derivative(x, y[:, j], slopes[:, j], t))
 
     def test_inversion_locates_the_nodes_once(self, monkeypatch):
         angles, offsets = parallel_geometry(45, 64, 1.001, 3.5)
