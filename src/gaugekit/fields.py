@@ -5,6 +5,11 @@ transversal part (x . A = 0), a short-range remainder with a declared decay
 envelope, and an electric potential. The transversal part in the plane is
 determined by a circle profile; every such profile splits into a constant
 flux times the vortex field plus an exact gradient of a periodic function.
+
+Every numerical derivative is a central difference from central_partials,
+which calls the differentiated function once on all stencil points: the
+curl, the gradient of a direction function and the gradient of a gauge
+scalar L, each with its own step.
 """
 from __future__ import annotations
 
@@ -364,6 +369,27 @@ def flux(field, circle_radius: float) -> float:
     return float(np.sum(vals * tangents) * circle_radius / _FLUX_NODES)
 
 
+def central_partials(evaluate: Callable, points, h) -> np.ndarray:
+    """Partial derivatives (f(p + h e_j) - f(p - h e_j)) / 2h of f along every
+    axis j at (m, n) points, with h a number or an (m,) array of steps.
+
+    f maps a (k, n) array of points to its k values (numbers or vectors); it
+    is called once, on the 2 n stencil point sets stacked. Entry [i, j] of
+    the result is the partial along axis j at point i: shape (m, n) for
+    scalar f, (m, n, c) for c-vector f.
+    """
+    p = np.asarray(points, dtype=float)
+    m, n = p.shape
+    step = np.broadcast_to(np.asarray(h, dtype=float), (m,))
+    shift = step[:, None, None] * np.eye(n)  # (point, axis, coordinate)
+    stencil = np.empty((2, m, n, n))  # filled in place: no stacking copy
+    np.add(p[:, None], shift, out=stencil[0])
+    np.subtract(p[:, None], shift, out=stencil[1])
+    vals = np.asarray(evaluate(stencil.reshape(-1, n)), dtype=float)
+    vals = vals.reshape((2, m, n) + vals.shape[1:])
+    return (vals[0] - vals[1]) / (2 * step).reshape((m,) + (1,) * (vals.ndim - 2))
+
+
 def curl(field, points, step_rel: float = 1e-3):
     """Centered-difference curl at the given points, with step step_rel * |x|.
 
@@ -382,31 +408,21 @@ def curl(field, points, step_rel: float = 1e-3):
         evaluate = field
     else:
         evaluate = field
-        probe = np.asarray(points, dtype=float)
-        dim = probe.shape[-1]
+        dim = np.shape(points)[-1]
     p, single = _points(points, dim)
     r = np.linalg.norm(p, axis=1)
     h = step_rel * r
     if np.any(r - h * np.sqrt(dim) <= obstacle_radius):
         raise RegionTouchesObstacle("difference stencil reaches the obstacle")
-
-    partial = []
-    for j in range(dim):
-        e = np.zeros(dim)
-        e[j] = 1.0
-        plus = np.asarray(evaluate(p + h[:, None] * e), dtype=float)
-        minus = np.asarray(evaluate(p - h[:, None] * e), dtype=float)
-        partial.append((plus - minus) / (2 * h)[:, None])  # d A / d x_j, shape (m, dim)
+    if dim not in (2, 3):
+        raise DimensionMismatch("curl implemented for dimensions 2 and 3")
+    d = central_partials(evaluate, p, h)  # d[:, j, k] = d A_k / d x_j
     if dim == 2:
-        out = partial[0][:, 1] - partial[1][:, 0]
+        out = d[:, 0, 1] - d[:, 1, 0]
         return float(out[0]) if single else out
-    if dim == 3:
-        b12 = partial[0][:, 1] - partial[1][:, 0]
-        b13 = partial[0][:, 2] - partial[2][:, 0]
-        b23 = partial[1][:, 2] - partial[2][:, 1]
-        out = np.column_stack([b12, b13, b23])
-        return out[0] if single else out
-    raise DimensionMismatch("curl implemented for dimensions 2 and 3")
+    out = np.column_stack([d[:, 0, 1] - d[:, 1, 0], d[:, 0, 2] - d[:, 2, 0],
+                           d[:, 1, 2] - d[:, 2, 1]])
+    return out[0] if single else out
 
 
 def sample_on_spheres(f: Callable, radii: Sequence[float], grid: SphereGrid) -> np.ndarray:
@@ -470,14 +486,14 @@ def gradient_of_direction_function(psi: Callable, points: np.ndarray,
     it is called once, on the six stencil arrays stacked.
     """
     p, single = _points(points, 3)
-    e = step * np.eye(3)
-    q = np.concatenate([p[None] + e[:, None], p[None] - e[:, None]])  # (6, m, 3)
-    q = q / np.linalg.norm(q, axis=2)[..., None]
-    vals = np.asarray(psi(q.reshape(-1, 3)), dtype=float)
-    if vals.shape != (q.shape[0] * q.shape[1],):
-        raise ValueError("direction function must map (k,3) unit vectors to (k,) values")
-    vals = vals.reshape(2, 3, p.shape[0])
-    out = ((vals[0] - vals[1]) / (2 * step)).T
+
+    def on_directions(q):
+        vals = np.asarray(psi(q / np.linalg.norm(q, axis=1)[:, None]), dtype=float)
+        if vals.shape != (q.shape[0],):
+            raise ValueError("direction function must map (k,3) unit vectors to (k,) values")
+        return vals
+
+    out = central_partials(on_directions, p, step)
     return out[0] if single else out
 
 
@@ -514,19 +530,11 @@ def apply_gauge_to_potential(config: PotentialConfig, g: GaugeElement) -> Potent
         L = g.scalar.func
         dim = config.dimension
 
-        def grad_L(p, _L=L, _dim=dim):
-            p = np.asarray(p, dtype=float)
-            out = np.zeros_like(p)
+        def grad_L(p, _L=L):
             # step balances truncation against roundoff: downstream consumers
             # differentiate integrals of this field, so the error must stay
             # smooth in p rather than minimal at a single point
-            h = 1e-4 * np.maximum(1.0, np.linalg.norm(p, axis=1))
-            for j in range(_dim):
-                e = np.zeros(_dim)
-                e[j] = 1.0
-                out[:, j] = (np.asarray(_L(p + h[:, None] * e)) -
-                             np.asarray(_L(p - h[:, None] * e))) / (2 * h)
-            return out
+            return central_partials(_L, p, 1e-4 * np.maximum(1.0, np.linalg.norm(p, axis=1)))
 
         if short_range is None:
             short_range = ShortRangeField(dimension=dim, func=grad_L, envelope=g.scalar.envelope)

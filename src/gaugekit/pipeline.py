@@ -30,6 +30,7 @@ from .fields import (
     PotentialConfig,
     ShortRangeField,
     apply_gauge_to_potential,
+    central_partials,
     curl,
     decompose_transversal,
     extract_leading_order,
@@ -105,15 +106,9 @@ class Scenario:
             raise ValueError("unsupported scenario schema version")
         cfg1 = catalog.config_from_dict(data["config1"])
         cfg2 = catalog.config_from_dict(data["config2"]) if data.get("config2") else None
-        return cls(kind=data["kind"], config1=cfg1, config2=cfg2,
-                   geometry=data.get("geometry", {
-                       "n_angles": 180, "n_offsets": 256, "r_min": 1.001, "r_max": 3.5}),
-                   tolerances=data.get("tolerances", {}),
-                   kernels=data.get("kernels", {"n_grid": 512, "lam": 1.0}),
-                   seed=int(data.get("seed", 11)),
-                   label=data.get("label", ""),
-                   obstacle_convex=bool(data.get("obstacle_convex", True)),
-                   output_dir=data.get("output_dir"))
+        options = {k: data[k] for k in ("geometry", "tolerances", "kernels", "seed", "label",
+                                        "obstacle_convex", "output_dir") if k in data}
+        return cls(kind=data["kind"], config1=cfg1, config2=cfg2, **options)
 
     @classmethod
     def load(cls, path) -> "Scenario":
@@ -447,9 +442,7 @@ def _gradient_residual(gs, field_obj, r_in: float, r_out: float, seed: int) -> f
     r = rng.uniform(r_in, r_out, n_probe)
     th = rng.uniform(0, 2 * np.pi, n_probe)
     pts = np.column_stack([r * np.cos(th), r * np.sin(th)])
-    steps = np.array([1.0, -1.0])[:, None, None] * (h * np.eye(2))  # (sign, axis, coord)
-    vals = gs.evaluate((pts[:, None, None, :] + steps).reshape(-1, 2)).reshape(n_probe, 2, 2)
-    grad = (vals[:, 0] - vals[:, 1]) / (2 * h)
+    grad = central_partials(gs.evaluate, pts, h)
     return float(np.max(np.abs(grad - np.asarray(field_obj(pts)))))
 
 

@@ -10,9 +10,10 @@ arithmetic and off-diagonal closed forms carry the singular part exactly.
 On the uniform cyclic angle grid a cell (i, j) is read by its offset
 k = (i - j) mod M: the singular part, the angle gap and the diagonal-band mask
 are length-M tables in k, and kernel values read the singular table over all
-cells (value_grid) or on one band theta' = theta - 2 pi p / M (band). Each
-kernel builds its tables once, on the first read: the two prefactors on the
-M grid angles and the singular part per offset. Per-offset maxima (the
+cells through a read-only circulant view (value_grid) or on one band
+theta' = theta - 2 pi p / M (band). Each kernel builds its tables once, on
+the first read: the two prefactors on the M grid angles and the singular
+part per offset. Per-offset maxima (the
 remainder bound's check and fit, and the off-diagonal distance) read a
 skewed strided view of the column-doubled array, whose columns run along the
 offsets, so no M x M gather is formed (_offset_max).
@@ -43,10 +44,10 @@ spectrum(gauged kernel) = spectrum of flux alpha + m.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from functools import cached_property, lru_cache
+from functools import cached_property
 
 import numpy as np
-from numpy.lib.stride_tricks import as_strided
+from numpy.lib.stride_tricks import as_strided, sliding_window_view
 
 from .angular import AngularFunction, SphereFunction, SphereGrid
 from .errors import (
@@ -177,7 +178,7 @@ class ScatteringKernel:
             raise ValueError("remainder bound exponent must lie in [0, 1)")
         R.flags.writeable = False
         object.__setattr__(self, "remainder", R)
-        verify_remainder_bound(self.thetas, R, self.bound_C, self.bound_delta)
+        verify_remainder_bound(R, self.bound_C, self.bound_delta)
 
     @property
     def n_grid(self) -> int:
@@ -261,7 +262,7 @@ class ScatteringKernel:
         hold only prefactor * remainder; comparisons must mask the band)."""
         out, inc, singular = self._grid_tables
         pref = np.multiply.outer(out, inc)
-        return pref * (singular[_cyclic_offsets(self.n_grid)[0]] + self.remainder)
+        return pref * (_circulant(singular) + self.remainder)
 
     def band(self, p: int) -> np.ndarray:
         """Values on the band theta' = theta - 2 pi p / M, as value_grid() gives them."""
@@ -312,18 +313,14 @@ class ScatteringKernel:
         return (body[:, 2] + 1j * body[:, 3]).reshape(M, M)
 
 
-@lru_cache(maxsize=None)
-def _cyclic_offsets(M: int):
-    """Offset k = (i - j) mod M of each cell (i, j) of the uniform M-grid (as
-    a column index, row i's cell on offset k), and min(k, M - k) for each k.
-    Read-only, built once per M."""
-    k = np.arange(M)
-    offsets = np.subtract.outer(k, k)
-    offsets[offsets < 0] += M
-    cells = np.minimum(k, M - k)
-    offsets.flags.writeable = False
-    cells.flags.writeable = False
-    return offsets, cells
+def _circulant(t: np.ndarray) -> np.ndarray:
+    """Read-only M x M view whose cell (i, j) is t[(i - j) mod M], with no
+    M x M array formed. The table reversed and wrapped once,
+    w = t[M-1], ..., t[0], t[M-1], ..., t[1], has w[n] = t[(M - 1 - n) mod M],
+    so its M-windows hold t[(M - 1 - a - j) mod M] at row a; reversing the
+    rows (a = M - 1 - i) gives t[(i - j) mod M]."""
+    r = t[::-1]
+    return sliding_window_view(np.concatenate([r, r[:-1]]), t.size)[::-1]
 
 
 def _offset_max(A: np.ndarray) -> np.ndarray:
@@ -340,26 +337,25 @@ def _offset_max(A: np.ndarray) -> np.ndarray:
     return skewed.max(axis=0)[-np.arange(M) % M]
 
 
-def _offdiagonal_peaks(M: int, remainder: np.ndarray):
+def _offdiagonal_peaks(remainder: np.ndarray):
     """Angle gap 2 pi min(k, M - k) / M and largest |R| per offset k = 1..M-1."""
-    cells = _cyclic_offsets(M)[1]
-    return 2 * np.pi * cells[1:] / M, _offset_max(np.abs(remainder))[1:]
+    M = remainder.shape[0]
+    k = np.arange(1, M)
+    return 2 * np.pi * np.minimum(k, M - k) / M, _offset_max(np.abs(remainder))[1:]
 
 
-def verify_remainder_bound(thetas: np.ndarray, remainder: np.ndarray,
-                           C: float, delta: float) -> None:
+def verify_remainder_bound(remainder: np.ndarray, C: float, delta: float) -> None:
     """Check |R(theta, theta')| <= C dist(theta, theta')^{-delta} off the diagonal."""
-    gap, peak = _offdiagonal_peaks(np.size(thetas), remainder)
+    gap, peak = _offdiagonal_peaks(remainder)
     worst = np.max(peak - C * gap ** (-delta))
     if worst > 1e-12 * max(1.0, C):
         raise RemainderBoundViolated(
             f"remainder exceeds C dist^-delta bound by {worst:.3e}")
 
 
-def fit_remainder_bound(thetas: np.ndarray, remainder: np.ndarray,
-                        delta: float = 0.5) -> float:
+def fit_remainder_bound(remainder: np.ndarray, delta: float = 0.5) -> float:
     """Smallest constant C certifying |R| <= C dist^{-delta}, padded 5 percent."""
-    gap, peak = _offdiagonal_peaks(np.size(thetas), remainder)
+    gap, peak = _offdiagonal_peaks(remainder)
     top = float(np.max(peak * gap ** delta))
     return 1.05 * top if top > 0 else 0.0
 
@@ -386,7 +382,6 @@ def assemble_kernel(alpha: float, a0_in: AngularFunction | None = None,
     zero = AngularFunction.zero()
     a0_in = zero if a0_in is None else a0_in
     a0_out = zero if a0_out is None else a0_out
-    thetas = np.arange(n_grid) * 2 * np.pi / n_grid
     if smooth is None:
         R = np.zeros((n_grid, n_grid), dtype=complex)
     elif callable(smooth):
@@ -395,7 +390,7 @@ def assemble_kernel(alpha: float, a0_in: AngularFunction | None = None,
         R = np.asarray(smooth, dtype=complex)
         if R.shape != (n_grid, n_grid):
             raise ValueError("remainder grid shape must match n_grid")
-    C = fit_remainder_bound(thetas, R, bound_delta) if bound_C is None else float(bound_C)
+    C = fit_remainder_bound(R, bound_delta) if bound_C is None else float(bound_C)
     return ScatteringKernel(alpha=float(alpha), winding=int(winding),
                             phase_out=a0_out, phase_in=a0_in, remainder=R,
                             bound_C=C, bound_delta=float(bound_delta), lam=float(lam))
@@ -461,7 +456,8 @@ def kernel_distance(S1, S2) -> float:
 def _plane_distance(S1: ScatteringKernel, S2: ScatteringKernel, grid2: np.ndarray) -> float:
     """kernel_distance of two plane kernels on one grid, given S2's value grid:
     the largest |S1 - S2| per offset, kept off the diagonal band."""
-    far = _cyclic_offsets(S1.n_grid)[1] > DIAG_MARGIN_CELLS
+    k = np.arange(S1.n_grid)
+    far = np.minimum(k, S1.n_grid - k) > DIAG_MARGIN_CELLS
     off = float(np.max(_offset_max(np.abs(S1.value_grid() - grid2))[far]))
     return off + S1.channel_spectrum().distance(S2.channel_spectrum())
 

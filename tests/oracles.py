@@ -4,9 +4,10 @@ Adaptive-quadrature line integrals (one callback per point), the
 principal-value quadrature of one flux-kernel channel, the sphere solver's
 phase fit as a dense least-squares problem, the plane kernel's value
 matrix evaluated cell by cell, its per-offset maximum by a gather of every
-cell, and its remainder interpolated through the full 2-D transform, kept
-only to check the library against an independent method; plus a field
-wrapper that counts evaluation points.
+cell, its remainder interpolated through the full 2-D transform, and
+central differences taken one axis at a time, kept only to check the
+library against an independent method; plus a field wrapper that counts
+evaluation points.
 """
 import numpy as np
 from scipy.integrate import quad
@@ -136,6 +137,23 @@ def fft2_remainder_pairs(S, theta, theta_prime):
     js = np.fft.fftfreq(M, d=1.0 / M).astype(int)
     table = np.exp(1j * np.outer(theta, js)) @ fr @ np.exp(1j * np.outer(js, theta_prime))
     return np.diag(table)
+
+
+def per_axis_partials(evaluate, points, h):
+    """Central differences (f(p + h e_j) - f(p - h e_j)) / 2h one axis at a
+    time, with two calls of f per axis; h is a number or one step per point.
+    Entry [i, j] is the partial along axis j at point i."""
+    p = np.asarray(points, dtype=float)
+    m, n = p.shape
+    h = np.broadcast_to(np.asarray(h, dtype=float), (m,))
+    partial = []
+    for j in range(n):
+        e = np.zeros(n)
+        e[j] = 1.0
+        plus = np.asarray(evaluate(p + h[:, None] * e), dtype=float)
+        minus = np.asarray(evaluate(p - h[:, None] * e), dtype=float)
+        partial.append((plus - minus) / (2 * h).reshape((m,) + (1,) * (plus.ndim - 1)))
+    return np.stack(partial, axis=1)
 
 
 class CountingField:

@@ -1,6 +1,7 @@
 """Vortex potentials, flux decomposition, gauge action, leading orders."""
 import numpy as np
 import pytest
+from oracles import per_axis_partials
 
 from gaugekit import catalog
 from gaugekit.angular import AngularFunction, SphereFunction, sphere_grid
@@ -14,8 +15,10 @@ from gaugekit.errors import (
 from gaugekit.fields import (
     GaugeElement,
     PotentialConfig,
+    ScalarPotential,
     TransversalField,
     apply_gauge_to_potential,
+    central_partials,
     curl,
     decompose_transversal,
     eval_ab_potential,
@@ -171,6 +174,93 @@ class TestCurl:
         pts = np.array([[2.0, 1.0, 1.5], [-1.0, 2.5, 0.5]])
         vals = curl(tr, pts, step_rel=1e-5)
         assert vals.shape == (2, 3)
+
+
+def _counted(func, calls):
+    def counted(p):
+        calls.append(len(p))
+        return func(p)
+    return counted
+
+
+class TestCentralPartials:
+    @pytest.mark.parametrize("steps", ["scalar", "per_point"])
+    @pytest.mark.parametrize("values", ["scalar", "vector"])
+    def test_exact_on_a_quadratic(self, steps, values):
+        rng = np.random.default_rng(4)
+        A = rng.standard_normal((2, 3, 3))
+        b = rng.standard_normal((2, 3))
+        pts = rng.uniform(-1.0, 1.0, (40, 3))
+
+        def f(p):
+            out = np.einsum("mi,cij,mj->mc", p, A, p) + p @ b.T + 0.7
+            return out[:, 0] if values == "scalar" else out
+
+        want = np.einsum("mj,cij->mic", pts, A + A.transpose(0, 2, 1)) + b.T
+        if values == "scalar":
+            want = want[..., 0]
+        h = 0.3 if steps == "scalar" else rng.uniform(0.1, 0.5, 40)
+        calls = []
+        got = central_partials(_counted(f, calls), pts, h)
+        assert got.shape == want.shape
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+        assert calls == [6 * 40]
+
+    def _plane_config(self):
+        return PotentialConfig(
+            dimension=2, obstacle_radius=1.0,
+            transversal=TransversalField.from_profile(
+                AngularFunction.constant(0.3) + AngularFunction.harmonic(2, sin_amp=0.2)),
+            short_range=catalog.build_vector("grad_bumps", {"bumps": [[0.5, 1.8, 0.4, 0.6]]}))
+
+    def _space_config(self):
+        return PotentialConfig(
+            dimension=3, obstacle_radius=1.0,
+            transversal=catalog.cross_axis_transversal(axis=(0.0, 0.0, 1.0), c=0.4),
+            short_range=catalog.build_vector("grad_bumps", {"bumps": [[0.4, 1.3, 0.2, -0.3, 0.55]]},
+                                             dimension=3))
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_curl_matches_per_axis_reference(self, dim):
+        cfg = self._plane_config() if dim == 2 else self._space_config()
+        rng = np.random.default_rng(dim)
+        pts = rng.normal(size=(60, dim))
+        pts *= rng.uniform(1.2, 4.0, (60, 1)) / np.linalg.norm(pts, axis=1)[:, None]
+        d = per_axis_partials(cfg.vector_potential, pts, 1e-3 * np.linalg.norm(pts, axis=1))
+        pairs = [(0, 1)] if dim == 2 else [(0, 1), (0, 2), (1, 2)]
+        want = np.column_stack([d[:, i, j] - d[:, j, i] for i, j in pairs])
+        np.testing.assert_array_equal(curl(cfg, pts), want[:, 0] if dim == 2 else want)
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_curl_calls_its_field_once(self, dim):
+        base = self._plane_config() if dim == 2 else self._space_config()
+        calls = []
+        pts = np.full((7, dim), 1.5)
+        curl(_counted(base.vector_potential, calls), pts)
+        assert calls == [2 * dim * 7]
+
+    def test_gauge_scalar_gradient_matches_per_axis_reference(self):
+        L = catalog.build_scalar("gaussian_bumps", {"bumps": [[0.6, 1.9, -0.5, 0.5]]})
+        calls = []
+        counted = ScalarPotential(dimension=2, func=_counted(L.func, calls), envelope=L.envelope)
+        cfg = PotentialConfig(dimension=2, obstacle_radius=1.0)
+        gauged = apply_gauge_to_potential(cfg, GaugeElement(dimension=2, scalar=counted))
+        rng = np.random.default_rng(9)
+        pts = rng.uniform(1.2, 4.0, (50, 1)) * _unit(rng, 50)
+        got = gauged.short_range(pts)
+        assert calls == [4 * 50]
+        h = 1e-4 * np.maximum(1.0, np.linalg.norm(pts, axis=1))
+        np.testing.assert_array_equal(got, per_axis_partials(L.func, pts, h))
+
+    def test_direction_gradient_matches_per_axis_reference(self):
+        rng = np.random.default_rng(12)
+        pts = _directions(rng, 40) * rng.uniform(1.2, 5.0, (40, 1))
+
+        def on_directions(q):
+            return _space_phase(q / np.linalg.norm(q, axis=1)[:, None])
+
+        np.testing.assert_array_equal(gradient_of_direction_function(_space_phase, pts),
+                                      per_axis_partials(on_directions, pts, 1e-6))
 
 
 def _directions(rng, n):

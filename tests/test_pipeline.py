@@ -1,6 +1,8 @@
 """Scenario runners: classification, reconstruction, report emission, CLI."""
 import dataclasses
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -99,6 +101,16 @@ class TestScenario:
         assert back.to_json() == sc.to_json()
         assert back.seed == 7
         assert back.kind == "reconstruct"
+
+    def test_minimal_json_takes_the_dataclass_defaults(self):
+        cfg = _plane_config(0.3)
+        text = json.dumps({"schema_version": 1, "kind": "reconstruct",
+                           "config1": catalog.config_to_dict(cfg)})
+        sc = Scenario.from_json(text)
+        assert sc.to_json() == Scenario(kind="reconstruct", config1=cfg).to_json()
+        assert (sc.geometry, sc.kernels, sc.seed, sc.obstacle_convex) == (
+            {"n_angles": 180, "n_offsets": 256, "r_min": 1.001, "r_max": 3.5},
+            {"n_grid": 512, "lam": 1.0}, 11, True)
 
     def test_schema_version_guard(self):
         with pytest.raises(ValueError):
@@ -598,6 +610,17 @@ class TestCli:
         capsys.readouterr()
         assert cli.main(["report", "--report", str(out / "report.json")]) == 0
         assert "verdict: reconstructed" in capsys.readouterr().out
+
+    def test_readme_classify_demo_prints_the_shown_output(self, tmp_path, monkeypatch, capsys):
+        readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+        authoring = next(block for block in re.findall(r"```python\n(.*?)```", readme, re.S)
+                         if 'open("scenario.json", "w")' in block)
+        command = "$ gaugekit classify --scenario scenario.json --out out_classify\n"
+        shown = readme.split(command, 1)[1].split("\n\n", 1)[0].splitlines()
+        monkeypatch.chdir(tmp_path)
+        exec(authoring, {})
+        assert cli.main(["classify", "--scenario", "scenario.json", "--out", "out_classify"]) == 0
+        assert capsys.readouterr().out.splitlines() == shown
 
     def test_kernel_build_gauge_solve_chain(self, tmp_path, capsys):
         k1 = str(tmp_path / "k1")

@@ -198,8 +198,7 @@ class TestAssembleKernel:
         rng = np.random.default_rng(5)
         M = 64
         R = 0.1 * (rng.standard_normal((M, M)) + 1j * rng.standard_normal((M, M)))
-        thetas = np.arange(M) * 2 * np.pi / M
-        C = fit_remainder_bound(thetas, R, 0.5)
+        C = fit_remainder_bound(R, 0.5)
         S = assemble_kernel(0.2, smooth=R, n_grid=M, bound_C=C)
         assert S.bound_C == pytest.approx(C)
 
@@ -270,18 +269,20 @@ class TestOffsetTables:
         dist = np.minimum(u, 2 * np.pi - u)
         off = ~np.eye(M, dtype=bool)
         want = 1.05 * np.max(np.abs(R[off]) * dist[off] ** delta)
-        C = fit_remainder_bound(th, R, delta)
+        C = fit_remainder_bound(R, delta)
         assert C == pytest.approx(want, rel=1e-12)
-        verify_remainder_bound(th, R, C, delta)
+        verify_remainder_bound(R, C, delta)
         with pytest.raises(RemainderBoundViolated):
-            verify_remainder_bound(th, R, 0.9 * C, delta)
+            verify_remainder_bound(R, 0.9 * C, delta)
 
-    def test_offset_table_read_only_and_shared(self):
-        offsets, cells = scattering._cyclic_offsets(64)
-        assert not offsets.flags.writeable and not cells.flags.writeable
-        assert scattering._cyclic_offsets(64)[0] is offsets
-        with pytest.raises(ValueError):
-            offsets[0, 1] = 0
+    @pytest.mark.parametrize("M", [16, 17, 64, 1024])
+    def test_circulant_view_matches_gather(self, M):
+        rng = np.random.default_rng(M)
+        t = rng.standard_normal(M) + 1j * rng.standard_normal(M)
+        i = np.arange(M)
+        view = scattering._circulant(t)
+        np.testing.assert_array_equal(view, t[(i[:, None] - i[None, :]) % M])
+        assert not view.flags.writeable
 
     @pytest.mark.parametrize("M", [16, 17, 64, 1024])
     def test_offset_max_matches_gather(self, M):
