@@ -18,6 +18,10 @@ DEFAULT_DEGREE = 64
 MEAN_TOL = 1e-10
 _REALNESS_TOL = 1e-9
 FAR_PAIR_ANGLE = 0.15  # radians; sphere kernel comparisons skip closer pairs
+# passes over all direction pairs of a sphere grid run over row blocks whose
+# complex temporaries stay near this size (12 rows at refinement 4), so each
+# block's temporaries stay in cache
+ROW_BLOCK_BYTES = 1 << 19
 
 
 @dataclass(frozen=True)
@@ -260,11 +264,28 @@ class SphereGrid:
             self._inv_cache["edges"] = e
         return self._inv_cache["edges"]
 
+    def row_blocks(self) -> list:
+        """Row slices covering the grid, about ROW_BLOCK_BYTES of complex
+        pair values each, cached. No block has a single row: a one-row
+        product V[i] @ V.T takes BLAS's matrix-vector path, whose sums may
+        differ in the last bit from the matrix-matrix path of the others."""
+        if "row_blocks" not in self._inv_cache:
+            n = self.size
+            starts = list(range(0, n, max(2, ROW_BLOCK_BYTES // (16 * n))))
+            if len(starts) > 1 and n - starts[-1] == 1:
+                starts.pop()
+            self._inv_cache["row_blocks"] = [slice(a, b) for a, b in zip(starts, starts[1:] + [n])]
+        return self._inv_cache["row_blocks"]
+
     def far_pairs(self) -> np.ndarray:
         """(size, size) mask of the vertex pairs more than FAR_PAIR_ANGLE
-        apart (w . w' < cos(FAR_PAIR_ANGLE)); read-only and cached."""
+        apart (w . w' < cos(FAR_PAIR_ANGLE)), built by row blocks; read-only
+        and cached."""
         if "far_pairs" not in self._inv_cache:
-            mask = self.vertices @ self.vertices.T < np.cos(FAR_PAIR_ANGLE)
+            V = self.vertices
+            mask = np.empty((self.size, self.size), dtype=bool)
+            for rows in self.row_blocks():
+                np.less(V[rows] @ V.T, np.cos(FAR_PAIR_ANGLE), out=mask[rows])
             mask.flags.writeable = False
             self._inv_cache["far_pairs"] = mask
         return self._inv_cache["far_pairs"]

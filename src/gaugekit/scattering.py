@@ -35,6 +35,11 @@ closed form was fixed against a principal-value quadrature oracle
 (ab_channel_pv_quadrature, kept with the test oracles in tests/oracles.py),
 not assumed.
 
+A sphere kernel is stored the same way: its ungauged base matrix and, once
+gauged, the out and in prefactor vectors e^{i phi(w)} and e^{-i phi(-w')}.
+Passes over all its pairs (maxima, kernel_distance, synthesis) run over row
+blocks (SphereGrid.row_blocks), so none forms a second n x n matrix.
+
 The gauge e^{i(m theta + phi)} multiplies kernels by e^{i(m theta + phi(theta))}
 on the left and e^{-i(m(theta' + pi) + phi(theta' + pi))} on the right; the
 sign conventions are pinned by requiring the action to compose as a group and
@@ -399,8 +404,10 @@ def assemble_kernel(alpha: float, a0_in: AngularFunction | None = None,
 def apply_gauge_to_kernel(S, g: GaugeElement):
     """Gauge action on kernels: out phase gains m theta + phi(theta), in phase
     gains the same profile read at theta' + pi; the flux parameters and the
-    remainder grid are untouched (the action is a pure prefactor). Short-range
-    scalar parts of g do not act on the kernel data model."""
+    remainder grid are untouched (the action is a pure prefactor). A sphere
+    kernel keeps its base matrix and gains the prefactor vectors e^{i phi(w)}
+    and e^{-i phi(-w')}, O(n). Short-range scalar parts of g do not act on
+    the kernel data model."""
     if isinstance(S, ScatteringKernel):
         if g.dimension != 2:
             raise DimensionMismatch("plane kernel requires a plane gauge")
@@ -415,7 +422,9 @@ def apply_gauge_to_kernel(S, g: GaugeElement):
         phi_vals = _gauge_phase_on_grid(g, S.grid)
         pref = np.exp(1j * phi_vals)
         anti = np.exp(-1j * phi_vals[S.grid.antipode])
-        return replace(S, values=pref[:, None] * S.values * anti[None, :])
+        if S.prefactor_out is not None:
+            pref, anti = pref * S.prefactor_out, S.prefactor_in * anti
+        return replace(S, prefactor_out=pref, prefactor_in=anti)
     raise DimensionMismatch("unsupported kernel type")
 
 
@@ -436,14 +445,15 @@ def kernel_distance(S1, S2) -> float:
 
     The diagonal band (|i - j| <= DIAG_MARGIN_CELLS, cyclically) is excluded:
     remainders may blow up there and the delta term is not discretized. On
-    the sphere, direction pairs within angular.FAR_PAIR_ANGLE of each other are.
+    the sphere, direction pairs within angular.FAR_PAIR_ANGLE of each other are,
+    and the kernels are compared by row blocks.
     """
     if isinstance(S1, SphereScatteringKernel) and isinstance(S2, SphereScatteringKernel):
         if S1.grid is not S2.grid and S1.grid.refinement != S2.grid.refinement:
             raise GridMismatch("kernels on different sphere grids")
         if S1.lam != S2.lam:
             raise GridMismatch("kernels at different energies")
-        return float(np.max(np.abs(S1.values - S2.values)[S1.grid.far_pairs()]))
+        return _sphere_distance(S1, S2)[0]
     if not (isinstance(S1, ScatteringKernel) and isinstance(S2, ScatteringKernel)):
         raise DimensionMismatch("kernel types differ")
     if S1.n_grid != S2.n_grid:
@@ -460,6 +470,18 @@ def _plane_distance(S1: ScatteringKernel, S2: ScatteringKernel, grid2: np.ndarra
     far = np.minimum(k, S1.n_grid - k) > DIAG_MARGIN_CELLS
     off = float(np.max(_offset_max(np.abs(S1.value_grid() - grid2))[far]))
     return off + S1.channel_spectrum().distance(S2.channel_spectrum())
+
+
+def _sphere_distance(S1: SphereScatteringKernel, S2: SphereScatteringKernel) -> tuple:
+    """kernel_distance of two sphere kernels on one grid, and S2's largest
+    |value|: one pass over row blocks, each block of S2 built once."""
+    far = S1.grid.far_pairs()
+    dist, top = [], []
+    for b in S1.grid.row_blocks():
+        v2 = S2.rows(b)
+        top.append(np.max(np.abs(v2)))
+        dist.append(np.max(np.abs(S1.rows(b) - v2)[far[b]]))
+    return float(np.max(dist)), float(np.max(top))
 
 
 def near_diagonal_growth(S: ScatteringKernel) -> tuple[float, float]:
@@ -479,33 +501,82 @@ def near_diagonal_growth(S: ScatteringKernel) -> tuple[float, float]:
 
 @dataclass(frozen=True)
 class SphereScatteringKernel:
-    """Kernel values on sphere-grid direction pairs, with a declared
-    singular-support flag (the diagonal principal-value structure cannot be
-    inferred from grid data; it is an input hypothesis)."""
+    """Kernel values on sphere-grid direction pairs in structural form: an
+    ungauged base matrix and, once gauged, the prefactor vectors
+    prefactor_out = e^{i phi(w)} and prefactor_in = e^{-i phi(-w')}, so the
+    value at (i, j) is (prefactor_out[i] * base[i, j]) * prefactor_in[j].
+    A gauge multiplies the two vectors and shares the base. The
+    singular-support flag is declared (the diagonal principal-value
+    structure cannot be inferred from grid data; it is an input
+    hypothesis)."""
 
     grid: SphereGrid
-    values: np.ndarray
+    base: np.ndarray
     lam: float = 1.0
     singular_support: bool = True
     dimension: int = 3
+    prefactor_out: np.ndarray | None = None
+    prefactor_in: np.ndarray | None = None
 
     def __post_init__(self):
-        v = np.asarray(self.values, dtype=complex)
-        if v.shape != (self.grid.size, self.grid.size):
-            raise ValueError("values must be square over the sphere grid")
+        n = self.grid.size
+        v = np.asarray(self.base, dtype=complex)
+        if v.shape != (n, n):
+            raise ValueError("base values must be square over the sphere grid")
         v.flags.writeable = False
-        object.__setattr__(self, "values", v)
+        object.__setattr__(self, "base", v)
+        if (self.prefactor_out is None) != (self.prefactor_in is None):
+            raise ValueError("a gauged sphere kernel needs both prefactor vectors")
+        for name in ("prefactor_out", "prefactor_in"):
+            if getattr(self, name) is not None:
+                p = np.asarray(getattr(self, name), dtype=complex)
+                if p.shape != (n,):
+                    raise ValueError("prefactor vectors must hold one value per grid node")
+                p.flags.writeable = False
+                object.__setattr__(self, name, p)
+
+    def rows(self, block: slice) -> np.ndarray:
+        """Values of a block of rows: a read-only view of the base when
+        ungauged, else a new array."""
+        b = self.base[block]
+        if self.prefactor_out is None:
+            return b
+        v = self.prefactor_out[block, None] * b
+        v *= self.prefactor_in
+        return v
+
+    @property
+    def values(self) -> np.ndarray:
+        """The full value matrix: the base itself when ungauged, else built
+        on each read (16 n^2 bytes)."""
+        return self.rows(slice(None))
+
+    def diagonal(self) -> np.ndarray:
+        d = np.diagonal(self.base)
+        return d if self.prefactor_out is None else self.prefactor_out * d * self.prefactor_in
+
+    def entries(self, i: np.ndarray, j: np.ndarray) -> np.ndarray:
+        """Values at the pairs (i[k], j[k])."""
+        e = self.base[i, j]
+        return e if self.prefactor_out is None else self.prefactor_out[i] * e * self.prefactor_in[j]
+
+    def max_abs(self) -> float:
+        """Largest |value|, by row blocks (nan if any value is nan)."""
+        return float(np.max([np.max(np.abs(self.rows(b))) for b in self.grid.row_blocks()]))
 
 
 def synthesize_sphere_kernel(grid: SphereGrid, lam: float = 1.0,
                              singular_support: bool = True) -> SphereScatteringKernel:
     """Diagonal-concentrated smooth stand-in kernel exp(-|w - w'|^2 / width^2)
     with width 0.6, plus a fixed small offset so the ratio is anchored
-    everywhere near the diagonal."""
+    everywhere near the diagonal. Filled by row blocks into one complex
+    array."""
     V = grid.vertices
-    d2 = np.maximum(2.0 - 2.0 * (V @ V.T), 0.0)
-    vals = np.exp(-d2 / 0.6**2) + 0.05
-    return SphereScatteringKernel(grid=grid, values=vals, lam=lam,
+    vals = np.empty((grid.size, grid.size), dtype=complex)
+    for b in grid.row_blocks():
+        d2 = np.maximum(2.0 - 2.0 * (V[b] @ V.T), 0.0)
+        vals[b] = np.exp(-d2 / 0.6**2) + 0.05
+    return SphereScatteringKernel(grid=grid, base=vals, lam=lam,
                                   singular_support=singular_support)
 
 
@@ -610,6 +681,13 @@ def gauge_equivalence_solver(S1, S2, verify_tol: float = 1e-6,
     raise DimensionMismatch("kernel types differ")
 
 
+def _verified(dist: float, top: float, verify_tol: float) -> bool:
+    """Whether the fitted gauge's distance dist passes against the target's
+    largest |value| top: both must be finite (a nan or inf in the data would
+    pass the comparison unseen) and dist within verify_tol max(1, top)."""
+    return bool(np.isfinite(dist) and np.isfinite(top) and dist <= verify_tol * max(1.0, top))
+
+
 def _solve_plane(S1: ScatteringKernel, S2: ScatteringKernel,
                  verify_tol: float, phase_tol: float) -> SolverResult:
     if S1.n_grid != S2.n_grid:
@@ -648,9 +726,8 @@ def _solve_plane(S1: ScatteringKernel, S2: ScatteringKernel,
     gauged = apply_gauge_to_kernel(S1, g)
     grid2 = S2.value_grid()
     dist = _plane_distance(gauged, S2, grid2)
-    scale = max(1.0, float(np.max(np.abs(grid2))))
     prov["verify_distance"] = dist
-    if dist > verify_tol * scale:
+    if not _verified(dist, float(np.max(np.abs(grid2))), verify_tol):
         return SolverResult(
             verdict="not_equivalent",
             witness={"kind": "verification", "distance": dist,
@@ -675,12 +752,12 @@ def _solve_sphere(S1: SphereScatteringKernel, S2: SphereScatteringKernel,
             "no declared diagonal singularity on the base kernel; "
             "the prefactor ratio cannot be anchored")
     grid = S1.grid
-    floor = 1e-8 * float(np.max(np.abs(S1.values)))
-    diag = np.abs(np.diagonal(S1.values))
-    if np.min(diag) < floor:
+    floor = 1e-8 * S1.max_abs()
+    diag1 = S1.diagonal()
+    if np.min(np.abs(diag1)) < floor:
         raise SingularPartMissing("base kernel vanishes on the diagonal set")
     n = grid.size
-    ratio_diag = np.diagonal(S2.values) / np.diagonal(S1.values)
+    ratio_diag = S2.diagonal() / diag1
     odd = 0.5 * np.angle(ratio_diag)
     evenness_defect = float(np.max(np.abs(odd + odd[grid.antipode])))
     prov = {"odd_part_max": float(np.max(np.abs(odd))),
@@ -688,10 +765,10 @@ def _solve_sphere(S1: SphereScatteringKernel, S2: SphereScatteringKernel,
     # even part differences on grid edges: for neighbors w_j ~ w_i the kernel
     # entry (i, j) carries phi(w_i) - phi(-w_j) = o_i + o_j + e_i - e_j
     i, j = grid.edges().T
-    s1 = S1.values[i, j]
+    s1 = S1.entries(i, j)
     keep = np.abs(s1) >= floor
     i, j, s1 = i[keep], j[keep], s1[keep]
-    beta = np.angle(S2.values[i, j] / s1) - odd[i] - odd[j]
+    beta = np.angle(S2.entries(i, j) / s1) - odd[i] - odd[j]
     beta = (beta + np.pi) % (2 * np.pi) - np.pi
     if i.size < n:
         return SolverResult(verdict="ambiguous",
@@ -726,10 +803,9 @@ def _solve_sphere(S1: SphereScatteringKernel, S2: SphereScatteringKernel,
                      "note": "gauge direction functions must be antipodally even"},
             provenance=prov)
     g = GaugeElement(dimension=3, phi_sphere=phi)
-    dist = kernel_distance(apply_gauge_to_kernel(S1, g), S2)
-    scale = max(1.0, float(np.max(np.abs(S2.values))))
+    dist, top = _sphere_distance(apply_gauge_to_kernel(S1, g), S2)
     prov["verify_distance"] = dist
-    if dist > verify_tol * scale:
+    if not _verified(dist, top, verify_tol):
         return SolverResult(
             verdict="not_equivalent",
             witness={"kind": "verification", "distance": dist},

@@ -90,13 +90,14 @@ def dense_sphere_phase_fit(S1, S2):
     grid nodes.
     """
     grid = S1.grid
-    floor = 1e-8 * float(np.max(np.abs(S1.values)))
-    odd = 0.5 * np.angle(np.diagonal(S2.values) / np.diagonal(S1.values))
+    V1, V2 = S1.values, S2.values  # a gauged kernel builds its matrix on each read
+    floor = 1e-8 * float(np.max(np.abs(V1)))
+    odd = 0.5 * np.angle(np.diagonal(V2) / np.diagonal(V1))
     pairs, rhs = [], []
     for (i, j) in grid.edges():
-        if abs(S1.values[i, j]) < floor:
+        if abs(V1[i, j]) < floor:
             continue
-        beta = float(np.angle(S2.values[i, j] / S1.values[i, j])) - odd[i] - odd[j]
+        beta = float(np.angle(V2[i, j] / V1[i, j])) - odd[i] - odd[j]
         pairs.append((i, j))
         rhs.append((beta + np.pi) % (2 * np.pi) - np.pi)
     A = np.zeros((len(pairs) + 1, grid.size))

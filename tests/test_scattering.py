@@ -1,5 +1,6 @@
 """Scattering kernels: channels, assembly, gauge action, equivalence solver."""
 import dataclasses
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -455,15 +456,54 @@ class TestGaugeActionOnKernels:
             GaugeElement(dimension=3, m=1)
 
     def test_sphere_action_is_prefactor_pair(self):
-        grid = sphere_grid(refinement=1)
+        for refinement in (1, 3):
+            grid = sphere_grid(refinement=refinement)
+            K = synthesize_sphere_kernel(grid)
+            g = GaugeElement(dimension=3,
+                             phi_callable=lambda V: 0.3 * np.atleast_2d(V)[:, 2] ** 2)
+            T = apply_gauge_to_kernel(K, g)
+            phi = 0.3 * grid.vertices[:, 2] ** 2
+            want = (np.exp(1j * phi)[:, None] * K.values
+                    * np.exp(-1j * phi[grid.antipode])[None, :])
+            assert np.array_equal(T.values, want)
+            assert np.shares_memory(T.base, K.base)
+
+    def test_sphere_action_respects_composition(self):
+        grid = sphere_grid(refinement=2)
         K = synthesize_sphere_kernel(grid)
-        g = GaugeElement(dimension=3,
-                         phi_callable=lambda V: 0.3 * np.atleast_2d(V)[:, 2] ** 2)
-        T = apply_gauge_to_kernel(K, g)
-        phi = 0.3 * grid.vertices[:, 2] ** 2
-        want = (np.exp(1j * phi)[:, None] * K.values
-                * np.exp(-1j * phi[grid.antipode])[None, :])
-        assert np.max(np.abs(T.values - want)) < 1e-14
+        g1 = GaugeElement(dimension=3, phi_callable=_even_phase())
+        g2 = GaugeElement(dimension=3, phi_callable=_even_phase(-0.1, 0.3, 0.25))
+        seq = apply_gauge_to_kernel(apply_gauge_to_kernel(K, g1), g2)
+        oneshot = apply_gauge_to_kernel(K, g2.compose(g1))
+        assert np.max(np.abs(seq.values - oneshot.values)) < 1e-12
+        assert np.shares_memory(seq.base, K.base)
+
+    def test_sphere_inverse_round_trip(self):
+        grid = sphere_grid(refinement=2)
+        K = synthesize_sphere_kernel(grid)
+        g = GaugeElement(dimension=3, phi_callable=_even_phase(0.3, 0.2, -0.4))
+        T = apply_gauge_to_kernel(apply_gauge_to_kernel(K, g), g.inverse())
+        assert np.max(np.abs(T.values - K.values)) < 1e-12
+
+    def test_sphere_kernel_reads_match_values(self):
+        grid = sphere_grid(refinement=2)
+        K = apply_gauge_to_kernel(synthesize_sphere_kernel(grid),
+                                  GaugeElement(dimension=3, phi_callable=_even_phase()))
+        V = K.values
+        i, j = grid.edges().T
+        assert np.array_equal(K.entries(i, j), V[i, j])
+        assert np.array_equal(K.diagonal(), np.diagonal(V))
+        assert K.max_abs() == np.max(np.abs(V))
+        assert np.array_equal(K.rows(slice(5, 9)), V[5:9])
+
+    def test_sphere_prefactors_come_in_pairs(self):
+        grid = sphere_grid(refinement=1)
+        base = synthesize_sphere_kernel(grid).base
+        with pytest.raises(ValueError):
+            SphereScatteringKernel(grid=grid, base=base, prefactor_out=np.ones(grid.size))
+        with pytest.raises(ValueError):
+            SphereScatteringKernel(grid=grid, base=base, prefactor_out=np.ones(3),
+                                   prefactor_in=np.ones(3))
 
 
 class TestKernelDistance:
@@ -577,6 +617,19 @@ class TestPlaneSolver:
             gauge_equivalence_solver(assemble_kernel(0.3, n_grid=64),
                                      assemble_kernel(0.3, n_grid=128))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("offset", [20, 2, 0])  # far, inside the diagonal band, diagonal
+    def test_non_finite_remainder_is_never_equivalent(self, offset, bad):
+        M = 64
+        R = np.zeros((M, M), dtype=complex)
+        R[10, 10 - offset] = bad
+        g = GaugeElement(dimension=2, m=1, phi=_phi_cos(0.1, 2))
+        with np.errstate(invalid="ignore"):
+            S2 = apply_gauge_to_kernel(assemble_kernel(0.3, smooth=R, n_grid=M), g)
+            res = gauge_equivalence_solver(assemble_kernel(0.3, n_grid=M), S2)
+        assert res.verdict == "not_equivalent"
+        assert res.witness["kind"] == "verification"
+
     @staticmethod
     def _gauge_pair(M):
         S1 = _structured_kernel(M)
@@ -649,7 +702,7 @@ class TestSphereSolver:
         K2 = apply_gauge_to_kernel(K1, GaugeElement(dimension=3, phi_callable=phi))
         noise = 1e-9 * (rng.standard_normal(K2.values.shape)
                         + 1j * rng.standard_normal(K2.values.shape))
-        K2 = SphereScatteringKernel(grid=grid, values=K2.values + noise)
+        K2 = SphereScatteringKernel(grid=grid, base=K2.values + noise)
         res = gauge_equivalence_solver(K1, K2)
         assert res.verdict == "equivalent"
         # the noise leaves edge residuals, so the fit is a true least-squares problem
@@ -668,6 +721,64 @@ class TestSphereSolver:
         np.testing.assert_array_equal(mask, grid.vertices @ grid.vertices.T < np.cos(0.15))
         assert d == np.max(np.abs(K1.values - K2.values)[mask])
 
+    @pytest.mark.parametrize("refinement", [0, 1, 2, 3])
+    def test_blocked_distance_matches_dense(self, refinement):
+        grid = sphere_grid(refinement=refinement)
+        mask = grid.far_pairs()
+        np.testing.assert_array_equal(mask, grid.vertices @ grid.vertices.T < np.cos(0.15))
+        K1 = synthesize_sphere_kernel(grid)
+        K2 = apply_gauge_to_kernel(K1, GaugeElement(dimension=3, phi_callable=_even_phase()))
+        K3 = apply_gauge_to_kernel(K1, GaugeElement(dimension=3,
+                                                    phi_callable=_even_phase(0.1, 0.3, -0.2)))
+        for A, B in ((K1, K2), (K2, K1), (K3, K2)):
+            assert kernel_distance(A, B) == np.max(np.abs(A.values - B.values)[mask])
+
+    def test_row_blocks_cover_the_grid_without_one_row_blocks(self):
+        for refinement in range(6):
+            grid = sphere_grid(refinement=refinement)
+            blocks = grid.row_blocks()
+            assert blocks[0].start == 0 and blocks[-1].stop == grid.size
+            assert all(a.stop == b.start for a, b in zip(blocks, blocks[1:]))
+            assert min(b.stop - b.start for b in blocks) >= 2
+
+    def test_synthesis_matches_dense_formula(self):
+        for refinement in (1, 3):
+            grid = sphere_grid(refinement=refinement)
+            V = grid.vertices
+            d2 = np.maximum(2.0 - 2.0 * (V @ V.T), 0.0)
+            want = (np.exp(-d2 / 0.6**2) + 0.05).astype(complex)
+            assert np.array_equal(synthesize_sphere_kernel(grid).values, want)
+
+    def test_round_trip_memory_stays_near_one_matrix(self):
+        grid = sphere_grid(refinement=4)
+        g = GaugeElement(dimension=3, phi_callable=_even_phase())
+        tracemalloc.start()
+        try:
+            K1 = synthesize_sphere_kernel(grid)
+            K2 = apply_gauge_to_kernel(K1, g)
+            res = gauge_equivalence_solver(K1, K2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert res.verdict == "equivalent"
+        assert peak <= 1.5 * grid.size ** 2 * 16
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("where", ["far", "near", "diagonal"])
+    def test_non_finite_value_is_never_equivalent(self, where, bad):
+        grid = sphere_grid(refinement=3)
+        K1 = synthesize_sphere_kernel(grid)
+        far = grid.far_pairs()
+        near_edges = [(a, b) for a, b in grid.edges() if not far[a, b]]
+        i, j = {"far": (0, grid.antipode[0]), "near": near_edges[0], "diagonal": (0, 0)}[where]
+        vals = np.array(apply_gauge_to_kernel(
+            K1, GaugeElement(dimension=3, phi_callable=_even_phase())).values)
+        vals[i, j] = bad
+        with np.errstate(invalid="ignore"):
+            res = gauge_equivalence_solver(K1, SphereScatteringKernel(grid=grid, base=vals))
+        assert res.verdict == "not_equivalent"
+        assert res.witness["kind"] == "verification"
+
     def test_sphere_solve_calls_no_dense_least_squares(self, monkeypatch):
         def refuse(*args, **kwargs):
             raise AssertionError("dense least squares in the sphere solver")
@@ -685,7 +796,7 @@ class TestSphereSolver:
         others = np.arange(grid.size) != v
         vals[v, others] = 0.0
         vals[others, v] = 0.0
-        K1 = SphereScatteringKernel(grid=grid, values=vals)
+        K1 = SphereScatteringKernel(grid=grid, base=vals)
         K2 = apply_gauge_to_kernel(K1, GaugeElement(dimension=3, phi_callable=_even_phase()))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
