@@ -18,8 +18,9 @@ DEFAULT_DEGREE = 64
 MEAN_TOL = 1e-10
 _REALNESS_TOL = 1e-9
 FAR_PAIR_ANGLE = 0.15  # radians; sphere kernel comparisons skip closer pairs
-# passes over all direction pairs of a sphere grid run over row blocks whose
-# complex temporaries stay near this size (12 rows at refinement 4), so each
+# passes over all direction pairs of a sphere grid, and over all angle pairs
+# of a plane kernel grid, run over row blocks whose complex temporaries stay
+# near this size (12 rows at refinement 4, 32 rows at M = 1024), so each
 # block's temporaries stay in cache
 ROW_BLOCK_BYTES = 1 << 19
 

@@ -38,11 +38,11 @@ from .fields import (
 )
 from .scattering import (
     ScatteringKernel,
+    _circulant,
     apply_gauge_to_kernel,
     assemble_kernel,
     flux_step,
     gauge_equivalence_solver,
-    sample_remainder,
 )
 from .tomography import (
     Line,
@@ -210,22 +210,27 @@ class Report:
 # kernel synthesis from configurations
 # ===================================================================
 
-def _remainder_from_spec(spec: dict | None):
+def _remainder_grid(spec: dict | None, n_grid: int) -> np.ndarray | None:
+    """The remainder grid a kernel spec declares on the uniform n_grid angle
+    grid, sampled in its structure: separable_trig,
+    a cos(p theta) sin(q theta'), as the outer product of its two factors on
+    the grid angles; diagonal_gaussian, a function of the offset
+    theta - theta' alone, at the n_grid offsets 2 pi k / n_grid, read over
+    every cell through a circulant view."""
     if not spec or spec.get("kind", "none") == "none":
         return None
     kind = spec["kind"]
+    thetas = np.arange(n_grid) * 2 * np.pi / n_grid
     if kind == "separable_trig":
         a = float(spec.get("amplitude", 0.1))
         p = int(spec.get("p", 1))
         q = int(spec.get("q", 2))
-        return lambda t, tp: a * np.cos(p * t) * np.sin(q * tp)
+        return np.outer(a * np.cos(p * thetas), np.sin(q * thetas)).astype(complex)
     if kind == "diagonal_gaussian":
         a = float(spec.get("amplitude", 0.1))
         w = float(spec.get("width", 0.5))
-        def rem(t, tp):
-            u = np.mod(t - tp + np.pi, 2 * np.pi) - np.pi
-            return a * np.exp(-u**2 / (2 * w**2))
-        return rem
+        u = np.mod(thetas + np.pi, 2 * np.pi) - np.pi
+        return np.ascontiguousarray(_circulant(a * np.exp(-u**2 / (2 * w**2))), dtype=complex)
     raise ValueError(f"unknown remainder kind {kind!r}")
 
 
@@ -243,8 +248,9 @@ def synthesize_kernels(scenario: Scenario):
 
     Kernel 1 always comes from config 1's decomposition (flux family plus
     the gradient-part phases). Kernel 2 comes from the gauge action when the
-    scenario declares the relating gauge; otherwise it is synthesized
-    independently from config 2's decomposition with the same remainder.
+    scenario declares the relating gauge; otherwise it is synthesized from
+    config 2's decomposition. Either way it shares kernel 1's remainder grid
+    and certified bound, so the grid is sampled and scanned once.
     A synthesized kernel holds the integer step of its flux as the winding,
     so the remainder carries the winding factor as under the gauge action.
     Raises DimensionMismatch for configurations in 3-space.
@@ -254,20 +260,19 @@ def synthesize_kernels(scenario: Scenario):
     ks = scenario.kernels
     n_grid = int(ks.get("n_grid", 512))
     lam = float(ks.get("lam", 1.0))
-    rem = _remainder_from_spec(ks.get("remainder"))
-    if rem is not None:  # one grid for both kernels
-        rem = sample_remainder(rem, n_grid)
-
-    def flux_kernel(alpha, a0):
-        w = flux_step(alpha)
-        return assemble_kernel(alpha - w, a0_in=a0, a0_out=a0, smooth=rem, lam=lam,
-                               n_grid=n_grid, winding=w)
-
     dec1 = decompose_transversal(scenario.config1.transversal) \
         if scenario.config1.transversal is not None else None
     a1 = dec1.alpha if dec1 else 0.0
     p1 = dec1.a0 if dec1 else AngularFunction.zero()
-    S1 = flux_kernel(a1, p1)
+    w1 = flux_step(a1)
+    S1 = assemble_kernel(a1 - w1, a0_in=p1, a0_out=p1,
+                         smooth=_remainder_grid(ks.get("remainder"), n_grid),
+                         lam=lam, n_grid=n_grid, winding=w1)
+
+    def flux_kernel(alpha, a0):  # kernel 1's remainder and certified bound
+        w = flux_step(alpha)
+        return S1._rephased(alpha - w, w, a0, a0)
+
     prov = {"kernel1": "synthesized from config1 flux decomposition"}
     g_rel = _gauge_from_spec(ks.get("relating_gauge"))
     if g_rel is not None:

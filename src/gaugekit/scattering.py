@@ -9,14 +9,25 @@ arithmetic and off-diagonal closed forms carry the singular part exactly.
 
 On the uniform cyclic angle grid a cell (i, j) is read by its offset
 k = (i - j) mod M: the singular part, the angle gap and the diagonal-band mask
-are length-M tables in k, and kernel values read the singular table over all
-cells through a read-only circulant view (value_grid) or on one band
+are length-M tables in k, and kernel values read the singular table through
+a read-only circulant view, over a block of rows (rows) or on one band
 theta' = theta - 2 pi p / M (band). Each kernel builds its tables once, on
 the first read: the two prefactors on the M grid angles and the singular
-part per offset. Per-offset maxima (the
-remainder bound's check and fit, and the off-diagonal distance) read a
-skewed strided view of the column-doubled array, whose columns run along the
-offsets, so no M x M gather is formed (_offset_max).
+part per offset. A block's values are (singular + R) * prefactor in that
+operand order: complex multiplication is not bitwise commutative, and this
+order keeps rows and value_grid equal bit for bit at every M.
+
+The remainder bound |R| <= C dist^{-delta} is certified once per grid: one
+scan of the per-offset peaks of |R| (a skewed strided view of the
+column-doubled array whose columns run along the offsets, _offset_max) both
+fits C and checks it, and refuses a non-finite cell off the diagonal. A
+kernel without a remainder certifies C = 0 with no scan. The gauge action
+changes only the winding and the phases, so gauged kernels share the grid and
+its certificate; direct construction and dataclasses.replace check again.
+
+kernel_distance and the plane solver's verification run one pass over row
+blocks of about angular.ROW_BLOCK_BYTES, each block of both kernels built
+once: no M x M value grid is formed (value_grid remains for callers).
 
 Off the grid, the remainder is trigonometric interpolation: the grid is
 contracted with the Dirichlet weight rows of both angles (M values per
@@ -48,13 +59,13 @@ spectrum(gauged kernel) = spectrum of flux alpha + m.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from functools import cached_property
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided, sliding_window_view
 
-from .angular import AngularFunction, SphereFunction, SphereGrid
+from .angular import ROW_BLOCK_BYTES, AngularFunction, SphereFunction, SphereGrid
 from .errors import (
     DimensionMismatch,
     GridMismatch,
@@ -176,14 +187,28 @@ class ScatteringKernel:
     dimension: int = 2
 
     def __post_init__(self):
-        R = np.asarray(self.remainder, dtype=complex)
-        if R.ndim != 2 or R.shape[0] != R.shape[1] or R.shape[0] < 16:
-            raise ValueError("remainder grid must be square, at least 16 x 16")
-        if not (0 <= self.bound_delta < 1):
-            raise ValueError("remainder bound exponent must lie in [0, 1)")
-        R.flags.writeable = False
+        R = _frozen_remainder(self.remainder, self.bound_delta)
         object.__setattr__(self, "remainder", R)
         verify_remainder_bound(R, self.bound_C, self.bound_delta)
+
+    @classmethod
+    def _certified(cls, **values) -> "ScatteringKernel":
+        """A kernel from field values whose remainder grid (read-only,
+        complex, square) and (bound_C, bound_delta) are certified already:
+        the fields are set without __post_init__'s scan of the grid."""
+        S = object.__new__(cls)
+        for f in fields(cls):
+            object.__setattr__(S, f.name, values[f.name] if f.name in values else f.default)
+        return S
+
+    def _rephased(self, alpha: float, winding: int, phase_out: AngularFunction,
+                  phase_in: AngularFunction) -> "ScatteringKernel":
+        """This kernel's remainder grid and its certified bound under a new
+        flux, winding and phases. None of these enters |R| <= C dist^-delta,
+        so the grid is shared and nothing is checked again."""
+        return self._certified(**{**{f.name: getattr(self, f.name) for f in fields(self)},
+                                  "alpha": float(alpha), "winding": int(winding),
+                                  "phase_out": phase_out, "phase_in": phase_in})
 
     @property
     def n_grid(self) -> int:
@@ -262,12 +287,20 @@ class ScatteringKernel:
             t.flags.writeable = False
         return tables
 
+    def rows(self, block: slice) -> np.ndarray:
+        """Values of a block of rows of the grid, value_grid()[block] bit for
+        bit: (singular + R) * prefactor, in that operand order (complex
+        multiplication is not bitwise commutative)."""
+        out, inc, singular = self._grid_tables
+        v = _circulant(singular)[block] + self.remainder[block]
+        v *= np.multiply.outer(out[block], inc)
+        return v
+
     def value_grid(self) -> np.ndarray:
         """Full off-diagonal value matrix on the stored grid (diagonal cells
-        hold only prefactor * remainder; comparisons must mask the band)."""
-        out, inc, singular = self._grid_tables
-        pref = np.multiply.outer(out, inc)
-        return pref * (_circulant(singular) + self.remainder)
+        hold only prefactor * remainder; comparisons must mask the band).
+        The library compares kernels by row blocks (rows) and never builds it."""
+        return self.rows(slice(None))
 
     def band(self, p: int) -> np.ndarray:
         """Values on the band theta' = theta - 2 pi p / M, as value_grid() gives them."""
@@ -342,27 +375,53 @@ def _offset_max(A: np.ndarray) -> np.ndarray:
     return skewed.max(axis=0)[-np.arange(M) % M]
 
 
-def _offdiagonal_peaks(remainder: np.ndarray):
-    """Angle gap 2 pi min(k, M - k) / M and largest |R| per offset k = 1..M-1."""
-    M = remainder.shape[0]
+def _offdiagonal_peaks(remainder: np.ndarray) -> np.ndarray:
+    """Largest |R| per offset k = 1..M-1: the one scan of a remainder grid
+    that certifies its bound."""
+    return _offset_max(np.abs(remainder))[1:]
+
+
+def _bound_constant(peak: np.ndarray, C: float | None, delta: float) -> float:
+    """Certify |R| <= C dist^{-delta} off the diagonal from the per-offset
+    peaks: C is fitted when None (the smallest certifying constant, padded 5
+    percent), then checked. RemainderBoundViolated when a peak is not finite
+    (a nan or inf cell off the diagonal) or the bound fails, a nan C
+    included."""
+    if not np.all(np.isfinite(peak)):
+        raise RemainderBoundViolated("remainder has a non-finite value off the diagonal")
+    M = peak.size + 1
     k = np.arange(1, M)
-    return 2 * np.pi * np.minimum(k, M - k) / M, _offset_max(np.abs(remainder))[1:]
+    gap = 2 * np.pi * np.minimum(k, M - k) / M  # angle gap of offset k
+    if C is None:
+        top = float(np.max(peak * gap ** delta))
+        C = 1.05 * top if top > 0 else 0.0
+    worst = np.max(peak - C * gap ** (-delta))
+    if not worst <= 1e-12 * max(1.0, C):  # a nan C fails too
+        raise RemainderBoundViolated(
+            f"remainder exceeds C dist^-delta bound by {worst:.3e}")
+    return C
 
 
 def verify_remainder_bound(remainder: np.ndarray, C: float, delta: float) -> None:
     """Check |R(theta, theta')| <= C dist(theta, theta')^{-delta} off the diagonal."""
-    gap, peak = _offdiagonal_peaks(remainder)
-    worst = np.max(peak - C * gap ** (-delta))
-    if worst > 1e-12 * max(1.0, C):
-        raise RemainderBoundViolated(
-            f"remainder exceeds C dist^-delta bound by {worst:.3e}")
+    _bound_constant(_offdiagonal_peaks(remainder), C, delta)
 
 
 def fit_remainder_bound(remainder: np.ndarray, delta: float = 0.5) -> float:
     """Smallest constant C certifying |R| <= C dist^{-delta}, padded 5 percent."""
-    gap, peak = _offdiagonal_peaks(remainder)
-    top = float(np.max(peak * gap ** delta))
-    return 1.05 * top if top > 0 else 0.0
+    return _bound_constant(_offdiagonal_peaks(remainder), None, delta)
+
+
+def _frozen_remainder(remainder, delta: float) -> np.ndarray:
+    """The remainder grid as a read-only complex array, with its shape and
+    the bound exponent checked."""
+    R = np.asarray(remainder, dtype=complex)
+    if R.ndim != 2 or R.shape[0] != R.shape[1] or R.shape[0] < 16:
+        raise ValueError("remainder grid must be square, at least 16 x 16")
+    if not (0 <= delta < 1):
+        raise ValueError("remainder bound exponent must lie in [0, 1)")
+    R.flags.writeable = False
+    return R
 
 
 def sample_remainder(smooth, n_grid: int) -> np.ndarray:
@@ -395,25 +454,27 @@ def assemble_kernel(alpha: float, a0_in: AngularFunction | None = None,
         R = np.asarray(smooth, dtype=complex)
         if R.shape != (n_grid, n_grid):
             raise ValueError("remainder grid shape must match n_grid")
-    C = fit_remainder_bound(R, bound_delta) if bound_C is None else float(bound_C)
-    return ScatteringKernel(alpha=float(alpha), winding=int(winding),
-                            phase_out=a0_out, phase_in=a0_in, remainder=R,
-                            bound_C=C, bound_delta=float(bound_delta), lam=float(lam))
+    R = _frozen_remainder(R, bound_delta)
+    # one scan fits and checks the bound; a zero grid's peaks are known
+    peak = np.zeros(n_grid - 1) if smooth is None else _offdiagonal_peaks(R)
+    C = _bound_constant(peak, None if bound_C is None else float(bound_C), bound_delta)
+    return ScatteringKernel._certified(
+        alpha=float(alpha), winding=int(winding), phase_out=a0_out, phase_in=a0_in,
+        remainder=R, bound_C=C, bound_delta=float(bound_delta), lam=float(lam))
 
 
 def apply_gauge_to_kernel(S, g: GaugeElement):
     """Gauge action on kernels: out phase gains m theta + phi(theta), in phase
-    gains the same profile read at theta' + pi; the flux parameters and the
-    remainder grid are untouched (the action is a pure prefactor). A sphere
-    kernel keeps its base matrix and gains the prefactor vectors e^{i phi(w)}
-    and e^{-i phi(-w')}, O(n). Short-range scalar parts of g do not act on
-    the kernel data model."""
+    gains the same profile read at theta' + pi; the flux parameters, the
+    remainder grid and its certified bound are shared, not checked again (the
+    action is a pure prefactor). A sphere kernel keeps its base matrix and
+    gains the prefactor vectors e^{i phi(w)} and e^{-i phi(-w')}, O(n).
+    Short-range scalar parts of g do not act on the kernel data model."""
     if isinstance(S, ScatteringKernel):
         if g.dimension != 2:
             raise DimensionMismatch("plane kernel requires a plane gauge")
         phi = g.phi if g.phi is not None else AngularFunction.zero()
-        return replace(S, winding=S.winding + g.m,
-                       phase_out=S.phase_out + phi, phase_in=S.phase_in + phi)
+        return S._rephased(S.alpha, S.winding + g.m, S.phase_out + phi, S.phase_in + phi)
     if isinstance(S, SphereScatteringKernel):
         if g.dimension != 3:
             raise DimensionMismatch("sphere kernel requires a 3-space gauge")
@@ -445,8 +506,8 @@ def kernel_distance(S1, S2) -> float:
 
     The diagonal band (|i - j| <= DIAG_MARGIN_CELLS, cyclically) is excluded:
     remainders may blow up there and the delta term is not discretized. On
-    the sphere, direction pairs within angular.FAR_PAIR_ANGLE of each other are,
-    and the kernels are compared by row blocks.
+    the sphere, direction pairs within angular.FAR_PAIR_ANGLE of each other
+    are. Both kinds of kernel are compared by row blocks.
     """
     if isinstance(S1, SphereScatteringKernel) and isinstance(S2, SphereScatteringKernel):
         if S1.grid is not S2.grid and S1.grid.refinement != S2.grid.refinement:
@@ -460,16 +521,33 @@ def kernel_distance(S1, S2) -> float:
         raise GridMismatch("kernels on different angle grids")
     if S1.lam != S2.lam:
         raise GridMismatch("kernels at different energies")
-    return _plane_distance(S1, S2, S2.value_grid())
+    return _plane_distance(S1, S2)[0]
 
 
-def _plane_distance(S1: ScatteringKernel, S2: ScatteringKernel, grid2: np.ndarray) -> float:
-    """kernel_distance of two plane kernels on one grid, given S2's value grid:
-    the largest |S1 - S2| per offset, kept off the diagonal band."""
-    k = np.arange(S1.n_grid)
-    far = np.minimum(k, S1.n_grid - k) > DIAG_MARGIN_CELLS
-    off = float(np.max(_offset_max(np.abs(S1.value_grid() - grid2))[far]))
-    return off + S1.channel_spectrum().distance(S2.channel_spectrum())
+def _plane_row_blocks(M: int) -> list:
+    """Row slices covering an M x M plane grid, about ROW_BLOCK_BYTES of
+    complex values each."""
+    step = max(1, ROW_BLOCK_BYTES // (16 * M))
+    return [slice(a, min(a + step, M)) for a in range(0, M, step)]
+
+
+def _plane_distance(S1: ScatteringKernel, S2: ScatteringKernel) -> tuple:
+    """kernel_distance of two plane kernels on one grid, and S2's largest
+    |value|: one pass over row blocks, each kernel's rows built once. The
+    distance is the largest |S1 - S2| off the diagonal band, the largest
+    |value| includes the diagonal; both reduce with numpy, so a nan shows."""
+    M = S1.n_grid
+    k = np.arange(M)
+    far = _circulant(np.minimum(k, M - k) > DIAG_MARGIN_CELLS)
+    dist, top = [], []
+    for b in _plane_row_blocks(M):
+        v2 = S2.rows(b)
+        top.append(np.max(np.abs(v2)))
+        v1 = S1.rows(b)
+        v1 -= v2
+        dist.append(np.max(np.abs(v1), where=far[b], initial=0.0))
+    off = float(np.max(dist))
+    return off + S1.channel_spectrum().distance(S2.channel_spectrum()), float(np.max(top))
 
 
 def _sphere_distance(S1: SphereScatteringKernel, S2: SphereScatteringKernel) -> tuple:
@@ -723,11 +801,9 @@ def _solve_plane(S1: ScatteringKernel, S2: ScatteringKernel,
                      "m_from_spectra": m, "m_from_ratio": m_check},
             provenance=prov)
     g = GaugeElement(dimension=2, m=m, phi=phi)
-    gauged = apply_gauge_to_kernel(S1, g)
-    grid2 = S2.value_grid()
-    dist = _plane_distance(gauged, S2, grid2)
+    dist, top = _plane_distance(apply_gauge_to_kernel(S1, g), S2)
     prov["verify_distance"] = dist
-    if not _verified(dist, float(np.max(np.abs(grid2))), verify_tol):
+    if not _verified(dist, top, verify_tol):
         return SolverResult(
             verdict="not_equivalent",
             witness={"kind": "verification", "distance": dist,

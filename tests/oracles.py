@@ -4,17 +4,19 @@ Adaptive-quadrature line integrals (one callback per point), the
 principal-value quadrature of one flux-kernel channel, the sphere solver's
 phase fit as a dense least-squares problem, the plane kernel's value
 matrix evaluated cell by cell, its per-offset maximum by a gather of every
-cell, its remainder interpolated through the full 2-D transform, and
-central differences taken one axis at a time, kept only to check the
-library against an independent method; plus a field wrapper that counts
-evaluation points.
+cell, the distance of two plane kernels from their full value grids, its
+remainder interpolated through the full 2-D transform, and central
+differences taken one axis at a time, kept only to check the library
+against an independent method; plus a field wrapper that counts evaluation
+points and a counter of remainder-grid scans.
 """
 import numpy as np
 from scipy.integrate import quad
 
+from gaugekit import scattering
 from gaugekit.errors import LineHitsObstacle
 from gaugekit.fields import neville_at_zero
-from gaugekit.scattering import flux_step, singular_offdiagonal
+from gaugekit.scattering import DIAG_MARGIN_CELLS, flux_step, singular_offdiagonal
 
 _QUAD_OPTS = dict(limit=200, epsabs=1e-13, epsrel=1e-12)
 
@@ -121,6 +123,19 @@ def direct_value_grid(S):
     return pref * (base + S.remainder)
 
 
+def dense_plane_distance(S1, S2):
+    """kernel_distance of two plane kernels from their full value grids, and
+    S2's largest |value|: the largest |S1 - S2| per offset, gathered cell by
+    cell and kept off the diagonal band, plus the channel distance."""
+    M = S1.n_grid
+    grid2 = S2.value_grid()
+    k = np.arange(M)
+    far = np.minimum(k, M - k) > DIAG_MARGIN_CELLS
+    off = float(np.max(gathered_offset_max(np.abs(S1.value_grid() - grid2))[far]))
+    return (off + S1.channel_spectrum().distance(S2.channel_spectrum()),
+            float(np.max(np.abs(grid2))))
+
+
 def gathered_offset_max(A):
     """Largest entry of a square array on each offset k = (i - j) mod M, from
     an explicit gather of every cell by its offset."""
@@ -155,6 +170,21 @@ def per_axis_partials(evaluate, points, h):
         minus = np.asarray(evaluate(p - h[:, None] * e), dtype=float)
         partial.append((plus - minus) / (2 * h).reshape((m,) + (1,) * (plus.ndim - 1)))
     return np.stack(partial, axis=1)
+
+
+def count_remainder_scans(monkeypatch) -> list:
+    """A list that records each scan of a remainder grid's per-offset peaks
+    (scattering._offdiagonal_peaks) while monkeypatch is active, to bound
+    the work of certifying remainder bounds independently of timing."""
+    scans = []
+    peaks = scattering._offdiagonal_peaks
+
+    def counted(remainder):
+        scans.append(remainder.shape)
+        return peaks(remainder)
+
+    monkeypatch.setattr(scattering, "_offdiagonal_peaks", counted)
+    return scans
 
 
 class CountingField:

@@ -6,9 +6,9 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from oracles import CountingField
+from oracles import CountingField, count_remainder_scans
 
-from gaugekit import catalog, cli
+from gaugekit import catalog, cli, pipeline
 from gaugekit.angular import AngularFunction
 from gaugekit.errors import DimensionMismatch, GaugekitError
 from gaugekit.fields import (
@@ -29,7 +29,7 @@ from gaugekit.pipeline import (
     run_scenario,
     synthesize_kernels,
 )
-from gaugekit.scattering import assemble_kernel
+from gaugekit.scattering import assemble_kernel, sample_remainder
 
 SMALL_GEO = {"n_angles": 40, "n_offsets": 64, "r_min": 1.001, "r_max": 3.5}
 MID_GEO = {"n_angles": 90, "n_offsets": 128, "r_min": 1.001, "r_max": 3.5}
@@ -147,6 +147,40 @@ class TestSynthesizeKernels:
                           kernels={"n_grid": 64, "lam": 1.0, "remainder": spec})
             S1, _, _ = synthesize_kernels(sc)
             assert np.max(np.abs(S1.remainder)) > 0
+
+    @pytest.mark.parametrize("M", [64, 256, 1024])
+    def test_structural_samplers_match_the_meshgrid(self, M):
+        def trig_cells(t, tp):
+            return 0.043 * np.cos(2 * t) * np.sin(3 * tp)
+
+        def gaussian_cells(t, tp):
+            u = np.mod(t - tp + np.pi, 2 * np.pi) - np.pi
+            return 0.041 * np.exp(-u**2 / (2 * 0.55**2))
+
+        trig = {"kind": "separable_trig", "amplitude": 0.043, "p": 2, "q": 3}
+        gaussian = {"kind": "diagonal_gaussian", "amplitude": 0.041, "width": 0.55}
+        np.testing.assert_array_equal(pipeline._remainder_grid(trig, M),
+                                      sample_remainder(trig_cells, M))
+        gap = pipeline._remainder_grid(gaussian, M) - sample_remainder(gaussian_cells, M)
+        assert np.max(np.abs(gap)) <= 1e-15
+
+    @pytest.mark.parametrize("remainder", [
+        None, {"kind": "separable_trig", "amplitude": 0.05},
+        {"kind": "diagonal_gaussian", "amplitude": 0.05, "width": 0.5}],
+        ids=["none", "separable_trig", "diagonal_gaussian"])
+    @pytest.mark.parametrize("route", ["declared", "config2", "config1"])
+    def test_one_scan_per_synthesis(self, monkeypatch, route, remainder):
+        scans = count_remainder_scans(monkeypatch)
+        sc, _ = _gauge_pair_scenario(m=1)
+        config2 = {"declared": sc.config2, "config2": _plane_config(0.55),
+                   "config1": None}[route]
+        kernels = {**FAST_KERNELS, "remainder": remainder}
+        if route == "declared":
+            kernels["relating_gauge"] = sc.kernels["relating_gauge"]
+        S1, S2, _ = synthesize_kernels(dataclasses.replace(sc, config2=config2,
+                                                           kernels=kernels))
+        assert len(scans) == (0 if remainder is None else 1)
+        assert S2.remainder is S1.remainder and S2.bound_C == S1.bound_C
 
     def test_unknown_remainder_rejected(self):
         sc = Scenario(kind="kernel-lab", config1=_plane_config(0.3),

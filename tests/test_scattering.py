@@ -7,6 +7,8 @@ import numpy as np
 import pytest
 from oracles import (
     ab_channel_pv_quadrature,
+    count_remainder_scans,
+    dense_plane_distance,
     dense_sphere_phase_fit,
     direct_value_grid,
     fft2_remainder_pairs,
@@ -323,17 +325,52 @@ class TestRemainderBoundChecks:
         with pytest.raises(RemainderBoundViolated):
             dataclasses.replace(S, bound_C=0.5 * S.bound_C)
 
-    def test_bound_verified_on_every_gauge_action(self, monkeypatch):
+    def test_gauge_action_shares_the_certified_remainder(self, monkeypatch):
         S = self._kernel()
-        calls = []
+        scans = count_remainder_scans(monkeypatch)
+        T = apply_gauge_to_kernel(S, GaugeElement(dimension=2, m=1, phi=_phi_sin(0.1)))
+        assert np.shares_memory(T.remainder, S.remainder)
+        assert (T.bound_C, T.bound_delta) == (S.bound_C, S.bound_delta)
+        assert T.winding == S.winding + 1
+        assert scans == []
 
-        def counted(*args):
-            calls.append(1)
-            return verify_remainder_bound(*args)
+    def test_assembly_scans_the_grid_once(self, monkeypatch):
+        scans = count_remainder_scans(monkeypatch)
+        S = self._kernel()
+        assert len(scans) == 1
+        assert S.bound_C == pytest.approx(fit_remainder_bound(S.remainder, S.bound_delta))
 
-        monkeypatch.setattr(scattering, "verify_remainder_bound", counted)
-        apply_gauge_to_kernel(S, GaugeElement(dimension=2, m=1, phi=_phi_sin(0.1)))
-        assert len(calls) == 1
+    def test_no_remainder_certifies_zero_without_a_scan(self, monkeypatch):
+        scans = count_remainder_scans(monkeypatch)
+        S = assemble_kernel(0.3, n_grid=64)
+        T = assemble_kernel(0.3, n_grid=64, bound_C=0.2)
+        assert (S.bound_C, T.bound_C) == (0.0, 0.2)
+        assert scans == []
+        with pytest.raises(RemainderBoundViolated):
+            assemble_kernel(0.3, n_grid=64, bound_C=-1.0)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_cell_off_the_diagonal_refused(self, bad):
+        M = 32
+        R = np.zeros((M, M), dtype=complex)
+        R[3, 1] = bad
+        for certify in (lambda: fit_remainder_bound(R),
+                        lambda: verify_remainder_bound(R, 1.0, 0.5),
+                        lambda: assemble_kernel(0.3, smooth=R, n_grid=M)):
+            with pytest.raises(RemainderBoundViolated, match="non-finite"):
+                certify()
+        D = np.zeros((M, M), dtype=complex)
+        D[3, 3] = bad  # the diagonal stays unconstrained
+        assert assemble_kernel(0.3, smooth=D, n_grid=M).bound_C == 0.0
+
+    def test_nan_bound_constant_refused(self):
+        S = self._kernel()
+        for build in (lambda: assemble_kernel(0.3, smooth=S.remainder, n_grid=64,
+                                              bound_C=np.nan),
+                      lambda: assemble_kernel(0.3, n_grid=64, bound_C=np.nan),
+                      lambda: dataclasses.replace(S, bound_C=np.nan)):
+            with pytest.raises(RemainderBoundViolated):
+                build()
 
 
 class TestEvaluate:
@@ -539,6 +576,33 @@ class TestKernelDistance:
             kernel_distance(assemble_kernel(0.3, n_grid=64),
                             synthesize_sphere_kernel(grid))
 
+    @pytest.mark.parametrize("diagonal", ["finite", "nan"])
+    @pytest.mark.parametrize("M", [64, 256, 1024])
+    def test_row_blocks_match_the_dense_distance(self, M, diagonal):
+        S1 = _structured_kernel(M)
+        if diagonal == "nan":
+            R = np.array(S1.remainder)
+            R[np.diag_indices(M)] = np.nan
+            S1 = assemble_kernel(S1.alpha, a0_out=S1.phase_out, a0_in=S1.phase_in, smooth=R,
+                                 n_grid=M, winding=S1.winding)
+        for g in (GaugeElement(dimension=2, m=1, phi=_phi_cos(0.1, 2)),
+                  GaugeElement(dimension=2, m=0, phi=_phi_sin(1e-7, 3))):
+            S2 = apply_gauge_to_kernel(S1, g)
+            with np.errstate(invalid="ignore"):
+                got = scattering._plane_distance(S1, S2)
+                want = dense_plane_distance(S1, S2)
+            np.testing.assert_array_equal(got, want)
+            assert np.isfinite(got[0]) and np.isnan(got[1]) == (diagonal == "nan")
+
+    @pytest.mark.parametrize("M", [64, 256, 1024])
+    def test_row_blocks_are_the_value_grid(self, M):
+        S = _structured_kernel(M)
+        grid = S.value_grid()
+        blocks = scattering._plane_row_blocks(M)
+        assert blocks[0].start == 0 and blocks[-1].stop == M
+        assert all(a.stop == b.start for a, b in zip(blocks, blocks[1:]))
+        np.testing.assert_array_equal(np.concatenate([S.rows(b) for b in blocks]), grid)
+
 
 class TestNearDiagonalGrowth:
     @pytest.mark.parametrize("alpha", [0.25, 0.5, 0.75])
@@ -623,6 +687,10 @@ class TestPlaneSolver:
         M = 64
         R = np.zeros((M, M), dtype=complex)
         R[10, 10 - offset] = bad
+        if offset:  # off the diagonal the bound's certification refuses it
+            with pytest.raises(RemainderBoundViolated):
+                assemble_kernel(0.3, smooth=R, n_grid=M)
+            return
         g = GaugeElement(dimension=2, m=1, phi=_phi_cos(0.1, 2))
         with np.errstate(invalid="ignore"):
             S2 = apply_gauge_to_kernel(assemble_kernel(0.3, smooth=R, n_grid=M), g)
@@ -635,19 +703,28 @@ class TestPlaneSolver:
         S1 = _structured_kernel(M)
         return S1, apply_gauge_to_kernel(S1, GaugeElement(dimension=2, m=1, phi=_phi_cos(0.1, 2)))
 
-    def test_two_value_grids_per_solve(self, monkeypatch):
+    def test_no_value_grid_per_solve(self, monkeypatch):
         S1, S2 = self._gauge_pair(256)
-        calls = []
-        value_grid = ScatteringKernel.value_grid
 
-        def counted(self):
-            calls.append(1)
-            return value_grid(self)
+        def refuse(self):
+            raise AssertionError("a full value grid in the plane solver")
 
-        monkeypatch.setattr(ScatteringKernel, "value_grid", counted)
+        monkeypatch.setattr(ScatteringKernel, "value_grid", refuse)
         res = gauge_equivalence_solver(S1, S2)
         assert res.equivalent and "verify_distance" in res.provenance
-        assert len(calls) == 2
+        assert kernel_distance(S1, S2) > 0
+
+    def test_declared_gauge_solve_memory_stays_below_half_a_grid(self):
+        M = 1024
+        S1, S2 = self._gauge_pair(M)
+        tracemalloc.start()
+        try:
+            res = gauge_equivalence_solver(S1, S2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert res.equivalent
+        assert peak <= 0.5 * M**2 * 16
 
     def test_verify_distance_is_the_kernel_distance(self):
         S1, S2 = self._gauge_pair(256)
