@@ -38,9 +38,39 @@ def _calibrate_envelope(func_mag, eps0: float, r_lo: float = 0.8, r_hi: float = 
 
 
 # ---------------- scalar kinds ----------------
+#
+# A scalar builder returns (func, gradient, envelope): func maps (m, n) points
+# to (m,) values and gradient, in closed form, maps them to the (m, n) values
+# of grad func. The gauge action adds that gradient to the short-range field.
+
+def _bumps_gradient(bumps):
+    """grad of the sum of a exp(-|x - c|^2 / (2 w^2)) over [a, *c, w] bumps."""
+
+    def grad(pts):
+        out = np.zeros_like(pts)
+        for b in bumps:
+            a, *c, w = b
+            c = np.asarray(c, dtype=float)
+            diff = pts - c
+            out += (-a / w**2) * diff * np.exp(-_sq_norms(diff) / (2 * w**2))[:, None]
+        return out
+
+    return grad
+
+
+def _power_gradient(c: float, p_exp: float):
+    """grad of c (1 + |x|^2)^(-p/2), which is -c p x (1 + |x|^2)^(-p/2 - 1)."""
+
+    def grad(pts):
+        r2 = _sq_norms(pts)
+        return (-c * p_exp) * pts * ((1 + r2) ** (-(p_exp + 2) / 2))[:, None]
+
+    return grad
+
 
 def _scalar_zero(params, dim):
-    return (lambda p: np.zeros(p.shape[0])), DecayEnvelope(C=1e-300, eps0=2.0)
+    env = DecayEnvelope(C=1e-300, eps0=2.0)
+    return (lambda p: np.zeros(p.shape[0])), (lambda p: np.zeros_like(p)), env
 
 
 def _scalar_gaussian_ring(params, dim):
@@ -60,10 +90,31 @@ def _scalar_gaussian_ring(params, dim):
             base = base * factor
         return base
 
+    def grad(p):
+        # d/dr of the radial profile times x/r, plus, for a plane modulation,
+        # the profile times d(factor)/d(theta) times grad theta = (-x2, x1)/r^2.
+        # At the origin the ring has a cone kink and no gradient; it reads 0
+        # there, as the symmetric difference does.
+        r = np.sqrt(_sq_norms(p))
+        base = a * np.exp(-((r - r0) ** 2) / (2 * sig**2))
+        inv_r = np.divide(1.0, r, out=np.zeros_like(r), where=r > 0)
+        radial = (-(r - r0) / sig**2) * base * inv_r
+        if not (mod and p.shape[1] == 2):
+            return radial[:, None] * p
+        th = np.arctan2(p[:, 1], p[:, 0])
+        factor = np.ones_like(r)
+        dfactor = np.zeros_like(r)
+        for l, ca, sa in mod:
+            c, s = np.cos(l * th), np.sin(l * th)
+            factor += ca * c + sa * s
+            dfactor += l * (sa * c - ca * s)
+        angular = base * dfactor * inv_r**2
+        return (radial * factor)[:, None] * p + angular[:, None] * np.column_stack([-p[:, 1], p[:, 0]])
+
     mod_sup = 1.0 + sum(abs(ca) + abs(sa) for _, ca, sa in mod)
     env = _calibrate_envelope(
         lambda r: a * mod_sup * np.exp(-((r - r0) ** 2) / (2 * sig**2)), eps0=2.0)
-    return f, env
+    return f, grad, env
 
 
 def _scalar_gaussian_bumps(params, dim):
@@ -85,7 +136,7 @@ def _scalar_gaussian_bumps(params, dim):
             out += abs(a) * np.exp(-(d**2) / (2 * w**2))
         return out
 
-    return f, _calibrate_envelope(mag, eps0=2.0)
+    return f, _bumps_gradient(bumps), _calibrate_envelope(mag, eps0=2.0)
 
 
 def _scalar_power(params, dim):
@@ -98,7 +149,7 @@ def _scalar_power(params, dim):
         r2 = _sq_norms(p)
         return c * (1 + r2) ** (-p_exp / 2)
 
-    return f, DecayEnvelope(C=abs(c), eps0=p_exp - 1.0)
+    return f, _power_gradient(c, p_exp), DecayEnvelope(C=abs(c), eps0=p_exp - 1.0)
 
 
 SCALAR_KINDS = {
@@ -120,28 +171,15 @@ def _vector_grad_power(params, dim):
     c = float(params.get("c", 1.0))
     p_exp = float(params.get("p", 1.0))
 
-    def f(pts):
-        r2 = _sq_norms(pts)
-        return (-c * p_exp) * pts * ((1 + r2) ** (-(p_exp + 2) / 2))[:, None]
-
     def mag(r):
         return abs(c) * p_exp * r * (1 + r**2) ** (-(p_exp + 2) / 2)
 
-    return f, _calibrate_envelope(mag, eps0=p_exp)
+    return _power_gradient(c, p_exp), _calibrate_envelope(mag, eps0=p_exp)
 
 
 def _vector_grad_bumps(params, dim):
     """grad of a sum of Gaussian bumps; curl-free and short-range."""
     bumps = params["bumps"]
-
-    def f(pts):
-        out = np.zeros_like(pts)
-        for b in bumps:
-            a, *c, w = b
-            c = np.asarray(c, dtype=float)
-            diff = pts - c
-            out += (-a / w**2) * diff * np.exp(-_sq_norms(diff) / (2 * w**2))[:, None]
-        return out
 
     def mag(r):
         out = np.zeros_like(r)
@@ -152,7 +190,7 @@ def _vector_grad_bumps(params, dim):
             out += np.where(d > 0, (abs(a) / w**2) * (d + 3 * w) * np.exp(-(d**2) / (2 * w**2)), peak)
         return out
 
-    return f, _calibrate_envelope(mag, eps0=2.0)
+    return _bumps_gradient(bumps), _calibrate_envelope(mag, eps0=2.0)
 
 
 def _vector_ring_bump_tangential(params, dim):
@@ -209,10 +247,11 @@ VECTOR_KINDS = {
 def build_scalar(kind: str, params: dict | None = None, dimension: int = 2,
                  C: float | None = None, eps0: float | None = None) -> ScalarPotential:
     params = params or {}
-    func, env = SCALAR_KINDS[kind](params, dimension)
+    func, gradient, env = SCALAR_KINDS[kind](params, dimension)
     if C is not None and eps0 is not None:
         env = DecayEnvelope(C=C, eps0=eps0)
-    return ScalarPotential(dimension=dimension, func=func, envelope=env, kind=kind, params=params)
+    return ScalarPotential(dimension=dimension, func=func, envelope=env, kind=kind, params=params,
+                           gradient=gradient)
 
 
 def build_vector(kind: str, params: dict | None = None, dimension: int = 2,

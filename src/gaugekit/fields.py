@@ -9,7 +9,7 @@ flux times the vortex field plus an exact gradient of a periodic function.
 Every numerical derivative is a central difference from central_partials,
 which calls the differentiated function once on all stencil points: the
 curl, the gradient of a direction function and the gradient of a gauge
-scalar L, each with its own step.
+scalar L that declares no closed-form gradient, each with its own step.
 """
 from __future__ import annotations
 
@@ -114,13 +114,20 @@ class ShortRangeField:
 
 @dataclass(frozen=True)
 class ScalarPotential:
-    """Scalar field with a declared envelope on its magnitude."""
+    """Scalar field with a declared envelope on its magnitude.
+
+    gradient, when given, is grad func in closed form: it maps (m, n) points
+    to (m, n) values. Every catalog kind declares it; the gauge action adds
+    it to the short-range field and differentiates func numerically only
+    for a scalar without one.
+    """
 
     dimension: int
     func: Callable
     envelope: DecayEnvelope
     kind: str | None = None
     params: dict | None = None
+    gradient: Callable | None = None
 
     def __call__(self, x) -> np.ndarray:
         p, single = _points(x, self.dimension)
@@ -301,10 +308,16 @@ class GaugeElement:
         return cls(dimension=dimension)
 
     def inverse(self) -> "GaugeElement":
+        """Gauge with every phase negated. A negated scalar is no longer the
+        catalog kind it was built from, so it keeps no kind or params."""
         neg_scalar = None
         if self.scalar is not None:
-            f = self.scalar.func
-            neg_scalar = replace(self.scalar, func=lambda p, _f=f: -np.asarray(_f(p)))
+            s = self.scalar
+            neg_scalar = ScalarPotential(
+                dimension=s.dimension, func=lambda p, _f=s.func: -np.asarray(_f(p)),
+                envelope=s.envelope,
+                gradient=None if s.gradient is None
+                else (lambda p, _g=s.gradient: -np.asarray(_g(p))))
         return GaugeElement(
             dimension=self.dimension,
             m=-self.m,
@@ -317,7 +330,9 @@ class GaugeElement:
 
     def compose(self, other: "GaugeElement") -> "GaugeElement":
         """Gauge acting as self after other (phases add). ValueError when one
-        direction phase is a callable and the other is sampled on a grid."""
+        direction phase is a callable and the other is sampled on a grid.
+        A sum of two scalars keeps no kind or params, and declares a gradient
+        only when both summands do."""
         if self.dimension != other.dimension:
             raise DimensionMismatch("gauge elements in different dimensions")
         phi = None
@@ -335,10 +350,15 @@ class GaugeElement:
             phc = lambda w, _f=fa, _g=fb: np.asarray(_f(w)) + np.asarray(_g(w))
         scalar = None
         if self.scalar is not None and other.scalar is not None:
-            f, g = self.scalar.func, other.scalar.func
-            scalar = replace(self.scalar, func=lambda p, _f=f, _g=g: np.asarray(_f(p)) + np.asarray(_g(p)),
-                             envelope=DecayEnvelope(self.scalar.envelope.C + other.scalar.envelope.C,
-                                                    min(self.scalar.envelope.eps0, other.scalar.envelope.eps0)))
+            a, b = self.scalar, other.scalar
+            ga, gb = a.gradient, b.gradient
+            scalar = ScalarPotential(
+                dimension=self.dimension,
+                func=lambda p, _f=a.func, _g=b.func: np.asarray(_f(p)) + np.asarray(_g(p)),
+                envelope=DecayEnvelope(a.envelope.C + b.envelope.C,
+                                       min(a.envelope.eps0, b.envelope.eps0)),
+                gradient=None if ga is None or gb is None
+                else (lambda p, _f=ga, _g=gb: np.asarray(_f(p)) + np.asarray(_g(p))))
         else:
             scalar = self.scalar or other.scalar
         return GaugeElement(dimension=self.dimension, m=self.m + other.m, phi=phi,
@@ -501,8 +521,10 @@ def apply_gauge_to_potential(config: PotentialConfig, g: GaugeElement) -> Potent
     """Gauge action A -> A + grad(m theta + phi + L) on a configuration.
 
     In the plane the transversal profile changes exactly in coefficient
-    space: a_hat -> a_hat + m + phi'. The scalar part adds a numerical
-    gradient of L to the short-range field and widens its envelope.
+    space: a_hat -> a_hat + m + phi'. The scalar part adds grad L to the
+    short-range field and widens its envelope: L's declared closed-form
+    gradient when it has one (every catalog kind does), central differences
+    of L otherwise.
     """
     if config.dimension != g.dimension:
         raise DimensionMismatch("gauge and configuration dimensions differ")
@@ -527,14 +549,14 @@ def apply_gauge_to_potential(config: PotentialConfig, g: GaugeElement) -> Potent
             transversal = TransversalField(dimension=3, profile=profile)
     short_range = config.short_range
     if g.scalar is not None:
-        L = g.scalar.func
         dim = config.dimension
-
-        def grad_L(p, _L=L):
-            # step balances truncation against roundoff: downstream consumers
-            # differentiate integrals of this field, so the error must stay
-            # smooth in p rather than minimal at a single point
-            return central_partials(_L, p, 1e-4 * np.maximum(1.0, np.linalg.norm(p, axis=1)))
+        grad_L = g.scalar.gradient
+        if grad_L is None:
+            def grad_L(p, _L=g.scalar.func):
+                # step balances truncation against roundoff: downstream consumers
+                # differentiate integrals of this field, so the error must stay
+                # smooth in p rather than minimal at a single point
+                return central_partials(_L, p, 1e-4 * np.maximum(1.0, np.linalg.norm(p, axis=1)))
 
         if short_range is None:
             short_range = ShortRangeField(dimension=dim, func=grad_L, envelope=g.scalar.envelope)

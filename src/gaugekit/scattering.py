@@ -273,7 +273,12 @@ class ScatteringKernel:
             u = np.subtract.outer(th, tp)
             rem = self.remainder_at(th, tp).reshape(u.shape)
             pref = np.multiply.outer(self.prefactor_out(th), self.prefactor_in(tp))
-        return pref * (singular_offdiagonal(self.alpha, u) + rem)
+        # (singular + R) * prefactor, in the operand order of rows(): numpy
+        # would take that order only above its temporary-elision size, so a
+        # value would depend on the size of its batch
+        v = singular_offdiagonal(self.alpha, u) + rem
+        v *= pref
+        return v
 
     @cached_property
     def _grid_tables(self) -> tuple:

@@ -1,4 +1,6 @@
 """Vortex potentials, flux decomposition, gauge action, leading orders."""
+import dataclasses
+
 import numpy as np
 import pytest
 from oracles import per_axis_partials
@@ -408,6 +410,58 @@ class TestGaugeAction:
         np.testing.assert_allclose(back.vector_potential(pts), cfg.vector_potential(pts),
                                    atol=1e-9)
 
+    def test_catalog_scalar_round_trip_is_exact(self):
+        cfg = self._config()
+        g = GaugeElement(dimension=2, m=2,
+                         phi=AngularFunction.harmonic(1, sin_amp=0.2),
+                         scalar=catalog.build_scalar("gaussian_bumps",
+                                                     {"bumps": [[0.3, 1.5, 0.0, 0.8]]}))
+        back = apply_gauge_to_potential(apply_gauge_to_potential(cfg, g), g.inverse())
+        rng = np.random.default_rng(5)
+        pts = rng.uniform(1.2, 4.0, (50, 1)) * _unit(rng, 50)
+        np.testing.assert_allclose(back.vector_potential(pts), cfg.vector_potential(pts),
+                                   rtol=0, atol=1e-13)
+
+    def test_catalog_scalar_adds_its_declared_gradient(self):
+        L = catalog.build_scalar("gaussian_bumps", {"bumps": [[0.6, 1.9, -0.5, 0.5]]})
+        f_calls, g_calls = [], []
+        counted = dataclasses.replace(L, func=_counted(L.func, f_calls),
+                                      gradient=_counted(L.gradient, g_calls))
+        cfg = self._config()
+        gauged = apply_gauge_to_potential(cfg, GaugeElement(dimension=2, scalar=counted))
+        rng = np.random.default_rng(9)
+        pts = rng.uniform(1.2, 4.0, (50, 1)) * _unit(rng, 50)
+        got = gauged.short_range(pts)
+        gauged.vector_potential(pts)
+        assert f_calls == [] and g_calls == [50, 50]
+        np.testing.assert_array_equal(got, cfg.short_range(pts) + L.gradient(pts))
+
+    def test_inverse_and_compose_carry_gradients(self):
+        L = catalog.build_scalar("gaussian_ring", _SCALAR_PARAMS["gaussian_ring"])
+        K = catalog.build_scalar("power", _SCALAR_PARAMS["power"])
+        gL, gK = GaugeElement(dimension=2, scalar=L), GaugeElement(dimension=2, scalar=K)
+        rng = np.random.default_rng(13)
+        pts = rng.uniform(1.2, 4.0, (50, 1)) * _unit(rng, 50)
+        np.testing.assert_array_equal(gL.inverse().scalar.gradient(pts), -L.gradient(pts))
+        np.testing.assert_array_equal(gL.compose(gK).scalar.gradient(pts),
+                                      L.gradient(pts) + K.gradient(pts))
+        bare = GaugeElement(dimension=2, scalar=ScalarPotential(
+            dimension=2, func=L.func, envelope=L.envelope))
+        assert bare.inverse().scalar.gradient is None
+        assert gL.compose(bare).scalar.gradient is None
+        assert bare.compose(gL).scalar.gradient is None
+
+    def test_derived_scalars_do_not_serialize_as_their_kind(self):
+        # a negated or summed scalar is no longer the kind it was built from;
+        # writing that kind would read back as a different scalar
+        L = catalog.build_scalar("gaussian_bumps", {"bumps": [[0.3, 2.0, 0.7, 1.0]]})
+        g = GaugeElement(dimension=2, scalar=L)
+        for derived in (g.inverse().scalar, g.compose(g).scalar):
+            assert derived.kind is None and derived.params is None
+            cfg = PotentialConfig(dimension=2, obstacle_radius=1.0, scalar=derived)
+            with pytest.raises(ValueError):
+                cfg.to_json()
+
     def test_compose_matches_sequential(self):
         cfg = self._config()
         g1 = GaugeElement(dimension=2, m=1, phi=AngularFunction.harmonic(1, cos_amp=0.1))
@@ -473,6 +527,49 @@ class TestGaugeAction:
         grads = gradient_of_direction_function(psi, pts)
         radial = np.abs(np.sum(grads * pts, axis=1))
         assert np.max(radial) < 1e-8
+
+
+# parameters for every catalog scalar kind; the modulation of the ring acts
+# in the plane only, so in 3-space the ring is radial
+_SCALAR_PARAMS = {
+    "zero": {},
+    "gaussian_ring": {"amplitude": 0.8, "r0": 1.2, "sigma": 0.4,
+                      "modulation": [[2, 0.25, -0.1], [3, 0.05, 0.15]]},
+    "gaussian_bumps": {"bumps": [[0.6, 0.4, -0.3, 0.7], [-0.4, -0.5, 0.1, 0.5]]},
+    "power": {"c": 0.75, "p": 1.5},
+}
+_SCALAR_PARAMS_3D = {**_SCALAR_PARAMS, "gaussian_bumps": {
+    "bumps": [[0.6, 0.4, -0.3, 0.2, 0.7], [-0.4, -0.5, 0.1, 0.6, 0.5]]}}
+
+
+class TestScalarGradients:
+    @pytest.mark.parametrize("kind", sorted(catalog.SCALAR_KINDS))
+    def test_every_kind_declares_a_gradient(self, kind):
+        # a kind without one would fall back to central differences unnoticed
+        assert catalog.build_scalar(kind, _SCALAR_PARAMS[kind]).gradient is not None
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    @pytest.mark.parametrize("kind", sorted(catalog.SCALAR_KINDS))
+    def test_gradient_matches_per_axis_differences(self, kind, dim):
+        params = (_SCALAR_PARAMS if dim == 2 else _SCALAR_PARAMS_3D)[kind]
+        L = catalog.build_scalar(kind, params, dimension=dim)
+        rng = np.random.default_rng(dim)
+        pts = rng.normal(size=(200, dim))
+        # |x| >= 0.5: the ring has a cone kink at the origin
+        pts *= rng.uniform(0.5, 4.0, (200, 1)) / np.linalg.norm(pts, axis=1)[:, None]
+        got = L.gradient(pts)
+        want = per_axis_partials(L.func, pts, 1e-5)
+        assert got.shape == pts.shape
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-7 * np.max(np.abs(want)))
+
+    def test_json_round_trip_keeps_the_gradient(self):
+        cfg = PotentialConfig(dimension=2, obstacle_radius=1.0,
+                              scalar=catalog.build_scalar("gaussian_ring",
+                                                          _SCALAR_PARAMS["gaussian_ring"]))
+        back = PotentialConfig.from_json(cfg.to_json())
+        rng = np.random.default_rng(4)
+        pts = rng.uniform(0.5, 3.0, (30, 1)) * _unit(rng, 30)
+        np.testing.assert_array_equal(back.scalar.gradient(pts), cfg.scalar.gradient(pts))
 
 
 def _unit(rng, n):

@@ -431,6 +431,16 @@ class TestEvaluate:
         for i, j, k in np.ndindex(got.shape):
             assert abs(got[i, j, k] - S.evaluate(th[i, j], tp[k])) <= 1e-13 * abs(got[i, j, k])
 
+    def test_value_does_not_depend_on_batch_size(self):
+        # 20,000 pairs lie above numpy's temporary-elision size, 1,000 below
+        S = _structured_kernel(256)
+        rng = np.random.default_rng(11)
+        th, tp = rng.uniform(0, 2 * np.pi, (2, 20_000))
+        whole = S.evaluate(th, tp)
+        parts = np.concatenate([S.evaluate(th[k:k + 1000], tp[k:k + 1000])
+                                for k in range(0, 20_000, 1000)])
+        np.testing.assert_array_equal(whole, parts)
+
     def test_one_angle_against_a_number(self):
         S = _structured_kernel(64)
         got = S.evaluate(np.array([1.0]), 3.0)
