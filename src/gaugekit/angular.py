@@ -12,6 +12,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from ._csvio import read_csv, write_csv
 from .errors import NonzeroMean
 
 DEFAULT_DEGREE = 64
@@ -424,12 +425,11 @@ class SphereFunction:
     __rmul__ = __mul__
 
     def to_csv(self, path) -> None:
-        data = np.column_stack([self.grid.vertices, self.values])
-        np.savetxt(path, data, delimiter=",", header="x,y,z,value", comments="")
+        write_csv(path, "x,y,z,value", [self.grid.vertices, self.values])
 
     @classmethod
     def from_csv(cls, path, refinement: int = 4) -> "SphereFunction":
-        data = np.loadtxt(path, delimiter=",", skiprows=1)
+        data = read_csv(path)
         grid = sphere_grid(refinement)
         if data.shape[0] != grid.size:
             raise ValueError("row count does not match the grid")

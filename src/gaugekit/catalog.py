@@ -18,14 +18,28 @@ from .fields import (
 from .errors import TailNotBounded
 
 
-def _sq_norms(p) -> np.ndarray:
-    """|p_i|^2 of each row of (m, n) points, summed column by column rather
-    than by a length-n reduction per row. On (m, 2) and (m, 3) points it
-    equals np.sum(p**2, axis=1) bit for bit and is several times faster than
-    that or than einsum, whose 3-column sum rounds differently."""
-    out = p[:, 0] * p[:, 0]
-    for k in range(1, p.shape[1]):
-        out += p[:, k] * p[:, k]
+# Fields are formed one coordinate column at a time, in the order of operations
+# of their broadcast formulas (same values bit for bit): on (m, 2) or (m, 3)
+# points a broadcast over the last axis runs numpy's inner loops 2 or 3 long.
+
+def _sq_norms(columns) -> np.ndarray:
+    """|p_i|^2 of each row of (m, n) points p, from its coordinate columns
+    (p.T, or a list of columns), summed column by column rather than by a
+    length-n reduction per row. On (m, 2) and (m, 3) points it equals
+    np.sum(p**2, axis=1) bit for bit and is several times faster than that
+    or than einsum, whose 3-column sum rounds differently."""
+    first, *rest = columns
+    out = first * first
+    for col in rest:
+        out += col * col
+    return out
+
+
+def _scaled_columns(coeff, columns) -> np.ndarray:
+    """The (m, n) array whose column k is coeff * columns[k]."""
+    out = np.empty((coeff.size, len(columns)))
+    for k, col in enumerate(columns):
+        np.multiply(coeff, col, out=out[:, k])
     return out
 
 
@@ -50,9 +64,10 @@ def _bumps_gradient(bumps):
         out = np.zeros_like(pts)
         for b in bumps:
             a, *c, w = b
-            c = np.asarray(c, dtype=float)
-            diff = pts - c
-            out += (-a / w**2) * diff * np.exp(-_sq_norms(diff) / (2 * w**2))[:, None]
+            diff = [x - ck for x, ck in zip(pts.T, np.asarray(c, dtype=float))]
+            decay = np.exp(-_sq_norms(diff) / (2 * w**2))
+            for k, d in enumerate(diff):
+                out[:, k] += (-a / w**2) * d * decay
         return out
 
     return grad
@@ -62,8 +77,8 @@ def _power_gradient(c: float, p_exp: float):
     """grad of c (1 + |x|^2)^(-p/2), which is -c p x (1 + |x|^2)^(-p/2 - 1)."""
 
     def grad(pts):
-        r2 = _sq_norms(pts)
-        return (-c * p_exp) * pts * ((1 + r2) ** (-(p_exp + 2) / 2))[:, None]
+        r2 = _sq_norms(pts.T)
+        return _scaled_columns((1 + r2) ** (-(p_exp + 2) / 2), [(-c * p_exp) * x for x in pts.T])
 
     return grad
 
@@ -80,7 +95,7 @@ def _scalar_gaussian_ring(params, dim):
     mod = params.get("modulation", [])  # [[l, cos_amp, sin_amp], ...]
 
     def f(p):
-        r = np.sqrt(_sq_norms(p))
+        r = np.sqrt(_sq_norms(p.T))
         base = a * np.exp(-((r - r0) ** 2) / (2 * sig**2))
         if mod and p.shape[1] == 2:
             th = np.arctan2(p[:, 1], p[:, 0])
@@ -95,12 +110,12 @@ def _scalar_gaussian_ring(params, dim):
         # the profile times d(factor)/d(theta) times grad theta = (-x2, x1)/r^2.
         # At the origin the ring has a cone kink and no gradient; it reads 0
         # there, as the symmetric difference does.
-        r = np.sqrt(_sq_norms(p))
+        r = np.sqrt(_sq_norms(p.T))
         base = a * np.exp(-((r - r0) ** 2) / (2 * sig**2))
         inv_r = np.divide(1.0, r, out=np.zeros_like(r), where=r > 0)
         radial = (-(r - r0) / sig**2) * base * inv_r
         if not (mod and p.shape[1] == 2):
-            return radial[:, None] * p
+            return _scaled_columns(radial, p.T)
         th = np.arctan2(p[:, 1], p[:, 0])
         factor = np.ones_like(r)
         dfactor = np.zeros_like(r)
@@ -109,7 +124,10 @@ def _scalar_gaussian_ring(params, dim):
             factor += ca * c + sa * s
             dfactor += l * (sa * c - ca * s)
         angular = base * dfactor * inv_r**2
-        return (radial * factor)[:, None] * p + angular[:, None] * np.column_stack([-p[:, 1], p[:, 0]])
+        out = _scaled_columns(radial * factor, p.T)
+        out[:, 0] += angular * -p[:, 1]
+        out[:, 1] += angular * p[:, 0]
+        return out
 
     mod_sup = 1.0 + sum(abs(ca) + abs(sa) for _, ca, sa in mod)
     env = _calibrate_envelope(
@@ -124,8 +142,8 @@ def _scalar_gaussian_bumps(params, dim):
         out = np.zeros(p.shape[0])
         for b in bumps:
             a, *c, w = b
-            c = np.asarray(c, dtype=float)
-            out += a * np.exp(-_sq_norms(p - c) / (2 * w**2))
+            diff = [x - ck for x, ck in zip(p.T, np.asarray(c, dtype=float))]
+            out += a * np.exp(-_sq_norms(diff) / (2 * w**2))
         return out
 
     def mag(r):
@@ -146,7 +164,7 @@ def _scalar_power(params, dim):
         raise TailNotBounded(f"power decay p={p_exp:g} <= 1 is not integrable along a line")
 
     def f(p):
-        r2 = _sq_norms(p)
+        r2 = _sq_norms(p.T)
         return c * (1 + r2) ** (-p_exp / 2)
 
     return f, _power_gradient(c, p_exp), DecayEnvelope(C=abs(c), eps0=p_exp - 1.0)
@@ -216,9 +234,9 @@ def _vector_ring_bump_tangential(params, dim):
     M = float(F(np.asarray(r0 + 40 * sig)))
 
     def f(pts):
-        r = np.sqrt(_sq_norms(pts))
+        r = np.sqrt(_sq_norms(pts.T))
         coeff = (F(r) - M) / r**2
-        return coeff[:, None] * np.column_stack([-pts[:, 1], pts[:, 0]])
+        return _scaled_columns(coeff, [-pts[:, 1], pts[:, 0]])
 
     return f, _calibrate_envelope(lambda r: np.abs(F(r) - M) / r, eps0=2.0)
 
@@ -229,7 +247,7 @@ def _vector_cross_axis(params, dim):
     c = float(params.get("c", 1.0))
 
     def f(pts):
-        r2 = _sq_norms(pts)
+        r2 = _sq_norms(pts.T)
         return c * np.cross(np.broadcast_to(axis, pts.shape), pts) / r2[:, None]
 
     return f, None  # long-range; used as a transversal profile, not short-range

@@ -22,6 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from . import catalog
+from ._csvio import write_csv
 from .angular import AngularFunction, sphere_grid
 from .errors import DimensionMismatch, NotCurlFree, ResidualFlux
 from .fields import (
@@ -601,23 +602,19 @@ def _gauge_scalar_to_csv(gs, path) -> None:
     radii = np.linspace(gs.far_radius / 8.0, gs.far_radius / 2.0, 24)
     thetas = np.arange(48) * 2 * np.pi / 48
     r, t, _ = polar_points(radii, thetas)
-    np.savetxt(path, np.column_stack([r, t, gs.on_polar_grid(radii, thetas).ravel()]),
-               delimiter=",", header="r,theta,L", comments="")
+    write_csv(path, "r,theta,L", [r, t, gs.on_polar_grid(radii, thetas).ravel()])
 
 
 def _leading_to_csv(leads, path) -> None:
     if not isinstance(leads, list):
         leads = [leads]
     grid = leads[0].grid
-    cols = [grid.vertices[:, i] for i in range(3)]
-    cols += [lead.values for lead in leads]
     header = "wx,wy,wz," + ",".join(f"b{k}" for k in range(len(leads)))
-    np.savetxt(path, np.column_stack(cols), delimiter=",", header=header, comments="")
+    write_csv(path, header, [grid.vertices] + [lead.values for lead in leads])
 
 
 def kernel_slice_csv(kernel: ScatteringKernel, path) -> None:
     """The off-diagonal band theta' = theta - 8 cells of kernel values, for
     plotting."""
     vals = kernel.band(8)
-    body = np.column_stack([kernel.thetas, vals.real, vals.imag])
-    np.savetxt(path, body, delimiter=",", header="theta,re,im", comments="")
+    write_csv(path, "theta,re,im", [kernel.thetas, vals.real, vals.imag])

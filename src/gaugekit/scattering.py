@@ -65,6 +65,7 @@ from functools import cached_property
 import numpy as np
 from numpy.lib.stride_tricks import as_strided, sliding_window_view
 
+from ._csvio import read_csv, write_csv
 from .angular import ROW_BLOCK_BYTES, AngularFunction, SphereFunction, SphereGrid
 from .errors import (
     DimensionMismatch,
@@ -346,12 +347,11 @@ class ScatteringKernel:
     def remainder_to_csv(self, path) -> None:
         M = self.n_grid
         ii, jj = np.divmod(np.arange(M * M), M)
-        body = np.column_stack([ii, jj, self.remainder.real.ravel(), self.remainder.imag.ravel()])
-        np.savetxt(path, body, delimiter=",", header="i,j,re,im", comments="")
+        write_csv(path, "i,j,re,im", [ii, jj, self.remainder.real.ravel(), self.remainder.imag.ravel()])
 
     @staticmethod
     def remainder_from_csv(path) -> np.ndarray:
-        body = np.loadtxt(path, delimiter=",", skiprows=1)
+        body = read_csv(path)
         M = int(np.sqrt(body.shape[0]))
         return (body[:, 2] + 1j * body[:, 3]).reshape(M, M)
 

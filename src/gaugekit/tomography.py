@@ -16,6 +16,11 @@ bound of tails skipped below tail_tol, is the per-line estimate, and a
 difference above tail_tol raises NonConvergent. The tangent rule
 (_tangent_rule: scalar sinograms, the 3-space homogeneous part) is a fixed
 rule in s = c tan(t), without an estimate; it does not cover slow power decay.
+Both rules build their node tables from the line distances alone, so a
+parallel-beam sinogram, whose angles share the distances |offsets|, builds
+them once, with the flux decomposition and the obstacle check, and applies
+them angle by angle. Line points and their projections are formed one
+coordinate column at a time, as are the catalog fields (catalog.py).
 
 Scalar inversion uses Cormack's circular-harmonic exterior formula, which
 consumes exactly the admissible data (offsets |t| > R) and is exact on the
@@ -30,11 +35,12 @@ located once (_spline_interval).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import Callable, Sequence
 
 import numpy as np
 
+from ._csvio import read_csv, write_csv
 from .angular import SphereFunction
 from .errors import (
     BranchAmbiguous,
@@ -158,15 +164,13 @@ class XRayData:
 
     def to_csv(self, path) -> None:
         dim = self.lines[0].dimension
-        rows = []
-        for ln, v in zip(self.lines, self.values):
-            rows.append([dim, *ln.x0, *ln.omega, np.real(v), np.imag(v)])
         cols = ["n"] + [f"x0_{i}" for i in range(dim)] + [f"omega_{i}" for i in range(dim)] + ["value_re", "value_im"]
-        np.savetxt(path, np.asarray(rows), delimiter=",", header=",".join(cols), comments="")
+        write_csv(path, ",".join(cols), [np.full(len(self.lines), dim), [ln.x0 for ln in self.lines],
+                                         [ln.omega for ln in self.lines], self.values.real, self.values.imag])
 
     @classmethod
     def from_csv(cls, path, kind: str) -> "XRayData":
-        data = np.atleast_2d(np.loadtxt(path, delimiter=",", skiprows=1))
+        data = read_csv(path)
         dim = int(data[0, 0])
         lines = [Line(x0=row[1:1 + dim], omega=row[1 + dim:1 + 2 * dim]) for row in data]
         vals = data[:, 1 + 2 * dim] + 1j * data[:, 2 + 2 * dim]
@@ -191,45 +195,74 @@ def _tail_nodes(s_from, eps0: float, n: int):
 
 def _on_lines(evaluate: Callable, x0s, omegas, s) -> np.ndarray:
     """evaluate at x0s[i] + s[i, j] omegas[i], shaped like s; vector values
-    are projected on each line's direction."""
-    pts = x0s[:, None, :] + s[:, :, None] * omegas[:, None, :]
-    vals = np.asarray(evaluate(pts.reshape(-1, x0s.shape[1])), dtype=float)
-    if vals.ndim == 2:
-        return np.einsum("kmd,kd->km", vals.reshape(pts.shape), omegas)
-    return vals.reshape(s.shape)
+    are projected on each line's direction. Points and projections are formed
+    one coordinate column at a time, so numpy's inner loops run along s, not
+    along the 2 or 3 coordinates."""
+    n = x0s.shape[1]
+    pts = np.empty(s.shape + (n,))
+    for j in range(n):
+        np.add(x0s[:, j, None], s * omegas[:, j, None], out=pts[..., j])
+    vals = np.asarray(evaluate(pts.reshape(-1, n)), dtype=float)
+    if vals.ndim == 1:
+        return vals.reshape(s.shape)
+    vals = vals.reshape(pts.shape)
+    return sum(vals[..., j] * omegas[:, j, None] for j in range(n))
 
 
-def _line_rule(evaluate: Callable, x0s, omegas, envelope: DecayEnvelope | None,
-               tail_tol: float):
-    """Integrals of a decaying integrand along k lines x0s[i] + s omegas[i].
+def _check_clear(distances, obstacle_radius: float) -> None:
+    if np.any(distances <= obstacle_radius):
+        raise LineHitsObstacle(f"line at distance {np.min(distances):.3f} meets the obstacle")
 
-    evaluate maps (m, n) points to (m,) scalar values, or to (m, n) vectors
-    whose component along each line's direction is integrated. Returns the
-    2n-rule values and per-line error estimates (see the module docstring).
+
+def _line_rule(envelope: DecayEnvelope | None, distances, tail_tol: float) -> Callable:
+    """The line rule for lines at the given distances |x0| from the origin:
+    its node tables are built here, once, and rule(evaluate, x0s, omegas)
+    applies them along the k lines x0s[i] + s omegas[i]. evaluate maps (m, n)
+    points to (m,) scalar values, or to (m, n) vectors whose component along
+    each line's direction is integrated. The rule returns the 2n-rule values
+    and per-line error estimates (see the module docstring).
     """
     if envelope is None:
         raise TailNotBounded("no decay envelope declared for the tail bound")
     S = max(envelope.truncation_radius(tail_tol), 1.0)
     eps0 = envelope.eps0
-    x0s = np.asarray(x0s, dtype=float)
-    omegas = np.asarray(omegas, dtype=float)
-    s_core = np.minimum(S, np.maximum(8.0 * (np.linalg.norm(x0s, axis=1) + 2.0), 48.0))
-    totals = []
+    s_core = np.minimum(S, np.maximum(8.0 * (distances + 2.0), 48.0))
+    tables = []
     for n in (_LINE_NODES, 2 * _LINE_NODES):
         x, w = _gauss_legendre(n)
         u = (_CORE_EDGES[:-1, None] + 0.5 * _CORE_WIDTHS[:, None] * (x + 1.0)).ravel()
         uw = (0.5 * _CORE_WIDTHS[:, None] * w).ravel()
         s_tail, w_tail = _tail_nodes(s_core, eps0, n)
         w_tail = np.where((S > s_core)[:, None], w_tail, 0.0)
-        s = np.concatenate([s_core[:, None] * u, s_tail, -s_tail], axis=1)
-        ws = np.concatenate([s_core[:, None] * uw, w_tail, w_tail], axis=1)
-        totals.append(np.sum(_on_lines(evaluate, x0s, omegas, s) * ws, axis=1))
-    diff = np.abs(totals[1] - totals[0])
-    if np.max(diff) > tail_tol:
-        raise NonConvergent(
-            f"line rule n/2n difference {np.max(diff):.3e} exceeds {tail_tol:.1e}")
+        tables.append((np.concatenate([s_core[:, None] * u, s_tail, -s_tail], axis=1),
+                       np.concatenate([s_core[:, None] * uw, w_tail, w_tail], axis=1)))
     skipped = np.where(S > s_core, 0.0, 2.0 * envelope.C / (eps0 * s_core**eps0))
-    return totals[1], diff + skipped
+
+    def rule(evaluate: Callable, x0s, omegas):
+        coarse, fine = (np.sum(_on_lines(evaluate, x0s, omegas, s) * ws, axis=1)
+                        for s, ws in tables)
+        diff = np.abs(fine - coarse)
+        if np.max(diff) > tail_tol:
+            raise NonConvergent(
+                f"line rule n/2n difference {np.max(diff):.3e} exceeds {tail_tol:.1e}")
+        return fine, diff + skipped
+
+    return rule
+
+
+def _tangent_rule(distances) -> Callable:
+    """A fixed 384-node Gauss-Legendre rule in s = c tan(t), c = max(|x0|, 1),
+    for lines at the given distances |x0|, built once; rule(evaluate, x0s,
+    omegas) as for _line_rule, with no error estimate. A sinogram passes its
+    exact offsets."""
+    xg, wg = _gauss_legendre(_SINOGRAM_NODES)
+    t_nodes = 0.5 * (xg + 1.0) * (np.pi - 2e-10) - (np.pi / 2 - 1e-10)
+    t_weights = 0.5 * (np.pi - 2e-10) * wg
+    c = np.maximum(distances, 1.0)
+    s = c[:, None] * np.tan(t_nodes)[None, :]
+    jac = c[:, None] / np.cos(t_nodes)[None, :] ** 2
+    return lambda evaluate, x0s, omegas: np.sum(
+        _on_lines(evaluate, x0s, omegas, s) * jac * t_weights[None, :], axis=1)
 
 
 def line_integrals_scalar(potential, lines: Sequence[Line], tail_tol: float = TAIL_TOL,
@@ -241,13 +274,13 @@ def line_integrals_scalar(potential, lines: Sequence[Line], tail_tol: float = TA
     envelope; a potential without one raises TailNotBounded.
     """
     lines = tuple(lines)
-    for ln in lines:
-        if ln.distance <= obstacle_radius:
-            raise LineHitsObstacle(f"line at distance {ln.distance:.3f} meets the obstacle")
     if not lines:
         return np.zeros(0), np.zeros(0)
-    return _line_rule(potential, [ln.x0 for ln in lines], [ln.omega for ln in lines],
-                      getattr(potential, "envelope", None), tail_tol)
+    x0s = np.array([ln.x0 for ln in lines])
+    distances = np.linalg.norm(x0s, axis=1)
+    _check_clear(distances, obstacle_radius)
+    rule = _line_rule(getattr(potential, "envelope", None), distances, tail_tol)
+    return rule(potential, x0s, np.array([ln.omega for ln in lines]))
 
 
 def line_integral_scalar(potential, line: Line, tail_tol: float = TAIL_TOL,
@@ -257,60 +290,50 @@ def line_integral_scalar(potential, line: Line, tail_tol: float = TAIL_TOL,
     return float(vals[0])
 
 
-def _tangent_rule(evaluate: Callable, x0s, omegas, distances) -> np.ndarray:
-    """Integrals along k lines x0s[i] + s omegas[i] (evaluate as in _line_rule)
-    by a fixed 384-node Gauss-Legendre rule in s = c tan(t), c = max(|x0|, 1).
-    The distances |x0| are passed so that a sinogram scales by its exact
-    offsets."""
-    x0s = np.asarray(x0s, dtype=float)
-    omegas = np.asarray(omegas, dtype=float)
-    xg, wg = _gauss_legendre(_SINOGRAM_NODES)
-    t_nodes = 0.5 * (xg + 1.0) * (np.pi - 2e-10) - (np.pi / 2 - 1e-10)
-    t_weights = 0.5 * (np.pi - 2e-10) * wg
-    c = np.maximum(np.asarray(distances, dtype=float), 1.0)
-    s = c[:, None] * np.tan(t_nodes)[None, :]
-    jac = c[:, None] / np.cos(t_nodes)[None, :] ** 2
-    return np.sum(_on_lines(evaluate, x0s, omegas, s) * jac * t_weights[None, :], axis=1)
-
-
 def line_integrals_vector(config: PotentialConfig, lines: Sequence[Line],
                           tail_tol: float = TAIL_TOL) -> np.ndarray:
-    """Vector transforms int A . w ds, one per admissible line.
-
-    Plane: vortex flux alpha gives alpha*pi*sign(x0^w) and the gradient part
-    of the transversal profile a0(w) - a0(-w). In 3-space the homogeneous part
-    goes through the tangent rule; the short-range remainder through the line rule.
-    """
+    """Vector transforms int A . w ds, one per admissible line."""
     lines = tuple(lines)
     for ln in lines:
         if ln.dimension != config.dimension:
             raise DimensionMismatch(f"{ln.dimension}D line, {config.dimension}D configuration")
     if not lines:
         return np.zeros(0)
-    return _vector_integrals(config, np.array([ln.x0 for ln in lines]),
-                             np.array([ln.omega for ln in lines]), tail_tol)
+    x0s = np.array([ln.x0 for ln in lines])
+    distances = np.linalg.norm(x0s, axis=1)
+    _check_clear(distances, config.obstacle_radius)
+    return _vector_transform(config, distances, tail_tol)(x0s, np.array([ln.omega for ln in lines]))
 
 
-def _vector_integrals(config: PotentialConfig, x0s, omegas, tail_tol: float) -> np.ndarray:
-    """line_integrals_vector on k valid lines x0s[i] + s omegas[i], given as
-    (k, n) arrays of matching dimension."""
-    total = np.zeros(len(x0s))
-    d = np.linalg.norm(x0s, axis=1)
-    if np.min(d) <= config.obstacle_radius:
-        raise LineHitsObstacle(f"line at distance {np.min(d):.3f} meets the obstacle")
-    if config.transversal is not None:
-        if config.dimension == 2:
-            dec = decompose_transversal(config.transversal)
+def _vector_transform(config: PotentialConfig, distances, tail_tol: float) -> Callable:
+    """transform(x0s, omegas): the vector transforms along k lines
+    x0s[i] + s omegas[i] at the given distances |x0s[i]|, as (k, n) arrays.
+    The flux decomposition and the node tables are built here, once.
+
+    Plane: vortex flux alpha gives alpha*pi*sign(x0^w) and the gradient part
+    of the transversal profile a0(w) - a0(-w). In 3-space the homogeneous part
+    goes through the tangent rule; the short-range remainder through the line rule.
+    """
+    tv, sr = config.transversal, config.short_range
+    plane = tv is not None and config.dimension == 2
+    dec = decompose_transversal(tv) if plane else None
+    tangent_rule = _tangent_rule(distances) if tv is not None and not plane else None
+    line_rule = _line_rule(sr.envelope, distances, tail_tol) if sr is not None else None
+
+    def transform(x0s, omegas) -> np.ndarray:
+        total = np.zeros(len(x0s))
+        if plane:
             theta_w = np.arctan2(omegas[:, 1], omegas[:, 0])
             wedge = x0s[:, 0] * omegas[:, 1] - x0s[:, 1] * omegas[:, 0]
             total += dec.alpha * np.pi * np.where(wedge < 0, -1.0, 1.0)  # Line.orientation
             total += dec.a0(theta_w) - dec.a0(theta_w + np.pi)
-        else:
-            total += _tangent_rule(config.transversal, x0s, omegas, d)
-    if config.short_range is not None:
-        sr = config.short_range
-        total += _line_rule(sr, x0s, omegas, sr.envelope, tail_tol)[0]
-    return total
+        elif tv is not None:
+            total += tangent_rule(tv, x0s, omegas)
+        if sr is not None:
+            total += line_rule(sr, x0s, omegas)[0]
+        return total
+
+    return transform
 
 
 def line_integral_vector(config: PotentialConfig, line: Line,
@@ -369,14 +392,13 @@ class Sinogram:
         return float(self.offsets[self.offsets > 0][0])
 
     def to_csv(self, path) -> None:
-        body = np.column_stack([np.repeat(self.angles, self.offsets.size),
-                                np.tile(self.offsets, self.angles.size),
-                                self.values.ravel()])
-        np.savetxt(path, body, delimiter=",", header="angle,offset,value", comments="")
+        write_csv(path, "angle,offset,value", [np.repeat(self.angles, self.offsets.size),
+                                               np.tile(self.offsets, self.angles.size),
+                                               self.values.ravel()])
 
     @classmethod
     def from_csv(cls, path, kind: str, obstacle_radius: float = 0.0) -> "Sinogram":
-        body = np.loadtxt(path, delimiter=",", skiprows=1)
+        body = read_csv(path)
         angles = np.unique(body[:, 0])
         offsets = body[:len(body) // angles.size, 1]
         values = body[:, 2].reshape(angles.size, offsets.size)
@@ -387,11 +409,12 @@ class Sinogram:
 def forward_sinogram(config: PotentialConfig, angles, offsets, kind: str = "scalar") -> Sinogram:
     """Line transforms of a plane configuration on a parallel grid.
 
-    Vector data are line_integrals_vector on one array of lines per angle,
-    without building Line objects. Scalar data use the tangent rule, which
-    does not cover slow power decay: for the catalog power scalar with
-    p = 1.5 it misses about 5e-3 per line, where line_integral_scalar is
-    exact.
+    Every angle has the same line distances |offsets|, so the obstacle check,
+    the node tables and the flux decomposition are done once per sinogram;
+    each angle applies them to its lines, as arrays. Vector data are
+    line_integrals_vector. Scalar data use the tangent rule, which does not
+    cover slow power decay: for the catalog power scalar with p = 1.5 it
+    misses about 5e-3 per line, where line_integral_scalar is exact.
     """
     if config.dimension != 2:
         raise DimensionMismatch("parallel-beam sinograms are planar")
@@ -399,15 +422,20 @@ def forward_sinogram(config: PotentialConfig, angles, offsets, kind: str = "scal
         raise ValueError("kind must be 'scalar' or 'vector'")
     angles = np.asarray(angles, dtype=float)
     offsets = np.asarray(offsets, dtype=float)
+    distances = np.abs(offsets)
+    _check_clear(distances, config.obstacle_radius)
+    if kind == "vector":
+        transform = _vector_transform(config, distances, TAIL_TOL)
+    elif config.scalar is not None:
+        transform = partial(_tangent_rule(distances), config.scalar)
+    else:
+        transform = lambda x0s, omegas: 0.0  # no scalar part
     out = np.zeros((angles.size, offsets.size))
     for i, ang in enumerate(angles):
         # the lines line_at(ang, offsets), as arrays
         x0s = offsets[:, None] * np.array([np.cos(ang), np.sin(ang)])
         omegas = np.broadcast_to([-np.sin(ang), np.cos(ang)], (offsets.size, 2))
-        if kind == "vector":
-            out[i] = _vector_integrals(config, x0s, omegas, TAIL_TOL)
-        elif config.scalar is not None:
-            out[i] = _tangent_rule(config.scalar, x0s, omegas, np.abs(offsets))
+        out[i] = transform(x0s, omegas)
     return Sinogram(angles=angles, offsets=offsets, values=out, kind=kind,
                     obstacle_radius=config.obstacle_radius)
 
@@ -521,8 +549,7 @@ class PolarGridField:
 
     def to_csv(self, path) -> None:
         r, t, _ = polar_points(self.radii, self.thetas)
-        np.savetxt(path, np.column_stack([r, t, self.values.ravel()]), delimiter=",",
-                   header="r,theta,value", comments="")
+        write_csv(path, "r,theta,value", [r, t, self.values.ravel()])
 
 
 def polar_points(radii, thetas):

@@ -5,17 +5,21 @@ principal-value quadrature of one flux-kernel channel, the sphere solver's
 phase fit as a dense least-squares problem, the plane kernel's value
 matrix evaluated cell by cell, its per-offset maximum by a gather of every
 cell, the distance of two plane kernels from their full value grids, its
-remainder interpolated through the full 2-D transform, and central
-differences taken one axis at a time, kept only to check the library
-against an independent method; plus a field wrapper that counts evaluation
-points and a counter of remainder-grid scans.
+remainder interpolated through the full 2-D transform, central
+differences taken one axis at a time, sinograms rebuilt line table by line
+table for every angle, and the catalog fields as broadcast formulas over the
+coordinate axis, kept only to check the library against an independent
+method; plus a field wrapper that counts evaluation points and a counter of
+remainder-grid scans.
 """
 import numpy as np
 from scipy.integrate import quad
+from scipy.special import erf
 
-from gaugekit import scattering
+from gaugekit import scattering, tomography
 from gaugekit.errors import LineHitsObstacle
 from gaugekit.fields import neville_at_zero
+from gaugekit.fields import decompose_transversal
 from gaugekit.scattering import DIAG_MARGIN_CELLS, flux_step, singular_offdiagonal
 
 _QUAD_OPTS = dict(limit=200, epsabs=1e-13, epsrel=1e-12)
@@ -200,3 +204,126 @@ class CountingField:
         p = np.atleast_2d(np.asarray(p, dtype=float))
         self.points += len(p)
         return self.field(p)
+
+
+# ---------------- sinograms, one angle at a time ----------------
+
+def _broadcast_on_lines(evaluate, x0s, omegas, s):
+    pts = x0s[:, None, :] + s[:, :, None] * omegas[:, None, :]
+    vals = np.asarray(evaluate(pts.reshape(-1, x0s.shape[1])), dtype=float)
+    if vals.ndim == 2:
+        return np.einsum("kmd,kd->km", vals.reshape(pts.shape), omegas)
+    return vals.reshape(s.shape)
+
+
+def _per_angle_line_rule(evaluate, x0s, omegas, envelope, tail_tol):
+    S = max(envelope.truncation_radius(tail_tol), 1.0)
+    eps0 = envelope.eps0
+    s_core = np.minimum(S, np.maximum(8.0 * (np.linalg.norm(x0s, axis=1) + 2.0), 48.0))
+    totals = []
+    for n in (tomography._LINE_NODES, 2 * tomography._LINE_NODES):
+        x, w = tomography._gauss_legendre(n)
+        edges, widths = tomography._CORE_EDGES, tomography._CORE_WIDTHS
+        u = (edges[:-1, None] + 0.5 * widths[:, None] * (x + 1.0)).ravel()
+        uw = (0.5 * widths[:, None] * w).ravel()
+        s_tail, w_tail = tomography._tail_nodes(s_core, eps0, n)
+        w_tail = np.where((S > s_core)[:, None], w_tail, 0.0)
+        s = np.concatenate([s_core[:, None] * u, s_tail, -s_tail], axis=1)
+        ws = np.concatenate([s_core[:, None] * uw, w_tail, w_tail], axis=1)
+        totals.append(np.sum(_broadcast_on_lines(evaluate, x0s, omegas, s) * ws, axis=1))
+    return totals[1]
+
+
+def _per_angle_tangent_rule(evaluate, x0s, omegas, distances):
+    xg, wg = tomography._gauss_legendre(tomography._SINOGRAM_NODES)
+    t_nodes = 0.5 * (xg + 1.0) * (np.pi - 2e-10) - (np.pi / 2 - 1e-10)
+    t_weights = 0.5 * (np.pi - 2e-10) * wg
+    c = np.maximum(np.asarray(distances, dtype=float), 1.0)
+    s = c[:, None] * np.tan(t_nodes)[None, :]
+    jac = c[:, None] / np.cos(t_nodes)[None, :] ** 2
+    return np.sum(_broadcast_on_lines(evaluate, x0s, omegas, s) * jac * t_weights[None, :], axis=1)
+
+
+def per_angle_sinogram(config, angles, offsets, kind):
+    """forward_sinogram's values with everything rebuilt for every angle:
+    the flux decomposition and the node tables (the line rule's from the
+    distances |x0| of that angle's impact points), with the line points and
+    the projection broadcast over the coordinate axis."""
+    out = np.zeros((angles.size, offsets.size))
+    for i, ang in enumerate(angles):
+        x0s = offsets[:, None] * np.array([np.cos(ang), np.sin(ang)])
+        omegas = np.broadcast_to([-np.sin(ang), np.cos(ang)], (offsets.size, 2))
+        if kind == "scalar":
+            if config.scalar is not None:
+                out[i] = _per_angle_tangent_rule(config.scalar, x0s, omegas, np.abs(offsets))
+            continue
+        total = np.zeros(len(x0s))
+        if config.transversal is not None:
+            dec = decompose_transversal(config.transversal)
+            theta_w = np.arctan2(omegas[:, 1], omegas[:, 0])
+            wedge = x0s[:, 0] * omegas[:, 1] - x0s[:, 1] * omegas[:, 0]
+            total += dec.alpha * np.pi * np.where(wedge < 0, -1.0, 1.0)
+            total += dec.a0(theta_w) - dec.a0(theta_w + np.pi)
+        if config.short_range is not None:
+            sr = config.short_range
+            total += _per_angle_line_rule(sr, x0s, omegas, sr.envelope, tomography.TAIL_TOL)
+        out[i] = total
+    return out
+
+
+# ---------------- catalog fields as broadcast formulas ----------------
+
+def bumps_value(bumps, p):
+    """The gaussian_bumps scalar: the sum of a exp(-|p - c|^2 / (2 w^2))."""
+    out = np.zeros(p.shape[0])
+    for a, *c, w in bumps:
+        out += a * np.exp(-np.sum((p - np.asarray(c, dtype=float)) ** 2, axis=1) / (2 * w**2))
+    return out
+
+
+def bumps_gradient(bumps, p):
+    """grad of bumps_value, the grad_bumps field."""
+    out = np.zeros_like(p)
+    for a, *c, w in bumps:
+        diff = p - np.asarray(c, dtype=float)
+        out += (-a / w**2) * diff * np.exp(-np.sum(diff**2, axis=1) / (2 * w**2))[:, None]
+    return out
+
+
+def power_gradient(c, p_exp, p):
+    """grad of c (1 + |p|^2)^(-p_exp/2)."""
+    r2 = np.sum(p**2, axis=1)
+    return (-c * p_exp) * p * ((1 + r2) ** (-(p_exp + 2) / 2))[:, None]
+
+
+def ring_gradient(a, r0, sig, mod, p):
+    """grad of the gaussian_ring scalar with modulation [[l, cos, sin], ...]."""
+    r = np.sqrt(np.sum(p**2, axis=1))
+    base = a * np.exp(-((r - r0) ** 2) / (2 * sig**2))
+    inv_r = np.divide(1.0, r, out=np.zeros_like(r), where=r > 0)
+    radial = (-(r - r0) / sig**2) * base * inv_r
+    if not (mod and p.shape[1] == 2):
+        return radial[:, None] * p
+    th = np.arctan2(p[:, 1], p[:, 0])
+    factor = np.ones_like(r)
+    dfactor = np.zeros_like(r)
+    for l, ca, sa in mod:
+        c, s = np.cos(l * th), np.sin(l * th)
+        factor += ca * c + sa * s
+        dfactor += l * (sa * c - ca * s)
+    angular = base * dfactor * inv_r**2
+    return (radial * factor)[:, None] * p + angular[:, None] * np.column_stack([-p[:, 1], p[:, 0]])
+
+
+def ring_bump_tangential(b0, r0, sig, p):
+    """The ring_bump_tangential field (F(r) - M) / r^2 (-p_2, p_1)."""
+    s2 = np.sqrt(2.0) * sig
+
+    def F(r):
+        return b0 * (sig**2 * (np.exp(-(r0**2) / (2 * sig**2)) - np.exp(-((r - r0) ** 2) / (2 * sig**2)))
+                     + r0 * sig * np.sqrt(np.pi / 2) * (erf((r - r0) / s2) + erf(r0 / s2)))
+
+    M = float(F(np.asarray(r0 + 40 * sig)))
+    r = np.sqrt(np.sum(p**2, axis=1))
+    coeff = (F(r) - M) / r**2
+    return coeff[:, None] * np.column_stack([-p[:, 1], p[:, 0]])

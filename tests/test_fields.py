@@ -3,6 +3,7 @@ import dataclasses
 
 import numpy as np
 import pytest
+import oracles
 from oracles import per_axis_partials
 
 from gaugekit import catalog
@@ -570,6 +571,56 @@ class TestScalarGradients:
         rng = np.random.default_rng(4)
         pts = rng.uniform(0.5, 3.0, (30, 1)) * _unit(rng, 30)
         np.testing.assert_array_equal(back.scalar.gradient(pts), cfg.scalar.gradient(pts))
+
+
+def _catalog_points(dim, m=400, seed=8):
+    """Random points at radii 0.3-5, plus the origin and a point on each axis."""
+    rng = np.random.default_rng(seed)
+    pts = rng.normal(size=(m, dim))
+    pts *= rng.uniform(0.3, 5.0, (m, 1)) / np.linalg.norm(pts, axis=1)[:, None]
+    return np.concatenate([np.zeros((1, dim)), np.eye(dim), -2.5 * np.eye(dim), pts])
+
+
+class TestCatalogColumns:
+    """The catalog kinds, formed one coordinate column at a time, equal their
+    broadcast formulas (tests/oracles.py) bit for bit."""
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_gaussian_bumps_value_and_gradient(self, dim):
+        bumps = (_SCALAR_PARAMS if dim == 2 else _SCALAR_PARAMS_3D)["gaussian_bumps"]["bumps"]
+        L = catalog.build_scalar("gaussian_bumps", {"bumps": bumps}, dimension=dim)
+        pts = _catalog_points(dim)
+        np.testing.assert_array_equal(L.func(pts), oracles.bumps_value(bumps, pts))
+        np.testing.assert_array_equal(L.gradient(pts), oracles.bumps_gradient(bumps, pts))
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_grad_bumps_field(self, dim):
+        bumps = (_SCALAR_PARAMS if dim == 2 else _SCALAR_PARAMS_3D)["gaussian_bumps"]["bumps"]
+        F = catalog.build_vector("grad_bumps", {"bumps": bumps}, dimension=dim)
+        pts = _catalog_points(dim)
+        np.testing.assert_array_equal(F(pts), oracles.bumps_gradient(bumps, pts))
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_power_gradient(self, dim):
+        L = catalog.build_scalar("power", {"c": 0.75, "p": 1.5}, dimension=dim)
+        F = catalog.build_vector("grad_power", {"c": -1.3, "p": 2.5}, dimension=dim)
+        pts = _catalog_points(dim)
+        np.testing.assert_array_equal(L.gradient(pts), oracles.power_gradient(0.75, 1.5, pts))
+        np.testing.assert_array_equal(F(pts), oracles.power_gradient(-1.3, 2.5, pts))
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    @pytest.mark.parametrize("modulation", [[], [[2, 0.25, -0.1], [3, 0.05, 0.15]]])
+    def test_gaussian_ring_gradient(self, modulation, dim):
+        L = catalog.build_scalar("gaussian_ring", {"amplitude": 0.8, "r0": 1.2, "sigma": 0.4,
+                                                   "modulation": modulation}, dimension=dim)
+        pts = _catalog_points(dim)
+        np.testing.assert_array_equal(L.gradient(pts),
+                                      oracles.ring_gradient(0.8, 1.2, 0.4, modulation, pts))
+
+    def test_ring_bump_tangential(self):
+        F = catalog.build_vector("ring_bump_tangential", {"b0": 0.4, "r0": 1.9, "sigma": 0.3})
+        pts = _catalog_points(2)[1:]  # the field is singular at the origin
+        np.testing.assert_array_equal(F(pts), oracles.ring_bump_tangential(0.4, 1.9, 0.3, pts))
 
 
 def _unit(rng, n):

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from oracles import CountingField, count_remainder_scans
 
-from gaugekit import catalog, cli, pipeline
+from gaugekit import _csvio, catalog, cli, pipeline
 from gaugekit.angular import AngularFunction
 from gaugekit.errors import DimensionMismatch, GaugekitError
 from gaugekit.fields import (
@@ -432,6 +432,29 @@ def scalar_part_report():
     cfg2 = apply_gauge_to_potential(cfg1, GaugeElement(dimension=2, scalar=L))
     return run_classify(Scenario(kind="classify", config1=cfg1, config2=cfg2,
                                  kernels=dict(FAST_KERNELS)))
+
+
+class TestCsvCodec:
+    def test_writes_the_bytes_of_savetxt(self, tmp_path, monkeypatch):
+        # 7-row blocks, so that 50 rows span several % operations
+        monkeypatch.setattr(_csvio, "_BLOCK_ROWS", 7)
+        rng = np.random.default_rng(6)
+        body = rng.normal(size=(50, 3)) * 10.0 ** rng.integers(-300, 300, (50, 3))
+        body[::5, 0] = 0.0
+        body[1::5, 1] = -0.0
+        body[2, 2], body[3, 2], body[4, 2] = np.inf, -np.inf, 5e-324
+        ints = np.arange(50)
+        np.savetxt(tmp_path / "ref.csv", np.column_stack([ints, body]), delimiter=",",
+                   header="i,a,b,c", comments="")
+        _csvio.write_csv(tmp_path / "got.csv", "i,a,b,c", [ints, body])
+        assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+        back = _csvio.read_csv(tmp_path / "got.csv")
+        np.testing.assert_array_equal(back, np.column_stack([ints, body]))
+        np.testing.assert_array_equal(np.signbit(back), np.signbit(np.column_stack([ints, body])))
+
+    def test_one_row_reads_as_a_row(self, tmp_path):
+        _csvio.write_csv(tmp_path / "one.csv", "a,b,c", [[1.5], [2.0], [-3.0]])
+        assert _csvio.read_csv(tmp_path / "one.csv").shape == (1, 3)
 
 
 class TestEmitReport:

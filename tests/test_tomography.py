@@ -1,11 +1,14 @@
 """Line integrals, winding resolution, exterior inversion, gauge scalars,
 plane restrictions."""
+import dataclasses
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.interpolate import CubicSpline
 from scipy.special import gamma
 
-from gaugekit import catalog
+from gaugekit import catalog, tomography
 from gaugekit.angular import AngularFunction, SphereFunction, sphere_grid
 from gaugekit.errors import (
     BranchAmbiguous,
@@ -55,7 +58,11 @@ from gaugekit.tomography import (
     _spline_derivative,
     _spline_interval,
 )
-from oracles import adaptive_line_integral, line_integral_vector_quadrature
+from oracles import (
+    adaptive_line_integral,
+    line_integral_vector_quadrature,
+    per_angle_sinogram,
+)
 
 
 def _power_scalar(p_exp=3.0, amp=1.0, dim=2):
@@ -162,8 +169,9 @@ class TestLineRule:
     def test_scalar_kinds_match_adaptive_oracle(self, kind, params):
         V = catalog.build_scalar(kind, params)
         lines = _random_lines(5)
-        vals, _ = _line_rule(V, [ln.x0 for ln in lines], [ln.omega for ln in lines],
-                             V.envelope, 1e-9)
+        x0s = np.array([ln.x0 for ln in lines])
+        vals, _ = _line_rule(V.envelope, np.linalg.norm(x0s, axis=1), 1e-9)(
+            V, x0s, np.array([ln.omega for ln in lines]))
         ref = [adaptive_line_integral(V, ln, V.envelope) for ln in lines]
         np.testing.assert_allclose(vals, ref, rtol=0, atol=1e-12)
 
@@ -176,8 +184,9 @@ class TestLineRule:
     def test_vector_kinds_match_adaptive_oracle(self, kind, params):
         F = catalog.build_vector(kind, params)
         lines = _random_lines(6)
-        vals, _ = _line_rule(F, [ln.x0 for ln in lines], [ln.omega for ln in lines],
-                             F.envelope, 1e-9)
+        x0s = np.array([ln.x0 for ln in lines])
+        vals, _ = _line_rule(F.envelope, np.linalg.norm(x0s, axis=1), 1e-9)(
+            F, x0s, np.array([ln.omega for ln in lines]))
         ref = [adaptive_line_integral(F, ln, F.envelope) for ln in lines]
         np.testing.assert_allclose(vals, ref, rtol=0, atol=1e-12)
 
@@ -411,6 +420,101 @@ class TestForwardSinogram:
         angles, offsets = parallel_geometry(8, 8, 1.001, 3.0)
         with pytest.raises(DimensionMismatch, match="planar"):
             forward_sinogram(cfg, angles, offsets, kind=kind)
+
+
+_SINOGRAM_GEOMETRIES = [(45, 64, 3.5), (12, 16, 9.0)]
+_SINOGRAM_SCALARS = [
+    ("zero", {}),
+    ("gaussian_ring", {"amplitude": 0.8, "r0": 2.15, "sigma": 0.4, "modulation": [[2, 0.2, -0.1]]}),
+    ("gaussian_ring", {"amplitude": 1.0, "r0": 1.5, "sigma": 0.25}),
+    ("gaussian_bumps", {"bumps": [[0.5, 2.0, 0.7, 0.5], [-0.4, -1.5, 1.6, 0.8]]}),
+    ("power", {"c": 0.75, "p": 1.5}),
+]
+_SINOGRAM_REMAINDERS = [
+    ("grad_bumps", {"bumps": [[0.5, 1.6, 0.4, 0.5], [-0.2, -1.0, 1.2, 0.6]]}),
+    ("ring_bump_tangential", {"b0": 0.4, "r0": 1.9, "sigma": 0.3}),
+]
+
+
+def _counted(part, calls):
+    """The field or scalar part with its func recording each call's point count."""
+    return dataclasses.replace(part, func=lambda p: calls.append(len(p)) or part.func(p))
+
+
+def _sinogram_config(short_range=None, scalar=None):
+    prof = AngularFunction.constant(0.3) + AngularFunction.harmonic(1, cos_amp=0.2)
+    return PotentialConfig(
+        dimension=2, obstacle_radius=1.0,
+        transversal=None if scalar else TransversalField.from_profile(prof),
+        short_range=short_range, scalar=scalar)
+
+
+class TestSinogramPlan:
+    """A sinogram is planned once per geometry and equals, bit for bit, the
+    sinogram rebuilt line table by line table for every angle."""
+
+    @pytest.mark.parametrize("geometry", _SINOGRAM_GEOMETRIES)
+    @pytest.mark.parametrize("kind,params", _SINOGRAM_SCALARS)
+    def test_scalar_equals_per_angle_rules(self, kind, params, geometry):
+        cfg = _sinogram_config(scalar=catalog.build_scalar(kind, params))
+        angles, offsets = parallel_geometry(geometry[0], geometry[1], 1.001, geometry[2])
+        sino = forward_sinogram(cfg, angles, offsets, kind="scalar")
+        np.testing.assert_array_equal(sino.values,
+                                      per_angle_sinogram(cfg, angles, offsets, "scalar"))
+
+    @pytest.mark.parametrize("geometry", _SINOGRAM_GEOMETRIES)
+    @pytest.mark.parametrize("kind,params", _SINOGRAM_REMAINDERS)
+    def test_vector_equals_per_angle_rules(self, kind, params, geometry):
+        cfg = _sinogram_config(short_range=catalog.build_vector(kind, params))
+        angles, offsets = parallel_geometry(geometry[0], geometry[1], 1.001, geometry[2])
+        sino = forward_sinogram(cfg, angles, offsets, kind="vector")
+        np.testing.assert_array_equal(sino.values,
+                                      per_angle_sinogram(cfg, angles, offsets, "vector"))
+
+    def test_vector_calls(self, monkeypatch):
+        # two line-rule passes (n and 2n nodes) per angle, one decomposition
+        decompositions = []
+        decompose = tomography.decompose_transversal
+        monkeypatch.setattr(tomography, "decompose_transversal",
+                            lambda field: decompositions.append(field) or decompose(field))
+        calls = []
+        sr = _counted(catalog.build_vector(*_SINOGRAM_REMAINDERS[0]), calls)
+        angles, offsets = parallel_geometry(12, 16, 1.001, 3.5)
+        forward_sinogram(_sinogram_config(short_range=sr), angles, offsets, kind="vector")
+        assert len(calls) == 2 * angles.size
+        assert len(decompositions) == 1
+
+    def test_scalar_calls(self):
+        calls = []
+        V = _counted(catalog.build_scalar(*_SINOGRAM_SCALARS[1]), calls)
+        angles, offsets = parallel_geometry(12, 16, 1.001, 3.5)
+        forward_sinogram(_sinogram_config(scalar=V), angles, offsets, kind="scalar")
+        assert calls == [offsets.size * 384] * angles.size
+
+    @pytest.mark.parametrize("kind", ["scalar", "vector"])
+    def test_lines_through_obstacle_are_refused(self, kind):
+        calls = []
+        cfg = PotentialConfig(
+            dimension=2, obstacle_radius=1.0,
+            short_range=_counted(catalog.build_vector(*_SINOGRAM_REMAINDERS[0]), calls),
+            scalar=_counted(catalog.build_scalar(*_SINOGRAM_SCALARS[1]), calls))
+        angles, offsets = parallel_geometry(8, 8, 0.5, 3.0)
+        with pytest.raises(LineHitsObstacle, match="distance 0.500"):
+            forward_sinogram(cfg, angles, offsets, kind=kind)
+        assert calls == []
+
+    def test_memory_of_a_default_vector_sinogram(self):
+        # one 180 x 256 vector sinogram: 12.6 MiB traced peak; batching
+        # angles would trade the run's memory for speed
+        cfg = _sinogram_config(short_range=catalog.build_vector(*_SINOGRAM_REMAINDERS[1]))
+        angles, offsets = parallel_geometry(180, 256, 1.001, 3.5)
+        tracemalloc.start()
+        try:
+            forward_sinogram(cfg, angles, offsets, kind="vector")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 16 * 2**20
 
 
 class TestNotAKnotSpline:
