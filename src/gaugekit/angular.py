@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import cache
 from typing import Callable, Sequence
 
 import numpy as np
@@ -24,6 +25,18 @@ FAR_PAIR_ANGLE = 0.15  # radians; sphere kernel comparisons skip closer pairs
 # near this size (12 rows at refinement 4, 32 rows at M = 1024), so each
 # block's temporaries stay in cache
 ROW_BLOCK_BYTES = 1 << 19
+
+
+@cache
+def row_blocks(n: int) -> tuple:
+    """Row slices covering an n x n array of complex pair values, about
+    ROW_BLOCK_BYTES each, cached per n. No block has a single row: a one-row
+    product V[i] @ V.T takes BLAS's matrix-vector path, whose sums may differ
+    in the last bit from the matrix-matrix path of the others."""
+    starts = list(range(0, n, max(2, ROW_BLOCK_BYTES // (16 * n))))
+    if len(starts) > 1 and n - starts[-1] == 1:
+        starts.pop()
+    return tuple(slice(a, b) for a, b in zip(starts, starts[1:] + [n]))
 
 
 @dataclass(frozen=True)
@@ -266,19 +279,6 @@ class SphereGrid:
             self._inv_cache["edges"] = e
         return self._inv_cache["edges"]
 
-    def row_blocks(self) -> list:
-        """Row slices covering the grid, about ROW_BLOCK_BYTES of complex
-        pair values each, cached. No block has a single row: a one-row
-        product V[i] @ V.T takes BLAS's matrix-vector path, whose sums may
-        differ in the last bit from the matrix-matrix path of the others."""
-        if "row_blocks" not in self._inv_cache:
-            n = self.size
-            starts = list(range(0, n, max(2, ROW_BLOCK_BYTES // (16 * n))))
-            if len(starts) > 1 and n - starts[-1] == 1:
-                starts.pop()
-            self._inv_cache["row_blocks"] = [slice(a, b) for a, b in zip(starts, starts[1:] + [n])]
-        return self._inv_cache["row_blocks"]
-
     def far_pairs(self) -> np.ndarray:
         """(size, size) mask of the vertex pairs more than FAR_PAIR_ANGLE
         apart (w . w' < cos(FAR_PAIR_ANGLE)), built by row blocks; read-only
@@ -286,7 +286,7 @@ class SphereGrid:
         if "far_pairs" not in self._inv_cache:
             V = self.vertices
             mask = np.empty((self.size, self.size), dtype=bool)
-            for rows in self.row_blocks():
+            for rows in row_blocks(self.size):
                 np.less(V[rows] @ V.T, np.cos(FAR_PAIR_ANGLE), out=mask[rows])
             mask.flags.writeable = False
             self._inv_cache["far_pairs"] = mask

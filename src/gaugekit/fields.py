@@ -76,6 +76,11 @@ class DecayEnvelope:
         if self.C < 0 or self.eps0 <= 0:
             raise ValueError("need C >= 0 and eps0 > 0")
 
+    def __add__(self, other: "DecayEnvelope") -> "DecayEnvelope":
+        """Envelope of a sum of two bounded fields: the constants add and
+        the slower decay rate holds (<x> >= 1)."""
+        return DecayEnvelope(self.C + other.C, min(self.eps0, other.eps0))
+
     def truncation_radius(self, tail_tol: float) -> float:
         """S with integral of C s^(-1-eps0) over (S, inf) below tail_tol.
 
@@ -355,8 +360,7 @@ class GaugeElement:
             scalar = ScalarPotential(
                 dimension=self.dimension,
                 func=lambda p, _f=a.func, _g=b.func: np.asarray(_f(p)) + np.asarray(_g(p)),
-                envelope=DecayEnvelope(a.envelope.C + b.envelope.C,
-                                       min(a.envelope.eps0, b.envelope.eps0)),
+                envelope=a.envelope + b.envelope,
                 gradient=None if ga is None or gb is None
                 else (lambda p, _f=ga, _g=gb: np.asarray(_f(p)) + np.asarray(_g(p))))
         else:
@@ -562,10 +566,8 @@ def apply_gauge_to_potential(config: PotentialConfig, g: GaugeElement) -> Potent
             short_range = ShortRangeField(dimension=dim, func=grad_L, envelope=g.scalar.envelope)
         else:
             prev_func = short_range.func
-            env = DecayEnvelope(short_range.envelope.C + g.scalar.envelope.C,
-                                min(short_range.envelope.eps0, g.scalar.envelope.eps0))
             short_range = ShortRangeField(
                 dimension=dim,
                 func=lambda p, _f=prev_func, _g=grad_L: np.asarray(_f(p)) + _g(p),
-                envelope=env)
+                envelope=short_range.envelope + g.scalar.envelope)
     return replace(config, transversal=transversal, short_range=short_range)

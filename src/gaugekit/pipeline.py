@@ -26,7 +26,6 @@ from ._csvio import write_csv
 from .angular import AngularFunction, sphere_grid
 from .errors import DimensionMismatch, NotCurlFree, ResidualFlux
 from .fields import (
-    DecayEnvelope,
     GaugeElement,
     PotentialConfig,
     ShortRangeField,
@@ -49,6 +48,7 @@ from .tomography import (
     Line,
     PolarGridField,
     Sinogram,
+    annulus_points,
     forward_sinogram,
     find_gauge_scalar,
     line_integrals_scalar,
@@ -360,9 +360,7 @@ def run_classify(scenario: Scenario) -> Report:
     r_out = float(geo.get("r_max", 3.5))
     scale_v = 1.0
     if cfg1.scalar is not None or cfg2.scalar is not None:
-        r = rng.uniform(r_in, r_out, 200)
-        th = rng.uniform(0, 2 * np.pi, 200)
-        pts = np.column_stack([r * np.cos(th), r * np.sin(th)])
+        pts = annulus_points(rng, r_in, r_out, 200)
         v1 = cfg1.scalar(pts) if cfg1.scalar else np.zeros(len(pts))
         v2 = cfg2.scalar(pts) if cfg2.scalar else np.zeros(len(pts))
         scale_v = max(float(np.max(np.abs(v1))), float(np.max(np.abs(v2))), 1e-12)
@@ -430,25 +428,17 @@ def _short_range_difference(cfg1: PotentialConfig, cfg2: PotentialConfig,
 
     envs = [f.envelope for f in (cfg1.short_range, cfg2.short_range)
             if f is not None and f.envelope is not None]
-    env = DecayEnvelope(C=sum(e.C for e in envs), eps0=min(e.eps0 for e in envs)) \
-        if envs else None
+    env = sum(envs[1:], envs[0]) if envs else None
     field_obj = ShortRangeField(dimension=2, func=diff, envelope=env)
-    rng = np.random.default_rng(1)
-    r = rng.uniform(r_in, r_out, 64)
-    th = rng.uniform(0, 2 * np.pi, 64)
-    pts = np.column_stack([r * np.cos(th), r * np.sin(th)])
+    pts = annulus_points(np.random.default_rng(1), r_in, r_out, 64)
     scale = float(np.max(np.abs(field_obj(pts))))
     return field_obj, scale
 
 
 def _gradient_residual(gs, field_obj, r_in: float, r_out: float, seed: int) -> float:
     """Max |grad L - field| over 20 probe points, by central differences."""
-    n_probe, h = 20, 1e-5
-    rng = np.random.default_rng(seed + 1)
-    r = rng.uniform(r_in, r_out, n_probe)
-    th = rng.uniform(0, 2 * np.pi, n_probe)
-    pts = np.column_stack([r * np.cos(th), r * np.sin(th)])
-    grad = central_partials(gs.evaluate, pts, h)
+    pts = annulus_points(np.random.default_rng(seed + 1), r_in, r_out, 20)
+    grad = central_partials(gs.evaluate, pts, 1e-5)
     return float(np.max(np.abs(grad - np.asarray(field_obj(pts)))))
 
 

@@ -25,15 +25,11 @@ kernel without a remainder certifies C = 0 with no scan. The gauge action
 changes only the winding and the phases, so gauged kernels share the grid and
 its certificate; direct construction and dataclasses.replace check again.
 
-kernel_distance and the plane solver's verification run one pass over row
-blocks of about angular.ROW_BLOCK_BYTES, each block of both kernels built
-once: no M x M value grid is formed (value_grid remains for callers).
-
 Off the grid, the remainder is trigonometric interpolation: the grid is
 contracted with the Dirichlet weight rows of both angles (M values per
-angle, no 2-D transform of the grid). remainder_at gives the table of all
-pairs, D_out R D_in^T; equal-shape angle arrays are read pairwise, on the
-diagonal of that table without forming it.
+angle, no 2-D transform of the grid). evaluate reads its two angle arrays,
+broadcast together, pair by pair; a table of every pair is a broadcast
+of a column against a row.
 
 Channel constants. Writing u = theta - theta' and [a] for the integer step
 of the flux, the convolution part is
@@ -48,8 +44,15 @@ not assumed.
 
 A sphere kernel is stored the same way: its ungauged base matrix and, once
 gauged, the out and in prefactor vectors e^{i phi(w)} and e^{-i phi(-w')}.
-Passes over all its pairs (maxima, kernel_distance, synthesis) run over row
-blocks (SphereGrid.row_blocks), so none forms a second n x n matrix.
+
+Both kinds are compared by one layer. A kind supplies rows(block) and
+far_pairs(), the mask of the pairs a comparison reads (off the diagonal band
+on the plane, more than angular.FAR_PAIR_ANGLE apart on the sphere); one
+pair check, one blocked distance over angular.row_blocks (about
+angular.ROW_BLOCK_BYTES each, each block of both kernels built once) and one
+verification step serve kernel_distance and both solvers. No pass over all
+pairs (maxima, distance, synthesis) forms a second n x n matrix; value_grid
+remains for callers.
 
 The gauge e^{i(m theta + phi)} multiplies kernels by e^{i(m theta + phi(theta))}
 on the left and e^{-i(m(theta' + pi) + phi(theta' + pi))} on the right; the
@@ -66,7 +69,7 @@ import numpy as np
 from numpy.lib.stride_tricks import as_strided, sliding_window_view
 
 from ._csvio import read_csv, write_csv
-from .angular import ROW_BLOCK_BYTES, AngularFunction, SphereFunction, SphereGrid
+from .angular import AngularFunction, SphereFunction, SphereGrid, row_blocks
 from .errors import (
     DimensionMismatch,
     GridMismatch,
@@ -243,42 +246,21 @@ class ScatteringKernel:
         js = np.fft.fftfreq(M, d=1.0 / M).astype(int)
         return np.fft.fft(np.exp(1j * np.outer(theta, js)), axis=1) / M
 
-    def remainder_at(self, theta, theta_prime) -> np.ndarray:
-        """Trigonometric interpolation of the remainder grid (exact for
-        band-limited remainders; only meaningful off the diagonal): the
-        (len(theta), len(theta_prime)) table D_out R D_in^T, or a number for
-        two numbers."""
-        d_out = self._dirichlet_rows(np.atleast_1d(np.asarray(theta, dtype=float)))
-        d_in = self._dirichlet_rows(np.atleast_1d(np.asarray(theta_prime, dtype=float)))
-        vals = d_out @ self.remainder @ d_in.T
-        return vals[0, 0] if (np.isscalar(theta) and np.isscalar(theta_prime)) else vals
-
-    def _remainder_paired(self, th: np.ndarray, tp: np.ndarray) -> np.ndarray:
-        """R(th[p], tp[p]) for two equal-length vectors: the diagonal of
-        remainder_at's table, without forming the table."""
-        return ((self._dirichlet_rows(th) @ self.remainder) * self._dirichlet_rows(tp)).sum(axis=1)
-
     def evaluate(self, theta, theta_prime) -> np.ndarray:
-        """Kernel value away from the diagonal (the delta term is excluded).
-
-        Equal shapes are read pairwise and give that shape (a number for two
-        numbers); other shapes give the table of every pair, shaped
-        theta.shape + theta_prime.shape."""
-        th = np.asarray(theta, dtype=float)
-        tp = np.asarray(theta_prime, dtype=float)
-        if th.shape == tp.shape:
-            u = th - tp
-            rem = self._remainder_paired(th.ravel(), tp.ravel()).reshape(th.shape)
-            pref = self.prefactor_out(th) * self.prefactor_in(tp)
-        else:
-            u = np.subtract.outer(th, tp)
-            rem = self.remainder_at(th, tp).reshape(u.shape)
-            pref = np.multiply.outer(self.prefactor_out(th), self.prefactor_in(tp))
+        """Kernel value away from the diagonal (the delta term is excluded) at
+        the pairs of the two angle arrays broadcast together, in that shape (a
+        number for two numbers): evaluate(theta[:, None], theta_prime) gives
+        a table. The remainder at a pair contracts R with the Dirichlet rows
+        of both angles, ((D_out R) * D_in).sum(), meaningful off the diagonal."""
+        th, tp = np.broadcast_arrays(np.asarray(theta, dtype=float),
+                                     np.asarray(theta_prime, dtype=float))
+        d_out, d_in = self._dirichlet_rows(th.ravel()), self._dirichlet_rows(tp.ravel())
+        rem = ((d_out @ self.remainder) * d_in).sum(axis=1).reshape(th.shape)
         # (singular + R) * prefactor, in the operand order of rows(): numpy
         # would take that order only above its temporary-elision size, so a
         # value would depend on the size of its batch
-        v = singular_offdiagonal(self.alpha, u) + rem
-        v *= pref
+        v = singular_offdiagonal(self.alpha, th - tp) + rem
+        v *= self.prefactor_out(th) * self.prefactor_in(tp)
         return v
 
     @cached_property
@@ -314,6 +296,12 @@ class ScatteringKernel:
         rows = np.arange(self.n_grid)
         cols = (rows - p) % self.n_grid
         return out * inc[cols] * (singular[p % self.n_grid] + self.remainder[rows, cols])
+
+    def far_pairs(self) -> np.ndarray:
+        """Read-only M x M mask of the cells off the diagonal band (cyclic
+        offset more than DIAG_MARGIN_CELLS), a circulant view of one table."""
+        k = np.arange(self.n_grid)
+        return _circulant(np.minimum(k, self.n_grid - k) > DIAG_MARGIN_CELLS)
 
     def channel_spectrum(self, N: int = 32) -> ChannelSpectrum:
         """Channels of the convolution-plus-winding part: the winding
@@ -514,62 +502,56 @@ def kernel_distance(S1, S2) -> float:
     the sphere, direction pairs within angular.FAR_PAIR_ANGLE of each other
     are. Both kinds of kernel are compared by row blocks.
     """
-    if isinstance(S1, SphereScatteringKernel) and isinstance(S2, SphereScatteringKernel):
+    _check_pair(S1, S2)
+    return _distance(S1, S2)[0]
+
+
+def _check_pair(S1, S2) -> None:
+    """Two kernels of one kind on one grid at one energy, else
+    DimensionMismatch (kinds) or GridMismatch (grids, energies)."""
+    if isinstance(S1, ScatteringKernel) and isinstance(S2, ScatteringKernel):
+        if S1.n_grid != S2.n_grid:
+            raise GridMismatch("kernels on different angle grids")
+    elif isinstance(S1, SphereScatteringKernel) and isinstance(S2, SphereScatteringKernel):
         if S1.grid is not S2.grid and S1.grid.refinement != S2.grid.refinement:
             raise GridMismatch("kernels on different sphere grids")
-        if S1.lam != S2.lam:
-            raise GridMismatch("kernels at different energies")
-        return _sphere_distance(S1, S2)[0]
-    if not (isinstance(S1, ScatteringKernel) and isinstance(S2, ScatteringKernel)):
+    else:
         raise DimensionMismatch("kernel types differ")
-    if S1.n_grid != S2.n_grid:
-        raise GridMismatch("kernels on different angle grids")
     if S1.lam != S2.lam:
         raise GridMismatch("kernels at different energies")
-    return _plane_distance(S1, S2)[0]
 
 
-def _plane_row_blocks(M: int) -> list:
-    """Row slices covering an M x M plane grid, about ROW_BLOCK_BYTES of
-    complex values each."""
-    step = max(1, ROW_BLOCK_BYTES // (16 * M))
-    return [slice(a, min(a + step, M)) for a in range(0, M, step)]
-
-
-def _plane_distance(S1: ScatteringKernel, S2: ScatteringKernel) -> tuple:
-    """kernel_distance of two plane kernels on one grid, and S2's largest
-    |value|: one pass over row blocks, each kernel's rows built once. The
-    distance is the largest |S1 - S2| off the diagonal band, the largest
-    |value| includes the diagonal; both reduce with numpy, so a nan shows."""
-    M = S1.n_grid
-    k = np.arange(M)
-    far = _circulant(np.minimum(k, M - k) > DIAG_MARGIN_CELLS)
+def _distance(S1, S2) -> tuple:
+    """kernel_distance of a checked pair, and S2's largest |value|: one pass
+    over row blocks, each block of both kernels built once. The distance is
+    the largest |S1 - S2| on S1.far_pairs(), plus the channel-spectrum
+    distance for plane kernels; the largest |value| includes every pair.
+    Both reduce with numpy, so a nan shows."""
+    far = S1.far_pairs()
     dist, top = [], []
-    for b in _plane_row_blocks(M):
+    for b in row_blocks(far.shape[0]):
         v2 = S2.rows(b)
         top.append(np.max(np.abs(v2)))
         v1 = S1.rows(b)
-        v1 -= v2
-        dist.append(np.max(np.abs(v1), where=far[b], initial=0.0))
+        # a fresh block takes the difference in place: a new 512 KiB array
+        # lies past malloc's mmap threshold and pays fresh page faults
+        d = np.subtract(v1, v2, out=v1 if v1.flags.writeable else None)
+        dist.append(np.max(np.abs(d), where=far[b], initial=0.0))
+        del v1, v2, d  # free this block before the next one is built
     off = float(np.max(dist))
-    return off + S1.channel_spectrum().distance(S2.channel_spectrum()), float(np.max(top))
-
-
-def _sphere_distance(S1: SphereScatteringKernel, S2: SphereScatteringKernel) -> tuple:
-    """kernel_distance of two sphere kernels on one grid, and S2's largest
-    |value|: one pass over row blocks, each block of S2 built once."""
-    far = S1.grid.far_pairs()
-    dist, top = [], []
-    for b in S1.grid.row_blocks():
-        v2 = S2.rows(b)
-        top.append(np.max(np.abs(v2)))
-        dist.append(np.max(np.abs(S1.rows(b) - v2)[far[b]]))
-    return float(np.max(dist)), float(np.max(top))
+    if isinstance(S1, ScatteringKernel):
+        off += S1.channel_spectrum().distance(S2.channel_spectrum())
+    return off, float(np.max(top))
 
 
 def near_diagonal_growth(S: ScatteringKernel) -> tuple[float, float]:
     """Fitted (exponent, constant) of |S(theta0 + u, theta0)| ~ C u^{-p} at
-    theta0 = 0.37, over 24 geometric u from 1e-3 to 1e-1."""
+    theta0 = 0.37, over 24 geometric u from 1e-3 to 1e-1.
+
+    SingularPartMissing at integer base flux: sin(alpha pi) vanishes, so the
+    kernel has no diagonal singularity to fit."""
+    if is_integer_flux(S.alpha):
+        raise SingularPartMissing("integer flux: the kernel has no diagonal singularity")
     us = np.geomspace(1e-3, 1e-1, 24)
     theta0 = 0.37
     logs = np.log(np.abs(S.evaluate(theta0 + us, np.full(us.size, theta0))))
@@ -634,18 +616,18 @@ class SphereScatteringKernel:
         on each read (16 n^2 bytes)."""
         return self.rows(slice(None))
 
-    def diagonal(self) -> np.ndarray:
-        d = np.diagonal(self.base)
-        return d if self.prefactor_out is None else self.prefactor_out * d * self.prefactor_in
-
     def entries(self, i: np.ndarray, j: np.ndarray) -> np.ndarray:
         """Values at the pairs (i[k], j[k])."""
         e = self.base[i, j]
         return e if self.prefactor_out is None else self.prefactor_out[i] * e * self.prefactor_in[j]
 
+    def far_pairs(self) -> np.ndarray:
+        """The grid's mask of direction pairs more than FAR_PAIR_ANGLE apart."""
+        return self.grid.far_pairs()
+
     def max_abs(self) -> float:
         """Largest |value|, by row blocks (nan if any value is nan)."""
-        return float(np.max([np.max(np.abs(self.rows(b))) for b in self.grid.row_blocks()]))
+        return float(np.max([np.max(np.abs(self.rows(b))) for b in row_blocks(self.grid.size)]))
 
 
 def synthesize_sphere_kernel(grid: SphereGrid, lam: float = 1.0,
@@ -656,7 +638,7 @@ def synthesize_sphere_kernel(grid: SphereGrid, lam: float = 1.0,
     array."""
     V = grid.vertices
     vals = np.empty((grid.size, grid.size), dtype=complex)
-    for b in grid.row_blocks():
+    for b in row_blocks(grid.size):
         d2 = np.maximum(2.0 - 2.0 * (V[b] @ V.T), 0.0)
         vals[b] = np.exp(-d2 / 0.6**2) + 0.05
     return SphereScatteringKernel(grid=grid, base=vals, lam=lam,
@@ -757,26 +739,28 @@ def gauge_equivalence_solver(S1, S2, verify_tol: float = 1e-6,
     squares by a sparse graph-Laplacian solve; anchored pairs that leave the
     grid disconnected give Ambiguous. Verified by applying the fitted gauge.
     """
-    if isinstance(S1, ScatteringKernel) and isinstance(S2, ScatteringKernel):
-        return _solve_plane(S1, S2, verify_tol, phase_tol)
-    if isinstance(S1, SphereScatteringKernel) and isinstance(S2, SphereScatteringKernel):
-        return _solve_sphere(S1, S2, verify_tol, phase_tol)
-    raise DimensionMismatch("kernel types differ")
+    _check_pair(S1, S2)
+    solve = _solve_plane if isinstance(S1, ScatteringKernel) else _solve_sphere
+    return solve(S1, S2, verify_tol, phase_tol)
 
 
-def _verified(dist: float, top: float, verify_tol: float) -> bool:
-    """Whether the fitted gauge's distance dist passes against the target's
-    largest |value| top: both must be finite (a nan or inf in the data would
-    pass the comparison unseen) and dist within verify_tol max(1, top)."""
-    return bool(np.isfinite(dist) and np.isfinite(top) and dist <= verify_tol * max(1.0, top))
+def _verify(S1, S2, g: GaugeElement, prov: dict, verify_tol: float, witness) -> SolverResult:
+    """The last step of both solvers: the distance of S1 under the fitted
+    gauge g to S2, against S2's largest |value| top. equivalent when both are
+    finite (a nan or inf in the data would pass the comparison unseen) and
+    the distance is within verify_tol max(1, top); else not_equivalent with
+    the verification witness, whose further keys witness() gives."""
+    dist, top = _distance(apply_gauge_to_kernel(S1, g), S2)
+    prov["verify_distance"] = dist
+    if np.isfinite(dist) and np.isfinite(top) and dist <= verify_tol * max(1.0, top):
+        return SolverResult(verdict="equivalent", gauge=g, provenance=prov)
+    return SolverResult(verdict="not_equivalent",
+                        witness={"kind": "verification", "distance": dist, **witness()},
+                        provenance=prov)
 
 
 def _solve_plane(S1: ScatteringKernel, S2: ScatteringKernel,
                  verify_tol: float, phase_tol: float) -> SolverResult:
-    if S1.n_grid != S2.n_grid:
-        raise GridMismatch("kernels on different angle grids")
-    if S1.lam != S2.lam:
-        raise GridMismatch("kernels at different energies")
     spec1, spec2 = S1.channel_spectrum(), S2.channel_spectrum()
     f1, f2 = _spectrum_flux(spec1), _spectrum_flux(spec2)
     if f1 is None or f2 is None:
@@ -805,16 +789,8 @@ def _solve_plane(S1: ScatteringKernel, S2: ScatteringKernel,
             witness={"kind": "ratio_winding",
                      "m_from_spectra": m, "m_from_ratio": m_check},
             provenance=prov)
-    g = GaugeElement(dimension=2, m=m, phi=phi)
-    dist, top = _plane_distance(apply_gauge_to_kernel(S1, g), S2)
-    prov["verify_distance"] = dist
-    if not _verified(dist, top, verify_tol):
-        return SolverResult(
-            verdict="not_equivalent",
-            witness={"kind": "verification", "distance": dist,
-                     "fitted_m": m, "fitted_phase_max": phi.max_abs()},
-            provenance=prov)
-    return SolverResult(verdict="equivalent", gauge=g, provenance=prov)
+    return _verify(S1, S2, GaugeElement(dimension=2, m=m, phi=phi), prov, verify_tol,
+                   lambda: {"fitted_m": m, "fitted_phase_max": phi.max_abs()})
 
 
 def _solve_sphere(S1: SphereScatteringKernel, S2: SphereScatteringKernel,
@@ -824,21 +800,18 @@ def _solve_sphere(S1: SphereScatteringKernel, S2: SphereScatteringKernel,
     from scipy.sparse.csgraph import connected_components
     from scipy.sparse.linalg import spsolve
 
-    if S1.grid is not S2.grid and S1.grid.refinement != S2.grid.refinement:
-        raise GridMismatch("kernels on different sphere grids")
-    if S1.lam != S2.lam:
-        raise GridMismatch("kernels at different energies")
     if not S1.singular_support:
         raise SingularPartMissing(
             "no declared diagonal singularity on the base kernel; "
             "the prefactor ratio cannot be anchored")
     grid = S1.grid
     floor = 1e-8 * S1.max_abs()
-    diag1 = S1.diagonal()
+    n = grid.size
+    nodes = np.arange(n)
+    diag1 = S1.entries(nodes, nodes)
     if np.min(np.abs(diag1)) < floor:
         raise SingularPartMissing("base kernel vanishes on the diagonal set")
-    n = grid.size
-    ratio_diag = S2.diagonal() / diag1
+    ratio_diag = S2.entries(nodes, nodes) / diag1
     odd = 0.5 * np.angle(ratio_diag)
     evenness_defect = float(np.max(np.abs(odd + odd[grid.antipode])))
     prov = {"odd_part_max": float(np.max(np.abs(odd))),
@@ -883,12 +856,4 @@ def _solve_sphere(S1: SphereScatteringKernel, S2: SphereScatteringKernel,
                      "odd_part_max": prov["odd_part_max"],
                      "note": "gauge direction functions must be antipodally even"},
             provenance=prov)
-    g = GaugeElement(dimension=3, phi_sphere=phi)
-    dist, top = _sphere_distance(apply_gauge_to_kernel(S1, g), S2)
-    prov["verify_distance"] = dist
-    if not _verified(dist, top, verify_tol):
-        return SolverResult(
-            verdict="not_equivalent",
-            witness={"kind": "verification", "distance": dist},
-            provenance=prov)
-    return SolverResult(verdict="equivalent", gauge=g, provenance=prov)
+    return _verify(S1, S2, GaugeElement(dimension=3, phi_sphere=phi), prov, verify_tol, dict)

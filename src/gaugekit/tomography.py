@@ -150,6 +150,8 @@ class XRayData:
 
     def __post_init__(self):
         vals = np.asarray(self.values)
+        if len(self.lines) == 0:
+            raise ValueError("X-ray data needs at least one line")
         if vals.shape != (len(self.lines),):
             raise ValueError("one value per line required")
         if self.kind == "vector_exp":
@@ -558,6 +560,15 @@ def polar_points(radii, thetas):
     return r, t, np.column_stack([r * np.cos(t), r * np.sin(t)])
 
 
+def annulus_points(rng, r_in: float, r_out: float, n: int) -> np.ndarray:
+    """n random probe points, shaped (n, 2), in the annulus r_in <= |x| <
+    r_out: n uniform radii, then n uniform angles, drawn from rng in that
+    order."""
+    r = rng.uniform(r_in, r_out, n)
+    th = rng.uniform(0, 2 * np.pi, n)
+    return np.column_stack([r * np.cos(th), r * np.sin(th)])
+
+
 def _not_a_knot_slopes(x, y) -> np.ndarray:
     """Knot slopes of the not-a-knot cubic spline through (x, y[:, j]), for
     every column j at once (de Boor, A Practical Guide to Splines, ch. IV).
@@ -782,10 +793,7 @@ def find_gauge_scalar(field, r_in: float, r_out: float,
     envelope = getattr(field, "envelope", None)
     if envelope is None:
         raise TailNotBounded("need an envelope to anchor the potential at infinity")
-    rng = np.random.default_rng(seed)
-    r = rng.uniform(r_in, r_out, 100)
-    th = rng.uniform(0, 2 * np.pi, 100)
-    probes = np.column_stack([r * np.cos(th), r * np.sin(th)])
+    probes = annulus_points(np.random.default_rng(seed), r_in, r_out, 100)
     curls = curl(field, probes, step_rel=1e-4)
     if np.max(np.abs(curls)) > curl_tol:
         raise NotCurlFree(f"max |curl| {np.max(np.abs(curls)):.3e} exceeds {curl_tol:.1e}")

@@ -16,6 +16,7 @@ from gaugekit.errors import (
     RegionTouchesObstacle,
 )
 from gaugekit.fields import (
+    DecayEnvelope,
     GaugeElement,
     PotentialConfig,
     ScalarPotential,
@@ -436,6 +437,18 @@ class TestGaugeAction:
         gauged.vector_potential(pts)
         assert f_calls == [] and g_calls == [50, 50]
         np.testing.assert_array_equal(got, cfg.short_range(pts) + L.gradient(pts))
+
+    def test_envelopes_of_sums_add(self):
+        assert (DecayEnvelope(C=1.0, eps0=2.0) + DecayEnvelope(C=0.5, eps0=1.0)
+                == DecayEnvelope(C=1.5, eps0=1.0))
+        cfg = self._config()
+        L = cfg.scalar
+        g = GaugeElement(dimension=2, scalar=L)
+        assert g.compose(g).scalar.envelope == DecayEnvelope(2 * L.envelope.C, L.envelope.eps0)
+        out = apply_gauge_to_potential(cfg, g)
+        assert out.short_range.envelope == DecayEnvelope(
+            cfg.short_range.envelope.C + L.envelope.C,
+            min(cfg.short_range.envelope.eps0, L.envelope.eps0))
 
     def test_inverse_and_compose_carry_gradients(self):
         L = catalog.build_scalar("gaussian_ring", _SCALAR_PARAMS["gaussian_ring"])

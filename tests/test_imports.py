@@ -6,9 +6,11 @@ importing the package loads no scipy module.
 ``__future__`` imports are directives, not names. A private name is a
 module-level constant, function or class whose name starts with one
 underscore; it must be read somewhere in its own module, because nothing
-outside should rely on it. scipy is imported only inside the functions that
-need it (the sphere solver, one catalog kind), so ``import gaugekit`` and the
-CLI's cold start do not pay for it.
+outside should rely on it. A private method of a class (``def _name``, not
+a dunder) must be read as an attribute somewhere in the package, since it
+may be called from another module. scipy is imported only inside the
+functions that need it (the sphere solver, one catalog kind), so ``import
+gaugekit`` and the CLI's cold start do not pay for it.
 """
 import ast
 import os
@@ -76,6 +78,36 @@ def test_no_unused_imports(path):
 def test_detector_flags_an_unused_import():
     source = "from __future__ import annotations\nimport json\nimport numpy as np\nnp.zeros(1)\n"
     assert _unused_imports(source) == [(2, "json")]
+
+
+def _orphaned_private_methods(sources: dict) -> list:
+    """(file, line, name) of each private method of a class in the sources
+    ({file: text}) that no source reads as an attribute."""
+    trees = {name: ast.parse(text) for name, text in sources.items()}
+    read = {node.attr for tree in trees.values() for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+    return sorted((name, node.lineno, node.name) for name, tree in trees.items()
+                  for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)
+                  for node in cls.body
+                  if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                  and node.name.startswith("_") and not node.name.startswith("__")
+                  and node.name not in read)
+
+
+def test_no_orphaned_private_methods():
+    assert _orphaned_private_methods({p.name: p.read_text() for p in PACKAGE}) == []
+
+
+def test_detector_flags_an_orphaned_private_method():
+    kernel = ("class K:\n"
+              "    def _used(self):\n        return 1\n"
+              "    def _called_elsewhere(self):\n        return 2\n"
+              "    def _orphan(self):\n        self._orphan_value = 3\n"
+              "    def __len__(self):\n        return 0\n"
+              "    def run(self):\n        return self._used()\n")
+    caller = "def call(k):\n    return k._called_elsewhere()\n"
+    assert _orphaned_private_methods({"k.py": kernel, "caller.py": caller}) == [
+        ("k.py", 6, "_orphan")]
 
 
 def _module_level_scipy_imports(source: str) -> list:

@@ -17,7 +17,7 @@ from oracles import (
 
 from gaugekit import scattering
 
-from gaugekit.angular import AngularFunction, sphere_grid
+from gaugekit.angular import AngularFunction, row_blocks, sphere_grid
 from gaugekit.errors import (
     DimensionMismatch,
     GridMismatch,
@@ -373,6 +373,13 @@ class TestRemainderBoundChecks:
                 build()
 
 
+def _bare_remainder(S: ScatteringKernel) -> ScatteringKernel:
+    """S's remainder grid at flux 0 with no winding or phases: its kernel
+    values off the diagonal are the remainder alone."""
+    return assemble_kernel(0.0, smooth=S.remainder, n_grid=S.n_grid, bound_C=S.bound_C,
+                           bound_delta=S.bound_delta)
+
+
 class TestEvaluate:
     @pytest.mark.parametrize("M", [64, 512, 1024])
     def test_paired_remainder_matches_fft2_formula(self, M):
@@ -380,28 +387,28 @@ class TestEvaluate:
         th = 0.37 + np.geomspace(1e-3, 1e-1, 24)
         tp = np.full(24, 0.37)
         want = fft2_remainder_pairs(S, th, tp)
-        got = S._remainder_paired(th, tp)
+        got = _bare_remainder(S).evaluate(th, tp)
         assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
         value = S.evaluate(th, tp)
         pref = S.prefactor_out(th) * S.prefactor_in(tp)
         base = singular_offdiagonal(S.alpha, th - tp)
         assert np.max(np.abs(value - pref * (base + want))) <= 1e-14 * np.max(np.abs(value))
 
-    def test_remainder_at_returns_the_outer_table(self, monkeypatch):
-        S = _structured_kernel(64)
+    def test_broadcast_table_matches_fft2_formula(self, monkeypatch):
+        S = _bare_remainder(_structured_kernel(64))
         th, tp = np.array([0.5, 1.5, 2.5]), np.array([3.0, 4.0])
-        want = [fft2_remainder_pairs(S, th, np.full(3, tp[j])) for j in range(2)]
+        want = np.column_stack([fft2_remainder_pairs(S, th, np.full(3, t)) for t in tp])
 
         def refuse(*args, **kwargs):
             raise AssertionError("fft2 of the remainder grid")
 
         monkeypatch.setattr(np.fft, "fft2", refuse)
-        table = S.remainder_at(th, tp)
+        table = S.evaluate(th[:, None], tp[None, :])
         assert table.shape == (3, 2)
-        for j in range(2):
-            np.testing.assert_allclose(table[:, j], want[j], rtol=0, atol=1e-15)
-        one = S.remainder_at(0.5, 3.0)
-        assert np.ndim(one) == 0 and abs(one - table[0, 0]) <= 1e-15
+        assert np.max(np.abs(table - want)) <= 1e-14 * np.max(np.abs(want))
+        one = S.evaluate(0.5, 3.0)
+        assert np.ndim(one) == 0
+        assert abs(one - table[0, 0]) <= 1e-14 * np.max(np.abs(want))
 
     def test_near_diagonal_growth_takes_no_fft2(self, monkeypatch):
         S = _structured_kernel(256)
@@ -426,7 +433,9 @@ class TestEvaluate:
         S = _structured_kernel(64)
         th = np.array([[0.5, 1.0], [1.5, 2.0]])
         tp = np.array([3.0, 4.0, 5.0])
-        got = S.evaluate(th, tp)
+        with pytest.raises(ValueError):
+            S.evaluate(th, tp)  # shapes that do not broadcast
+        got = S.evaluate(th[..., None], tp)
         assert got.shape == (2, 2, 3)
         for i, j, k in np.ndindex(got.shape):
             assert abs(got[i, j, k] - S.evaluate(th[i, j], tp[k])) <= 1e-13 * abs(got[i, j, k])
@@ -539,7 +548,8 @@ class TestGaugeActionOnKernels:
         V = K.values
         i, j = grid.edges().T
         assert np.array_equal(K.entries(i, j), V[i, j])
-        assert np.array_equal(K.diagonal(), np.diagonal(V))
+        nodes = np.arange(grid.size)
+        assert np.array_equal(K.entries(nodes, nodes), np.diagonal(V))
         assert K.max_abs() == np.max(np.abs(V))
         assert np.array_equal(K.rows(slice(5, 9)), V[5:9])
 
@@ -586,6 +596,24 @@ class TestKernelDistance:
             kernel_distance(assemble_kernel(0.3, n_grid=64),
                             synthesize_sphere_kernel(grid))
 
+    @pytest.mark.parametrize("compare", [kernel_distance, gauge_equivalence_solver])
+    @pytest.mark.parametrize("fault", ["mixed", "grid", "energy"])
+    @pytest.mark.parametrize("kind", ["plane", "sphere"])
+    def test_pair_check_errors(self, kind, fault, compare):
+        build = {"plane": lambda grid=64, lam=1.0: assemble_kernel(0.3, n_grid=grid, lam=lam),
+                 "sphere": lambda grid=1, lam=1.0: synthesize_sphere_kernel(
+                     sphere_grid(refinement=grid), lam=lam)}
+        other_kind = "sphere" if kind == "plane" else "plane"
+        second = {"mixed": build[other_kind],
+                  "grid": lambda: build[kind](grid=128 if kind == "plane" else 2),
+                  "energy": lambda: build[kind](lam=2.0)}[fault]()
+        grids = "angle" if kind == "plane" else "sphere"
+        error, message = {"mixed": (DimensionMismatch, "kernel types differ"),
+                          "grid": (GridMismatch, f"kernels on different {grids} grids"),
+                          "energy": (GridMismatch, "kernels at different energies")}[fault]
+        with pytest.raises(error, match=f"^{message}$"):
+            compare(build[kind](), second)
+
     @pytest.mark.parametrize("diagonal", ["finite", "nan"])
     @pytest.mark.parametrize("M", [64, 256, 1024])
     def test_row_blocks_match_the_dense_distance(self, M, diagonal):
@@ -599,7 +627,7 @@ class TestKernelDistance:
                   GaugeElement(dimension=2, m=0, phi=_phi_sin(1e-7, 3))):
             S2 = apply_gauge_to_kernel(S1, g)
             with np.errstate(invalid="ignore"):
-                got = scattering._plane_distance(S1, S2)
+                got = scattering._distance(S1, S2)
                 want = dense_plane_distance(S1, S2)
             np.testing.assert_array_equal(got, want)
             assert np.isfinite(got[0]) and np.isnan(got[1]) == (diagonal == "nan")
@@ -608,7 +636,7 @@ class TestKernelDistance:
     def test_row_blocks_are_the_value_grid(self, M):
         S = _structured_kernel(M)
         grid = S.value_grid()
-        blocks = scattering._plane_row_blocks(M)
+        blocks = row_blocks(M)
         assert blocks[0].start == 0 and blocks[-1].stop == M
         assert all(a.stop == b.start for a, b in zip(blocks, blocks[1:]))
         np.testing.assert_array_equal(np.concatenate([S.rows(b) for b in blocks]), grid)
@@ -621,6 +649,12 @@ class TestNearDiagonalGrowth:
         p, c = near_diagonal_growth(S)
         assert 0.9 < p < 1.1
         assert c > 0
+
+    @pytest.mark.parametrize("alpha", [0.0, 1.0, -2.0])
+    def test_integer_flux_has_no_growth_to_fit(self, alpha):
+        # sin(alpha pi) vanishes: the fit would read rounding noise or nan
+        with pytest.raises(SingularPartMissing, match="integer flux"):
+            near_diagonal_growth(assemble_kernel(alpha, n_grid=64))
 
     def test_phases_do_not_change_exponent(self):
         S = assemble_kernel(0.3, a0_out=_phi_sin(0.5), a0_in=_phi_cos(0.4, 2),
@@ -821,10 +855,11 @@ class TestSphereSolver:
             assert kernel_distance(A, B) == np.max(np.abs(A.values - B.values)[mask])
 
     def test_row_blocks_cover_the_grid_without_one_row_blocks(self):
-        for refinement in range(6):
-            grid = sphere_grid(refinement=refinement)
-            blocks = grid.row_blocks()
-            assert blocks[0].start == 0 and blocks[-1].stop == grid.size
+        plane_sizes = [64, 256, 512, 1024]
+        for n in plane_sizes + [sphere_grid(refinement=r).size for r in range(6)]:
+            blocks = row_blocks(n)
+            assert row_blocks(n) is blocks
+            assert blocks[0].start == 0 and blocks[-1].stop == n
             assert all(a.stop == b.start for a, b in zip(blocks, blocks[1:]))
             assert min(b.stop - b.start for b in blocks) >= 2
 

@@ -36,6 +36,7 @@ from gaugekit.tomography import (
     Plane,
     Sinogram,
     XRayData,
+    annulus_points,
     antipodal_defect,
     find_gauge_scalar,
     forward_sinogram,
@@ -328,6 +329,14 @@ def _random_space_lines(seed, n):
     return lines
 
 
+def test_annulus_points_draw_radii_then_angles():
+    pts = annulus_points(np.random.default_rng(5), 1.2, 3.5, 40)
+    rng = np.random.default_rng(5)
+    r, th = rng.uniform(1.2, 3.5, 40), rng.uniform(0, 2 * np.pi, 40)
+    np.testing.assert_array_equal(pts, np.column_stack([r * np.cos(th), r * np.sin(th)]))
+    assert np.all((np.hypot(*pts.T) >= 1.2 - 1e-12) & (np.hypot(*pts.T) < 3.5))
+
+
 class TestResolveWinding:
     def test_all_ones(self):
         lines = [Line.from_impact_angle(d, 0.0) for d in np.linspace(2, 30, 40)]
@@ -352,6 +361,11 @@ class TestResolveWinding:
                         values=np.full(30, np.exp(1j * 0.9 * np.pi)), kind="vector_exp")
         with pytest.raises(BranchAmbiguous):
             resolve_winding(data)
+
+    @pytest.mark.parametrize("kind", ["scalar", "vector", "vector_exp"])
+    def test_no_lines_refused(self, kind):
+        with pytest.raises(ValueError, match="at least one line"):
+            XRayData(lines=(), values=np.zeros(0), kind=kind)
 
     def test_csv_round_trip(self, tmp_path):
         data = synthetic_winding_family(1, 1.0)
