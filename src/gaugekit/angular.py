@@ -6,14 +6,12 @@ pairs, so f(omega) - f(-omega) at nodes involves no interpolation.
 """
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from functools import cache
 from typing import Callable, Sequence
 
 import numpy as np
 
-from ._csvio import read_csv, write_csv
 from .errors import NonzeroMean
 
 DEFAULT_DEGREE = 64
@@ -157,12 +155,6 @@ class AngularFunction:
         out[nz] = self.coefficients[nz] / (1j * ks[nz])
         return AngularFunction(out)
 
-    def shift(self, delta: float) -> "AngularFunction":
-        """Profile of theta -> f(theta + delta)."""
-        n = self.degree
-        ks = np.arange(-n, n + 1)
-        return AngularFunction(self.coefficients * np.exp(1j * ks * delta))
-
     # ---------------- algebra ----------------
 
     def _padded(self, n: int) -> np.ndarray:
@@ -206,18 +198,6 @@ class AngularFunction:
     @classmethod
     def from_triples(cls, triples) -> "AngularFunction":
         return cls.from_coefficients({int(k): re + 1j * im for k, re, im in triples})
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_triples())
-
-    @classmethod
-    def from_json(cls, text: str) -> "AngularFunction":
-        return cls.from_triples(json.loads(text))
-
-
-def zero_mean_antiderivative(f: AngularFunction, mean_tol: float = MEAN_TOL) -> AngularFunction:
-    """Unique zero-mean periodic antiderivative of a zero-mean profile."""
-    return f.antiderivative(mean_tol=mean_tol)
 
 
 # ===================================================================
@@ -405,9 +385,6 @@ class SphereFunction:
         fi, bary = self.grid.locate(w)
         return float(self.values[self.grid.faces[fi]] @ bary)
 
-    def mean(self) -> float:
-        return float(np.mean(self.values))
-
     def __add__(self, other: "SphereFunction") -> "SphereFunction":
         if other.grid is not self.grid:
             raise ValueError("sphere functions live on different grids")
@@ -423,37 +400,3 @@ class SphereFunction:
         return SphereFunction(self.grid, self.values * float(scalar))
 
     __rmul__ = __mul__
-
-    def to_csv(self, path) -> None:
-        write_csv(path, "x,y,z,value", [self.grid.vertices, self.values])
-
-    @classmethod
-    def from_csv(cls, path, refinement: int = 4) -> "SphereFunction":
-        data = read_csv(path)
-        grid = sphere_grid(refinement)
-        if data.shape[0] != grid.size:
-            raise ValueError("row count does not match the grid")
-        # rows may be permuted; match by position key
-        index = {_vertex_key(p): i for i, p in enumerate(grid.vertices)}
-        vals = np.zeros(grid.size)
-        for row in data:
-            key = _vertex_key(np.round(row[:3], 9))
-            if key not in index:
-                raise ValueError("vertex does not belong to the grid")
-            vals[index[key]] = row[3]
-        return cls(grid=grid, values=vals)
-
-
-def antipodal_difference(f, omega) -> float:
-    """f(omega) - f(-omega) for a circle profile (2-vector) or sphere function."""
-    w = np.asarray(omega, dtype=float)
-    if isinstance(f, AngularFunction):
-        if w.shape != (2,):
-            raise ValueError("circle profiles take a direction in the plane")
-        theta = float(np.arctan2(w[1], w[0]))
-        return float(f(theta) - f(theta + np.pi))
-    if isinstance(f, SphereFunction):
-        if w.shape != (3,):
-            raise ValueError("sphere functions take a direction in 3-space")
-        return float(f(w) - f(-w))
-    raise TypeError("expected AngularFunction or SphereFunction")

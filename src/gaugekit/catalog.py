@@ -312,6 +312,8 @@ def config_to_dict(cfg: PotentialConfig) -> dict:
 
 
 def config_from_dict(d: dict) -> PotentialConfig:
+    if not isinstance(d, dict):
+        raise ValueError("configuration must be a JSON object")
     dim = int(d["dimension"])
     transversal = None
     if d.get("transversal"):

@@ -55,6 +55,8 @@ def _load_kernel(prefix: str) -> ScatteringKernel:
 # ---------------- subcommand handlers ----------------
 
 def cmd_decompose(args) -> int:
+    if not (args.profile or args.config):
+        raise ValueError("decompose needs --profile or --config")
     if args.profile:
         from .fields import TransversalField
         field = TransversalField.from_profile(_triples(args.profile))

@@ -19,7 +19,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .angular import AngularFunction, SphereFunction, SphereGrid, zero_mean_antiderivative
+from .angular import AngularFunction, SphereFunction, SphereGrid
 from .errors import (
     CircleInsideObstacle,
     DimensionMismatch,
@@ -168,21 +168,6 @@ class TransversalField:
     def from_profile(cls, a_hat: AngularFunction) -> "TransversalField":
         return cls(dimension=2, a_hat=a_hat)
 
-    @classmethod
-    def from_sphere_profile(cls, profile: Callable, check_points: int = 64,
-                            tol: float = TRANSVERSAL_TOL) -> "TransversalField":
-        """3-space field from a profile mapping (m, 3) unit vectors to (m, 3)
-        tangent vectors; NotTransversal when the profile, evaluated on all
-        check points in one call, has a radial component."""
-        rng = np.random.default_rng(7)
-        w = rng.normal(size=(check_points, 3))
-        w /= np.linalg.norm(w, axis=1)[:, None]
-        vals = np.asarray(profile(w), dtype=float)
-        radial = np.abs(np.sum(vals * w, axis=1))
-        if np.max(radial) > tol * max(1.0, float(np.max(np.abs(vals)))):
-            raise NotTransversal("sphere profile has a radial component")
-        return cls(dimension=3, profile=profile)
-
     def __call__(self, x) -> np.ndarray:
         p, single = _points(x, self.dimension)
         r = np.linalg.norm(p, axis=1)
@@ -206,9 +191,6 @@ class FluxDecomposition:
     alpha: float
     a0: AngularFunction
     a_hat: AngularFunction
-
-    def reassembled(self) -> "TransversalField":
-        return TransversalField.from_profile(self.a0.derivative() + self.alpha)
 
 
 def decompose_transversal(field) -> FluxDecomposition:
@@ -241,7 +223,7 @@ def decompose_transversal(field) -> FluxDecomposition:
         tangents = np.column_stack([-np.sin(theta), np.cos(theta)])
         a_hat = AngularFunction.from_samples(np.sum(vals * tangents, axis=1))
     alpha = a_hat.mean()
-    a0 = zero_mean_antiderivative(a_hat - alpha, mean_tol=1e-8)
+    a0 = (a_hat - alpha).antiderivative(mean_tol=1e-8)
     return FluxDecomposition(alpha=alpha, a0=a0, a_hat=a_hat)
 
 
@@ -308,10 +290,6 @@ class GaugeElement:
             if self.m != 0:
                 raise ValueError("winding is only defined in the plane")
 
-    @classmethod
-    def identity(cls, dimension: int = 2) -> "GaugeElement":
-        return cls(dimension=dimension)
-
     def inverse(self) -> "GaugeElement":
         """Gauge with every phase negated. A negated scalar is no longer the
         catalog kind it was built from, so it keeps no kind or params."""
@@ -332,41 +310,6 @@ class GaugeElement:
             else (lambda w, _g=self.phi_callable: -_g(w)),
             scalar=neg_scalar,
         )
-
-    def compose(self, other: "GaugeElement") -> "GaugeElement":
-        """Gauge acting as self after other (phases add). ValueError when one
-        direction phase is a callable and the other is sampled on a grid.
-        A sum of two scalars keeps no kind or params, and declares a gradient
-        only when both summands do."""
-        if self.dimension != other.dimension:
-            raise DimensionMismatch("gauge elements in different dimensions")
-        phi = None
-        if self.phi is not None or other.phi is not None:
-            phi = (self.phi or AngularFunction.zero()) + (other.phi or AngularFunction.zero())
-        phs = None
-        if self.phi_sphere is not None or other.phi_sphere is not None:
-            a, b = self.phi_sphere, other.phi_sphere
-            phs = a + b if (a is not None and b is not None) else (a or b)
-        fa, fb = self.phi_callable, other.phi_callable
-        if (fa is not None or fb is not None) and phs is not None:
-            raise ValueError("cannot compose a callable direction phase with a sampled one")
-        phc = fa or fb
-        if fa is not None and fb is not None:
-            phc = lambda w, _f=fa, _g=fb: np.asarray(_f(w)) + np.asarray(_g(w))
-        scalar = None
-        if self.scalar is not None and other.scalar is not None:
-            a, b = self.scalar, other.scalar
-            ga, gb = a.gradient, b.gradient
-            scalar = ScalarPotential(
-                dimension=self.dimension,
-                func=lambda p, _f=a.func, _g=b.func: np.asarray(_f(p)) + np.asarray(_g(p)),
-                envelope=a.envelope + b.envelope,
-                gradient=None if ga is None or gb is None
-                else (lambda p, _f=ga, _g=gb: np.asarray(_f(p)) + np.asarray(_g(p))))
-        else:
-            scalar = self.scalar or other.scalar
-        return GaugeElement(dimension=self.dimension, m=self.m + other.m, phi=phi,
-                            phi_sphere=phs, phi_callable=phc, scalar=scalar)
 
 
 # ===================================================================

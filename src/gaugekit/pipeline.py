@@ -103,6 +103,8 @@ class Scenario:
     @classmethod
     def from_json(cls, text: str) -> "Scenario":
         data = json.loads(text)
+        if not isinstance(data, dict):
+            raise ValueError("scenario must be a JSON object")
         if data.get("schema_version") != 1:
             raise ValueError("unsupported scenario schema version")
         cfg1 = catalog.config_from_dict(data["config1"])
@@ -183,6 +185,8 @@ class Report:
     @classmethod
     def from_json(cls, text: str) -> "Report":
         data = json.loads(text)
+        if not isinstance(data, dict):
+            raise ValueError("report must be a JSON object")
         rep = cls(kind=data["kind"], label=data.get("label", ""),
                   verdict=data.get("verdict"), gauge=data.get("gauge"),
                   witness=data.get("witness"), provenance=data.get("provenance", {}))

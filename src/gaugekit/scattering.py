@@ -117,12 +117,6 @@ class ChannelSpectrum:
         object.__setattr__(self, "indices", idx)
         object.__setattr__(self, "values", vals)
 
-    def value(self, k: int) -> complex:
-        pos = int(k) - int(self.indices[0])
-        if pos < 0 or pos >= self.indices.size:
-            raise KeyError(f"channel {k} outside stored window")
-        return complex(self.values[pos])
-
     def shifted(self, by: int) -> "ChannelSpectrum":
         return ChannelSpectrum(indices=self.indices + int(by), values=self.values)
 
@@ -224,11 +218,6 @@ class ScatteringKernel:
 
     def effective_flux(self) -> float:
         return self.alpha + self.winding
-
-    def singular_parameters(self) -> tuple:
-        """(cos(a pi), sin(a pi), [a]) of the stored base flux."""
-        return (float(np.cos(np.pi * self.alpha)), float(np.sin(np.pi * self.alpha)),
-                flux_step(self.alpha))
 
     def prefactor_out(self, theta) -> np.ndarray:
         theta = np.asarray(theta, dtype=float)
@@ -398,11 +387,6 @@ def _bound_constant(peak: np.ndarray, C: float | None, delta: float) -> float:
 def verify_remainder_bound(remainder: np.ndarray, C: float, delta: float) -> None:
     """Check |R(theta, theta')| <= C dist(theta, theta')^{-delta} off the diagonal."""
     _bound_constant(_offdiagonal_peaks(remainder), C, delta)
-
-
-def fit_remainder_bound(remainder: np.ndarray, delta: float = 0.5) -> float:
-    """Smallest constant C certifying |R| <= C dist^{-delta}, padded 5 percent."""
-    return _bound_constant(_offdiagonal_peaks(remainder), None, delta)
 
 
 def _frozen_remainder(remainder, delta: float) -> np.ndarray:
@@ -656,10 +640,6 @@ class SolverResult:
     witness: dict | None = None
     reason: str | None = None
     provenance: dict | None = None
-
-    @property
-    def equivalent(self) -> bool:
-        return self.verdict == "equivalent"
 
 
 def _spectrum_flux(spec: ChannelSpectrum):

@@ -128,13 +128,6 @@ class Line:
     def distance(self) -> float:
         return float(np.linalg.norm(self.x0))
 
-    def orientation(self) -> float:
-        """sign(x0 ^ w) in the plane; +1 for from_impact_angle lines."""
-        if self.dimension != 2:
-            raise DimensionMismatch("orientation is a plane notion")
-        s = float(self.x0[0] * self.omega[1] - self.x0[1] * self.omega[0])
-        return float(np.sign(s)) if s != 0 else 1.0
-
     def points(self, s) -> np.ndarray:
         s = np.atleast_1d(np.asarray(s, dtype=float))
         return self.x0[None, :] + s[:, None] * self.omega[None, :]
@@ -163,22 +156,6 @@ class XRayData:
         vals.flags.writeable = False
         object.__setattr__(self, "values", vals)
         object.__setattr__(self, "lines", tuple(self.lines))
-
-    def to_csv(self, path) -> None:
-        dim = self.lines[0].dimension
-        cols = ["n"] + [f"x0_{i}" for i in range(dim)] + [f"omega_{i}" for i in range(dim)] + ["value_re", "value_im"]
-        write_csv(path, ",".join(cols), [np.full(len(self.lines), dim), [ln.x0 for ln in self.lines],
-                                         [ln.omega for ln in self.lines], self.values.real, self.values.imag])
-
-    @classmethod
-    def from_csv(cls, path, kind: str) -> "XRayData":
-        data = read_csv(path)
-        dim = int(data[0, 0])
-        lines = [Line(x0=row[1:1 + dim], omega=row[1 + dim:1 + 2 * dim]) for row in data]
-        vals = data[:, 1 + 2 * dim] + 1j * data[:, 2 + 2 * dim]
-        if kind != "vector_exp":
-            vals = vals.real
-        return cls(lines=tuple(lines), values=vals, kind=kind)
 
 
 # ===================================================================
@@ -327,7 +304,7 @@ def _vector_transform(config: PotentialConfig, distances, tail_tol: float) -> Ca
         if plane:
             theta_w = np.arctan2(omegas[:, 1], omegas[:, 0])
             wedge = x0s[:, 0] * omegas[:, 1] - x0s[:, 1] * omegas[:, 0]
-            total += dec.alpha * np.pi * np.where(wedge < 0, -1.0, 1.0)  # Line.orientation
+            total += dec.alpha * np.pi * np.where(wedge < 0, -1.0, 1.0)  # sign(x0 ^ w), +1 at 0
             total += dec.a0(theta_w) - dec.a0(theta_w + np.pi)
         elif tv is not None:
             total += tangent_rule(tv, x0s, omegas)
@@ -463,8 +440,8 @@ def resolve_winding(data: XRayData) -> int:
     order = np.argsort(dists, kind="stable")
     args = np.angle(np.asarray(data.values)[order])
     inc = np.diff(args)
-    inc = np.mod(inc + np.pi, 2 * np.pi) - np.pi  # wrap to (-pi, pi]
-    if np.any(np.abs(np.abs(inc) - np.pi) < 1e-9) or np.any(np.abs(inc) > np.pi):
+    inc = np.mod(inc + np.pi, 2 * np.pi) - np.pi  # wrap to [-pi, pi)
+    if np.any(np.abs(np.abs(inc) - np.pi) < 1e-9):
         raise BranchAmbiguous("consecutive phases jump by >= pi; sampling too coarse")
     limit = float(args[0] + np.sum(inc))
     m = float(np.round(limit / (2 * np.pi)))
@@ -517,20 +494,6 @@ class PolarGridField:
     values: np.ndarray
     annulus: tuple[float, float]
     dropped_harmonics: tuple = ()
-
-    def __call__(self, x) -> np.ndarray:
-        p = np.atleast_2d(np.asarray(x, dtype=float))
-        r = np.linalg.norm(p, axis=1)
-        th = np.mod(np.arctan2(p[:, 1], p[:, 0]), 2 * np.pi)
-        ri = np.clip(np.searchsorted(self.radii, r) - 1, 0, self.radii.size - 2)
-        dth = self.thetas[1] - self.thetas[0]
-        ti = (th // dth).astype(int) % self.thetas.size
-        fr = (r - self.radii[ri]) / (self.radii[ri + 1] - self.radii[ri])
-        ft = (th - self.thetas[ti]) / dth
-        tj = (ti + 1) % self.thetas.size
-        v = ((1 - fr) * (1 - ft) * self.values[ri, ti] + fr * (1 - ft) * self.values[ri + 1, ti]
-             + (1 - fr) * ft * self.values[ri, tj] + fr * ft * self.values[ri + 1, tj])
-        return v if v.size > 1 else float(v[0])
 
     def sample(self, f: Callable) -> np.ndarray:
         """f at the grid points, shaped like values."""
@@ -773,10 +736,6 @@ class GaugeScalar:
         out = np.empty((radii.size, th.size))
         out[order] = (inward + _arc_integrals(self.field, self.far_radius, th)[:, None]).T
         return out - self.far_correction
-
-    def __call__(self, points):
-        out = self.evaluate(points)
-        return float(out[0]) if np.asarray(points).ndim == 1 else out
 
 
 def find_gauge_scalar(field, r_in: float, r_out: float,

@@ -282,7 +282,7 @@ def test_criterion_09_gauge_scalar_reconstruction():
             for j in range(2):
                 e = np.zeros(2)
                 e[j] = h
-                grad[j] = (gs(q + e) - gs(q - e)) / (2 * h)
+                grad[j] = (gs.evaluate(q + e)[0] - gs.evaluate(q - e)[0]) / (2 * h)
             worst = max(worst, float(np.max(np.abs(grad - fld(q[None])[0]))))
     n_flux = 0
     for _ in range(20):

@@ -2,13 +2,7 @@
 import numpy as np
 import pytest
 
-from gaugekit.angular import (
-    AngularFunction,
-    SphereFunction,
-    antipodal_difference,
-    sphere_grid,
-    zero_mean_antiderivative,
-)
+from gaugekit.angular import AngularFunction, SphereFunction, sphere_grid
 from gaugekit.errors import NonzeroMean
 
 
@@ -49,12 +43,6 @@ class TestAngularFunction:
         assert h.distance(g) < 1e-15
         assert (f * 2.0)(0.0) == pytest.approx(2.0)
 
-    def test_derivative_of_shift(self):
-        f = AngularFunction.harmonic(2, cos_amp=1.0)
-        g = f.shift(0.5)
-        th = np.linspace(0, 2 * np.pi, 50)
-        np.testing.assert_allclose(g(th), np.cos(2 * (th + 0.5)), atol=1e-13)
-
     def test_triples_round_trip(self):
         f = AngularFunction.from_coefficients({0: 0.3, 2: 0.1 - 0.2j})
         g = AngularFunction.from_triples(f.to_triples())
@@ -64,17 +52,17 @@ class TestAngularFunction:
 class TestZeroMeanAntiderivative:
     def test_cos_gives_sin(self):
         f = AngularFunction.harmonic(1, cos_amp=1.0)
-        g = zero_mean_antiderivative(f)
+        g = f.antiderivative()
         th = np.linspace(0, 2 * np.pi, 720, endpoint=False)
         np.testing.assert_allclose(g(th), np.sin(th), atol=1e-14)
 
     def test_zero_gives_zero(self):
-        g = zero_mean_antiderivative(AngularFunction.zero(4))
+        g = AngularFunction.zero(4).antiderivative()
         assert g.max_abs() == 0.0
 
     def test_derivative_matches_by_finite_differences(self):
         f = AngularFunction.harmonic(1, cos_amp=1.0) + AngularFunction.harmonic(2, sin_amp=3.0)
-        g = zero_mean_antiderivative(f)
+        g = f.antiderivative()
         th = np.linspace(0, 2 * np.pi, 720, endpoint=False)
         h = 1e-6
         fd = (g(th + h) - g(th - h)) / (2 * h)
@@ -83,7 +71,7 @@ class TestZeroMeanAntiderivative:
 
     def test_rejects_nonzero_mean(self):
         with pytest.raises(NonzeroMean):
-            zero_mean_antiderivative(AngularFunction.constant(0.3))
+            AngularFunction.constant(0.3).antiderivative()
 
     @pytest.mark.parametrize("seed", [0, 1, 2, 3])
     def test_spectral_inverse_of_derivative(self, seed):
@@ -92,7 +80,7 @@ class TestZeroMeanAntiderivative:
                   for k in rng.integers(1, 30, size=6)}
         f = AngularFunction.from_coefficients(coeffs)
         f = f - AngularFunction.constant(f.mean())
-        g = zero_mean_antiderivative(f)
+        g = f.antiderivative()
         assert g.derivative().distance(f) < 1e-12
         assert abs(g.mean()) < 1e-14
 
@@ -100,22 +88,23 @@ class TestZeroMeanAntiderivative:
         rng = np.random.default_rng(7)
         f = AngularFunction.from_coefficients(
             {3: complex(rng.normal(), rng.normal())})
-        g = zero_mean_antiderivative(f)
+        g = f.antiderivative()
         th = rng.uniform(0, 2 * np.pi, 256)
         vals = np.exp(1j * np.outer(th, np.arange(-g.degree, g.degree + 1))) @ g.coefficients
         assert np.max(np.abs(vals.imag)) < 1e-12
 
 
 class TestAntipodalDifference:
+    """f(w) - f(-w) read through the profiles' own evaluation."""
+
     def test_even_profile_vanishes(self):
         f = AngularFunction.harmonic(2, cos_amp=1.0)
         for ang in (0.0, 0.7, 2.0):
-            w = np.array([np.cos(ang), np.sin(ang)])
-            assert abs(antipodal_difference(f, w)) < 1e-14
+            assert abs(f(ang) - f(ang + np.pi)) < 1e-14
 
     def test_sin_at_north(self):
         f = AngularFunction.harmonic(1, sin_amp=1.0)
-        assert antipodal_difference(f, np.array([0.0, 1.0])) == pytest.approx(2.0, abs=1e-14)
+        assert f(np.pi / 2) - f(-np.pi / 2) == pytest.approx(2.0, abs=1e-14)
 
     def test_sphere_triple_product(self):
         grid = sphere_grid(3)
@@ -126,21 +115,22 @@ class TestAntipodalDifference:
             w = rng.normal(size=3)
             w /= np.linalg.norm(w)
             expected = 2.0 * w[0] * w[1] * w[2]
-            got = antipodal_difference(f, w)
+            got = f(w) - f(-w)
             # piecewise-linear interpolation on the refinement-3 grid
             assert abs(got - expected) < 2e-2
         # exact at grid nodes: antipodal pairs are both vertices
         for v in grid.vertices[:40]:
-            got = antipodal_difference(f, v)
+            got = f(v) - f(-v)
             assert abs(got - 2.0 * v[0] * v[1] * v[2]) < 1e-12
 
     def test_antisymmetry_at_nodes(self):
         grid = sphere_grid(2)
         f = SphereFunction.from_callable(lambda w: w[..., 2] + w[..., 0] ** 2,
                                          refinement=2)
-        for v in grid.vertices[:30]:
-            assert antipodal_difference(f, v) == pytest.approx(
-                -antipodal_difference(f, -v), abs=1e-13)
+        for i, v in enumerate(grid.vertices[:30]):
+            diff = f(v) - f(-v)
+            assert diff == f.values[i] - f.values[grid.antipode[i]]
+            assert diff == pytest.approx(2.0 * v[2], abs=1e-13)
 
 
 class TestSphereGrid:

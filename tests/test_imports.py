@@ -1,6 +1,7 @@
 """Every import and every private module-level name in the package modules
-and in the test oracles is used (stdlib ast; no linter needed), and
-importing the package loads no scipy module.
+and in the test oracles is used, every public name of the package is read
+(stdlib ast; no linter needed), and importing the package loads no scipy
+module.
 
 ``__init__.py`` is skipped by the usage rules: its imports are re-exports.
 ``__future__`` imports are directives, not names. A private name is a
@@ -8,9 +9,15 @@ module-level constant, function or class whose name starts with one
 underscore; it must be read somewhere in its own module, because nothing
 outside should rely on it. A private method of a class (``def _name``, not
 a dunder) must be read as an attribute somewhere in the package, since it
-may be called from another module. scipy is imported only inside the
-functions that need it (the sphere solver, one catalog kind), so ``import
-gaugekit`` and the CLI's cold start do not pay for it.
+may be called from another module. A public module-level function or
+class, and a public method or property, must be read somewhere in the
+package outside its own body (an import in ``__init__.py`` exports it and
+counts as a read) or be named in ``ALLOWLIST`` with the reason it stays;
+an allowlisted name that is gone or now read fails too. Reads match by name,
+so a method stays unflagged when a method of the same name elsewhere is
+read. scipy is imported only inside the functions that need it (the sphere
+solver, one catalog kind), so ``import gaugekit`` and the CLI's cold start
+do not pay for it.
 """
 import ast
 import os
@@ -108,6 +115,93 @@ def test_detector_flags_an_orphaned_private_method():
     caller = "def call(k):\n    return k._called_elsewhere()\n"
     assert _orphaned_private_methods({"k.py": kernel, "caller.py": caller}) == [
         ("k.py", 6, "_orphan")]
+
+
+# Public names that nothing in the package reads, each kept for a reason
+# that lies outside the package.
+_BENCHMARK = "read by the benchmark in perfbench/"
+_ACCEPTANCE = "called by an acceptance criterion in tests/test_acceptance.py"
+_CLOSED_FORM = "builds a profile from a closed form"
+ALLOWLIST = {
+    "catalog.cross_axis_transversal": _BENCHMARK,
+    "scattering.synthesize_sphere_kernel": _BENCHMARK,
+    "tomography.line_at": _BENCHMARK,
+    "ScatteringKernel.value_grid": _BENCHMARK + ", whose tracer wraps it by name",
+    "fields.eval_ab_potential": _ACCEPTANCE,
+    "tomography.synthetic_winding_family": _ACCEPTANCE,
+    "Report.all_passed": _ACCEPTANCE,
+    "ChannelSpectrum.shifted": _ACCEPTANCE,
+    "AngularFunction.harmonic": _CLOSED_FORM,
+    "AngularFunction.from_callable": _CLOSED_FORM,
+    "SphereFunction.from_callable": _CLOSED_FORM + "; README states its array contract",
+}
+
+
+def _unread_public_names(sources: dict) -> list:
+    """Qualified names ("module.name" for a module-level function or class,
+    "Class.name" for a method or property) of each public definition in the
+    sources ({module: text}) that no source reads outside the definition's
+    own body, as a loaded name, a loaded attribute or an imported name.
+    Reads match by name alone, whatever object they reach."""
+    trees = {module: ast.parse(text) for module, text in sources.items()}
+    reads = {}
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                reads.setdefault(node.id, []).append(node)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                reads.setdefault(node.attr, []).append(node)
+            elif isinstance(node, ast.ImportFrom):
+                for alias in node.names:
+                    reads.setdefault(alias.name, []).append(node)
+    definitions = []
+    for module, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                definitions.append((f"{module}.{node.name}", node))
+            if isinstance(node, ast.ClassDef):
+                definitions.extend((f"{node.name}.{item.name}", item) for item in node.body
+                                   if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)))
+    unread = []
+    for qualname, node in definitions:
+        if node.name.startswith("_"):
+            continue
+        own = {id(inner) for inner in ast.walk(node)}
+        if all(id(read) in own for read in reads.get(node.name, [])):
+            unread.append(qualname)
+    return sorted(unread)
+
+
+def _package_sources() -> dict:
+    return {p.stem: p.read_text() for p in PACKAGE}
+
+
+def test_no_unread_public_names():
+    unread = _unread_public_names(_package_sources())
+    assert [name for name in unread if name not in ALLOWLIST] == []
+
+
+def test_allowlist_names_are_defined_and_unread():
+    unread = set(_unread_public_names(_package_sources()))
+    assert sorted(set(ALLOWLIST) - unread) == []
+
+
+def test_detector_flags_an_unread_public_name():
+    kernel = ("def used():\n    return 1\n"
+              "def orphan():\n    return used()\n"
+              "def recursive(n):\n    return recursive(n - 1) if n else 0\n"
+              "class K:\n"
+              "    def read(self):\n        return K\n"
+              "    def orphan_method(self):\n        return self.read()\n"
+              "    @property\n    def size(self):\n        return 0\n"
+              "    def __call__(self):\n        return 0\n"
+              "    def _private(self):\n        return 0\n"
+              "class Exported:\n    pass\n")
+    caller = ("from .kernel import K, used\n"
+              "def call(k):\n    return used() + k.size if isinstance(k, K) else k.read()\n")
+    init = "from .kernel import Exported\nfrom .caller import call\n"
+    assert _unread_public_names({"kernel": kernel, "caller": caller, "__init__": init}) == [
+        "K.orphan_method", "kernel.orphan", "kernel.recursive"]
 
 
 def _module_level_scipy_imports(source: str) -> list:

@@ -708,6 +708,28 @@ class TestCli:
         assert code == 0
         assert "flux alpha = 0.3" in capsys.readouterr().out
 
+    def test_decompose_without_source_exit_one(self, capsys):
+        assert cli.main(["decompose"]) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            "error: decompose needs --profile or --config"]
+
+    @pytest.mark.parametrize("argv, text", [
+        (["report", "--report"], "[]"),
+        (["classify", "--scenario"], "[]"),
+        (["classify", "--scenario"], '{"schema_version": 1, "kind": "classify", "config1": []}'),
+        (["flux", "--config"], "[]"),
+        (["xray", "--out", "x.csv", "--config"], "[]"),
+    ], ids=["report", "classify", "classify-config1", "flux", "xray"])
+    def test_json_that_is_not_an_object_exit_one(self, tmp_path, monkeypatch, capsys,
+                                                 argv, text):
+        monkeypatch.chdir(tmp_path)
+        Path("doc.json").write_text(text)
+        assert cli.main(argv + ["doc.json"]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
+        assert err[0].endswith(" must be a JSON object")
+        assert not Path("x.csv").exists()
+
     def test_xray_radon_chain(self, tmp_path, capsys):
         scalar = catalog.build_scalar("gaussian_ring",
                                       {"amplitude": 1.0, "r0": 2.0, "sigma": 0.4},

@@ -78,7 +78,8 @@ class TestLine:
         ln = Line.from_impact_angle(2.0, 0.3)
         assert ln.distance == pytest.approx(2.0, abs=1e-12)
         assert abs(np.dot(ln.x0, ln.omega)) < 1e-12
-        assert ln.orientation() == 1.0
+        wedge = ln.x0[0] * ln.omega[1] - ln.x0[1] * ln.omega[0]
+        assert wedge == pytest.approx(2.0, abs=1e-12)  # positively oriented
 
     def test_rejects_non_unit_direction(self):
         with pytest.raises(ValueError):
@@ -284,6 +285,20 @@ class TestLineIntegralVector:
                                    rtol=0, atol=1e-15)
         assert line_integrals_vector(cfg, []).shape == (0,)
 
+    def test_reversed_direction_negates(self):
+        # the vortex part gives alpha pi sign(x0 ^ w); the gradient part and
+        # the remainder are odd in w by themselves
+        prof = AngularFunction.constant(0.6) + AngularFunction.harmonic(3, cos_amp=0.2)
+        cfg = PotentialConfig(
+            dimension=2, obstacle_radius=1.0,
+            transversal=TransversalField.from_profile(prof),
+            short_range=catalog.build_vector(
+                "grad_bumps", {"bumps": [[0.5, 1.6, 0.4, 0.5], [-0.2, -1.0, 1.2, 0.6]]}))
+        lines = _random_lines(31, n=32)
+        forward = line_integrals_vector(cfg, lines)
+        back = line_integrals_vector(cfg, [Line(x0=ln.x0, omega=-ln.omega) for ln in lines])
+        np.testing.assert_allclose(back, -forward, rtol=0, atol=1e-12)
+
     def test_sinogram_nodes_equal_line_integrals(self):
         prof = AngularFunction.constant(0.3) + AngularFunction.harmonic(1, cos_amp=0.2)
         cfg = PotentialConfig(
@@ -366,14 +381,6 @@ class TestResolveWinding:
     def test_no_lines_refused(self, kind):
         with pytest.raises(ValueError, match="at least one line"):
             XRayData(lines=(), values=np.zeros(0), kind=kind)
-
-    def test_csv_round_trip(self, tmp_path):
-        data = synthetic_winding_family(1, 1.0)
-        path = tmp_path / "winding.csv"
-        data.to_csv(path)
-        back = XRayData.from_csv(path, kind="vector_exp")
-        np.testing.assert_allclose(back.values, data.values, atol=1e-12)
-        assert resolve_winding(back) == 1
 
 
 class TestRadonInvertScalar:
@@ -654,7 +661,7 @@ class TestFindGaugeScalar:
         th = rng.uniform(0, 2 * np.pi, 30)
         pts = np.column_stack([r * np.cos(th), r * np.sin(th)])
         expected = (1.0 + r**2) ** -0.5
-        np.testing.assert_allclose(gs(pts), expected, atol=1e-8)
+        np.testing.assert_allclose(gs.evaluate(pts), expected, atol=1e-8)
 
     def test_far_correction_closed_form(self):
         # int_R^inf of -s (1 + s^2)^(-3/2) ds along the theta = 0 ray
@@ -667,7 +674,7 @@ class TestFindGaugeScalar:
         fld = catalog.build_vector("zero")
         gs = find_gauge_scalar(fld, r_in=1.2, r_out=4.0)
         pts = np.array([[1.5, 0.0], [0.0, 2.5], [-3.0, 1.0]])
-        assert np.max(np.abs(gs(pts))) < 1e-12
+        assert np.max(np.abs(gs.evaluate(pts))) < 1e-12
 
     @pytest.mark.parametrize("alpha", [0.3, -0.6, 1.4])
     def test_ab_raises_residual_flux(self, alpha):
@@ -694,7 +701,7 @@ class TestFindGaugeScalar:
         r = rng.uniform(1.3, 3.8, 25)
         th = rng.uniform(0, 2 * np.pi, 25)
         pts = np.column_stack([r * np.cos(th), r * np.sin(th)])
-        one_by_one = np.array([gs(q) for q in pts])
+        one_by_one = np.array([gs.evaluate(q)[0] for q in pts])
         np.testing.assert_allclose(gs.evaluate(pts), one_by_one, rtol=0, atol=1e-13)
 
     @pytest.mark.parametrize("source", ["apply_gauge", "grad_bumps"])
@@ -731,8 +738,8 @@ class TestFindGaugeScalar:
             r, t = rng.uniform(1.4, 4.2), rng.uniform(0, 2 * np.pi)
             q = np.array([r * np.cos(t), r * np.sin(t)])
             grad = np.array([
-                (gs(q + [h, 0]) - gs(q - [h, 0])) / (2 * h),
-                (gs(q + [0, h]) - gs(q - [0, h])) / (2 * h)])
+                (gs.evaluate(q + [h, 0]) - gs.evaluate(q - [h, 0]))[0] / (2 * h),
+                (gs.evaluate(q + [0, h]) - gs.evaluate(q - [0, h]))[0] / (2 * h)])
             worst = max(worst, np.max(np.abs(grad - fld(q[None])[0])))
         assert worst < 1e-6
 
