@@ -197,7 +197,12 @@ class AngularFunction:
 
     @classmethod
     def from_triples(cls, triples) -> "AngularFunction":
-        return cls.from_coefficients({int(k): re + 1j * im for k, re, im in triples})
+        try:
+            coefficients = {int(k): re + 1j * im for k, re, im in triples}
+        except (TypeError, ValueError):
+            raise ValueError("coefficients must be a list of [k, re, im] triples, "
+                             f"got {triples!r}") from None
+        return cls.from_coefficients(coefficients)
 
 
 # ===================================================================

@@ -311,22 +311,38 @@ def config_to_dict(cfg: PotentialConfig) -> dict:
     return out
 
 
+def _number(d: dict, key: str, kind):
+    try:
+        return kind(d[key])
+    except (TypeError, ValueError):
+        raise ValueError(f"configuration {key!r} must be a number, got {d[key]!r}") from None
+
+
+def _section(d: dict, name: str) -> dict | None:
+    """The object d[name], or None when it is absent or empty."""
+    s = d.get(name)
+    if not s:
+        return None
+    if not isinstance(s, dict):
+        raise ValueError(f"configuration {name!r} must be a JSON object, got {s!r}")
+    if not isinstance(s.get("params") or {}, dict):
+        raise ValueError(f"configuration {name!r} params must be a JSON object")
+    return s
+
+
 def config_from_dict(d: dict) -> PotentialConfig:
     if not isinstance(d, dict):
         raise ValueError("configuration must be a JSON object")
-    dim = int(d["dimension"])
+    dim = _number(d, "dimension", int)
     transversal = None
-    if d.get("transversal"):
-        transversal = TransversalField.from_profile(
-            AngularFunction.from_triples(d["transversal"]["profile"]))
+    if s := _section(d, "transversal"):
+        transversal = TransversalField.from_profile(AngularFunction.from_triples(s["profile"]))
     short_range = None
-    if d.get("short_range"):
-        s = d["short_range"]
+    if s := _section(d, "short_range"):
         short_range = build_vector(s["kind"], s.get("params"), dim, s.get("C"), s.get("eps0"))
     scalar = None
-    if d.get("scalar"):
-        s = d["scalar"]
+    if s := _section(d, "scalar"):
         scalar = build_scalar(s["kind"], s.get("params"), dim, s.get("C"), s.get("eps0"))
-    return PotentialConfig(dimension=dim, obstacle_radius=float(d["obstacle_radius"]),
+    return PotentialConfig(dimension=dim, obstacle_radius=_number(d, "obstacle_radius", float),
                            transversal=transversal, short_range=short_range, scalar=scalar,
                            label=d.get("label", ""))

@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from . import catalog
-from ._csvio import write_csv
+from ._csvio import write_csv, write_grid_csv
 from .angular import AngularFunction, sphere_grid
 from .errors import DimensionMismatch, NotCurlFree, ResidualFlux
 from .fields import (
@@ -53,7 +53,6 @@ from .tomography import (
     find_gauge_scalar,
     line_integrals_scalar,
     parallel_geometry,
-    polar_points,
     radon_invert_scalar,
     recover_field_2d,
 )
@@ -595,8 +594,7 @@ def emit_report(report: Report, out_dir) -> list:
 def _gauge_scalar_to_csv(gs, path) -> None:
     radii = np.linspace(gs.far_radius / 8.0, gs.far_radius / 2.0, 24)
     thetas = np.arange(48) * 2 * np.pi / 48
-    r, t, _ = polar_points(radii, thetas)
-    write_csv(path, "r,theta,L", [r, t, gs.on_polar_grid(radii, thetas).ravel()])
+    write_grid_csv(path, "r,theta,L", radii, thetas, gs.on_polar_grid(radii, thetas))
 
 
 def _leading_to_csv(leads, path) -> None:

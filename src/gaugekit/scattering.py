@@ -68,7 +68,7 @@ from functools import cached_property
 import numpy as np
 from numpy.lib.stride_tricks import as_strided, sliding_window_view
 
-from ._csvio import read_csv, write_csv
+from ._csvio import read_csv, write_grid_csv
 from .angular import AngularFunction, SphereFunction, SphereGrid, row_blocks
 from .errors import (
     DimensionMismatch,
@@ -313,6 +313,8 @@ class ScatteringKernel:
 
     @classmethod
     def from_header_and_grid(cls, header: dict, remainder: np.ndarray) -> "ScatteringKernel":
+        if not isinstance(header, dict):
+            raise ValueError(f"kernel header must be a JSON object, got {header!r}")
         M = int(header["n_grid"])
         return cls(alpha=float(header["alpha"]), winding=int(header["winding"]),
                    phase_out=AngularFunction.from_triples(header["phase_out"]),
@@ -322,9 +324,8 @@ class ScatteringKernel:
                    lam=float(header["lam"]), dimension=int(header.get("dimension", 2)))
 
     def remainder_to_csv(self, path) -> None:
-        M = self.n_grid
-        ii, jj = np.divmod(np.arange(M * M), M)
-        write_csv(path, "i,j,re,im", [ii, jj, self.remainder.real.ravel(), self.remainder.imag.ravel()])
+        index = np.arange(self.n_grid)
+        write_grid_csv(path, "i,j,re,im", index, index, [self.remainder.real, self.remainder.imag])
 
     @staticmethod
     def remainder_from_csv(path) -> np.ndarray:

@@ -40,7 +40,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from ._csvio import read_csv, write_csv
+from ._csvio import read_csv, write_grid_csv
 from .angular import SphereFunction
 from .errors import (
     BranchAmbiguous,
@@ -371,9 +371,7 @@ class Sinogram:
         return float(self.offsets[self.offsets > 0][0])
 
     def to_csv(self, path) -> None:
-        write_csv(path, "angle,offset,value", [np.repeat(self.angles, self.offsets.size),
-                                               np.tile(self.offsets, self.angles.size),
-                                               self.values.ravel()])
+        write_grid_csv(path, "angle,offset,value", self.angles, self.offsets, self.values)
 
     @classmethod
     def from_csv(cls, path, kind: str, obstacle_radius: float = 0.0) -> "Sinogram":
@@ -513,8 +511,7 @@ class PolarGridField:
         return float(np.max(np.abs(self.values)))
 
     def to_csv(self, path) -> None:
-        r, t, _ = polar_points(self.radii, self.thetas)
-        write_csv(path, "r,theta,value", [r, t, self.values.ravel()])
+        write_grid_csv(path, "r,theta,value", self.radii, self.thetas, self.values)
 
 
 def polar_points(radii, thetas):

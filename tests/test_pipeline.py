@@ -30,6 +30,7 @@ from gaugekit.pipeline import (
     synthesize_kernels,
 )
 from gaugekit.scattering import assemble_kernel, sample_remainder
+from gaugekit.tomography import PolarGridField, polar_points
 
 SMALL_GEO = {"n_angles": 40, "n_offsets": 64, "r_min": 1.001, "r_max": 3.5}
 MID_GEO = {"n_angles": 90, "n_offsets": 128, "r_min": 1.001, "r_max": 3.5}
@@ -456,6 +457,31 @@ class TestCsvCodec:
         _csvio.write_csv(tmp_path / "one.csv", "a,b,c", [[1.5], [2.0], [-3.0]])
         assert _csvio.read_csv(tmp_path / "one.csv").shape == (1, 3)
 
+    @staticmethod
+    def _edge_values(rng, shape):
+        v = rng.normal(size=shape) * 10.0 ** rng.integers(-300, 300, shape)
+        edges = np.array([0.0, -0.0, np.inf, -np.inf, 5e-324, -5e-324])
+        every_third = v.reshape(-1)[::3]
+        k = min(edges.size, every_third.size)
+        every_third[:k] = edges[:k]
+        return v
+
+    @pytest.mark.parametrize("m, n, n_values", [(5, 7, 1), (1, 9, 1), (9, 1, 1), (6, 4, 2)])
+    def test_grid_writes_the_bytes_of_savetxt(self, tmp_path, m, n, n_values):
+        rng = np.random.default_rng(m * 10 + n)
+        outer, inner = self._edge_values(rng, m), self._edge_values(rng, n)
+        values = [self._edge_values(rng, (m, n)) for _ in range(n_values)]
+        header = "u,v," + ",".join(f"f{k}" for k in range(n_values))
+        body = np.column_stack([np.repeat(outer, n), np.tile(inner, m)]
+                               + [v.ravel() for v in values])
+        np.savetxt(tmp_path / "ref.csv", body, delimiter=",", header=header, comments="")
+        _csvio.write_grid_csv(tmp_path / "got.csv", header, outer, inner,
+                              values if n_values > 1 else values[0])
+        assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+        back = _csvio.read_csv(tmp_path / "got.csv")
+        np.testing.assert_array_equal(back, body)
+        np.testing.assert_array_equal(np.signbit(back), np.signbit(body))
+
 
 class TestEmitReport:
     def test_gauge_scalar_csv_matches_evaluate(self, tmp_path, scalar_part_report):
@@ -469,6 +495,18 @@ class TestEmitReport:
         want = gs.evaluate(np.column_stack([r * np.cos(th), r * np.sin(th)]))
         assert np.max(np.abs(want)) > 1e-3
         assert np.max(np.abs(body[:, 2] - want)) <= 1e-12 * np.max(np.abs(want))
+
+    def test_polar_csv_has_the_bytes_of_radius_major_columns(self, tmp_path):
+        rng = np.random.default_rng(4)
+        radii, thetas = np.linspace(1.2, 3.0, 5), np.arange(7) * 2 * np.pi / 7
+        field = PolarGridField(radii=radii, thetas=thetas, values=rng.normal(size=(5, 7)),
+                               annulus=(1.2, 3.0))
+        emit_report(Report(kind="reconstruct", artifacts={"reconstruction_b": field}), tmp_path)
+        r, t, _ = polar_points(radii, thetas)
+        np.savetxt(tmp_path / "ref.csv", np.column_stack([r, t, field.values.ravel()]),
+                   delimiter=",", header="r,theta,value", comments="")
+        assert ((tmp_path / "reconstruction_b.csv").read_bytes()
+                == (tmp_path / "ref.csv").read_bytes())
 
     def test_gauge_scalar_csv_field_points(self, tmp_path, scalar_part_report):
         # point-by-point paths would take 1,152 x 2 legs x 200 nodes = 460,800
@@ -712,6 +750,29 @@ class TestCli:
         assert cli.main(["decompose"]) == 1
         assert capsys.readouterr().err.splitlines() == [
             "error: decompose needs --profile or --config"]
+
+    def test_profile_that_is_not_triples_exit_one(self, capsys):
+        assert cli.main(["decompose", "--profile", "5"]) == cli.EXIT_ERROR
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: coefficients must be a list of ")
+
+    def test_config_section_that_is_not_an_object_exit_one(self, tmp_path, capsys):
+        path = tmp_path / "config.json"
+        path.write_text('{"dimension": 2, "obstacle_radius": 1.0, "transversal": [1]}')
+        assert cli.main(["flux", "--config", str(path)]) == cli.EXIT_ERROR
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["error: configuration 'transversal' must be a JSON object, got [1]"]
+
+    def test_kernel_header_that_is_not_an_object_exit_one(self, tmp_path, capsys):
+        k1 = tmp_path / "k1"
+        assert cli.main(["kernel", "build", "--alpha", "0.3", "--grid", "16",
+                         "--out", str(k1)]) == 0
+        (tmp_path / "k1.json").write_text("[]")
+        capsys.readouterr()
+        assert cli.main(["kernel", "compare", "--kernel1", str(k1),
+                         "--kernel2", str(k1)]) == cli.EXIT_ERROR
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["error: kernel header must be a JSON object, got []"]
 
     @pytest.mark.parametrize("argv, text", [
         (["report", "--report"], "[]"),

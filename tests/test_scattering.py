@@ -966,4 +966,4 @@ class TestSerialization:
         path = tmp_path / "remainder.csv"
         S.remainder_to_csv(path)
         back = ScatteringKernel.remainder_from_csv(path)
-        assert np.max(np.abs(back - S.remainder)) < 1e-15
+        np.testing.assert_array_equal(back, S.remainder)
