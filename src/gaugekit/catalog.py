@@ -262,10 +262,17 @@ VECTOR_KINDS = {
 }
 
 
+def _builder(kinds: dict, kind, what: str):
+    """The builder of a named kind, or a ValueError naming the known kinds."""
+    if isinstance(kind, str) and kind in kinds:
+        return kinds[kind]
+    raise ValueError(f"unknown {what} kind {kind!r}; known kinds: {', '.join(kinds)}")
+
+
 def build_scalar(kind: str, params: dict | None = None, dimension: int = 2,
                  C: float | None = None, eps0: float | None = None) -> ScalarPotential:
     params = params or {}
-    func, gradient, env = SCALAR_KINDS[kind](params, dimension)
+    func, gradient, env = _builder(SCALAR_KINDS, kind, "scalar")(params, dimension)
     if C is not None and eps0 is not None:
         env = DecayEnvelope(C=C, eps0=eps0)
     return ScalarPotential(dimension=dimension, func=func, envelope=env, kind=kind, params=params,
@@ -275,7 +282,7 @@ def build_scalar(kind: str, params: dict | None = None, dimension: int = 2,
 def build_vector(kind: str, params: dict | None = None, dimension: int = 2,
                  C: float | None = None, eps0: float | None = None) -> ShortRangeField:
     params = params or {}
-    func, env = VECTOR_KINDS[kind](params, dimension)
+    func, env = _builder(VECTOR_KINDS, kind, "vector")(params, dimension)
     if C is not None and eps0 is not None:
         env = DecayEnvelope(C=C, eps0=eps0)
     return ShortRangeField(dimension=dimension, func=func, envelope=env, kind=kind, params=params)

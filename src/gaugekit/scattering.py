@@ -315,13 +315,21 @@ class ScatteringKernel:
     def from_header_and_grid(cls, header: dict, remainder: np.ndarray) -> "ScatteringKernel":
         if not isinstance(header, dict):
             raise ValueError(f"kernel header must be a JSON object, got {header!r}")
-        M = int(header["n_grid"])
-        return cls(alpha=float(header["alpha"]), winding=int(header["winding"]),
+
+        def number(key: str, kind=float):
+            try:
+                return kind(header[key])
+            except (TypeError, ValueError):
+                raise ValueError(
+                    f"kernel header {key!r} must be a number, got {header[key]!r}") from None
+
+        M = number("n_grid", int)
+        return cls(alpha=number("alpha"), winding=number("winding", int),
                    phase_out=AngularFunction.from_triples(header["phase_out"]),
                    phase_in=AngularFunction.from_triples(header["phase_in"]),
                    remainder=np.asarray(remainder, dtype=complex).reshape(M, M),
-                   bound_C=float(header["C"]), bound_delta=float(header["delta"]),
-                   lam=float(header["lam"]), dimension=int(header.get("dimension", 2)))
+                   bound_C=number("C"), bound_delta=number("delta"), lam=number("lam"),
+                   dimension=number("dimension", int) if "dimension" in header else 2)
 
     def remainder_to_csv(self, path) -> None:
         index = np.arange(self.n_grid)

@@ -220,18 +220,16 @@ def _per_angle_line_rule(evaluate, x0s, omegas, envelope, tail_tol):
     S = max(envelope.truncation_radius(tail_tol), 1.0)
     eps0 = envelope.eps0
     s_core = np.minimum(S, np.maximum(8.0 * (np.linalg.norm(x0s, axis=1) + 2.0), 48.0))
-    totals = []
-    for n in (tomography._LINE_NODES, 2 * tomography._LINE_NODES):
-        x, w = tomography._gauss_legendre(n)
-        edges, widths = tomography._CORE_EDGES, tomography._CORE_WIDTHS
-        u = (edges[:-1, None] + 0.5 * widths[:, None] * (x + 1.0)).ravel()
-        uw = (0.5 * widths[:, None] * w).ravel()
-        s_tail, w_tail = tomography._tail_nodes(s_core, eps0, n)
-        w_tail = np.where((S > s_core)[:, None], w_tail, 0.0)
-        s = np.concatenate([s_core[:, None] * u, s_tail, -s_tail], axis=1)
-        ws = np.concatenate([s_core[:, None] * uw, w_tail, w_tail], axis=1)
-        totals.append(np.sum(_broadcast_on_lines(evaluate, x0s, omegas, s) * ws, axis=1))
-    return totals[1]
+    x, w = tomography._gauss_kronrod(tomography._LINE_NODES)
+    w_kronrod = w[0]  # the value's weights alone, without the Kronrod/Gauss difference
+    edges, widths = tomography._CORE_EDGES, tomography._CORE_WIDTHS
+    u = (edges[:-1, None] + 0.5 * widths[:, None] * (x + 1.0)).ravel()
+    uw = (0.5 * widths[:, None] * w_kronrod).ravel()
+    s_tail, w_tail = tomography._tail_nodes(s_core, eps0, x, w_kronrod)
+    w_tail = np.where((S > s_core)[:, None], w_tail, 0.0)
+    s = np.concatenate([s_core[:, None] * u, s_tail, -s_tail], axis=1)
+    ws = np.concatenate([s_core[:, None] * uw, w_tail, w_tail], axis=1)
+    return np.sum(_broadcast_on_lines(evaluate, x0s, omegas, s) * ws, axis=1)
 
 
 def _per_angle_tangent_rule(evaluate, x0s, omegas, distances):

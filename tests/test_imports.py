@@ -1,7 +1,8 @@
 """Every import and every private module-level name in the package modules
 and in the test oracles is used, every public name of the package is read
-(stdlib ast; no linter needed), and importing the package loads no scipy
-module.
+(stdlib ast; no linter needed), quadrature node tables are built only by
+the two cached builders in tomography, and importing the package loads no
+scipy module.
 
 ``__init__.py`` is skipped by the usage rules: its imports are re-exports.
 ``__future__`` imports are directives, not names. A private name is a
@@ -202,6 +203,63 @@ def test_detector_flags_an_unread_public_name():
     init = "from .kernel import Exported\nfrom .caller import call\n"
     assert _unread_public_names({"kernel": kernel, "caller": caller, "__init__": init}) == [
         "K.orphan_method", "kernel.orphan", "kernel.recursive"]
+
+
+# The calls that compute quadrature nodes, each with the one function allowed
+# to make it (None: none is). Both builders are lru_cached, so every rule
+# reads a node table built once per node count instead of building its own.
+_NODE_TABLE_BUILDERS = {
+    "leggauss": "tomography._gauss_legendre",
+    "legroots": "tomography._gauss_kronrod",
+    "roots_legendre": None,
+}
+
+
+def _is_cached(node) -> bool:
+    """Whether a function definition is decorated with lru_cache or cache."""
+    names = {d.id if isinstance(d, ast.Name) else getattr(d, "attr", None)
+             for d in (dec.func if isinstance(dec, ast.Call) else dec
+                       for dec in node.decorator_list)}
+    return bool(names & {"lru_cache", "cache"})
+
+
+def _stray_node_tables(sources: dict) -> list:
+    """(module.owner, call) of each node computation in the sources
+    ({module: text}) that sits outside its builder in _NODE_TABLE_BUILDERS,
+    or in a builder that is not cached; the owner is the module-level
+    function or class around the call, or the module itself."""
+    found = []
+    for module, text in sources.items():
+        for top in ast.parse(text).body:
+            owner = f"{module}.{getattr(top, 'name', '<module>')}"
+            for node in ast.walk(top):
+                if not isinstance(node, ast.Call):
+                    continue
+                f = node.func
+                name = f.attr if isinstance(f, ast.Attribute) else getattr(f, "id", None)
+                if name in _NODE_TABLE_BUILDERS and (
+                        _NODE_TABLE_BUILDERS[name] != owner or not _is_cached(top)):
+                    found.append((owner, name))
+    return sorted(found)
+
+
+def test_node_tables_are_built_once():
+    assert _stray_node_tables(_package_sources()) == []
+
+
+def test_detector_flags_a_stray_node_table():
+    tomography = ("from functools import lru_cache\nimport numpy as np\n"
+                  "@lru_cache(maxsize=None)\ndef _gauss_legendre(n):\n"
+                  "    return np.polynomial.legendre.leggauss(n)\n"
+                  "def _gauss_kronrod(n):\n"
+                  "    return np.polynomial.legendre.legroots(np.ones(n))\n"
+                  "def rule(n):\n    return np.polynomial.legendre.leggauss(n)\n"
+                  "class Rule:\n    def nodes(self):\n        return leggauss(4)\n")
+    other = ("from scipy.special import roots_legendre\n"
+             "X = roots_legendre(8)\n")
+    assert _stray_node_tables({"tomography": tomography, "other": other}) == [
+        ("other.<module>", "roots_legendre"), ("tomography.Rule", "leggauss"),
+        ("tomography._gauss_kronrod", "legroots"), ("tomography.rule", "leggauss")]
 
 
 def _module_level_scipy_imports(source: str) -> list:

@@ -774,6 +774,28 @@ class TestCli:
         err = capsys.readouterr().err.splitlines()
         assert err == ["error: kernel header must be a JSON object, got []"]
 
+    def test_kernel_header_number_that_is_null_exit_one(self, tmp_path, capsys):
+        k1 = tmp_path / "k1"
+        assert cli.main(["kernel", "build", "--alpha", "0.3", "--grid", "16",
+                         "--out", str(k1)]) == 0
+        header = json.loads((tmp_path / "k1.json").read_text())
+        (tmp_path / "k1.json").write_text(json.dumps({**header, "n_grid": None}))
+        capsys.readouterr()
+        assert cli.main(["kernel", "compare", "--kernel1", str(k1),
+                         "--kernel2", str(k1)]) == cli.EXIT_ERROR
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["error: kernel header 'n_grid' must be a number, got None"]
+
+    @pytest.mark.parametrize("section", ["scalar", "short_range"])
+    def test_config_kind_that_is_not_a_name_exit_one(self, tmp_path, capsys, section):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"dimension": 2, "obstacle_radius": 1.0,
+                                    section: {"kind": ["x"]}}))
+        assert cli.main(["flux", "--config", str(path)]) == cli.EXIT_ERROR
+        err = capsys.readouterr().err.splitlines()
+        what = "scalar" if section == "scalar" else "vector"
+        assert len(err) == 1 and err[0].startswith(f"error: unknown {what} kind ['x']; ")
+
     @pytest.mark.parametrize("argv, text", [
         (["report", "--report"], "[]"),
         (["classify", "--scenario"], "[]"),

@@ -54,6 +54,8 @@ from gaugekit.tomography import (
     synthetic_winding_family,
 )
 from gaugekit.tomography import (
+    _gauss_kronrod,
+    _gauss_legendre,
     _line_rule,
     _not_a_knot_slopes,
     _spline_derivative,
@@ -132,6 +134,43 @@ def _random_lines(seed, n=32):
             for _ in range(n)]
 
 
+class TestGaussKronrod:
+    """The 25-node Kronrod extension of the 12-node Gauss rule."""
+
+    def test_gauss_nodes_sit_inside(self):
+        x, w = _gauss_kronrod(12)
+        xg, wg = _gauss_legendre(12)
+        assert x.shape == (25,) and w.shape == (2, 25)
+        np.testing.assert_array_equal(x[1::2], xg)
+        # the second row is the Kronrod minus the Gauss weights
+        np.testing.assert_array_equal((w[0] - w[1])[1::2], wg)
+        np.testing.assert_array_equal(w[1, 0::2], w[0, 0::2])
+        assert np.all(np.diff(x) > 0) and -1 < x[0] and x[-1] < 1
+
+    def test_exact_to_degree_37(self):
+        x, w = _gauss_kronrod(12)
+        for d in range(39):
+            exact = 0.0 if d % 2 else 2.0 / (d + 1)
+            err = abs(float(w[0] @ x**d) - exact)
+            if d <= 37:
+                assert err <= 1e-15, (d, err)
+            else:
+                assert err > 1e-14, (d, err)
+
+    def test_weights_positive_and_symmetric(self):
+        x, w = _gauss_kronrod(12)
+        assert np.all(w[0] > 0)
+        np.testing.assert_array_equal(x, -x[::-1])
+        np.testing.assert_array_equal(w, w[:, ::-1])
+
+    def test_read_only(self):
+        x, w = _gauss_kronrod(12)
+        assert _gauss_kronrod(12)[0] is x
+        for arr in (x, w):
+            with pytest.raises(ValueError):
+                arr[0] = 0.0
+
+
 class TestLineRule:
     @pytest.mark.parametrize("p", [1.2, 1.5, 3.0])
     def test_closed_form_power_slow_decay(self, p):
@@ -191,6 +230,24 @@ class TestLineRule:
             F, x0s, np.array([ln.omega for ln in lines]))
         ref = [adaptive_line_integral(F, ln, F.envelope) for ln in lines]
         np.testing.assert_allclose(vals, ref, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("width", [0.05, 0.08, 0.12])
+    def test_estimate_bounds_the_error(self, width):
+        # a bump on the lines' path: the estimate, |K25 - G12|, runs from
+        # 1.6e-7 at width 0.05 to 9.4e-14 at 0.12, above the true error
+        V = catalog.build_scalar("gaussian_bumps", {"bumps": [[1.0, 2.0, 0.0, width]]})
+        lines = [Line.from_impact_angle(d, 0.0) for d in np.linspace(1.5, 2.3, 9)]
+        vals, est = line_integrals_scalar(V, lines, tail_tol=1e-6)
+        ref = np.array([adaptive_line_integral(V, ln, V.envelope, tail_tol=1e-6)
+                        for ln in lines])
+        assert np.all(np.abs(vals - ref) <= est + 1e-14)
+
+    @pytest.mark.parametrize("width", [0.02, 0.03])
+    def test_unresolved_bump_raises_non_convergent(self, width):
+        V = catalog.build_scalar("gaussian_bumps", {"bumps": [[1.0, 2.0, 0.0, width]]})
+        lines = [Line.from_impact_angle(d, 0.0) for d in np.linspace(1.5, 2.3, 9)]
+        with pytest.raises(NonConvergent, match="Kronrod/Gauss difference"):
+            line_integrals_scalar(V, lines, tail_tol=1e-6)
 
     def test_narrow_spike_raises_non_convergent(self):
         V = catalog.build_scalar("gaussian_bumps", {"bumps": [[1.0, 2.0, 0.0, 0.01]]})
@@ -496,7 +553,8 @@ class TestSinogramPlan:
                                       per_angle_sinogram(cfg, angles, offsets, "vector"))
 
     def test_vector_calls(self, monkeypatch):
-        # two line-rule passes (n and 2n nodes) per angle, one decomposition
+        # one line-rule pass per angle, 650 Gauss-Kronrod nodes per line, and
+        # one decomposition
         decompositions = []
         decompose = tomography.decompose_transversal
         monkeypatch.setattr(tomography, "decompose_transversal",
@@ -505,7 +563,7 @@ class TestSinogramPlan:
         sr = _counted(catalog.build_vector(*_SINOGRAM_REMAINDERS[0]), calls)
         angles, offsets = parallel_geometry(12, 16, 1.001, 3.5)
         forward_sinogram(_sinogram_config(short_range=sr), angles, offsets, kind="vector")
-        assert len(calls) == 2 * angles.size
+        assert calls == [offsets.size * 650] * angles.size
         assert len(decompositions) == 1
 
     def test_scalar_calls(self):
@@ -672,6 +730,18 @@ class TestFindGaugeScalar:
         gs = find_gauge_scalar(fld, r_in=1.2, r_out=4.0)
         exact = -(1.0 + gs.far_radius**2) ** -0.5
         assert abs(gs.far_correction - exact) < 1e-13
+
+    def test_far_correction_calls(self):
+        # the far correction is one call of 25 Kronrod nodes, all on the
+        # theta = 0 ray beyond the far radius, where no other leg reaches
+        fld = catalog.build_vector("grad_power", {"c": 1.0, "p": 1.0})
+        batches = []
+        counted = dataclasses.replace(fld, func=lambda p: batches.append(p) or fld.func(p))
+        gs = find_gauge_scalar(counted, r_in=1.2, r_out=4.0)
+        outside = (1 + 1e-9) * gs.far_radius  # the far arc's points sit at the far radius
+        beyond = [p for p in batches if np.any(np.linalg.norm(p, axis=1) > outside)]
+        assert len(beyond) == 1 and beyond[0].shape == (25, 2)
+        assert np.all(beyond[0][:, 1] == 0.0) and np.all(beyond[0][:, 0] > gs.far_radius)
 
     def test_zero_field(self):
         fld = catalog.build_vector("zero")
