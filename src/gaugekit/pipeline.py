@@ -229,12 +229,12 @@ def _remainder_grid(spec: dict | None, n_grid: int) -> np.ndarray | None:
         a = float(spec.get("amplitude", 0.1))
         p = int(spec.get("p", 1))
         q = int(spec.get("q", 2))
-        return np.outer(a * np.cos(p * thetas), np.sin(q * thetas)).astype(complex)
+        return np.outer(a * np.cos(p * thetas), np.sin(q * thetas))
     if kind == "diagonal_gaussian":
         a = float(spec.get("amplitude", 0.1))
         w = float(spec.get("width", 0.5))
         u = np.mod(thetas + np.pi, 2 * np.pi) - np.pi
-        return np.ascontiguousarray(_circulant(a * np.exp(-u**2 / (2 * w**2))), dtype=complex)
+        return np.ascontiguousarray(_circulant(a * np.exp(-u**2 / (2 * w**2))))
     raise ValueError(f"unknown remainder kind {kind!r}")
 
 

@@ -45,6 +45,13 @@ not assumed.
 A sphere kernel is stored the same way: its ungauged base matrix and, once
 gauged, the out and in prefactor vectors e^{i phi(w)} and e^{-i phi(-w')}.
 
+Both kinds store a grid (plane remainder, sphere base) in the dtype of its
+data: float64 when the data is real, complex128 when it is complex. numpy
+casts a real operand to complex before it meets complex data, so every value
+read is the same bits as from the complex grid, and real data (a synthesized
+sphere base, the pipeline's remainders) is stored and streamed in half the
+bytes.
+
 Both kinds are compared by one layer. A kind supplies rows(block) and
 far_pairs(), the mask of the pairs a comparison reads (off the diagonal band
 on the plane, more than angular.FAR_PAIR_ANGLE apart on the sphere); one
@@ -185,6 +192,7 @@ class ScatteringKernel:
     dimension: int = 2
 
     def __post_init__(self):
+        _require_finite(alpha=self.alpha, lam=self.lam)
         R = _frozen_remainder(self.remainder, self.bound_delta)
         object.__setattr__(self, "remainder", R)
         verify_remainder_bound(R, self.bound_C, self.bound_delta)
@@ -192,8 +200,9 @@ class ScatteringKernel:
     @classmethod
     def _certified(cls, **values) -> "ScatteringKernel":
         """A kernel from field values whose remainder grid (read-only,
-        complex, square) and (bound_C, bound_delta) are certified already:
-        the fields are set without __post_init__'s scan of the grid."""
+        square, in the dtype _grid_array gives it) and (bound_C,
+        bound_delta) are certified already: the fields are set without
+        __post_init__'s scan of the grid."""
         S = object.__new__(cls)
         for f in fields(cls):
             object.__setattr__(S, f.name, values[f.name] if f.name in values else f.default)
@@ -327,7 +336,7 @@ class ScatteringKernel:
         return cls(alpha=number("alpha"), winding=number("winding", int),
                    phase_out=AngularFunction.from_triples(header["phase_out"]),
                    phase_in=AngularFunction.from_triples(header["phase_in"]),
-                   remainder=np.asarray(remainder, dtype=complex).reshape(M, M),
+                   remainder=np.asarray(remainder).reshape(M, M),
                    bound_C=number("C"), bound_delta=number("delta"), lam=number("lam"),
                    dimension=number("dimension", int) if "dimension" in header else 2)
 
@@ -337,9 +346,16 @@ class ScatteringKernel:
 
     @staticmethod
     def remainder_from_csv(path) -> np.ndarray:
+        """The grid a remainder CSV holds, every cell's bits kept: real
+        (float64) when every imaginary cell is +0.0, as remainder_to_csv
+        writes a real grid, else complex, so a -0.0 cell survives and the
+        file's bytes round-trip."""
         body = read_csv(path)
         M = int(np.sqrt(body.shape[0]))
-        return (body[:, 2] + 1j * body[:, 3]).reshape(M, M)
+        im = body[:, 3]
+        if not (np.any(im) or np.any(np.signbit(im))):
+            return np.ascontiguousarray(body[:, 2]).reshape(M, M)
+        return np.ascontiguousarray(body[:, 2:4]).view(complex).reshape(M, M)
 
 
 def _circulant(t: np.ndarray) -> np.ndarray:
@@ -398,10 +414,29 @@ def verify_remainder_bound(remainder: np.ndarray, C: float, delta: float) -> Non
     _bound_constant(_offdiagonal_peaks(remainder), C, delta)
 
 
+def _grid_array(data) -> np.ndarray:
+    """A kernel grid in the dtype of its data: float64 when the data is real
+    (bool, integer or float), else complex128. Every read casts a real grid
+    to complex where it meets complex data, as numpy has no mixed real and
+    complex loops, so values are the same bits as from the complex grid,
+    and real data streams half the bytes. A float64 or complex128 array is
+    kept, not copied."""
+    a = np.asarray(data)
+    return a.astype(float if a.dtype.kind in "biuf" else complex, copy=False)
+
+
+def _require_finite(**values) -> None:
+    """ValueError naming the first of the kernel's scalar fields that is not
+    a finite number."""
+    for name, value in values.items():
+        if not np.isfinite(value):
+            raise ValueError(f"kernel {name} must be finite, got {value!r}")
+
+
 def _frozen_remainder(remainder, delta: float) -> np.ndarray:
-    """The remainder grid as a read-only complex array, with its shape and
-    the bound exponent checked."""
-    R = np.asarray(remainder, dtype=complex)
+    """The remainder grid as a read-only array in the dtype of its data
+    (_grid_array), with its shape and the bound exponent checked."""
+    R = _grid_array(remainder)
     if R.ndim != 2 or R.shape[0] != R.shape[1] or R.shape[0] < 16:
         raise ValueError("remainder grid must be square, at least 16 x 16")
     if not (0 <= delta < 1):
@@ -415,7 +450,7 @@ def sample_remainder(smooth, n_grid: int) -> np.ndarray:
     angle grid, as assemble_kernel samples it."""
     thetas = np.arange(n_grid) * 2 * np.pi / n_grid
     tt, pp = np.meshgrid(thetas, thetas, indexing="ij")
-    return np.asarray(smooth(tt, pp), dtype=complex)
+    return _grid_array(smooth(tt, pp))
 
 
 def assemble_kernel(alpha: float, a0_in: AngularFunction | None = None,
@@ -429,15 +464,16 @@ def assemble_kernel(alpha: float, a0_in: AngularFunction | None = None,
     The declared (C, delta) bound is verified on the grid; C is fitted when
     not given. RemainderBoundViolated when a declared bound fails.
     """
+    _require_finite(alpha=alpha, lam=lam)
     zero = AngularFunction.zero()
     a0_in = zero if a0_in is None else a0_in
     a0_out = zero if a0_out is None else a0_out
     if smooth is None:
-        R = np.zeros((n_grid, n_grid), dtype=complex)
+        R = np.zeros((n_grid, n_grid))
     elif callable(smooth):
         R = sample_remainder(smooth, n_grid)
     else:
-        R = np.asarray(smooth, dtype=complex)
+        R = _grid_array(smooth)
         if R.shape != (n_grid, n_grid):
             raise ValueError("remainder grid shape must match n_grid")
     R = _frozen_remainder(R, bound_delta)
@@ -563,7 +599,9 @@ class SphereScatteringKernel:
     ungauged base matrix and, once gauged, the prefactor vectors
     prefactor_out = e^{i phi(w)} and prefactor_in = e^{-i phi(-w')}, so the
     value at (i, j) is (prefactor_out[i] * base[i, j]) * prefactor_in[j].
-    A gauge multiplies the two vectors and shares the base. The
+    A gauge multiplies the two vectors and shares the base. The base is
+    stored read-only in the dtype of its data (float64 when real, as
+    synthesize_sphere_kernel gives it); the prefactors are complex. The
     singular-support flag is declared (the diagonal principal-value
     structure cannot be inferred from grid data; it is an input
     hypothesis)."""
@@ -577,8 +615,9 @@ class SphereScatteringKernel:
     prefactor_in: np.ndarray | None = None
 
     def __post_init__(self):
+        _require_finite(lam=self.lam)
         n = self.grid.size
-        v = np.asarray(self.base, dtype=complex)
+        v = _grid_array(self.base)
         if v.shape != (n, n):
             raise ValueError("base values must be square over the sphere grid")
         v.flags.writeable = False
@@ -605,8 +644,9 @@ class SphereScatteringKernel:
 
     @property
     def values(self) -> np.ndarray:
-        """The full value matrix: the base itself when ungauged, else built
-        on each read (16 n^2 bytes)."""
+        """The full value matrix: the base itself when ungauged (8 n^2 bytes
+        for a real base), else built as complex on each read (16 n^2
+        bytes)."""
         return self.rows(slice(None))
 
     def entries(self, i: np.ndarray, j: np.ndarray) -> np.ndarray:
@@ -627,10 +667,10 @@ def synthesize_sphere_kernel(grid: SphereGrid, lam: float = 1.0,
                              singular_support: bool = True) -> SphereScatteringKernel:
     """Diagonal-concentrated smooth stand-in kernel exp(-|w - w'|^2 / width^2)
     with width 0.6, plus a fixed small offset so the ratio is anchored
-    everywhere near the diagonal. Filled by row blocks into one complex
-    array."""
+    everywhere near the diagonal. Filled by row blocks into one float64
+    array, the real base."""
     V = grid.vertices
-    vals = np.empty((grid.size, grid.size), dtype=complex)
+    vals = np.empty((grid.size, grid.size))
     for b in row_blocks(grid.size):
         d2 = np.maximum(2.0 - 2.0 * (V[b] @ V.T), 0.0)
         vals[b] = np.exp(-d2 / 0.6**2) + 0.05

@@ -1,8 +1,9 @@
 """Every import and every private module-level name in the package modules
 and in the test oracles is used, every public name of the package is read
 (stdlib ast; no linter needed), quadrature node tables are built only by
-the two cached builders in tomography, and importing the package loads no
-scipy module.
+the two cached builders in tomography, kernel grids are not widened to
+complex outside the allowlisted 1-D vectors, and importing the package
+loads no scipy module.
 
 ``__init__.py`` is skipped by the usage rules: its imports are re-exports.
 ``__future__`` imports are directives, not names. A private name is a
@@ -260,6 +261,80 @@ def test_detector_flags_a_stray_node_table():
     assert _stray_node_tables({"tomography": tomography, "other": other}) == [
         ("other.<module>", "roots_legendre"), ("tomography.Rule", "leggauss"),
         ("tomography._gauss_kronrod", "legroots"), ("tomography.rule", "leggauss")]
+
+
+# The functions of scattering and pipeline that may widen data to complex
+# with a dtype=complex keyword or an .astype(complex) call, with the number
+# of such sites and the reason. A kernel grid is stored in the dtype of its
+# data (scattering._grid_array), so real grids stay float64; only these 1-D
+# vectors are complex by construction.
+_WIDENING_MODULES = ("scattering", "pipeline")
+WIDENING_ALLOWLIST = {
+    "scattering.ChannelSpectrum.__post_init__": (1, "channel eigenvalues are unimodular"),
+    "scattering.ab_kernel_channels": (1, "channel eigenvalues e^{+-i alpha pi}"),
+    "scattering.SphereScatteringKernel.__post_init__": (
+        1, "the prefactor vectors e^{i phi(w)}, e^{-i phi(-w')}; not the base"),
+    "scattering._fit_plane_gauge": (2, "the fitted phase harmonics and their sums"),
+}
+
+
+def _is_complex_dtype(node) -> bool:
+    """Whether an expression names the complex dtype: complex, np.complex128,
+    np.cdouble or the strings "complex" and "complex128"."""
+    if isinstance(node, ast.Name):
+        return node.id == "complex"
+    if isinstance(node, ast.Attribute):
+        return node.attr in {"complex128", "cdouble", "complex_"}
+    return isinstance(node, ast.Constant) and node.value in {"complex", "complex128"}
+
+
+def _widening_sites(sources: dict) -> list:
+    """(owner, line) of each dtype=complex keyword and .astype(complex) call
+    in the sources ({module: text}); the owner is the qualified name of the
+    innermost function or class around it ("module.Class.method"), or
+    "module.<module>"."""
+    found = []
+
+    def visit(node, owner):
+        for child in ast.iter_child_nodes(node):
+            inner = owner
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                inner = f"{owner.removesuffix('.<module>')}.{child.name}"
+            elif isinstance(child, ast.Call):
+                f = child.func
+                if (isinstance(f, ast.Attribute) and f.attr == "astype" and child.args
+                        and _is_complex_dtype(child.args[0])):
+                    found.append((owner, child.lineno))
+                found.extend((owner, child.lineno) for kw in child.keywords
+                             if kw.arg == "dtype" and _is_complex_dtype(kw.value))
+            visit(child, inner)
+
+    for module, text in sources.items():
+        visit(ast.parse(text), f"{module}.<module>")
+    return sorted(found)
+
+
+def test_grids_are_not_widened_to_complex():
+    sources = {m: (SRC / f"{m}.py").read_text() for m in _WIDENING_MODULES}
+    counts = {}
+    for owner, _ in _widening_sites(sources):
+        counts[owner] = counts.get(owner, 0) + 1
+    assert counts == {owner: n for owner, (n, _) in WIDENING_ALLOWLIST.items()}
+
+
+def test_detector_flags_a_widened_grid():
+    source = ("import numpy as np\n"
+              "W = np.zeros(3, dtype=complex)\n"
+              "def grid(n):\n    return np.outer(np.ones(n), np.ones(n)).astype(complex)\n"
+              "class K:\n"
+              "    def __post_init__(self):\n"
+              "        v = np.asarray(self.base, dtype=np.complex128)\n"
+              "        def inner():\n            return v.astype('complex')\n"
+              "        return np.asarray(v, dtype=float).astype(int)\n"
+              "def keep(a):\n    return a.astype(complex if a.dtype.kind == 'c' else float)\n")
+    assert _widening_sites({"kernel": source}) == [
+        ("kernel.<module>", 2), ("kernel.K.__post_init__", 7),
+        ("kernel.K.__post_init__.inner", 9), ("kernel.grid", 4)]
 
 
 def _module_level_scipy_imports(source: str) -> list:

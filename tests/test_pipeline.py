@@ -732,6 +732,41 @@ class TestCli:
         assert cli.main(["kernel", "compare", "--kernel1", k1,
                          "--kernel2", k2]) == 0
 
+    def test_kernel_files_round_trip_through_a_zero_gauge(self, tmp_path, capsys):
+        k1, k2 = str(tmp_path / "k1"), str(tmp_path / "k2")
+        assert cli.main(["kernel", "build", "--alpha", "0.3", "--grid", "64",
+                         "--phi-coeffs", "[[2, 0.05, 0.0]]", "--out", k1]) == 0
+        assert cli._load_kernel(k1).remainder.dtype == np.float64
+        assert cli.main(["kernel", "gauge", "--kernel", k1, "--out", k2]) == 0
+        for suffix in (".json", "_remainder.csv"):
+            assert Path(k2 + suffix).read_bytes() == Path(k1 + suffix).read_bytes()
+        capsys.readouterr()
+        assert cli.main(["kernel", "solve", "--kernel1", k1, "--kernel2", k2]) == 0
+        assert "verdict: equivalent" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("alpha", ["nan", "inf"])
+    def test_kernel_build_non_finite_flux_exit_one(self, tmp_path, capsys, alpha):
+        k1 = tmp_path / "k1"
+        assert cli.main(["kernel", "build", "--alpha", alpha, "--grid", "32",
+                         "--out", str(k1)]) == cli.EXIT_ERROR
+        err = capsys.readouterr().err.splitlines()
+        assert err == [f"error: kernel alpha must be finite, got {float(alpha)!r}"]
+        assert list(tmp_path.iterdir()) == []
+
+    def test_kernel_header_non_finite_flux_exit_one(self, tmp_path, capsys):
+        k1, k2 = tmp_path / "k1", tmp_path / "k2"
+        assert cli.main(["kernel", "build", "--alpha", "0.3", "--grid", "16",
+                         "--out", str(k1)]) == 0
+        header = (tmp_path / "k1.json").read_text()
+        (tmp_path / "k1.json").write_text(header.replace('"alpha": 0.3', '"alpha": Infinity'))
+        capsys.readouterr()
+        for argv in (["compare", "--kernel1", str(k1), "--kernel2", str(k1)],
+                     ["gauge", "--kernel", str(k1), "--m", "1", "--out", str(k2)]):
+            assert cli.main(["kernel"] + argv) == cli.EXIT_ERROR
+            err = capsys.readouterr().err.splitlines()
+            assert err == ["error: kernel alpha must be finite, got inf"]
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["k1.json", "k1_remainder.csv"]
+
     def test_kernel_solve_integer_flux_exit_two(self, tmp_path, capsys):
         k1 = str(tmp_path / "k1")
         assert cli.main(["kernel", "build", "--alpha", "1.0", "--grid", "64",

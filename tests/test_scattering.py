@@ -15,7 +15,7 @@ from oracles import (
     gathered_offset_max,
 )
 
-from gaugekit import scattering
+from gaugekit import pipeline, scattering
 
 from gaugekit.angular import AngularFunction, row_blocks, sphere_grid
 from gaugekit.errors import (
@@ -859,8 +859,10 @@ class TestSphereSolver:
             grid = sphere_grid(refinement=refinement)
             V = grid.vertices
             d2 = np.maximum(2.0 - 2.0 * (V @ V.T), 0.0)
-            want = (np.exp(-d2 / 0.6**2) + 0.05).astype(complex)
-            assert np.array_equal(synthesize_sphere_kernel(grid).values, want)
+            want = np.exp(-d2 / 0.6**2) + 0.05
+            got = synthesize_sphere_kernel(grid).values
+            assert got.dtype == np.float64
+            assert np.array_equal(got, want)
 
     def test_round_trip_memory_stays_near_one_matrix(self):
         grid = sphere_grid(refinement=4)
@@ -874,7 +876,7 @@ class TestSphereSolver:
         finally:
             tracemalloc.stop()
         assert res.verdict == "equivalent"
-        assert peak <= 1.5 * grid.size ** 2 * 16
+        assert peak <= 1.5 * grid.size ** 2 * 8
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     @pytest.mark.parametrize("where", ["far", "near", "diagonal"])
@@ -967,3 +969,144 @@ class TestSerialization:
         S.remainder_to_csv(path)
         back = ScatteringKernel.remainder_from_csv(path)
         np.testing.assert_array_equal(back, S.remainder)
+
+    def test_real_remainder_csv_reads_back_real(self, tmp_path):
+        S = _structured_kernel(32)
+        first, second = tmp_path / "first.csv", tmp_path / "second.csv"
+        S.remainder_to_csv(first)
+        back = ScatteringKernel.remainder_from_csv(first)
+        assert back.dtype == np.float64 and back.flags.c_contiguous
+        assert np.array_equal(back, S.remainder)
+        ScatteringKernel.from_header_and_grid(S.header_dict(), back).remainder_to_csv(second)
+        assert second.read_bytes() == first.read_bytes()
+
+    def test_negative_zero_imaginary_cell_keeps_the_grid_complex(self, tmp_path):
+        R = _structured_kernel(32).remainder.astype(complex)
+        R[3, 20] = complex(R[3, 20].real, -0.0)
+        S = assemble_kernel(0.3, smooth=R, n_grid=32)
+        first, second = tmp_path / "first.csv", tmp_path / "second.csv"
+        S.remainder_to_csv(first)
+        back = ScatteringKernel.remainder_from_csv(first)
+        assert back.dtype == np.complex128
+        assert np.signbit(back[3, 20].imag) and np.count_nonzero(np.signbit(back.imag)) == 1
+        ScatteringKernel.from_header_and_grid(S.header_dict(), back).remainder_to_csv(second)
+        assert second.read_bytes() == first.read_bytes()
+
+
+def _complex_bytes(a) -> bytes:
+    """The bytes of an array read as complex128: real values and the same
+    values cast to complex give the same bytes."""
+    return np.asarray(a, dtype=complex).tobytes()
+
+
+def _twins(kind: str) -> tuple:
+    """A kernel with real grid data, the same kernel built from its grid cast
+    to complex, and both under one gauge: (K, K_complex, G, G_complex)."""
+    if kind == "plane":
+        K = _structured_kernel(64)
+        twin = dataclasses.replace(K, remainder=K.remainder.astype(complex))
+        g = GaugeElement(dimension=2, m=1, phi=_phi_sin(0.1, 2) + _phi_cos(0.05, 1))
+    else:
+        K = synthesize_sphere_kernel(sphere_grid(refinement=2))
+        twin = SphereScatteringKernel(grid=K.grid, base=K.base.astype(complex))
+        g = GaugeElement(dimension=3, phi_callable=_even_phase(0.3, 0.2, -0.4))
+    return K, twin, apply_gauge_to_kernel(K, g), apply_gauge_to_kernel(twin, g)
+
+
+class TestGridStorage:
+    """A kernel stores its grid in the dtype of its data: float64 when the
+    data is real, complex128 when it is complex; reads give the same bits."""
+
+    @pytest.mark.parametrize("source", ["none", "array", "int", "callable",
+                                        "separable_trig", "diagonal_gaussian"])
+    def test_real_remainders_stored_as_float64(self, source):
+        M = 64
+        smooth = {
+            "none": None,
+            "array": 0.01 * np.random.default_rng(3).standard_normal((M, M)),
+            "int": np.arange(M * M).reshape(M, M) % 3,
+            "callable": lambda t, p: 0.02 * np.cos(t) * np.sin(2 * p),
+            "separable_trig": pipeline._remainder_grid({"kind": "separable_trig"}, M),
+            "diagonal_gaussian": pipeline._remainder_grid({"kind": "diagonal_gaussian"}, M),
+        }[source]
+        S = assemble_kernel(0.3, smooth=smooth, n_grid=M)
+        assert S.remainder.dtype == np.float64
+        assert not S.remainder.flags.writeable
+        G = apply_gauge_to_kernel(S, GaugeElement(dimension=2, m=1, phi=_phi_sin(0.1)))
+        assert G.remainder is S.remainder
+        assert S.rows(slice(0, 4)).dtype == G.rows(slice(0, 4)).dtype == np.complex128
+
+    def test_float64_input_is_kept_and_frozen(self):
+        R = 0.01 * np.random.default_rng(4).standard_normal((32, 32))
+        assert assemble_kernel(0.3, smooth=R, n_grid=32).remainder is R
+        assert not R.flags.writeable
+
+    def test_complex_input_stays_complex(self):
+        R = 0.01 * np.random.default_rng(5).standard_normal((32, 32)) + 0j
+        S = assemble_kernel(0.3, smooth=R, n_grid=32)
+        assert S.remainder.dtype == np.complex128 and not S.remainder.flags.writeable
+        K = synthesize_sphere_kernel(sphere_grid(refinement=1))
+        Kc = SphereScatteringKernel(grid=K.grid, base=K.base + 0j)
+        assert Kc.base.dtype == np.complex128 and not Kc.base.flags.writeable
+
+    def test_sphere_base_stored_as_float64(self):
+        K = synthesize_sphere_kernel(sphere_grid(refinement=2))
+        assert K.base.dtype == np.float64 and not K.base.flags.writeable
+        assert K.values.dtype == np.float64 and np.shares_memory(K.values, K.base)
+        G = apply_gauge_to_kernel(K, GaugeElement(dimension=3, phi_callable=_even_phase()))
+        assert G.base is K.base
+        assert G.values.dtype == G.rows(slice(0, 4)).dtype == np.complex128
+        n = K.grid.size
+        assert G.entries(np.arange(n), np.arange(n)).dtype == np.complex128
+
+    @pytest.mark.parametrize("kind", ["plane", "sphere"])
+    def test_reads_match_the_complex_twin_bit_for_bit(self, kind):
+        K, Kc, G, Gc = _twins(kind)
+        rng = np.random.default_rng(6)
+        for a, b in ((K, Kc), (G, Gc)):
+            n = a.far_pairs().shape[0]
+            for block in row_blocks(n):
+                assert _complex_bytes(a.rows(block)) == _complex_bytes(b.rows(block))
+            if kind == "plane":
+                for p in (-9, 3, 8, 40):
+                    assert a.band(p).tobytes() == b.band(p).tobytes()
+                th, tp = rng.uniform(0, 2 * np.pi, (2, 50))
+                assert a.evaluate(th, tp).tobytes() == b.evaluate(th, tp).tobytes()
+                assert (a.evaluate(th[:, None], tp).tobytes()
+                        == b.evaluate(th[:, None], tp).tobytes())
+            else:
+                i, j = rng.integers(0, n, (2, 200))
+                assert _complex_bytes(a.entries(i, j)) == _complex_bytes(b.entries(i, j))
+        for pair, twin_pair in (((K, G), (Kc, Gc)), ((G, K), (Gc, Kc)), ((K, K), (Kc, Kc))):
+            assert (np.float64(kernel_distance(*pair)).tobytes()
+                    == np.float64(kernel_distance(*twin_pair)).tobytes())
+
+    @pytest.mark.parametrize("kind", ["plane", "sphere"])
+    def test_solver_matches_the_complex_twin_exactly(self, kind):
+        K, Kc, G, Gc = _twins(kind)
+        for pair, twin_pair in (((K, G), (Kc, Gc)), ((K, K), (Kc, Kc))):
+            res, twin = gauge_equivalence_solver(*pair), gauge_equivalence_solver(*twin_pair)
+            assert res.verdict == twin.verdict == "equivalent"
+            assert repr(res.provenance) == repr(twin.provenance)
+            if kind == "plane":
+                assert res.gauge.m == twin.gauge.m
+                phase, twin_phase = res.gauge.phi.coefficients, twin.gauge.phi.coefficients
+            else:
+                phase, twin_phase = res.gauge.phi_sphere.values, twin.gauge.phi_sphere.values
+            assert np.asarray(phase).tobytes() == np.asarray(twin_phase).tobytes()
+
+
+class TestNonFiniteScalars:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("name", ["alpha", "lam"])
+    def test_plane_kernel_refuses(self, name, bad):
+        with pytest.raises(ValueError, match=f"kernel {name} must be finite"):
+            assemble_kernel(**{"alpha": 0.3, name: bad}, n_grid=16)
+        S = assemble_kernel(0.3, n_grid=16)
+        with pytest.raises(ValueError, match=f"kernel {name} must be finite"):
+            dataclasses.replace(S, **{name: bad})
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_sphere_kernel_refuses_lam(self, bad):
+        with pytest.raises(ValueError, match="kernel lam must be finite"):
+            synthesize_sphere_kernel(sphere_grid(refinement=1), lam=bad)
