@@ -133,8 +133,9 @@ class AngularFunction:
         vals = (np.exp(1j * np.outer(th, ks)) @ self.coefficients).real
         return float(vals[0]) if th.ndim == 0 else vals.reshape(th.shape)
 
-    def max_abs(self, samples: int = 4096) -> float:
-        theta = np.arange(samples) * 2 * np.pi / samples
+    def max_abs(self) -> float:
+        """Largest |value| over 4096 equally spaced angles."""
+        theta = np.arange(4096) * 2 * np.pi / 4096
         return float(np.max(np.abs(self(theta))))
 
     # ---------------- calculus ----------------
@@ -390,18 +391,5 @@ class SphereFunction:
         fi, bary = self.grid.locate(w)
         return float(self.values[self.grid.faces[fi]] @ bary)
 
-    def __add__(self, other: "SphereFunction") -> "SphereFunction":
-        if other.grid is not self.grid:
-            raise ValueError("sphere functions live on different grids")
-        return SphereFunction(self.grid, self.values + other.values)
-
     def __neg__(self) -> "SphereFunction":
         return SphereFunction(self.grid, -self.values)
-
-    def __sub__(self, other: "SphereFunction") -> "SphereFunction":
-        return self + (-other)
-
-    def __mul__(self, scalar: float) -> "SphereFunction":
-        return SphereFunction(self.grid, self.values * float(scalar))
-
-    __rmul__ = __mul__

@@ -43,9 +43,10 @@ def _scaled_columns(coeff, columns) -> np.ndarray:
     return out
 
 
-def _calibrate_envelope(func_mag, eps0: float, r_lo: float = 0.8, r_hi: float = 80.0) -> DecayEnvelope:
-    """Fit the smallest C with |f| <= C <r>^-(1+eps0) on a radial probe range."""
-    r = np.geomspace(r_lo, r_hi, 400)
+def _calibrate_envelope(func_mag, eps0: float) -> DecayEnvelope:
+    """Fit the smallest C with |f| <= C <r>^-(1+eps0) on 400 radii from 0.8
+    to 80."""
+    r = np.geomspace(0.8, 80.0, 400)
     mags = np.asarray(func_mag(r), dtype=float)
     C = float(np.max(mags * (1 + r**2) ** ((1 + eps0) / 2)))
     return DecayEnvelope(C=max(C * 1.05, 1e-300), eps0=eps0)

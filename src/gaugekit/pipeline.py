@@ -154,10 +154,8 @@ class Report:
     artifacts: dict = field(default_factory=dict, repr=False)
 
     def add(self, name: str, value: float, tolerance: float | None,
-            operation: str, smaller_is_pass: bool = True) -> ReportEntry:
-        passed = None
-        if tolerance is not None:
-            passed = bool(abs(value) <= tolerance) if smaller_is_pass else bool(abs(value) > tolerance)
+            operation: str) -> ReportEntry:
+        passed = None if tolerance is None else bool(abs(value) <= tolerance)
         e = ReportEntry(name=name, value=float(value), tolerance=tolerance,
                         operation=operation, passed=passed)
         self.entries.append(e)

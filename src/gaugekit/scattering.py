@@ -301,10 +301,10 @@ class ScatteringKernel:
         k = np.arange(self.n_grid)
         return _circulant(np.minimum(k, self.n_grid - k) > DIAG_MARGIN_CELLS)
 
-    def channel_spectrum(self, N: int = 32) -> ChannelSpectrum:
-        """Channels of the convolution-plus-winding part: the winding
+    def channel_spectrum(self) -> ChannelSpectrum:
+        """Channels -32..32 of the convolution-plus-winding part: the winding
         prefactors shift the effective flux by the Fourier shift law."""
-        return ab_kernel_channels(self.effective_flux(), N)
+        return ab_kernel_channels(self.effective_flux(), 32)
 
     def header_dict(self) -> dict:
         return {
@@ -663,8 +663,7 @@ class SphereScatteringKernel:
         return float(np.max([np.max(np.abs(self.rows(b))) for b in row_blocks(self.grid.size)]))
 
 
-def synthesize_sphere_kernel(grid: SphereGrid, lam: float = 1.0,
-                             singular_support: bool = True) -> SphereScatteringKernel:
+def synthesize_sphere_kernel(grid: SphereGrid, lam: float = 1.0) -> SphereScatteringKernel:
     """Diagonal-concentrated smooth stand-in kernel exp(-|w - w'|^2 / width^2)
     with width 0.6, plus a fixed small offset so the ratio is anchored
     everywhere near the diagonal. Filled by row blocks into one float64
@@ -674,8 +673,7 @@ def synthesize_sphere_kernel(grid: SphereGrid, lam: float = 1.0,
     for b in row_blocks(grid.size):
         d2 = np.maximum(2.0 - 2.0 * (V[b] @ V.T), 0.0)
         vals[b] = np.exp(-d2 / 0.6**2) + 0.05
-    return SphereScatteringKernel(grid=grid, base=vals, lam=lam,
-                                  singular_support=singular_support)
+    return SphereScatteringKernel(grid=grid, base=vals, lam=lam)
 
 
 # ===================================================================

@@ -10,12 +10,14 @@ Two vectorised rules integrate along k lines at once. The line rule
 (_line_rule: short-range scalars and vector remainders, so every vector
 sinogram) is a composite 25-node Gauss-Kronrod rule on a core |s| <= s_core
 graded away from closest approach, with tails mapped to infinity through
-s = v^(-1/eps0) from the declared envelope (_tail_nodes; find_gauge_scalar's
-far correction uses the same map and rule). The Kronrod rule K25 extends the
-12-node Gauss rule G12 (_gauss_kronrod), so one field call per application
-gives both sums: the value is K25's, the per-line estimate is |K25 - G12| plus
-the envelope bound of tails skipped below tail_tol, and a Kronrod/Gauss
-difference above tail_tol raises NonConvergent. The tangent rule
+s = v^(-1/eps0) from the declared envelope (_tail_nodes; the gauge scalar's
+outward rays use the same map and rule beyond their far radius). The Kronrod
+rule K25 extends the 12-node Gauss rule G12 (_gauss_kronrod), so one field
+call per application gives both sums: the value is K25's, the per-line
+estimate is |K25 - G12| plus the envelope bound of tails skipped below
+tail_tol, and a Kronrod/Gauss difference above tail_tol raises NonConvergent
+(_kronrod_checked, for lines and rays alike). Every line, ray and tail is
+sampled by _on_lines. The tangent rule
 (_tangent_rule: scalar sinograms, the 3-space homogeneous part) is a fixed
 rule in s = c tan(t), without an estimate; it does not cover slow power decay.
 Both rules build their node tables from the line distances alone, so a
@@ -227,6 +229,17 @@ def _on_lines(evaluate: Callable, x0s, omegas, s) -> np.ndarray:
     return sum(vals[..., j] * omegas[:, j, None] for j in range(n))
 
 
+def _kronrod_checked(sums, tail_tol: float, what: str) -> tuple:
+    """The Kronrod values and |Kronrod - Gauss| differences of a rule's two
+    weighted sums, shaped (2, k); a difference above tail_tol raises
+    NonConvergent."""
+    value, diff = sums[0], np.abs(sums[1])
+    if np.max(diff) > tail_tol:
+        raise NonConvergent(
+            f"{what} Kronrod/Gauss difference {np.max(diff):.3e} exceeds {tail_tol:.1e}")
+    return value, diff
+
+
 def _check_clear(distances, obstacle_radius: float) -> None:
     if np.any(distances <= obstacle_radius):
         raise LineHitsObstacle(f"line at distance {np.min(distances):.3f} meets the obstacle")
@@ -258,11 +271,8 @@ def _line_rule(envelope: DecayEnvelope | None, distances, tail_tol: float) -> Ca
     skipped = np.where(S > s_core, 0.0, 2.0 * envelope.C / (eps0 * s_core**eps0))
 
     def rule(evaluate: Callable, x0s, omegas):
-        value, diff = np.sum(_on_lines(evaluate, x0s, omegas, s) * ws, axis=2)
-        diff = np.abs(diff)
-        if np.max(diff) > tail_tol:
-            raise NonConvergent(
-                f"line rule Kronrod/Gauss difference {np.max(diff):.3e} exceeds {tail_tol:.1e}")
+        value, diff = _kronrod_checked(np.sum(_on_lines(evaluate, x0s, omegas, s) * ws, axis=2),
+                                       tail_tol, "line rule")
         return value, diff + skipped
 
     return rule
@@ -703,75 +713,74 @@ def recover_field_2d(sino: Sinogram) -> PolarGridField:
 # gauge scalar from a curl-free short-range difference
 # ===================================================================
 
-def _arc_integrals(field: Callable, radius, theta) -> np.ndarray:
-    """int F . dx along the circle of each radius, from angle 0 to each theta."""
-    xg, wg = _gauss_legendre(_GAUGE_NODES)
-    radius = np.broadcast_to(np.asarray(radius, dtype=float), theta.shape)
-    t = 0.5 * theta[:, None] * (xg + 1.0)
-    w = 0.5 * theta[:, None] * wg
-    pts = radius[:, None, None] * np.stack([np.cos(t), np.sin(t)], axis=-1)
-    tangents = np.stack([-np.sin(t), np.cos(t)], axis=-1)
-    vals = np.asarray(field(pts.reshape(-1, 2)), dtype=float).reshape(pts.shape)
-    return np.sum(np.sum(vals * tangents, axis=2) * w, axis=1) * radius
-
-
-def _radial_integrals(field: Callable, r_from, r_to, theta,
-                      n: int = _GAUGE_NODES) -> np.ndarray:
-    """int F . dx along each ray at angle theta, from radius r_from to r_to,
-    by an n-node Gauss-Legendre rule."""
+def _legs(r_from, r_to, n: int):
+    """n-node Gauss-Legendre nodes and weights of the radial legs from
+    r_from[j] to r_to[j], each shaped (legs, n)."""
     xg, wg = _gauss_legendre(n)
-    r_from = np.broadcast_to(np.asarray(r_from, dtype=float), theta.shape)[:, None]
-    span = np.broadcast_to(np.asarray(r_to, dtype=float), theta.shape)[:, None] - r_from
-    s = r_from + 0.5 * span * (xg + 1.0)
-    w = 0.5 * span * wg
-    direction = np.stack([np.cos(theta), np.sin(theta)], axis=-1)
-    pts = s[:, :, None] * direction[:, None, :]
-    vals = np.asarray(field(pts.reshape(-1, 2)), dtype=float).reshape(pts.shape)
-    return np.sum((vals @ direction[:, :, None])[:, :, 0] * w, axis=1)
+    span = (r_to - r_from)[:, None]
+    return r_from[:, None] + 0.5 * span * (xg + 1.0), 0.5 * span * wg
 
 
 @dataclass
 class GaugeScalar:
-    """Path-integral potential of a curl-free short-range field, along the
-    far circle from angle 0 to the point's angle in (-pi, pi], then radially
-    in to the point, each leg by a 200-node Gauss-Legendre rule.
+    """L(x) = -int_{|x|}^inf F(s x^) . x^ ds for a curl-free short-range
+    field F (whose envelope bounds the tails): minus the integral of F along
+    the point's outward ray, which stays outside the convex obstacle, so that
+    L vanishes at infinity. Each ray is a 200-node Gauss-Legendre leg from
+    the point out to far_radius plus the line rule's 25-node Kronrod tail
+    beyond it, mapped to infinity through the envelope's eps0 (_tail_nodes);
+    a tail whose Kronrod/Gauss difference exceeds tail_tol raises
+    NonConvergent. The rays are sampled through _on_lines with x0 = 0 and
+    omega = x^, in one field call per evaluate or on_polar_grid.
 
-    Normalized to vanish at infinity: the anchor value is corrected by the
-    outward radial integral along the theta=0 ray.
-
-    evaluate takes arbitrary points. on_polar_grid takes the same paths on a
-    polar grid but shares their legs: one far arc per angle, and per ray one
-    leg in to the largest radius plus a 24-node panel between consecutive
-    radii, summed inward.
+    on_polar_grid shares the legs of a polar grid: per angle, one leg in to
+    the largest radius, then a 24-node panel between consecutive radii,
+    summed inward, and one tail.
     """
 
     field: Callable
     far_radius: float
-    far_correction: float
-    path_independence_defect: float
+    tail_tol: float
+
+    def _rays(self, omegas, s) -> tuple:
+        """The field's components along the rays s omegas[i] at the nodes s
+        (one row per ray), and each ray's integral beyond far_radius, from
+        one field call."""
+        x, w = _gauss_kronrod(_LINE_NODES)
+        s_tail, w_tail = _tail_nodes(np.full(len(omegas), self.far_radius),
+                                     self.field.envelope.eps0, x, w)
+        vals = _on_lines(self.field, np.zeros_like(omegas), omegas,
+                         np.concatenate([s, s_tail], axis=1))
+        tail, _ = _kronrod_checked(np.sum(vals[:, s.shape[1]:] * w_tail, axis=2),
+                                   self.tail_tol, "gauge-scalar tail")
+        return vals[:, :s.shape[1]], tail
 
     def evaluate(self, points) -> np.ndarray:
         p = np.atleast_2d(np.asarray(points, dtype=float))
         r = np.linalg.norm(p, axis=1)
-        th = np.arctan2(p[:, 1], p[:, 0])
-        return (_arc_integrals(self.field, self.far_radius, th)
-                + _radial_integrals(self.field, self.far_radius, r, th) - self.far_correction)
+        s, w = _legs(np.full(r.size, self.far_radius), r, _GAUGE_NODES)
+        vals, tail = self._rays(p / r[:, None], s)
+        return np.sum(vals * w, axis=1) - tail
 
     def on_polar_grid(self, radii, thetas) -> np.ndarray:
         """L on the polar grid, shaped (radii, thetas): the radius-major order
         of polar_points."""
         radii = np.asarray(radii, dtype=float)
-        th = np.arctan2(np.sin(thetas), np.cos(thetas))  # arcs end in (-pi, pi] as in evaluate
+        thetas = np.asarray(thetas, dtype=float)
         order = np.argsort(radii)[::-1]
         r_desc = radii[order]
-        ray = _radial_integrals(self.field, self.far_radius, r_desc[0], th)
-        panels = _radial_integrals(self.field, np.tile(r_desc[:-1], th.size),
-                                   np.tile(r_desc[1:], th.size), np.repeat(th, r_desc.size - 1),
-                                   n=_GAUGE_PANEL_NODES).reshape(th.size, -1)
-        inward = np.cumsum(np.column_stack([ray, panels]), axis=1)
-        out = np.empty((radii.size, th.size))
-        out[order] = (inward + _arc_integrals(self.field, self.far_radius, th)[:, None]).T
-        return out - self.far_correction
+        s_ray, w_ray = _legs(np.array([self.far_radius]), r_desc[:1], _GAUGE_NODES)
+        s_panels, w_panels = _legs(r_desc[:-1], r_desc[1:], _GAUGE_PANEL_NODES)
+        s = np.concatenate([s_ray.ravel(), s_panels.ravel()])
+        omegas = np.column_stack([np.cos(thetas), np.sin(thetas)])
+        vals, tail = self._rays(omegas, np.tile(s, (thetas.size, 1)))
+        ray = np.sum(vals[:, :_GAUGE_NODES] * w_ray, axis=1)
+        panels = np.sum((vals[:, _GAUGE_NODES:].reshape(thetas.size, -1, _GAUGE_PANEL_NODES)
+                         * w_panels), axis=2)
+        inward = np.cumsum(np.column_stack([ray, panels]), axis=1) - tail[:, None]
+        out = np.empty((radii.size, thetas.size))
+        out[order] = inward.T
+        return out
 
 
 def find_gauge_scalar(field, r_in: float, r_out: float,
@@ -780,14 +789,13 @@ def find_gauge_scalar(field, r_in: float, r_out: float,
     """Scalar L with grad L equal to the given curl-free short-range field.
 
     Verifies curl-freeness on 100 probe points and a vanishing loop integral
-    (plane only), then integrates along arc-then-radial paths anchored at the
-    far radius 8 r_out, normalizing so L -> 0 at infinity with the tail
-    bounded by the field's own envelope. Path independence is checked on
-    probe pairs and the worst defect is recorded.
+    (plane only), then returns L along outward rays (GaugeScalar), with the
+    far radius 8 r_out and the tails beyond it bounded by the field's own
+    envelope, checked against tail_tol as they are evaluated.
     """
     envelope = getattr(field, "envelope", None)
     if envelope is None:
-        raise TailNotBounded("need an envelope to anchor the potential at infinity")
+        raise TailNotBounded("need an envelope to integrate the outward rays to infinity")
     probes = annulus_points(np.random.default_rng(seed), r_in, r_out, 100)
     curls = curl(field, probes, step_rel=1e-4)
     if np.max(np.abs(curls)) > curl_tol:
@@ -795,23 +803,8 @@ def find_gauge_scalar(field, r_in: float, r_out: float,
     loop = 2 * np.pi * flux(field, 0.5 * (r_in + r_out))
     if abs(loop) > loop_tol:
         raise ResidualFlux(f"loop integral {loop:.3e} exceeds {loop_tol:.1e}")
-    far_radius = 8.0 * r_out
-    # outward correction along the theta = 0 ray, to infinity by the tail map
     envelope.truncation_radius(tail_tol)  # TailNotBounded for a decay too slow to map
-    x, w = _gauss_kronrod(_LINE_NODES)
-    s, ws = _tail_nodes(np.array([far_radius]), envelope.eps0, x, w)
-    far, diff = ws[:, 0] @ np.asarray(field(np.column_stack([s[0], np.zeros(x.size)])))[:, 0]
-    if abs(diff) > tail_tol:
-        raise NonConvergent(f"far correction Kronrod/Gauss difference {abs(diff):.3e}")
-    # path independence: arc-then-radial vs radial-then-arc on a probe subset
-    q = probes[:20]
-    rq, thq = np.linalg.norm(q, axis=1), np.arctan2(q[:, 1], q[:, 0])
-    via_far_arc = (_arc_integrals(field, far_radius, thq)
-                   + _radial_integrals(field, far_radius, rq, thq))
-    via_axis = (_radial_integrals(field, far_radius, rq, np.zeros_like(thq))
-                + _arc_integrals(field, rq, thq))
-    return GaugeScalar(field=field, far_radius=far_radius, far_correction=float(far),
-                       path_independence_defect=float(np.max(np.abs(via_far_arc - via_axis))))
+    return GaugeScalar(field=field, far_radius=8.0 * r_out, tail_tol=tail_tol)
 
 
 # ===================================================================

@@ -12,8 +12,10 @@ from gaugekit import _csvio, catalog, cli, pipeline
 from gaugekit.angular import AngularFunction
 from gaugekit.errors import DimensionMismatch, GaugekitError
 from gaugekit.fields import (
+    DecayEnvelope,
     GaugeElement,
     PotentialConfig,
+    ShortRangeField,
     TransversalField,
     apply_gauge_to_potential,
 )
@@ -282,6 +284,46 @@ class TestClassify:
         assert rep.witness["stage"] == "kernel_solver"
         assert rep.witness["kind"] == "channel_spectrum"
 
+    def test_gradient_profile_difference_witnessed(self):
+        # the declared identity gauge relates the kernels, so the solver
+        # passes; the configurations' gradient profiles still differ
+        sc = Scenario(kind="classify", config1=_plane_config(0.3, {1: 0.025}),
+                      config2=_plane_config(0.3, {1: 0.1}),
+                      kernels={**FAST_KERNELS, "relating_gauge": {"m": 0}})
+        rep = run_classify(sc)
+        assert rep.verdict == "not_equivalent"
+        assert rep.witness["stage"] == "transversal_compare"
+        assert rep.witness["flux_difference"] < 1e-12
+        assert rep.witness["profile_difference"] == pytest.approx(0.15, rel=1e-6)
+
+    def test_short_range_swirl_witnessed(self):
+        def swirl(p):
+            r2 = np.sum(p**2, axis=1)
+            return np.column_stack([-p[:, 1], p[:, 0]]) * np.exp(-r2 / 8.0)[:, None]
+
+        short = ShortRangeField(dimension=2, func=swirl, envelope=DecayEnvelope(C=10.0, eps0=1.0))
+        sc = Scenario(kind="classify", config1=_plane_config(0.3),
+                      config2=_plane_config(0.3, short=short), kernels=dict(FAST_KERNELS))
+        rep = run_classify(sc)
+        assert rep.verdict == "not_equivalent"
+        assert rep.witness["stage"] == "short_range_gradient"
+        assert rep.witness["kind"] == "NotCurlFree"
+        assert "max |curl| 1.467e+00" in rep.witness["detail"]
+
+    def test_short_range_circulation_witnessed(self):
+        # curl-free on the probed annulus (the ring bump of its curl sits at
+        # r = 5, beyond r_max = 3.5), but inside the ring it is a vortex
+        # whose loop integral is minus the ring's whole curl
+        short = catalog.build_vector("ring_bump_tangential",
+                                     {"b0": 0.05, "r0": 5.0, "sigma": 0.25})
+        sc = Scenario(kind="classify", config1=_plane_config(0.3),
+                      config2=_plane_config(0.3, short=short), kernels=dict(FAST_KERNELS))
+        rep = run_classify(sc)
+        assert rep.verdict == "not_equivalent"
+        assert rep.witness["stage"] == "short_range_gradient"
+        assert rep.witness["kind"] == "ResidualFlux"
+        assert "loop integral -" in rep.witness["detail"]
+
     def test_integer_flux_ambiguous(self):
         sc = Scenario(kind="classify", config1=_plane_config(1.0),
                       config2=_plane_config(1.0), kernels=dict(FAST_KERNELS))
@@ -509,7 +551,7 @@ class TestEmitReport:
                 == (tmp_path / "ref.csv").read_bytes())
 
     def test_gauge_scalar_csv_field_points(self, tmp_path, scalar_part_report):
-        # point-by-point paths would take 1,152 x 2 legs x 200 nodes = 460,800
+        # point-by-point rays would take 1,152 x 225 nodes = 259,200; the grid takes 37,296
         gs = scalar_part_report.artifacts["gauge_scalar"]
         counted = dataclasses.replace(gs, field=CountingField(gs.field))
         emit_report(Report(kind="classify", artifacts={"gauge_scalar": counted}), tmp_path)

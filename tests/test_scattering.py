@@ -1,7 +1,12 @@
 """Scattering kernels: channels, assembly, gauge action, equivalence solver."""
 import dataclasses
+import inspect
+import os
+import subprocess
+import sys
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -184,7 +189,7 @@ class TestAssembleKernel:
         S = assemble_kernel(0.3, n_grid=64, winding=2)
         assert S.effective_flux() == pytest.approx(2.3)
         ref = ab_kernel_channels(2.3, 32)
-        assert S.channel_spectrum(32).distance(ref) < 1e-12
+        assert S.channel_spectrum().distance(ref) < 1e-12
 
     def test_declared_bound_too_small_rejected(self):
         def bump(t, p):
@@ -458,7 +463,7 @@ class TestGaugeActionOnKernels:
         g = GaugeElement(dimension=2, m=1)
         T = apply_gauge_to_kernel(S, g)
         ref = ab_kernel_channels(1.4, 32)
-        assert T.channel_spectrum(32).distance(ref) < 1e-12
+        assert T.channel_spectrum().distance(ref) < 1e-12
 
     def test_flux_parameters_and_remainder_untouched(self):
         def bump(t, p):
@@ -786,6 +791,40 @@ def _even_phase(a=0.4, b=-0.2, c=0.0):
     return lambda V: a * V[:, 2] ** 2 + b * V[:, 0] * V[:, 1] + c * V[:, 0] * V[:, 2]
 
 
+def _round_trip_memory():
+    """(verdict, traced peak bytes, grid size) of a refinement-4 even-gauge
+    round trip. A refinement-2 round trip first loads the solver's lazy
+    imports and the grid's far-pair mask is cached, so that the trace holds
+    the round trip alone, whatever the process imported before. It imports
+    what it needs, so that a fresh interpreter can run its source."""
+    import tracemalloc
+
+    from gaugekit.angular import sphere_grid
+    from gaugekit.fields import GaugeElement
+    from gaugekit.scattering import (
+        apply_gauge_to_kernel,
+        gauge_equivalence_solver,
+        synthesize_sphere_kernel,
+    )
+
+    g = GaugeElement(dimension=3, phi_callable=_even_phase())
+
+    def round_trip(grid):
+        K1 = synthesize_sphere_kernel(grid)
+        return gauge_equivalence_solver(K1, apply_gauge_to_kernel(K1, g))
+
+    round_trip(sphere_grid(refinement=2))
+    grid = sphere_grid(refinement=4)
+    grid.far_pairs()
+    tracemalloc.start()
+    try:
+        res = round_trip(grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return res.verdict, peak, grid.size
+
+
 class TestSphereSolver:
     @staticmethod
     def _even_round_trip(refinement):
@@ -865,18 +904,26 @@ class TestSphereSolver:
             assert np.array_equal(got, want)
 
     def test_round_trip_memory_stays_near_one_matrix(self):
-        grid = sphere_grid(refinement=4)
-        g = GaugeElement(dimension=3, phi_callable=_even_phase())
-        tracemalloc.start()
-        try:
-            K1 = synthesize_sphere_kernel(grid)
-            K2 = apply_gauge_to_kernel(K1, g)
-            res = gauge_equivalence_solver(K1, K2)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert res.verdict == "equivalent"
-        assert peak <= 1.5 * grid.size ** 2 * 8
+        verdict, peak, n = _round_trip_memory()
+        assert verdict == "equivalent"
+        assert peak <= 1.5 * n ** 2 * 8
+
+    def test_round_trip_memory_in_a_fresh_process(self):
+        # the same round trip where no scipy module is loaded beforehand, as
+        # in a process that imports only gaugekit
+        code = "\n".join([
+            "import sys", "import gaugekit",
+            "assert not [m for m in sys.modules if m.split('.')[0] == 'scipy']",
+            inspect.getsource(_even_phase), inspect.getsource(_round_trip_memory),
+            "print(*_round_trip_memory())"])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [str(Path(scattering.__file__).resolve().parents[1])]
+            + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                             text=True, check=True)
+        verdict, peak, n = out.stdout.split()
+        assert verdict == "equivalent"
+        assert int(peak) <= 1.5 * int(n) ** 2 * 8
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     @pytest.mark.parametrize("where", ["far", "near", "diagonal"])
@@ -932,8 +979,8 @@ class TestSphereSolver:
 
     def test_missing_singular_support_raises(self):
         grid = sphere_grid(refinement=1)
-        K1 = synthesize_sphere_kernel(grid, singular_support=False)
-        K2 = synthesize_sphere_kernel(grid, singular_support=False)
+        K1 = dataclasses.replace(synthesize_sphere_kernel(grid), singular_support=False)
+        K2 = dataclasses.replace(synthesize_sphere_kernel(grid), singular_support=False)
         with pytest.raises(SingularPartMissing):
             gauge_equivalence_solver(K1, K2)
 

@@ -724,24 +724,35 @@ class TestFindGaugeScalar:
         expected = (1.0 + r**2) ** -0.5
         np.testing.assert_allclose(gs.evaluate(pts), expected, atol=1e-8)
 
-    def test_far_correction_closed_form(self):
-        # int_R^inf of -s (1 + s^2)^(-3/2) ds along the theta = 0 ray
+    def test_tail_closed_form(self):
+        # int_R^inf of -s (1 + s^2)^(-3/2) ds along every ray: at the far
+        # radius the leg is empty and L is minus that tail
         fld = catalog.build_vector("grad_power", {"c": 1.0, "p": 1.0})
         gs = find_gauge_scalar(fld, r_in=1.2, r_out=4.0)
-        exact = -(1.0 + gs.far_radius**2) ** -0.5
-        assert abs(gs.far_correction - exact) < 1e-13
+        R = gs.far_radius
+        th = np.array([0.0, 0.5 * np.pi, np.pi, -0.5 * np.pi, 1.0, -2.5])
+        dirs = np.column_stack([np.cos(th), np.sin(th)])
+        _, tail = gs._rays(dirs, np.zeros((th.size, 0)))
+        np.testing.assert_allclose(tail, -(1.0 + R**2) ** -0.5, rtol=0, atol=1e-13)
+        np.testing.assert_allclose(gs.evaluate(R * dirs), (1.0 + R**2) ** -0.5,
+                                   rtol=0, atol=1e-13)
 
-    def test_far_correction_calls(self):
-        # the far correction is one call of 25 Kronrod nodes, all on the
-        # theta = 0 ray beyond the far radius, where no other leg reaches
+    def test_field_calls(self):
+        # evaluate: one call of 200 leg + 25 tail nodes per point; the polar
+        # grid: one call for the whole grid, 200 + 23 x 24 + 25 per angle,
+        # 37,296 for the 24 x 48 grid of gauge_scalar.csv
         fld = catalog.build_vector("grad_power", {"c": 1.0, "p": 1.0})
+        gs = find_gauge_scalar(fld, r_in=1.2, r_out=4.0)
         batches = []
-        counted = dataclasses.replace(fld, func=lambda p: batches.append(p) or fld.func(p))
-        gs = find_gauge_scalar(counted, r_in=1.2, r_out=4.0)
-        outside = (1 + 1e-9) * gs.far_radius  # the far arc's points sit at the far radius
-        beyond = [p for p in batches if np.any(np.linalg.norm(p, axis=1) > outside)]
-        assert len(beyond) == 1 and beyond[0].shape == (25, 2)
-        assert np.all(beyond[0][:, 1] == 0.0) and np.all(beyond[0][:, 0] > gs.far_radius)
+        counted = dataclasses.replace(gs, field=dataclasses.replace(
+            fld, func=lambda p: batches.append(p) or fld.func(p)))
+        pts = annulus_points(np.random.default_rng(3), 1.2, 4.0, 7)
+        counted.evaluate(pts)
+        assert [b.shape for b in batches] == [(7 * 225, 2)]
+        batches.clear()
+        radii = np.linspace(gs.far_radius / 8.0, gs.far_radius / 2.0, 24)
+        counted.on_polar_grid(radii, np.arange(48) * 2 * np.pi / 48)
+        assert [b.shape for b in batches] == [(48 * (200 + 23 * 24 + 25), 2)]
 
     def test_zero_field(self):
         fld = catalog.build_vector("zero")
