@@ -61,6 +61,15 @@ verification step serve kernel_distance and both solvers. No pass over all
 pairs (maxima, distance, synthesis) forms a second n x n matrix; value_grid
 remains for callers.
 
+The verification step skips the pass when the two kernels hold one grid
+object, as every pair the package builds does (the gauge action and
+synthesize_kernels reuse kernel 1's grid): they then differ only in their
+unimodular prefactors, and _shared_grid_bound bounds their distance in O(n)
+from the prefactors, the singular tables and the certified (C, delta). A
+bound within verify_tol answers equivalent; unshared grids, or a bound that
+fails, take the exact blocked distance, the only path that answers
+not_equivalent.
+
 The gauge e^{i(m theta + phi)} multiplies kernels by e^{i(m theta + phi(theta))}
 on the left and e^{-i(m(theta' + pi) + phi(theta' + pi))} on the right; the
 sign conventions are pinned by requiring the action to compose as a group and
@@ -88,6 +97,7 @@ from .fields import GaugeElement
 DIAG_MARGIN_CELLS = 5
 INTEGER_FLUX_TOL = 1e-9
 _CHANNEL_JUMP_TOL = 1e-6  # smallest channel step read as the flux jump
+_ROUND_OFF = 16 * np.finfo(float).eps  # relative rounding of a kernel value and its prefactors
 
 
 def flux_step(alpha: float) -> int:
@@ -388,6 +398,12 @@ def _offdiagonal_peaks(remainder: np.ndarray) -> np.ndarray:
     return _offset_max(np.abs(remainder))[1:]
 
 
+def _offset_gap(M: int) -> np.ndarray:
+    """Angle gap 2 pi min(k, M - k) / M of each offset k = 0..M-1."""
+    k = np.arange(M)
+    return 2 * np.pi * np.minimum(k, M - k) / M
+
+
 def _bound_constant(peak: np.ndarray, C: float | None, delta: float) -> float:
     """Certify |R| <= C dist^{-delta} off the diagonal from the per-offset
     peaks: C is fitted when None (the smallest certifying constant, padded 5
@@ -396,9 +412,7 @@ def _bound_constant(peak: np.ndarray, C: float | None, delta: float) -> float:
     included."""
     if not np.all(np.isfinite(peak)):
         raise RemainderBoundViolated("remainder has a non-finite value off the diagonal")
-    M = peak.size + 1
-    k = np.arange(1, M)
-    gap = 2 * np.pi * np.minimum(k, M - k) / M  # angle gap of offset k
+    gap = _offset_gap(peak.size + 1)[1:]
     if C is None:
         top = float(np.max(peak * gap ** delta))
         C = 1.05 * top if top > 0 else 0.0
@@ -765,20 +779,82 @@ def gauge_equivalence_solver(S1, S2, verify_tol: float = 1e-6,
     pairs on the grid edges give even-part differences, fitted in least
     squares by a sparse graph-Laplacian solve; anchored pairs that leave the
     grid disconnected give Ambiguous. Verified by applying the fitted gauge.
+
+    Both verify the fitted gauge g with _verify: from the O(n) certificate
+    bound when S1 under g and S2 hold one grid object (provenance
+    verified_by "certificate"), else from the exact kernel distance
+    (verified_by "distance"); verify_distance holds the figure that decided.
     """
     _check_pair(S1, S2)
     solve = _solve_plane if isinstance(S1, ScatteringKernel) else _solve_sphere
     return solve(S1, S2, verify_tol, phase_tol)
 
 
-def _verify(S1, S2, g: GaugeElement, prov: dict, verify_tol: float, witness) -> SolverResult:
-    """The last step of both solvers: the distance of S1 under the fitted
-    gauge g to S2, against S2's largest |value| top. equivalent when both are
-    finite (a nan or inf in the data would pass the comparison unseen) and
-    the distance is within verify_tol max(1, top); else not_equivalent with
-    the verification witness, whose further keys witness() gives."""
-    dist, top = _distance(apply_gauge_to_kernel(S1, g), S2)
-    prov["verify_distance"] = dist
+def _prefactor_mismatch(o1, c1, o2, c2) -> float:
+    """eps with |o1_i c1_j - o2_i c2_j| <= eps at every pair (i, j), for
+    unimodular prefactors: with a = o1 conj(o2) and b = c2 conj(c1) the
+    difference is |a_i - b_j| <= |a_i - z| + |z - b_j|. z = a[0], not 1: a
+    phase is fitted up to a constant, which a and b then both carry."""
+    a, b = o1 * np.conj(o2), c2 * np.conj(c1)
+    z = a[0]
+    return float(np.max(np.abs(a - z)) + np.max(np.abs(b - z)))
+
+
+def _shared_grid_bound(S1, S2, base_max: float | None) -> float:
+    """An O(n) upper bound on kernel_distance(S1, S2) for two kernels that
+    hold one grid object, from their prefactor mismatch eps; inf when the
+    grids are not one object (or a plane remainder's diagonal, which the
+    certificate leaves out, is not finite), nan when the data is.
+
+    Plane: a far cell at offset k reads (s_k + R) * prefactor, so
+    |v1 - v2| <= |s1_k - s2_k| + |s2_k + R| eps, and the certificate gives
+    |R| <= C gap_k^-delta + 1e-12 max(1, C) (the slack _bound_constant
+    allows). Sphere: |v1 - v2| <= |base| eps <= base_max eps. _ROUND_OFF
+    covers the rounding of both values and of the prefactor tables."""
+    if isinstance(S1, ScatteringKernel):
+        R = S2.remainder
+        if S1.remainder is not R or not np.all(np.isfinite(np.diagonal(R))):
+            return np.inf
+        out1, in1, s1 = S1._grid_tables
+        out2, in2, s2 = S2._grid_tables
+        eps = _prefactor_mismatch(out1, in1, out2, in2)
+        M = S2.n_grid
+        far = slice(DIAG_MARGIN_CELLS + 1, M - DIAG_MARGIN_CELLS)  # the offsets far_pairs() reads
+        C = S2.bound_C
+        r_top = C * _offset_gap(M)[far] ** (-S2.bound_delta) + 1e-12 * max(1.0, C)
+        s1, s2 = s1[far], s2[far]
+        off = np.max(np.abs(s1 - s2) * (1 + _ROUND_OFF) + (np.abs(s2) + r_top) * (eps + _ROUND_OFF))
+        return float(off) + S1.channel_spectrum().distance(S2.channel_spectrum())
+    if S1.base is not S2.base:
+        return np.inf
+    one = np.ones(S1.grid.size)
+    o1, c1, o2, c2 = (one if p is None else p for p in (
+        S1.prefactor_out, S1.prefactor_in, S2.prefactor_out, S2.prefactor_in))
+    return base_max * (_prefactor_mismatch(o1, c1, o2, c2) + _ROUND_OFF)
+
+
+def _verify(S1, S2, g: GaugeElement, prov: dict, verify_tol: float, witness,
+            base_max: float | None = None) -> SolverResult:
+    """The last step of both solvers: is S1 under the fitted gauge g, S1g,
+    within verify_tol max(1, top) of S2, top being S2's largest |value|?
+
+    When S1g and S2 hold one grid object (plane remainder, sphere base;
+    base_max is the sphere base's largest |value|), _shared_grid_bound bounds
+    their distance in O(n) from the prefactors and the certified remainder
+    bound. A finite bound within verify_tol answers equivalent (max(1, top)
+    >= 1, so top is not needed), verified_by "certificate". Otherwise the
+    exact blocked distance decides, verified_by "distance": equivalent when
+    the distance and top are finite (a nan or inf in the data would pass the
+    comparison unseen) and within tolerance, else not_equivalent with the
+    verification witness, whose further keys witness() gives. verify_distance
+    holds the bound or the distance."""
+    S1g = apply_gauge_to_kernel(S1, g)
+    bound = _shared_grid_bound(S1g, S2, base_max)
+    if np.isfinite(bound) and bound <= verify_tol:
+        prov.update(verified_by="certificate", verify_distance=bound)
+        return SolverResult(verdict="equivalent", gauge=g, provenance=prov)
+    dist, top = _distance(S1g, S2)
+    prov.update(verified_by="distance", verify_distance=dist)
     if np.isfinite(dist) and np.isfinite(top) and dist <= verify_tol * max(1.0, top):
         return SolverResult(verdict="equivalent", gauge=g, provenance=prov)
     return SolverResult(verdict="not_equivalent",
@@ -832,7 +908,8 @@ def _solve_sphere(S1: SphereScatteringKernel, S2: SphereScatteringKernel,
             "no declared diagonal singularity on the base kernel; "
             "the prefactor ratio cannot be anchored")
     grid = S1.grid
-    floor = 1e-8 * S1.max_abs()
+    base_max = S1.max_abs()  # the base's largest |value|: the prefactors are unimodular
+    floor = 1e-8 * base_max
     n = grid.size
     nodes = np.arange(n)
     diag1 = S1.entries(nodes, nodes)
@@ -883,4 +960,5 @@ def _solve_sphere(S1: SphereScatteringKernel, S2: SphereScatteringKernel,
                      "odd_part_max": prov["odd_part_max"],
                      "note": "gauge direction functions must be antipodally even"},
             provenance=prov)
-    return _verify(S1, S2, GaugeElement(dimension=3, phi_sphere=phi), prov, verify_tol, dict)
+    return _verify(S1, S2, GaugeElement(dimension=3, phi_sphere=phi), prov, verify_tol, dict,
+                   base_max)

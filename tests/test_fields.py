@@ -87,6 +87,24 @@ class TestDecomposeTransversal:
         with pytest.raises(NotTransversal):
             decompose_transversal(lambda p: p / np.sum(p**2, axis=1)[:, None])
 
+    def test_raw_callable_matches_the_field(self):
+        prof = AngularFunction.constant(0.35) + AngularFunction.harmonic(2, cos_amp=0.2) \
+            + AngularFunction.harmonic(3, sin_amp=-0.1)
+        field = TransversalField.from_profile(prof)
+        raw = decompose_transversal(lambda p: field(p))
+        dec = decompose_transversal(field)
+        assert abs(raw.alpha - dec.alpha) < 1e-15
+        th = np.linspace(0, 2 * np.pi, 100)
+        np.testing.assert_allclose(raw.a0(th), dec.a0(th), rtol=0, atol=1e-15)
+
+    def test_raw_callable_of_wrong_degree_rejected(self):
+        # tangential, so it passes the radial check, but it decays like 1/r^2
+        def field(p):
+            return np.column_stack([-p[:, 1], p[:, 0]]) / np.sum(p**2, axis=1)[:, None] ** 1.5
+
+        with pytest.raises(NotTransversal, match="field is not homogeneous of degree -1"):
+            decompose_transversal(field)
+
     @pytest.mark.parametrize("seed", range(5))
     def test_reassembly_random(self, seed):
         rng = np.random.default_rng(seed)

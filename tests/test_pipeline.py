@@ -324,6 +324,27 @@ class TestClassify:
         assert rep.witness["kind"] == "ResidualFlux"
         assert "loop integral -" in rep.witness["detail"]
 
+    def test_short_range_gradient_residual_witnessed(self):
+        # the swirl of test_short_range_swirl_witnessed at amplitude 1e-8:
+        # its curl (1.5e-8) and loop integral (1.7e-7) pass their absolute
+        # tolerances, but no gauge scalar's gradient matches it, relative to
+        # its own scale
+        def swirl(p):
+            r2 = np.sum(p**2, axis=1)
+            return 1e-8 * np.column_stack([-p[:, 1], p[:, 0]]) * np.exp(-r2 / 8.0)[:, None]
+
+        short = ShortRangeField(dimension=2, func=swirl,
+                                envelope=DecayEnvelope(C=1e-7, eps0=1.0))
+        sc = Scenario(kind="classify", config1=_plane_config(0.3),
+                      config2=_plane_config(0.3, short=short), kernels=dict(FAST_KERNELS))
+        rep = run_classify(sc)
+        assert rep.verdict == "not_equivalent"
+        assert rep.witness["stage"] == "short_range_gradient"
+        assert rep.witness["kind"] == "residual"
+        entry = rep.entries[-1]
+        assert entry.name == "short_range_gradient_residual" and not entry.passed
+        assert entry.value > 0.5
+
     def test_integer_flux_ambiguous(self):
         sc = Scenario(kind="classify", config1=_plane_config(1.0),
                       config2=_plane_config(1.0), kernels=dict(FAST_KERNELS))

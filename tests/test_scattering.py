@@ -763,14 +763,20 @@ class TestPlaneSolver:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert res.verdict == "equivalent"
+        assert res.verdict == "equivalent" and res.provenance["verified_by"] == "certificate"
         assert peak <= 0.5 * M**2 * 16
+        # the certificate forms no M x M array: O(M), far below half a grid
+        assert peak <= 64 * M * 16
 
-    def test_verify_distance_is_the_kernel_distance(self):
+    def test_verify_distance_bounds_the_kernel_distance(self):
+        # the pair shares one remainder grid, so the certificate decides;
+        # TestCertifiedVerify::test_unshared_grid_takes_the_exact_distance
+        # pins the equality on the exact path
         S1, S2 = self._gauge_pair(256)
         res = gauge_equivalence_solver(S1, S2)
-        assert res.provenance["verify_distance"] == kernel_distance(
-            apply_gauge_to_kernel(S1, res.gauge), S2)
+        assert res.provenance["verified_by"] == "certificate"
+        assert kernel_distance(apply_gauge_to_kernel(S1, res.gauge), S2) \
+            <= res.provenance["verify_distance"] <= 1e-6
 
     def test_gauge_fit_reads_each_profile_once(self, monkeypatch):
         S1, S2 = self._gauge_pair(256)
@@ -989,6 +995,123 @@ class TestSphereSolver:
         with pytest.raises(GridMismatch):
             gauge_equivalence_solver(synthesize_sphere_kernel(grid, lam=1.0),
                                      synthesize_sphere_kernel(grid, lam=2.0))
+
+
+_REMAINDER_SPECS = {
+    "none": None,
+    "separable_trig": {"kind": "separable_trig", "amplitude": 0.04, "p": 2, "q": 3},
+    "diagonal_gaussian": {"kind": "diagonal_gaussian", "amplitude": 0.04, "width": 0.55},
+}
+
+
+def _pipeline_kernel(M: int, kind: str) -> ScatteringKernel:
+    """Kernel 1 of a classify pair: a flux with its gradient phase on both
+    sides and a pipeline remainder of the given kind."""
+    return assemble_kernel(0.41, a0_out=_phi_sin(0.1), a0_in=_phi_sin(0.1),
+                           smooth=pipeline._remainder_grid(_REMAINDER_SPECS[kind], M),
+                           n_grid=M)
+
+
+class TestCertifiedVerify:
+    """_verify answers equivalent from an O(n) bound when both kernels hold
+    one grid object, and from the exact blocked distance otherwise."""
+
+    @pytest.mark.parametrize("eta", [0.0, 1e-12, 1e-9, 1e-6, 1e-3])
+    @pytest.mark.parametrize("kind", list(_REMAINDER_SPECS))
+    @pytest.mark.parametrize("M", [64, 256, 1024])
+    def test_plane_bound_holds(self, M, kind, eta):
+        # S1 under a gauge whose phase is off by eta cos(3 theta), against S2
+        S1 = _pipeline_kernel(M, kind)
+        phi = _phi_cos(0.1, 2)
+        S2 = apply_gauge_to_kernel(S1, GaugeElement(dimension=2, m=-1, phi=phi))
+        S1g = apply_gauge_to_kernel(S1, GaugeElement(dimension=2, m=-1,
+                                                     phi=phi + _phi_cos(eta, 3)))
+        assert S1g.remainder is S2.remainder
+        bound = scattering._shared_grid_bound(S1g, S2, None)
+        dist = kernel_distance(S1g, S2)
+        assert dist <= bound < 100 * dist + 1e-12
+
+    def test_flux_off_in_the_last_bits(self):
+        # a kernel 2 synthesized from config 2's decomposition: its flux may
+        # differ from kernel 1's in the last bits, and so its singular table
+        S1 = _pipeline_kernel(256, "diagonal_gaussian")
+        phi = _phi_cos(0.1, 2)
+        S2 = S1._rephased(np.nextafter(np.nextafter(S1.alpha, 1), 1), S1.winding + 1,
+                          S1.phase_out + phi, S1.phase_in + phi)
+        res = gauge_equivalence_solver(S1, S2)
+        assert res.verdict == "equivalent" and res.provenance["verified_by"] == "certificate"
+        S1g = apply_gauge_to_kernel(S1, res.gauge)
+        assert np.any(S1g._grid_tables[2] != S2._grid_tables[2])
+        assert kernel_distance(S1g, S2) <= res.provenance["verify_distance"] <= 1e-6
+
+    @pytest.mark.parametrize("offset", [0.0, 0.9, -2.5])
+    @pytest.mark.parametrize("refinement", [2, 3])
+    def test_sphere_bound_holds(self, refinement, offset):
+        # a fitted sphere phase is known up to a constant
+        grid = sphere_grid(refinement=refinement)
+        K1 = synthesize_sphere_kernel(grid)
+        phi = _even_phase()
+        K2 = apply_gauge_to_kernel(K1, GaugeElement(dimension=3, phi_callable=phi))
+        K1g = apply_gauge_to_kernel(K1, GaugeElement(
+            dimension=3, phi_callable=lambda V: phi(V) + offset))
+        bound = scattering._shared_grid_bound(K1g, K2, K1.max_abs())
+        assert kernel_distance(K1g, K2) <= bound <= 1e-12
+
+    @pytest.mark.parametrize("refinement", [2, 3])
+    def test_sphere_solve_on_a_gauged_kernel(self, refinement):
+        grid = sphere_grid(refinement=refinement)
+        K1 = apply_gauge_to_kernel(synthesize_sphere_kernel(grid), GaugeElement(
+            dimension=3, phi_callable=_even_phase(0.1, 0.3, -0.2)))
+        K2 = apply_gauge_to_kernel(K1, GaugeElement(dimension=3, phi_callable=_even_phase()))
+        res = gauge_equivalence_solver(K1, K2)
+        assert res.verdict == "equivalent" and res.provenance["verified_by"] == "certificate"
+        assert kernel_distance(apply_gauge_to_kernel(K1, res.gauge), K2) \
+            <= res.provenance["verify_distance"] <= 1e-6
+
+    def test_unshared_grid_takes_the_exact_distance(self):
+        R = pipeline._remainder_grid(_REMAINDER_SPECS["diagonal_gaussian"], 256)
+        g = GaugeElement(dimension=2, m=1, phi=_phi_cos(0.1, 2))
+        S1 = assemble_kernel(0.41, smooth=R, n_grid=256)
+        S2 = apply_gauge_to_kernel(assemble_kernel(0.41, smooth=R.copy(), n_grid=256), g)
+        res = gauge_equivalence_solver(S1, S2)
+        assert res.verdict == "equivalent" and res.provenance["verified_by"] == "distance"
+        assert res.provenance["verify_distance"] == kernel_distance(
+            apply_gauge_to_kernel(S1, res.gauge), S2)
+
+    def test_unshared_sphere_base_takes_the_exact_distance(self):
+        grid = sphere_grid(refinement=2)
+        K1 = synthesize_sphere_kernel(grid)
+        K2 = apply_gauge_to_kernel(SphereScatteringKernel(grid=grid, base=K1.base.copy()),
+                                   GaugeElement(dimension=3, phi_callable=_even_phase()))
+        res = gauge_equivalence_solver(K1, K2)
+        assert res.verdict == "equivalent" and res.provenance["verified_by"] == "distance"
+        assert res.provenance["verify_distance"] == kernel_distance(
+            apply_gauge_to_kernel(K1, res.gauge), K2)
+
+    def test_non_gauge_pair_on_one_grid_is_not_equivalent(self):
+        # in and out phases moved apart: no gauge relates the pair, the bound
+        # fails and the exact distance answers
+        S1 = _pipeline_kernel(256, "separable_trig")
+        S2 = S1._rephased(S1.alpha, S1.winding + 1, S1.phase_out + _phi_cos(0.1, 2),
+                          S1.phase_in + _phi_cos(0.1, 3))
+        res = gauge_equivalence_solver(S1, S2)
+        assert res.verdict == "not_equivalent"
+        assert res.witness["kind"] == "verification"
+        assert res.provenance["verified_by"] == "distance"
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_diagonal_on_one_grid_is_never_equivalent(self, bad):
+        # the certificate leaves the diagonal out, so the bound is not used
+        M = 64
+        R = np.zeros((M, M))
+        R[10, 10] = bad
+        S1 = assemble_kernel(0.3, smooth=R, n_grid=M)
+        S2 = apply_gauge_to_kernel(S1, GaugeElement(dimension=2, m=1, phi=_phi_cos(0.1, 2)))
+        with np.errstate(invalid="ignore"):
+            res = gauge_equivalence_solver(S1, S2)
+        assert res.verdict == "not_equivalent"
+        assert res.witness["kind"] == "verification"
+        assert res.provenance["verified_by"] == "distance"
 
 
 class TestSerialization:
