@@ -331,8 +331,9 @@ def run_classify(scenario: Scenario) -> Report:
     phi_max = g.phi.max_abs() if g.phi is not None else 0.0
     rep.gauge = {"m": g.m, "phi_max": phi_max, "has_scalar": False,
                  "phi": (g.phi.to_triples() if g.phi is not None else [])}
+    # a bound when the certificate decided, else the exact distance
     rep.add("solver_verify_distance", res.provenance.get("verify_distance", 0.0),
-            tol["verify_tol"], "gauge_equivalence_solver")
+            tol["verify_tol"], f"gauge_equivalence_solver, {res.provenance['verified_by']}")
 
     # transport config2 back through the fitted gauge
     cfg2_back = apply_gauge_to_potential(cfg2, g.inverse())

@@ -66,9 +66,10 @@ object, as every pair the package builds does (the gauge action and
 synthesize_kernels reuse kernel 1's grid): they then differ only in their
 unimodular prefactors, and _shared_grid_bound bounds their distance in O(n)
 from the prefactors, the singular tables and the certified (C, delta). A
-bound within verify_tol answers equivalent; unshared grids, or a bound that
-fails, take the exact blocked distance, the only path that answers
-not_equivalent.
+bound within verify_tol answers equivalent; unshared grids, a prefactor
+that is not unimodular (SphereScatteringKernel takes any vectors), or a
+bound that fails, take the exact blocked distance, the only path that
+answers not_equivalent.
 
 The gauge e^{i(m theta + phi)} multiplies kernels by e^{i(m theta + phi(theta))}
 on the left and e^{-i(m(theta' + pi) + phi(theta' + pi))} on the right; the
@@ -790,27 +791,41 @@ def gauge_equivalence_solver(S1, S2, verify_tol: float = 1e-6,
     return solve(S1, S2, verify_tol, phase_tol)
 
 
+def _modulus_slack(*tables) -> float:
+    """Largest ||p| - 1| over the prefactor tables (nan if one holds nan)."""
+    return float(np.max([np.max(np.abs(np.abs(p) - 1)) for p in tables]))
+
+
 def _prefactor_mismatch(o1, c1, o2, c2) -> float:
-    """eps with |o1_i c1_j - o2_i c2_j| <= eps at every pair (i, j), for
-    unimodular prefactors: with a = o1 conj(o2) and b = c2 conj(c1) the
-    difference is |a_i - b_j| <= |a_i - z| + |z - b_j|. z = a[0], not 1: a
-    phase is fitted up to a constant, which a and b then both carry."""
+    """eps with |o1_i c1_j - o2_i c2_j| <= eps at every pair (i, j); inf unless
+    every modulus is within _ROUND_OFF of 1, as a gauge's factors are. With
+    a = o1 conj(o2), b = c2 conj(c1) and tau the largest ||p| - 1|,
+    o1 c1 - o2 c2 = o2 c1 (a - b) + o1 c1 (1 - |o2|^2) - o2 c2 (1 - |c1|^2),
+    at most (1 + tau)^2 (|a_i - b_j| + 2 tau (2 + tau)), and
+    |a_i - b_j| <= |a_i - z| + |z - b_j|. z = a[0], not 1: a phase is fitted
+    up to a constant, which a and b then both carry."""
+    tau = _modulus_slack(o1, c1, o2, c2)
+    if not tau <= _ROUND_OFF:
+        return np.inf
     a, b = o1 * np.conj(o2), c2 * np.conj(c1)
     z = a[0]
-    return float(np.max(np.abs(a - z)) + np.max(np.abs(b - z)))
+    gap = float(np.max(np.abs(a - z)) + np.max(np.abs(b - z)))
+    return (1 + tau) ** 2 * (gap + 2 * tau * (2 + tau))
 
 
 def _shared_grid_bound(S1, S2, base_max: float | None) -> float:
     """An O(n) upper bound on kernel_distance(S1, S2) for two kernels that
     hold one grid object, from their prefactor mismatch eps; inf when the
-    grids are not one object (or a plane remainder's diagonal, which the
-    certificate leaves out, is not finite), nan when the data is.
+    grids are not one object, a prefactor is not unimodular or a plane
+    remainder's diagonal, which the certificate leaves out, is not finite;
+    nan when the data is.
 
     Plane: a far cell at offset k reads (s_k + R) * prefactor, so
-    |v1 - v2| <= |s1_k - s2_k| + |s2_k + R| eps, and the certificate gives
-    |R| <= C gap_k^-delta + 1e-12 max(1, C) (the slack _bound_constant
-    allows). Sphere: |v1 - v2| <= |base| eps <= base_max eps. _ROUND_OFF
-    covers the rounding of both values and of the prefactor tables."""
+    |v1 - v2| <= |s1_k - s2_k| |o1 c1| + |s2_k + R| eps, and the certificate
+    gives |R| <= C gap_k^-delta + 1e-12 max(1, C) (the slack _bound_constant
+    allows). Sphere: |v1 - v2| <= |base| eps <= base_max eps, base_max being
+    at least the base's largest |value|. _ROUND_OFF covers the rounding of
+    both values and of the prefactor tables."""
     if isinstance(S1, ScatteringKernel):
         R = S2.remainder
         if S1.remainder is not R or not np.all(np.isfinite(np.diagonal(R))):
@@ -823,7 +838,7 @@ def _shared_grid_bound(S1, S2, base_max: float | None) -> float:
         C = S2.bound_C
         r_top = C * _offset_gap(M)[far] ** (-S2.bound_delta) + 1e-12 * max(1.0, C)
         s1, s2 = s1[far], s2[far]
-        off = np.max(np.abs(s1 - s2) * (1 + _ROUND_OFF) + (np.abs(s2) + r_top) * (eps + _ROUND_OFF))
+        off = np.max(np.abs(s1 - s2) * (1 + 4 * _ROUND_OFF) + (np.abs(s2) + r_top) * (eps + _ROUND_OFF))
         return float(off) + S1.channel_spectrum().distance(S2.channel_spectrum())
     if S1.base is not S2.base:
         return np.inf
@@ -908,8 +923,8 @@ def _solve_sphere(S1: SphereScatteringKernel, S2: SphereScatteringKernel,
             "no declared diagonal singularity on the base kernel; "
             "the prefactor ratio cannot be anchored")
     grid = S1.grid
-    base_max = S1.max_abs()  # the base's largest |value|: the prefactors are unimodular
-    floor = 1e-8 * base_max
+    top = S1.max_abs()
+    floor = 1e-8 * top
     n = grid.size
     nodes = np.arange(n)
     diag1 = S1.entries(nodes, nodes)
@@ -960,5 +975,9 @@ def _solve_sphere(S1: SphereScatteringKernel, S2: SphereScatteringKernel,
                      "odd_part_max": prov["odd_part_max"],
                      "note": "gauge direction functions must be antipodally even"},
             provenance=prov)
+    # the base's largest |value| is at most top / (1 - tau)^2 when S1's
+    # prefactors are within tau of unimodular; unbounded otherwise
+    tau = 0.0 if S1.prefactor_out is None else _modulus_slack(S1.prefactor_out, S1.prefactor_in)
+    base_max = top / (1 - tau) ** 2 if tau <= _ROUND_OFF else np.inf
     return _verify(S1, S2, GaugeElement(dimension=3, phi_sphere=phi), prov, verify_tol, dict,
                    base_max)

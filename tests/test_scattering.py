@@ -1113,6 +1113,41 @@ class TestCertifiedVerify:
         assert res.witness["kind"] == "verification"
         assert res.provenance["verified_by"] == "distance"
 
+    def test_scaled_prefactors_on_one_base_are_not_equivalent(self):
+        # prefactors of modulus 2 scale the values by 4 with no phase to
+        # fit: the bound's identity fails, and the exact distance answers
+        grid = sphere_grid(refinement=2)
+        K1 = synthesize_sphere_kernel(grid)
+        two = 2 * np.ones(grid.size)
+        K2 = SphereScatteringKernel(grid=grid, base=K1.base, prefactor_out=two,
+                                    prefactor_in=two)
+        assert K2.base is K1.base
+        res = gauge_equivalence_solver(K1, K2)
+        assert res.verdict == "not_equivalent"
+        assert res.witness["kind"] == "verification"
+        assert res.provenance["verified_by"] == "distance"
+        assert res.provenance["verify_distance"] > 2 * K1.max_abs()
+
+    def test_scaled_kernel_1_does_not_stand_for_its_base(self):
+        # kernel 1's scan reads half its base's largest |value|, so it
+        # cannot scale the sphere bound
+        grid = sphere_grid(refinement=2)
+        half = np.full(grid.size, np.sqrt(0.5), dtype=complex)
+        K1 = SphereScatteringKernel(grid=grid, base=synthesize_sphere_kernel(grid).base,
+                                    prefactor_out=half, prefactor_in=half)
+        K2 = apply_gauge_to_kernel(K1, GaugeElement(dimension=3, phi_callable=_even_phase()))
+        res = gauge_equivalence_solver(K1, K2)
+        assert res.verdict == "equivalent" and res.provenance["verified_by"] == "distance"
+
+    @pytest.mark.parametrize("scale", [2.0, 1 + 1e-9, 0.5, np.nan])
+    def test_mismatch_is_unbounded_off_the_unit_circle(self, scale):
+        p = np.exp(1j * np.linspace(0, 1, 16))
+        q = p.copy()
+        q[5] *= scale
+        assert scattering._prefactor_mismatch(p, p, p, p) < 1e-14
+        assert scattering._prefactor_mismatch(p, q, p, p) == np.inf
+        assert scattering._prefactor_mismatch(p, p, q, p) == np.inf
+
 
 class TestSerialization:
     def test_header_and_grid_round_trip(self):
