@@ -61,14 +61,21 @@ def _calibrate_envelope(func_mag, eps0: float) -> DecayEnvelope:
 def _bumps_gradient(bumps):
     """grad of the sum of a exp(-|x - c|^2 / (2 w^2)) over [a, *c, w] bumps."""
 
+    def add_bump(out, pts, a, c, w):
+        # one bump's temporaries, freed on return; each product is formed in
+        # place, in the order of (-a / w**2) * d * decay
+        diff = [x - ck for x, ck in zip(pts.T, np.asarray(c, dtype=float))]
+        decay = -_sq_norms(diff) / (2 * w**2)
+        np.exp(decay, out=decay)
+        for k, d in enumerate(diff):
+            d *= -a / w**2
+            d *= decay
+            out[:, k] += d
+
     def grad(pts):
         out = np.zeros_like(pts)
-        for b in bumps:
-            a, *c, w = b
-            diff = [x - ck for x, ck in zip(pts.T, np.asarray(c, dtype=float))]
-            decay = np.exp(-_sq_norms(diff) / (2 * w**2))
-            for k, d in enumerate(diff):
-                out[:, k] += (-a / w**2) * d * decay
+        for a, *c, w in bumps:
+            add_bump(out, pts, a, c, w)
         return out
 
     return grad

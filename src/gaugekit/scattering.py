@@ -18,12 +18,13 @@ operand order: complex multiplication is not bitwise commutative, and this
 order keeps rows and value_grid equal bit for bit at every M.
 
 The remainder bound |R| <= C dist^{-delta} is certified once per grid: one
-scan of the per-offset peaks of |R| (a skewed strided view of the
-column-doubled array whose columns run along the offsets, _offset_max) both
-fits C and checks it, and refuses a non-finite cell off the diagonal. A
-kernel without a remainder certifies C = 0 with no scan. The gauge action
-changes only the winding and the phases, so gauged kernels share the grid and
-its certificate; direct construction and dataclasses.replace check again.
+scan of the per-offset peaks of |R| (_offdiagonal_peaks: over the row
+blocks, a skewed strided view of one reused column-doubled buffer whose
+columns run along the offsets) both fits C and checks it, and refuses a
+non-finite cell off the diagonal. A kernel without a remainder certifies
+C = 0 with no scan. The gauge action changes only the winding and the
+phases, so gauged kernels share the grid and its certificate; direct
+construction and dataclasses.replace check again.
 
 Off the grid, the remainder is trigonometric interpolation: the grid is
 contracted with the Dirichlet weight rows of both angles (M values per
@@ -379,24 +380,32 @@ def _circulant(t: np.ndarray) -> np.ndarray:
     return sliding_window_view(np.concatenate([r, r[:-1]]), t.size)[::-1]
 
 
-def _offset_max(A: np.ndarray) -> np.ndarray:
-    """Largest entry of a real M x M array on each offset k = (i - j) mod M.
-
-    The array is doubled along its columns, [A A], and read through a skewed
-    strided view whose row i, column c is A[i, (i + c) mod M], the cell on
-    offset (-c) mod M: a column maximum of the view is an offset maximum,
-    with no gather of the M^2 cells."""
-    M = A.shape[0]
-    doubled = np.concatenate([A, A], axis=1)
-    s_row, s_col = doubled.strides
-    skewed = as_strided(doubled, shape=(M, M), strides=(s_row + s_col, s_col), writeable=False)
-    return skewed.max(axis=0)[-np.arange(M) % M]
-
-
 def _offdiagonal_peaks(remainder: np.ndarray) -> np.ndarray:
     """Largest |R| per offset k = 1..M-1: the one scan of a remainder grid
-    that certifies its bound."""
-    return _offset_max(np.abs(remainder))[1:]
+    that certifies its bound. A nan cell off the diagonal gives a nan peak.
+
+    The scan runs over angular.row_blocks(M). A block's |R| is written into
+    one reused (rows, 2M) buffer, about ROW_BLOCK_BYTES, and again into its
+    second half as far as a skewed strided view reaches. The view starts at
+    column b.start, and its row r, column c is |R[i, (i + c) mod M]| for
+    i = b.start + r, the cell on offset (-c) mod M. So the view's column
+    maxima are the block's offset maxima, folded into one M-vector, with no
+    gather of the M^2 cells and no M x M array of |R|."""
+    M = remainder.shape[0]
+    blocks = row_blocks(M)
+    buf = np.empty((max(b.stop - b.start for b in blocks), 2 * M))
+    s_row, s_col = buf.strides
+    peak = np.zeros(M)  # below every |R|, and np.maximum keeps a nan
+    for b in blocks:
+        rows = b.stop - b.start
+        np.abs(remainder[b], out=buf[:rows, :M])
+        # the view's last row reads up to column M + b.start + rows - 2
+        wrap = b.start + rows - 1
+        buf[:rows, M:M + wrap] = buf[:rows, :wrap]
+        skewed = as_strided(buf[:rows, b.start:], shape=(rows, M),
+                            strides=(s_row + s_col, s_col), writeable=False)
+        np.maximum(peak, skewed.max(axis=0), out=peak)
+    return peak[:0:-1]  # offset k sits in column M - k
 
 
 def _offset_gap(M: int) -> np.ndarray:

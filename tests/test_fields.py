@@ -626,8 +626,11 @@ class TestCatalogColumns:
     def test_grad_bumps_field(self, dim):
         bumps = (_SCALAR_PARAMS if dim == 2 else _SCALAR_PARAMS_3D)["gaussian_bumps"]["bumps"]
         F = catalog.build_vector("grad_bumps", {"bumps": bumps}, dimension=dim)
-        pts = _catalog_points(dim)
-        np.testing.assert_array_equal(F(pts), oracles.bumps_gradient(bumps, pts))
+        # the catalog points, and 40,000 random points whose columns pass
+        # numpy's size for eliding temporaries
+        for pts in (_catalog_points(dim),
+                    np.random.default_rng(dim).uniform(-4.0, 4.0, (40_000, dim))):
+            np.testing.assert_array_equal(F(pts), oracles.bumps_gradient(bumps, pts))
 
     @pytest.mark.parametrize("dim", [2, 3])
     def test_power_gradient(self, dim):

@@ -281,10 +281,26 @@ class TestOffsetTables:
         np.testing.assert_array_equal(view, t[(i[:, None] - i[None, :]) % M])
         assert not view.flags.writeable
 
-    @pytest.mark.parametrize("M", [16, 17, 64, 1024])
+    @pytest.mark.parametrize("M", [16, 17, 33, 64, 1000, 1024])
     def test_offset_max_matches_gather(self, M):
-        A = np.random.default_rng(M).standard_normal((M, M))
-        np.testing.assert_array_equal(scattering._offset_max(A), gathered_offset_max(A))
+        # the blocked peak scan of |R| per offset, bit for bit; at 17, 33 and
+        # 1000 the last row block is shorter than the rest
+        rng = np.random.default_rng(M)
+        A = rng.standard_normal((M, M))
+        for grid in (A, A + 1j * rng.standard_normal((M, M))):
+            np.testing.assert_array_equal(scattering._offdiagonal_peaks(grid),
+                                          gathered_offset_max(np.abs(grid))[1:])
+
+    def test_peak_on_a_wrapped_offset_in_the_last_block(self):
+        M = 1000
+        blocks = row_blocks(M)
+        assert len(blocks) > 1 and blocks[-1].stop - blocks[-1].start < blocks[0].stop
+        R = np.full((M, M), 1e-3)
+        i, j = blocks[-1].start + 3, M - 2  # i < j: offset (i - j) mod M wraps
+        R[i, j] = -0.7
+        peaks = scattering._offdiagonal_peaks(R)
+        np.testing.assert_array_equal(peaks, gathered_offset_max(np.abs(R))[1:])
+        assert np.flatnonzero(peaks == 0.7).tolist() == [(i - j) % M - 1]
 
     def test_prefactor_tables_read_only_and_cached(self):
         S = _structured_kernel(64)
@@ -356,6 +372,43 @@ class TestRemainderBoundChecks:
         D = np.zeros((M, M), dtype=complex)
         D[3, 3] = bad  # the diagonal stays unconstrained
         assert assemble_kernel(0.3, smooth=D, n_grid=M).bound_C == 0.0
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_non_finite_cell_refused_in_the_first_and_last_row_blocks(self, bad, dtype):
+        M = 1000
+        blocks = row_blocks(M)
+        for i, j in ((0, 1), (blocks[-1].start, M - 1), (M - 1, 2)):
+            R = np.zeros((M, M), dtype=dtype)
+            R[i, j] = bad
+            with pytest.raises(RemainderBoundViolated, match="non-finite"):
+                assemble_kernel(0.3, smooth=R, n_grid=M)
+        D = np.zeros((M, M), dtype=dtype)
+        D[blocks[-1].start, blocks[-1].start] = bad  # on the diagonal: certified
+        assert assemble_kernel(0.3, smooth=D, n_grid=M).bound_C == 0.0
+
+    def test_certifying_a_grid_forms_no_grid_sized_array(self):
+        M = 1024
+        R = 0.01 * np.random.default_rng(3).standard_normal((M, M))
+        assemble_kernel(0.3, smooth=R.copy(), n_grid=M)  # warm the row-block plan
+        tracemalloc.start()
+        try:
+            S = assemble_kernel(0.3, smooth=R, n_grid=M)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert S.bound_C > 0
+        # one reused row-block buffer (about 512 KiB) and M-vectors
+        assert peak <= 0.25 * M**2 * 8
+
+    @pytest.mark.parametrize("delta", [1.0, -0.1])
+    def test_bound_exponent_outside_the_unit_interval_refused(self, delta):
+        with pytest.raises(ValueError, match="exponent must lie in"):
+            assemble_kernel(0.3, smooth=np.zeros((64, 64)), n_grid=64, bound_delta=delta)
+
+    def test_grid_of_another_size_refused(self):
+        with pytest.raises(ValueError, match="shape must match n_grid"):
+            assemble_kernel(0.3, smooth=np.zeros((64, 64)), n_grid=128)
 
     def test_nan_bound_constant_refused(self):
         S = self._kernel()
