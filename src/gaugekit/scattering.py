@@ -265,7 +265,13 @@ class ScatteringKernel:
         th, tp = np.broadcast_arrays(np.asarray(theta, dtype=float),
                                      np.asarray(theta_prime, dtype=float))
         d_out, d_in = self._dirichlet_rows(th.ravel()), self._dirichlet_rows(tp.ravel())
-        rem = ((d_out @ self.remainder) * d_in).sum(axis=1).reshape(th.shape)
+        R = self.remainder
+        if np.iscomplexobj(R):
+            d_out_R = d_out @ R
+        else:  # one real product, where d_out @ R would cast the grid to complex
+            parts = np.concatenate([d_out.real, d_out.imag]) @ R
+            d_out_R = parts[:len(d_out)] + 1j * parts[len(d_out):]
+        rem = (d_out_R * d_in).sum(axis=1).reshape(th.shape)
         # (singular + R) * prefactor, in the operand order of rows(): numpy
         # would take that order only above its temporary-elision size, so a
         # value would depend on the size of its batch

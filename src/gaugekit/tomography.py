@@ -8,18 +8,21 @@ integrated numerically.
 
 Two vectorised rules integrate along k lines at once. The line rule
 (_line_rule: short-range scalars and vector remainders, so every vector
-sinogram) is a composite 25-node Gauss-Kronrod rule on a core |s| <= s_core
-graded away from closest approach, with tails mapped to infinity through
-s = v^(-1/eps0) from the declared envelope (_tail_nodes; the gauge scalar's
-outward rays use the same map and rule beyond their far radius). The Kronrod
-rule K25 extends the 12-node Gauss rule G12 (_gauss_kronrod), so one field
-call per application gives both sums: the value is K25's, the per-line
-estimate is |K25 - G12| plus the envelope bound of tails skipped below
-tail_tol, and a Kronrod/Gauss difference above tail_tol raises NonConvergent
-(_kronrod_checked, for lines and rays alike). Every line, ray and tail is
-sampled by _on_lines. The tangent rule
-(_tangent_rule: scalar sinograms, the 3-space homogeneous part) is a fixed
-rule in s = c tan(t), without an estimate; it does not cover slow power decay.
+sinogram) applies the 25-node Gauss-Kronrod rule K25 on core panels
+|s| <= s_core graded away from closest approach, and on tails mapped to
+infinity through s = v^(-1/eps0) from the declared envelope (_tail_nodes;
+the gauge scalar's outward rays use the same map and rule beyond their far
+radius). K25 extends the 12-node Gauss rule G12 (_gauss_kronrod), so one
+set of field values gives both sums. The core is refined by error: a panel
+whose |K25 - G12| misses its length share of tail_tol / 4 is bisected, one
+field call per level over the panels still open on all lines. A line's
+value sums the K25 of its tails and accepted panels; its estimate sums their
+|K25 - G12|, which raises NonConvergent above tail_tol (_kronrod_checked, for
+lines and rays alike), plus the envelope bound of tails skipped below
+tail_tol. Every line, ray and tail is sampled by _on_lines. The
+tangent rule (_tangent_rule: scalar sinograms, the 3-space homogeneous part)
+is a fixed rule in s = c tan(t), without an estimate; it does not cover slow
+power decay.
 Both rules build their node tables from the line distances alone, so a
 parallel-beam sinogram, whose angles share the distances |offsets|, builds
 them once, with the flux decomposition and the obstacle check, and applies
@@ -69,9 +72,11 @@ from .fields import (
 
 TAIL_TOL = 1e-9
 _LINE_NODES = 12  # Gauss nodes of the nested Kronrod pair, per core panel and per tail
-_CORE_HALF = 1.35 ** np.arange(12)  # core panel widths, growing away from s = 0
+_CORE_HALF = 1.35 ** np.arange(12)  # graded widths, growing away from s = 0
 _CORE_WIDTHS = np.concatenate([_CORE_HALF[::-1], _CORE_HALF]) / _CORE_HALF.sum()
-_CORE_EDGES = np.cumsum(np.concatenate([[-1.0], _CORE_WIDTHS]))
+# the 6 starting core panels on [-1, 1]: every fourth edge of the graded widths
+_CORE_EDGES = np.cumsum(np.concatenate([[-1.0], _CORE_WIDTHS]))[::4]
+_LINE_DEPTH = 7  # bisections of a starting core panel; a panel at this depth is accepted
 _GAUGE_NODES = 200  # nodes per gauge-scalar path leg
 _GAUGE_PANEL_NODES = 24  # nodes per panel between consecutive polar-grid radii
 _SINOGRAM_NODES = 384  # tangent-rule nodes per sinogram line
@@ -250,10 +255,17 @@ def _line_rule(envelope: DecayEnvelope | None, distances, tail_tol: float) -> Ca
     its node tables are built here, once, and rule(evaluate, x0s, omegas)
     applies them along the k lines x0s[i] + s omegas[i]. evaluate maps (m, n)
     points to (m,) scalar values, or to (m, n) vectors whose component along
-    each line's direction is integrated. The rule makes one evaluate call of
-    650 points per line, 25 Gauss-Kronrod nodes on each of 24 core panels and
-    2 tails, and returns the Kronrod values and per-line error estimates
-    (see the module docstring).
+    each line's direction is integrated.
+
+    The core |s| <= s_core starts as 6 graded panels (_CORE_EDGES). The first
+    evaluate call takes their 25 Gauss-Kronrod nodes and the two tails' on
+    every line; each later call takes the nodes of the panels still open, at
+    most _LINE_DEPTH more. A panel is accepted when its |K25 - G12| is at
+    most tail_tol / 4 times its share of the core length, and bisected
+    otherwise; panels still open after _LINE_DEPTH bisections are accepted
+    as they stand. A line's value is the sum of its tails' and accepted
+    panels' K25, and its estimate the sum of their |K25 - G12|, which raises
+    NonConvergent above tail_tol, plus the envelope bound of skipped tails.
     """
     if envelope is None:
         raise TailNotBounded("no decay envelope declared for the tail bound")
@@ -261,19 +273,39 @@ def _line_rule(envelope: DecayEnvelope | None, distances, tail_tol: float) -> Ca
     eps0 = envelope.eps0
     s_core = np.minimum(S, np.maximum(8.0 * (distances + 2.0), 48.0))
     x, w = _gauss_kronrod(_LINE_NODES)
-    u = (_CORE_EDGES[:-1, None] + 0.5 * _CORE_WIDTHS[:, None] * (x + 1.0)).ravel()
-    uw = (0.5 * _CORE_WIDTHS[:, None] * w[:, None, :]).reshape(2, -1)
     s_tail, w_tail = _tail_nodes(s_core, eps0, x, w)
     w_tail = np.where((S > s_core)[:, None], w_tail, 0.0)
-    s = np.concatenate([s_core[:, None] * u, s_tail, -s_tail], axis=1)
-    # (2, k, 650): the Kronrod weights, then the Kronrod minus the Gauss weights
-    ws = np.concatenate([s_core[:, None] * uw[:, None, :], w_tail, w_tail], axis=2)
     skipped = np.where(S > s_core, 0.0, 2.0 * envelope.C / (eps0 * s_core**eps0))
+    centre0, half0 = 0.5 * (_CORE_EDGES[1:] + _CORE_EDGES[:-1]), 0.5 * np.diff(_CORE_EDGES)
+    s_first = np.concatenate(
+        [s_core[:, None] * (centre0[:, None] + half0[:, None] * x).ravel(), s_tail, -s_tail], axis=1)
+    k, m = len(distances), x.size
 
     def rule(evaluate: Callable, x0s, omegas):
-        value, diff = _kronrod_checked(np.sum(_on_lines(evaluate, x0s, omegas, s) * ws, axis=2),
-                                       tail_tol, "line rule")
-        return value, diff + skipped
+        f = _on_lines(evaluate, x0s, omegas, s_first)
+        tails = np.sum(f[:, -2 * m:].reshape(k, 2, m) * w_tail[:, :, None], axis=3)
+        value, estimate = tails[0].sum(axis=1), np.abs(tails[1]).sum(axis=1)
+        f = f[:, :-2 * m].reshape(-1, m)
+        # the open panels: their line, and centre and half-width in units of s_core
+        line, centre, half = np.repeat(np.arange(k), centre0.size), np.tile(centre0, k), np.tile(half0, k)
+        for depth in range(_LINE_DEPTH + 1):
+            if depth:
+                f = _on_lines(evaluate, x0s[line], omegas[line],
+                              s_core[line, None] * (centre[:, None] + half[:, None] * x))
+            sums = f @ w.T * (s_core[line] * half)[:, None]
+            diff = np.abs(sums[:, 1])
+            done = diff <= 0.25 * tail_tol * half  # half is the panel's share of the core
+            if depth == _LINE_DEPTH:
+                done[:] = True
+            value += np.bincount(line[done], sums[done, 0], k)
+            estimate += np.bincount(line[done], diff[done], k)
+            line, centre, half = line[~done], centre[~done], half[~done]
+            if not line.size:
+                break
+            line, half = np.repeat(line, 2), np.repeat(0.5 * half, 2)
+            centre = np.repeat(centre, 2) + np.tile([-1.0, 1.0], centre.size) * half
+        value, estimate = _kronrod_checked(np.stack([value, estimate]), tail_tol, "line rule")
+        return value, estimate + skipped
 
     return rule
 
@@ -376,6 +408,12 @@ def line_integral_vector(config: PotentialConfig, line: Line,
 
 def parallel_geometry(n_angles: int, n_offsets: int, r_min: float, r_max: float):
     """Angles in [0, pi) and signed offsets avoiding the band |t| < r_min."""
+    if n_angles < 1:
+        raise ValueError(f"n_angles must be at least 1, got {n_angles}")
+    if n_offsets < 2:
+        raise ValueError(f"n_offsets must be at least 2 (one offset per bank), got {n_offsets}")
+    if n_offsets >= 4 and not r_min < r_max:
+        raise ValueError(f"r_min must be below r_max, got {r_min} and {r_max}")
     if n_offsets % 2:
         raise ValueError("n_offsets must be even (two symmetric offset banks)")
     angles = np.arange(n_angles) * np.pi / n_angles

@@ -7,10 +7,10 @@ matrix evaluated cell by cell, its per-offset maximum by a gather of every
 cell, the distance of two plane kernels from their full value grids, its
 remainder interpolated through the full 2-D transform, central
 differences taken one axis at a time, sinograms rebuilt line table by line
-table for every angle, and the catalog fields as broadcast formulas over the
-coordinate axis, kept only to check the library against an independent
-method; plus a field wrapper that counts evaluation points and a counter of
-remainder-grid scans.
+table for every angle, the line rule's former fixed 24-panel table, and the
+catalog fields as broadcast formulas over the coordinate axis, kept only to
+check the library against an independent method; plus a field wrapper that
+counts evaluation points and a counter of remainder-grid scans.
 """
 import numpy as np
 from scipy.integrate import quad
@@ -216,20 +216,33 @@ def _broadcast_on_lines(evaluate, x0s, omegas, s):
     return vals.reshape(s.shape)
 
 
-def _per_angle_line_rule(evaluate, x0s, omegas, envelope, tail_tol):
+# the line rule's fixed core before it refined its panels by error: 24
+# panels whose widths grow by 1.35 away from closest approach
+_FIXED_HALF = 1.35 ** np.arange(12)
+_FIXED_WIDTHS = np.concatenate([_FIXED_HALF[::-1], _FIXED_HALF]) / _FIXED_HALF.sum()
+_FIXED_EDGES = np.cumsum(np.concatenate([[-1.0], _FIXED_WIDTHS]))
+
+
+def fixed_line_rule(evaluate, x0s, omegas, envelope, tail_tol):
+    """The Kronrod values of K25 on the 24 fixed core panels and the two
+    tails: 650 nodes on every line, whatever the field."""
     S = max(envelope.truncation_radius(tail_tol), 1.0)
     eps0 = envelope.eps0
     s_core = np.minimum(S, np.maximum(8.0 * (np.linalg.norm(x0s, axis=1) + 2.0), 48.0))
     x, w = tomography._gauss_kronrod(tomography._LINE_NODES)
     w_kronrod = w[0]  # the value's weights alone, without the Kronrod/Gauss difference
-    edges, widths = tomography._CORE_EDGES, tomography._CORE_WIDTHS
-    u = (edges[:-1, None] + 0.5 * widths[:, None] * (x + 1.0)).ravel()
-    uw = (0.5 * widths[:, None] * w_kronrod).ravel()
+    u = (_FIXED_EDGES[:-1, None] + 0.5 * _FIXED_WIDTHS[:, None] * (x + 1.0)).ravel()
+    uw = (0.5 * _FIXED_WIDTHS[:, None] * w_kronrod).ravel()
     s_tail, w_tail = tomography._tail_nodes(s_core, eps0, x, w_kronrod)
     w_tail = np.where((S > s_core)[:, None], w_tail, 0.0)
     s = np.concatenate([s_core[:, None] * u, s_tail, -s_tail], axis=1)
     ws = np.concatenate([s_core[:, None] * uw, w_tail, w_tail], axis=1)
     return np.sum(_broadcast_on_lines(evaluate, x0s, omegas, s) * ws, axis=1)
+
+
+def _fresh_line_rule(evaluate, x0s, omegas, envelope, tail_tol):
+    rule = tomography._line_rule(envelope, np.linalg.norm(x0s, axis=1), tail_tol)
+    return rule(evaluate, x0s, omegas)[0]
 
 
 def _per_angle_tangent_rule(evaluate, x0s, omegas, distances):
@@ -242,11 +255,12 @@ def _per_angle_tangent_rule(evaluate, x0s, omegas, distances):
     return np.sum(_broadcast_on_lines(evaluate, x0s, omegas, s) * jac * t_weights[None, :], axis=1)
 
 
-def per_angle_sinogram(config, angles, offsets, kind):
+def per_angle_sinogram(config, angles, offsets, kind, line_rule=_fresh_line_rule):
     """forward_sinogram's values with everything rebuilt for every angle:
-    the flux decomposition and the node tables (the line rule's from the
-    distances |x0| of that angle's impact points), with the line points and
-    the projection broadcast over the coordinate axis."""
+    the flux decomposition, the tangent rule's node table, with the line
+    points and the projection broadcast over the coordinate axis, and the
+    line rule, by default a fresh library rule built from the distances |x0|
+    of that angle's impact points."""
     out = np.zeros((angles.size, offsets.size))
     for i, ang in enumerate(angles):
         x0s = offsets[:, None] * np.array([np.cos(ang), np.sin(ang)])
@@ -264,7 +278,7 @@ def per_angle_sinogram(config, angles, offsets, kind):
             total += dec.a0(theta_w) - dec.a0(theta_w + np.pi)
         if config.short_range is not None:
             sr = config.short_range
-            total += _per_angle_line_rule(sr, x0s, omegas, sr.envelope, tomography.TAIL_TOL)
+            total += line_rule(sr, x0s, omegas, sr.envelope, tomography.TAIL_TOL)
         out[i] = total
     return out
 

@@ -418,6 +418,15 @@ class TestReconstruct:
         assert rep.verdict == "reconstructed"
         assert rep.entries[0].name == "all_zero"
 
+    def test_no_offsets_refused_before_the_sinogram(self):
+        # n_offsets = 0 once reached the line rule and failed on an empty
+        # reduction there
+        short = catalog.build_vector("ring_bump_tangential", {"b0": 0.4, "r0": 1.9, "sigma": 0.3})
+        sc = Scenario(kind="reconstruct", config1=_plane_config(0.3, short=short),
+                      geometry=dict(SMALL_GEO, n_offsets=0))
+        with pytest.raises(ValueError, match="^n_offsets must be at least 2"):
+            run_reconstruct(sc)
+
     def test_space_leading_order(self):
         short = catalog.build_vector("cross_axis",
                                      {"axis": [0.0, 0.0, 1.0], "c": 0.4},
