@@ -1,8 +1,8 @@
 """Trigonometric profiles on the circle and sampled functions on the sphere.
 
 Real 2*pi-periodic profiles are stored as finite Fourier series; functions on
-S^2 live on a subdivided-icosahedron grid whose nodes come in exact antipodal
-pairs, so f(omega) - f(-omega) at nodes involves no interpolation.
+S^2 are sampled on a subdivided-icosahedron grid whose nodes come in exact
+antipodal pairs, so f(omega) - f(-omega) at a node reads two samples.
 """
 from __future__ import annotations
 
@@ -278,25 +278,6 @@ class SphereGrid:
             self._inv_cache["far_pairs"] = mask
         return self._inv_cache["far_pairs"]
 
-    def _face_inverses(self) -> np.ndarray:
-        if "inv" not in self._inv_cache:
-            tri = self.vertices[self.faces]  # (F,3,3) rows are corners
-            self._inv_cache["inv"] = np.linalg.inv(np.transpose(tri, (0, 2, 1)))
-        return self._inv_cache["inv"]
-
-    def locate(self, omega: np.ndarray) -> tuple[int, np.ndarray]:
-        """Containing face and gnomonic barycentric weights for a unit vector."""
-        inv = self._face_inverses()
-        bary = inv @ omega  # (F,3)
-        mins = bary.min(axis=1)
-        sums = bary.sum(axis=1)
-        ok = sums > 1e-12
-        score = np.where(ok, mins / np.where(ok, sums, 1.0), -np.inf)
-        fi = int(np.argmax(score))
-        w = bary[fi]
-        w = w / w.sum()
-        return fi, w
-
 
 _GRID_CACHE: dict[int, SphereGrid] = {}
 
@@ -356,12 +337,10 @@ def sphere_grid(refinement: int = 4) -> SphereGrid:
 
 @dataclass(frozen=True)
 class SphereFunction:
-    """Real function on S^2 sampled at icosphere nodes.
-
-    Off-node evaluation uses gnomonic barycentric interpolation on the
-    containing face (order 1, O(h^2) for smooth functions); node evaluation
-    is exact, and antipodal node pairs are exact by grid construction.
-    """
+    """Real function on S^2 sampled at icosphere nodes: values[i] is its
+    value at grid.vertices[i], and values[grid.antipode[i]] its value at the
+    antipode, exact by grid construction. It has no value off the nodes; a
+    gradient needs the function itself (GaugeElement.phi_callable)."""
 
     grid: SphereGrid
     values: np.ndarray
@@ -380,16 +359,6 @@ class SphereFunction:
         array of its values, at the grid nodes in one call."""
         grid = sphere_grid(refinement)
         return cls(grid=grid, values=f(grid.vertices))
-
-    def __call__(self, omega) -> float:
-        w = np.asarray(omega, dtype=float)
-        w = w / np.linalg.norm(w)
-        # exact node hit first
-        hits = np.nonzero(np.all(np.abs(self.grid.vertices - w) < 1e-12, axis=1))[0]
-        if hits.size:
-            return float(self.values[hits[0]])
-        fi, bary = self.grid.locate(w)
-        return float(self.values[self.grid.faces[fi]] @ bary)
 
     def __neg__(self) -> "SphereFunction":
         return SphereFunction(self.grid, -self.values)

@@ -268,10 +268,10 @@ class GaugeElement:
     """Phase data of a gauge transform e^{i(m theta + phi + L)}.
 
     In the plane: integer winding m and a zero-mean circle profile phi.
-    In 3-space: no winding; phi is a function of the direction (sampled on
-    the sphere grid, optionally backed by a callable for smooth gradients).
-    phi_callable maps an (m, 3) array of unit vectors to the (m,) array of
-    phase values.
+    In 3-space: no winding, and one real phase of the direction: phi_sphere,
+    sampled on sphere grid nodes (acts on kernels only), or phi_callable,
+    mapping an (m, 3) array of unit vectors to the (m,) phase values. Two
+    phases, or a phase of the other dimension, raise ValueError.
     The scalar part L is short-range; its envelope entry bounds grad L.
     """
 
@@ -283,12 +283,17 @@ class GaugeElement:
     scalar: ScalarPotential | None = None
 
     def __post_init__(self):
+        sphere_phases = (self.phi_sphere is not None) + (self.phi_callable is not None)
         if self.dimension == 2:
+            if sphere_phases:
+                raise ValueError("a plane gauge takes no sphere phase")
             if self.phi is not None and abs(self.phi.mean()) > 1e-9:
                 raise ValueError("circle gauge profile must have zero mean")
         else:
             if self.m != 0:
                 raise ValueError("winding is only defined in the plane")
+            if self.phi is not None or sphere_phases > 1:
+                raise ValueError("a 3-space gauge takes one phase: phi_sphere or phi_callable")
 
     def inverse(self) -> "GaugeElement":
         """Gauge with every phase negated. A negated scalar is no longer the
@@ -468,13 +473,17 @@ def apply_gauge_to_potential(config: PotentialConfig, g: GaugeElement) -> Potent
     """Gauge action A -> A + grad(m theta + phi + L) on a configuration.
 
     In the plane the transversal profile changes exactly in coefficient
-    space: a_hat -> a_hat + m + phi'. The scalar part adds grad L to the
-    short-range field and widens its envelope: L's declared closed-form
-    gradient when it has one (every catalog kind does), central differences
-    of L otherwise.
+    space: a_hat -> a_hat + m + phi'. In 3-space the profile gains the
+    gradient of phi_callable; a phi_sphere gauge raises ValueError, as a
+    sampled phase has no gradient off its nodes. The scalar part adds grad L
+    to the short-range field and widens its envelope: L's declared
+    closed-form gradient when it has one (every catalog kind does), central
+    differences of L otherwise.
     """
     if config.dimension != g.dimension:
         raise DimensionMismatch("gauge and configuration dimensions differ")
+    if g.phi_sphere is not None:
+        raise ValueError("a phi_sphere phase has no gradient off its nodes: give phi_callable")
     transversal = config.transversal
     if config.dimension == 2:
         base = transversal.a_hat if transversal is not None else AngularFunction.zero()
@@ -482,18 +491,12 @@ def apply_gauge_to_potential(config: PotentialConfig, g: GaugeElement) -> Potent
         if g.phi is not None:
             a_hat = a_hat + g.phi.derivative()
         transversal = TransversalField.from_profile(a_hat)
-    else:
-        psi = g.phi_callable
-        if psi is None and g.phi_sphere is not None:
-            sph = g.phi_sphere
-            psi = lambda W: np.array([sph(w) for w in W])
-        if psi is not None:
-            prev = transversal
-            def profile(w, _psi=psi, _prev=prev):
-                grad = gradient_of_direction_function(_psi, np.asarray(w, dtype=float))
-                base = _prev.profile(w) if _prev is not None else 0.0
-                return np.asarray(base) + grad
-            transversal = TransversalField(dimension=3, profile=profile)
+    elif g.phi_callable is not None:
+        def profile(w, _psi=g.phi_callable, _prev=transversal):
+            grad = gradient_of_direction_function(_psi, np.asarray(w, dtype=float))
+            base = _prev.profile(w) if _prev is not None else 0.0
+            return np.asarray(base) + grad
+        transversal = TransversalField(dimension=3, profile=profile)
     short_range = config.short_range
     if g.scalar is not None:
         dim = config.dimension

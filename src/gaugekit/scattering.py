@@ -44,7 +44,8 @@ closed form was fixed against a principal-value quadrature oracle
 not assumed.
 
 A sphere kernel is stored the same way: its ungauged base matrix and, once
-gauged, the out and in prefactor vectors e^{i phi(w)} and e^{-i phi(-w')}.
+gauged, the real out and in phase vectors phi(w) and -phi(-w'); its
+prefactors e^{i phase} are built from them on the first read.
 
 Both kinds store a grid (plane remainder, sphere base) in the dtype of its
 data: float64 when the data is real, complex128 when it is complex. numpy
@@ -65,12 +66,11 @@ remains for callers.
 The verification step skips the pass when the two kernels hold one grid
 object, as every pair the package builds does (the gauge action and
 synthesize_kernels reuse kernel 1's grid): they then differ only in their
-unimodular prefactors, and _shared_grid_bound bounds their distance in O(n)
-from the prefactors, the singular tables and the certified (C, delta). A
-bound within verify_tol answers equivalent; unshared grids, a prefactor
-that is not unimodular (SphereScatteringKernel takes any vectors), or a
-bound that fails, take the exact blocked distance, the only path that
-answers not_equivalent.
+prefactors, each e^{i phase} of a real phase, and _shared_grid_bound bounds
+their distance in O(n) from the prefactors, the singular tables and the
+certified (C, delta). A bound within verify_tol answers equivalent;
+unshared grids, or a bound that fails, take the exact blocked distance, the
+only path that answers not_equivalent.
 
 The gauge e^{i(m theta + phi)} multiplies kernels by e^{i(m theta + phi(theta))}
 on the left and e^{-i(m(theta' + pi) + phi(theta' + pi))} on the right; the
@@ -201,7 +201,6 @@ class ScatteringKernel:
     bound_C: float
     bound_delta: float
     lam: float = 1.0
-    dimension: int = 2
 
     def __post_init__(self):
         _require_finite(alpha=self.alpha, lam=self.lam)
@@ -307,11 +306,14 @@ class ScatteringKernel:
         return self.rows(slice(None))
 
     def band(self, p: int) -> np.ndarray:
-        """Values on the band theta' = theta - 2 pi p / M, as value_grid() gives them."""
+        """Values on the band theta' = theta - 2 pi p / M, value_grid() bit for
+        bit: the operand order of rows()."""
         out, inc, singular = self._grid_tables
         rows = np.arange(self.n_grid)
         cols = (rows - p) % self.n_grid
-        return out * inc[cols] * (singular[p % self.n_grid] + self.remainder[rows, cols])
+        v = singular[p % self.n_grid] + self.remainder[rows, cols]
+        v *= out * inc[cols]
+        return v
 
     def far_pairs(self) -> np.ndarray:
         """Read-only M x M mask of the cells off the diagonal band (cyclic
@@ -327,7 +329,7 @@ class ScatteringKernel:
     def header_dict(self) -> dict:
         return {
             "schema_version": 1,
-            "dimension": self.dimension,
+            "dimension": 2,
             "lam": self.lam,
             "alpha": self.alpha,
             "winding": self.winding,
@@ -350,13 +352,14 @@ class ScatteringKernel:
                 raise ValueError(
                     f"kernel header {key!r} must be a number, got {header[key]!r}") from None
 
+        if header.get("dimension", 2) != 2:
+            raise ValueError(f"kernel header 'dimension' must be 2, got {header['dimension']!r}")
         M = number("n_grid", int)
         return cls(alpha=number("alpha"), winding=number("winding", int),
                    phase_out=AngularFunction.from_triples(header["phase_out"]),
                    phase_in=AngularFunction.from_triples(header["phase_in"]),
                    remainder=np.asarray(remainder).reshape(M, M),
-                   bound_C=number("C"), bound_delta=number("delta"), lam=number("lam"),
-                   dimension=number("dimension", int) if "dimension" in header else 2)
+                   bound_C=number("C"), bound_delta=number("delta"), lam=number("lam"))
 
     def remainder_to_csv(self, path) -> None:
         index = np.arange(self.n_grid)
@@ -519,8 +522,8 @@ def apply_gauge_to_kernel(S, g: GaugeElement):
     """Gauge action on kernels: out phase gains m theta + phi(theta), in phase
     gains the same profile read at theta' + pi; the flux parameters, the
     remainder grid and its certified bound are shared, not checked again (the
-    action is a pure prefactor). A sphere kernel keeps its base matrix and
-    gains the prefactor vectors e^{i phi(w)} and e^{-i phi(-w')}, O(n).
+    action is a pure prefactor). A sphere kernel keeps its base matrix, and
+    its out and in phases gain phi(w) and -phi(-w'), O(n).
     Short-range scalar parts of g do not act on the kernel data model."""
     if isinstance(S, ScatteringKernel):
         if g.dimension != 2:
@@ -530,27 +533,18 @@ def apply_gauge_to_kernel(S, g: GaugeElement):
     if isinstance(S, SphereScatteringKernel):
         if g.dimension != 3:
             raise DimensionMismatch("sphere kernel requires a 3-space gauge")
-        if g.m != 0:
-            raise DimensionMismatch("winding is only defined in the plane")
-        phi_vals = _gauge_phase_on_grid(g, S.grid)
-        pref = np.exp(1j * phi_vals)
-        anti = np.exp(-1j * phi_vals[S.grid.antipode])
-        if S.prefactor_out is not None:
-            pref, anti = pref * S.prefactor_out, S.prefactor_in * anti
-        return replace(S, prefactor_out=pref, prefactor_in=anti)
+        phi = np.zeros(S.grid.size)
+        if g.phi_sphere is not None:  # read on any grid of its refinement, as _check_pair
+            if g.phi_sphere.grid.refinement != S.grid.refinement:
+                raise GridMismatch("gauge phase and kernel live on different sphere grids")
+            phi = g.phi_sphere.values
+        elif g.phi_callable is not None:
+            phi = np.asarray(g.phi_callable(S.grid.vertices), dtype=float)
+        out, inc = phi, -phi[S.grid.antipode]
+        if S.phase_out is not None:
+            out, inc = S.phase_out + out, S.phase_in + inc
+        return replace(S, phase_out=out, phase_in=inc)
     raise DimensionMismatch("unsupported kernel type")
-
-
-def _gauge_phase_on_grid(g: GaugeElement, grid: SphereGrid) -> np.ndarray:
-    if g.phi_sphere is not None:
-        if g.phi_sphere.grid is not grid and g.phi_sphere.grid.refinement != grid.refinement:
-            raise GridMismatch("gauge phase and kernel live on different sphere grids")
-        if g.phi_sphere.grid is grid:
-            return np.asarray(g.phi_sphere.values, dtype=float)
-        return np.array([g.phi_sphere(w) for w in grid.vertices])
-    if g.phi_callable is not None:
-        return np.asarray(g.phi_callable(grid.vertices), dtype=float)
-    return np.zeros(grid.size)
 
 
 def kernel_distance(S1, S2) -> float:
@@ -626,23 +620,21 @@ def near_diagonal_growth(S: ScatteringKernel) -> tuple[float, float]:
 @dataclass(frozen=True)
 class SphereScatteringKernel:
     """Kernel values on sphere-grid direction pairs in structural form: an
-    ungauged base matrix and, once gauged, the prefactor vectors
-    prefactor_out = e^{i phi(w)} and prefactor_in = e^{-i phi(-w')}, so the
-    value at (i, j) is (prefactor_out[i] * base[i, j]) * prefactor_in[j].
-    A gauge multiplies the two vectors and shares the base. The base is
-    stored read-only in the dtype of its data (float64 when real, as
-    synthesize_sphere_kernel gives it); the prefactors are complex. The
-    singular-support flag is declared (the diagonal principal-value
-    structure cannot be inferred from grid data; it is an input
-    hypothesis)."""
+    ungauged base matrix and, once gauged, the real phase vectors
+    phase_out = phi(w) and phase_in = -phi(-w'), both or neither, one finite
+    value per node: the value at (i, j) is (e^{i phase_out[i]} base[i, j])
+    e^{i phase_in[j]}. A gauge adds to the phases and shares the base. The
+    base is stored read-only in the dtype of its data (float64 when real, as
+    synthesize_sphere_kernel gives it). The singular-support flag is declared
+    (the diagonal principal-value structure cannot be inferred from grid
+    data; it is an input hypothesis)."""
 
     grid: SphereGrid
     base: np.ndarray
     lam: float = 1.0
     singular_support: bool = True
-    dimension: int = 3
-    prefactor_out: np.ndarray | None = None
-    prefactor_in: np.ndarray | None = None
+    phase_out: np.ndarray | None = None
+    phase_in: np.ndarray | None = None
 
     def __post_init__(self):
         _require_finite(lam=self.lam)
@@ -652,24 +644,33 @@ class SphereScatteringKernel:
             raise ValueError("base values must be square over the sphere grid")
         v.flags.writeable = False
         object.__setattr__(self, "base", v)
-        if (self.prefactor_out is None) != (self.prefactor_in is None):
-            raise ValueError("a gauged sphere kernel needs both prefactor vectors")
-        for name in ("prefactor_out", "prefactor_in"):
+        if (self.phase_out is None) != (self.phase_in is None):
+            raise ValueError("a gauged sphere kernel needs both phase vectors")
+        for name in ("phase_out", "phase_in"):
             if getattr(self, name) is not None:
-                p = np.asarray(getattr(self, name), dtype=complex)
-                if p.shape != (n,):
-                    raise ValueError("prefactor vectors must hold one value per grid node")
+                p = np.array(getattr(self, name), dtype=float)
+                if p.shape != (n,) or not np.all(np.isfinite(p)):
+                    raise ValueError("phase vectors must hold one finite value per grid node")
                 p.flags.writeable = False
                 object.__setattr__(self, name, p)
+
+    @cached_property
+    def _prefactors(self) -> tuple:
+        """The out and in prefactors e^{i phase_out} and e^{i phase_in},
+        built on the first read; real ones when the kernel is ungauged."""
+        if self.phase_out is None:
+            return (np.ones(self.grid.size),) * 2
+        return np.exp(1j * self.phase_out), np.exp(1j * self.phase_in)
 
     def rows(self, block: slice) -> np.ndarray:
         """Values of a block of rows: a read-only view of the base when
         ungauged, else a new array."""
         b = self.base[block]
-        if self.prefactor_out is None:
+        if self.phase_out is None:
             return b
-        v = self.prefactor_out[block, None] * b
-        v *= self.prefactor_in
+        out, inc = self._prefactors
+        v = out[block, None] * b
+        v *= inc
         return v
 
     @property
@@ -682,7 +683,8 @@ class SphereScatteringKernel:
     def entries(self, i: np.ndarray, j: np.ndarray) -> np.ndarray:
         """Values at the pairs (i[k], j[k])."""
         e = self.base[i, j]
-        return e if self.prefactor_out is None else self.prefactor_out[i] * e * self.prefactor_in[j]
+        out, inc = self._prefactors
+        return e if self.phase_out is None else out[i] * e * inc[j]
 
     def far_pairs(self) -> np.ndarray:
         """The grid's mask of direction pairs more than FAR_PAIR_ANGLE apart."""
@@ -806,41 +808,34 @@ def gauge_equivalence_solver(S1, S2, verify_tol: float = 1e-6,
     return solve(S1, S2, verify_tol, phase_tol)
 
 
-def _modulus_slack(*tables) -> float:
-    """Largest ||p| - 1| over the prefactor tables (nan if one holds nan)."""
-    return float(np.max([np.max(np.abs(np.abs(p) - 1)) for p in tables]))
-
-
 def _prefactor_mismatch(o1, c1, o2, c2) -> float:
-    """eps with |o1_i c1_j - o2_i c2_j| <= eps at every pair (i, j); inf unless
-    every modulus is within _ROUND_OFF of 1, as a gauge's factors are. With
-    a = o1 conj(o2), b = c2 conj(c1) and tau the largest ||p| - 1|,
-    o1 c1 - o2 c2 = o2 c1 (a - b) + o1 c1 (1 - |o2|^2) - o2 c2 (1 - |c1|^2),
-    at most (1 + tau)^2 (|a_i - b_j| + 2 tau (2 + tau)), and
+    """eps with |o1_i c1_j - o2_i c2_j| <= eps at every pair (i, j) for tables
+    e^{i phase} (nan if one holds nan). With a = o1 conj(o2), b = c2 conj(c1),
+    o1 c1 - o2 c2 = o2 c1 (a - b) when |o2| = |c1| = 1, and
     |a_i - b_j| <= |a_i - z| + |z - b_j|. z = a[0], not 1: a phase is fitted
-    up to a constant, which a and b then both carry."""
-    tau = _modulus_slack(o1, c1, o2, c2)
-    if not tau <= _ROUND_OFF:
-        return np.inf
+    up to a constant, which a and b then both carry. A computed e^{i phase}
+    is unimodular to 1 ulp, which adds o1 c1 (1 - |o2|^2) - o2 c2 (1 - |c1|^2),
+    about 4 ulps, and scales eps by 1 + 2 ulps; the _ROUND_OFF (16 ulps) that
+    callers add to eps covers both for eps <= 1, the only bounds a tolerance
+    below 1 accepts, with the rounding of the values."""
     a, b = o1 * np.conj(o2), c2 * np.conj(c1)
     z = a[0]
-    gap = float(np.max(np.abs(a - z)) + np.max(np.abs(b - z)))
-    return (1 + tau) ** 2 * (gap + 2 * tau * (2 + tau))
+    return float(np.max(np.abs(a - z)) + np.max(np.abs(b - z)))
 
 
 def _shared_grid_bound(S1, S2, base_max: float | None) -> float:
     """An O(n) upper bound on kernel_distance(S1, S2) for two kernels that
     hold one grid object, from their prefactor mismatch eps; inf when the
-    grids are not one object, a prefactor is not unimodular or a plane
-    remainder's diagonal, which the certificate leaves out, is not finite;
-    nan when the data is.
+    grids are not one object or a plane remainder's diagonal, which the
+    certificate leaves out, is not finite; nan when the data is.
 
     Plane: a far cell at offset k reads (s_k + R) * prefactor, so
     |v1 - v2| <= |s1_k - s2_k| |o1 c1| + |s2_k + R| eps, and the certificate
     gives |R| <= C gap_k^-delta + 1e-12 max(1, C) (the slack _bound_constant
     allows). Sphere: |v1 - v2| <= |base| eps <= base_max eps, base_max being
-    at least the base's largest |value|. _ROUND_OFF covers the rounding of
-    both values and of the prefactor tables."""
+    the largest |value| of kernel 1, whose unimodular prefactors make it the
+    base's to 2 ulps. _ROUND_OFF covers the rounding of both values and of
+    the prefactor tables (_prefactor_mismatch)."""
     if isinstance(S1, ScatteringKernel):
         R = S2.remainder
         if S1.remainder is not R or not np.all(np.isfinite(np.diagonal(R))):
@@ -857,10 +852,7 @@ def _shared_grid_bound(S1, S2, base_max: float | None) -> float:
         return float(off) + S1.channel_spectrum().distance(S2.channel_spectrum())
     if S1.base is not S2.base:
         return np.inf
-    one = np.ones(S1.grid.size)
-    o1, c1, o2, c2 = (one if p is None else p for p in (
-        S1.prefactor_out, S1.prefactor_in, S2.prefactor_out, S2.prefactor_in))
-    return base_max * (_prefactor_mismatch(o1, c1, o2, c2) + _ROUND_OFF)
+    return base_max * (_prefactor_mismatch(*S1._prefactors, *S2._prefactors) + _ROUND_OFF)
 
 
 def _verify(S1, S2, g: GaugeElement, prov: dict, verify_tol: float, witness,
@@ -869,7 +861,7 @@ def _verify(S1, S2, g: GaugeElement, prov: dict, verify_tol: float, witness,
     within verify_tol max(1, top) of S2, top being S2's largest |value|?
 
     When S1g and S2 hold one grid object (plane remainder, sphere base;
-    base_max is the sphere base's largest |value|), _shared_grid_bound bounds
+    base_max is sphere kernel 1's largest |value|), _shared_grid_bound bounds
     their distance in O(n) from the prefactors and the certified remainder
     bound. A finite bound within verify_tol answers equivalent (max(1, top)
     >= 1, so top is not needed), verified_by "certificate". Otherwise the
@@ -990,9 +982,8 @@ def _solve_sphere(S1: SphereScatteringKernel, S2: SphereScatteringKernel,
                      "odd_part_max": prov["odd_part_max"],
                      "note": "gauge direction functions must be antipodally even"},
             provenance=prov)
-    # the base's largest |value| is at most top / (1 - tau)^2 when S1's
-    # prefactors are within tau of unimodular; unbounded otherwise
-    tau = 0.0 if S1.prefactor_out is None else _modulus_slack(S1.prefactor_out, S1.prefactor_in)
-    base_max = top / (1 - tau) ** 2 if tau <= _ROUND_OFF else np.inf
+    if not np.all(np.isfinite(phi_vals)):  # a nan or inf value reached the fit
+        return SolverResult(verdict="not_equivalent", provenance=prov,
+                            witness={"kind": "verification", "distance": np.nan})
     return _verify(S1, S2, GaugeElement(dimension=3, phi_sphere=phi), prov, verify_tol, dict,
-                   base_max)
+                   top)

@@ -22,7 +22,8 @@ lines and rays alike), plus the envelope bound of tails skipped below
 tail_tol. Every line, ray and tail is sampled by _on_lines. The
 tangent rule (_tangent_rule: scalar sinograms, the 3-space homogeneous part)
 is a fixed rule in s = c tan(t), without an estimate; it does not cover slow
-power decay.
+power decay. A nan or inf field value ends every rule with NonConvergent:
+a nan estimate fails the check, and sums without one must be finite.
 Both rules build their node tables from the line distances alone, so a
 parallel-beam sinogram, whose angles share the distances |offsets|, builds
 them once, with the flux decomposition and the obstacle check, and applies
@@ -236,13 +237,20 @@ def _on_lines(evaluate: Callable, x0s, omegas, s) -> np.ndarray:
 
 def _kronrod_checked(sums, tail_tol: float, what: str) -> tuple:
     """The Kronrod values and |Kronrod - Gauss| differences of a rule's two
-    weighted sums, shaped (2, k); a difference above tail_tol raises
-    NonConvergent."""
+    weighted sums, shaped (2, k); a difference above tail_tol, or nan (a nan
+    or inf field value), raises NonConvergent."""
     value, diff = sums[0], np.abs(sums[1])
-    if np.max(diff) > tail_tol:
+    if not np.all(diff <= tail_tol):
         raise NonConvergent(
             f"{what} Kronrod/Gauss difference {np.max(diff):.3e} exceeds {tail_tol:.1e}")
     return value, diff
+
+
+def _finite_sums(sums, what: str) -> np.ndarray:
+    """sums, or NonConvergent when one is not finite (a nan or inf field value)."""
+    if not np.all(np.isfinite(sums)):
+        raise NonConvergent(f"{what} sum is not finite")
+    return sums
 
 
 def _check_clear(distances, obstacle_radius: float) -> None:
@@ -261,11 +269,12 @@ def _line_rule(envelope: DecayEnvelope | None, distances, tail_tol: float) -> Ca
     evaluate call takes their 25 Gauss-Kronrod nodes and the two tails' on
     every line; each later call takes the nodes of the panels still open, at
     most _LINE_DEPTH more. A panel is accepted when its |K25 - G12| is at
-    most tail_tol / 4 times its share of the core length, and bisected
-    otherwise; panels still open after _LINE_DEPTH bisections are accepted
-    as they stand. A line's value is the sum of its tails' and accepted
-    panels' K25, and its estimate the sum of their |K25 - G12|, which raises
-    NonConvergent above tail_tol, plus the envelope bound of skipped tails.
+    most tail_tol / 4 times its share of the core length, or nan (which
+    bisection cannot mend), and bisected otherwise; panels still open after
+    _LINE_DEPTH bisections are accepted as they stand. A line's value is the
+    sum of its tails' and accepted panels' K25, and its estimate the sum of
+    their |K25 - G12|, which raises NonConvergent above tail_tol, plus the
+    envelope bound of skipped tails.
     """
     if envelope is None:
         raise TailNotBounded("no decay envelope declared for the tail bound")
@@ -294,7 +303,7 @@ def _line_rule(envelope: DecayEnvelope | None, distances, tail_tol: float) -> Ca
                               s_core[line, None] * (centre[:, None] + half[:, None] * x))
             sums = f @ w.T * (s_core[line] * half)[:, None]
             diff = np.abs(sums[:, 1])
-            done = diff <= 0.25 * tail_tol * half  # half is the panel's share of the core
+            done = ~(diff > 0.25 * tail_tol * half)  # half: the panel's share of the core
             if depth == _LINE_DEPTH:
                 done[:] = True
             value += np.bincount(line[done], sums[done, 0], k)
@@ -313,16 +322,16 @@ def _line_rule(envelope: DecayEnvelope | None, distances, tail_tol: float) -> Ca
 def _tangent_rule(distances) -> Callable:
     """A fixed 384-node Gauss-Legendre rule in s = c tan(t), c = max(|x0|, 1),
     for lines at the given distances |x0|, built once; rule(evaluate, x0s,
-    omegas) as for _line_rule, with no error estimate. A sinogram passes its
-    exact offsets."""
+    omegas) as for _line_rule, with no error estimate: a sum that is not
+    finite raises NonConvergent. A sinogram passes its exact offsets."""
     xg, wg = _gauss_legendre(_SINOGRAM_NODES)
     t_nodes = 0.5 * (xg + 1.0) * (np.pi - 2e-10) - (np.pi / 2 - 1e-10)
     t_weights = 0.5 * (np.pi - 2e-10) * wg
     c = np.maximum(distances, 1.0)
     s = c[:, None] * np.tan(t_nodes)[None, :]
     jac = c[:, None] / np.cos(t_nodes)[None, :] ** 2
-    return lambda evaluate, x0s, omegas: np.sum(
-        _on_lines(evaluate, x0s, omegas, s) * jac * t_weights[None, :], axis=1)
+    return lambda evaluate, x0s, omegas: _finite_sums(np.sum(
+        _on_lines(evaluate, x0s, omegas, s) * jac * t_weights[None, :], axis=1), "tangent rule")
 
 
 def line_integrals_scalar(potential, lines: Sequence[Line], tail_tol: float = TAIL_TOL,
@@ -767,9 +776,10 @@ class GaugeScalar:
     L vanishes at infinity. Each ray is a 200-node Gauss-Legendre leg from
     the point out to far_radius plus the line rule's 25-node Kronrod tail
     beyond it, mapped to infinity through the envelope's eps0 (_tail_nodes);
-    a tail whose Kronrod/Gauss difference exceeds tail_tol raises
-    NonConvergent. The rays are sampled through _on_lines with x0 = 0 and
-    omega = x^, in one field call per evaluate or on_polar_grid.
+    a tail whose Kronrod/Gauss difference exceeds tail_tol, or a leg whose
+    sum is not finite, raises NonConvergent. The rays are sampled through
+    _on_lines with x0 = 0 and omega = x^, in one field call per evaluate or
+    on_polar_grid.
 
     on_polar_grid shares the legs of a polar grid: per angle, one leg in to
     the largest radius, then a 24-node panel between consecutive radii,
@@ -798,7 +808,7 @@ class GaugeScalar:
         r = np.linalg.norm(p, axis=1)
         s, w = _legs(np.full(r.size, self.far_radius), r, _GAUGE_NODES)
         vals, tail = self._rays(p / r[:, None], s)
-        return np.sum(vals * w, axis=1) - tail
+        return _finite_sums(np.sum(vals * w, axis=1), "gauge-scalar leg") - tail
 
     def on_polar_grid(self, radii, thetas) -> np.ndarray:
         """L on the polar grid, shaped (radii, thetas): the radius-major order
@@ -815,7 +825,8 @@ class GaugeScalar:
         ray = np.sum(vals[:, :_GAUGE_NODES] * w_ray, axis=1)
         panels = np.sum((vals[:, _GAUGE_NODES:].reshape(thetas.size, -1, _GAUGE_PANEL_NODES)
                          * w_panels), axis=2)
-        inward = np.cumsum(np.column_stack([ray, panels]), axis=1) - tail[:, None]
+        legs = _finite_sums(np.column_stack([ray, panels]), "gauge-scalar leg")
+        inward = np.cumsum(legs, axis=1) - tail[:, None]
         out = np.empty((radii.size, thetas.size))
         out[order] = inward.T
         return out

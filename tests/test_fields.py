@@ -538,16 +538,32 @@ class TestGaugeAction:
         assert np.max(np.abs(gauged.vector_potential(pts) - cfg.vector_potential(pts))) > 1e-2
         assert np.max(np.abs(curl(gauged, pts) - curl(cfg, pts))) < 1e-6
 
-    def test_sphere_function_gauge_is_transversal(self):
+    def test_sphere_function_gauge_is_refused(self):
+        # a phase sampled on the nodes has no gradient off them, so it
+        # cannot add grad phi to a potential
         cfg = PotentialConfig(dimension=3, obstacle_radius=1.0,
                               transversal=catalog.cross_axis_transversal(c=0.4))
         phi = SphereFunction.from_callable(_space_phase, refinement=2)
-        gauged = apply_gauge_to_potential(cfg, GaugeElement(dimension=3, phi_sphere=phi))
-        rng = np.random.default_rng(8)
-        pts = _directions(rng, 10) * rng.uniform(1.5, 5.0, (10, 1))
-        diff = gauged.vector_potential(pts) - cfg.vector_potential(pts)
-        assert np.max(np.abs(diff)) > 1e-2
-        assert np.max(np.abs(np.sum(diff * pts, axis=1))) < 1e-8
+        with pytest.raises(ValueError, match="no gradient off its nodes"):
+            apply_gauge_to_potential(cfg, GaugeElement(dimension=3, phi_sphere=phi))
+
+    def test_gauge_slot_rules(self):
+        # a 3-space gauge carries one real phase and no circle profile; a
+        # plane gauge carries no sphere phase
+        phi = SphereFunction.from_callable(_space_phase, refinement=1)
+        circle = AngularFunction.harmonic(1, sin_amp=0.2)
+        for bad in ({"dimension": 3, "phi_sphere": phi, "phi_callable": _space_phase},
+                    {"dimension": 3, "phi": circle},
+                    {"dimension": 3, "phi": circle, "phi_callable": _space_phase},
+                    {"dimension": 2, "phi_sphere": phi},
+                    {"dimension": 2, "phi_callable": _space_phase},
+                    {"dimension": 2, "phi": circle, "phi_sphere": phi}):
+            with pytest.raises(ValueError):
+                GaugeElement(**bad)
+        for good in ({"dimension": 3}, {"dimension": 3, "phi_sphere": phi},
+                     {"dimension": 3, "phi_callable": _space_phase},
+                     {"dimension": 2, "m": 1, "phi": circle}):
+            GaugeElement(**good).inverse()  # the inverse keeps the slots
 
     def test_sphere_direction_gradient_is_transversal(self):
         psi = lambda w: w[..., 0] * w[..., 1] + 0.5 * w[..., 2] ** 2

@@ -272,8 +272,6 @@ _WIDENING_MODULES = ("scattering", "pipeline")
 WIDENING_ALLOWLIST = {
     "scattering.ChannelSpectrum.__post_init__": (1, "channel eigenvalues are unimodular"),
     "scattering.ab_kernel_channels": (1, "channel eigenvalues e^{+-i alpha pi}"),
-    "scattering.SphereScatteringKernel.__post_init__": (
-        1, "the prefactor vectors e^{i phi(w)}, e^{-i phi(-w')}; not the base"),
     "scattering._fit_plane_gauge": (2, "the fitted phase harmonics and their sums"),
 }
 

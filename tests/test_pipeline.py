@@ -411,6 +411,21 @@ class TestReconstruct:
         assert entries["flux_line_spread"].value < 1e-12
         assert abs(rep.provenance["flux_recovered"] - 0.3) < 1e-12
 
+    def test_transversal_reference_needs_no_field_call(self, monkeypatch):
+        # a plane transversal field is curl-free off the origin and its
+        # vector transform is closed-form: the reconstruct calls no field
+        calls = []
+        field_call = TransversalField.__call__
+        monkeypatch.setattr(TransversalField, "__call__",
+                            lambda self, x: calls.append(len(x)) or field_call(self, x))
+        cfg = _plane_config(0.3, {2: 0.02j})
+        rep = run_reconstruct(Scenario(kind="reconstruct", config1=cfg,
+                                       geometry=dict(SMALL_GEO)))
+        assert calls == []
+        entries = {e.name: e for e in rep.entries}
+        assert "field_reconstruction_rel_l2" not in entries
+        assert entries["field_reconstruction_max"].value < 1e-6
+
     def test_empty_configuration(self):
         sc = Scenario(kind="reconstruct", config1=_plane_config(),
                       geometry=dict(SMALL_GEO))
@@ -892,6 +907,20 @@ class TestCli:
                          "--kernel2", str(k1)]) == cli.EXIT_ERROR
         err = capsys.readouterr().err.splitlines()
         assert err == ["error: kernel header 'n_grid' must be a number, got None"]
+
+    def test_kernel_header_of_another_dimension_exit_one(self, tmp_path, capsys):
+        # a plane kernel file holds dimension 2; any other value is refused
+        k1 = tmp_path / "k1"
+        assert cli.main(["kernel", "build", "--alpha", "0.3", "--grid", "16",
+                         "--out", str(k1)]) == 0
+        header = json.loads((tmp_path / "k1.json").read_text())
+        assert header["dimension"] == 2
+        (tmp_path / "k1.json").write_text(json.dumps({**header, "dimension": 3}))
+        capsys.readouterr()
+        assert cli.main(["kernel", "compare", "--kernel1", str(k1),
+                         "--kernel2", str(k1)]) == cli.EXIT_ERROR
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["error: kernel header 'dimension' must be 2, got 3"]
 
     @pytest.mark.parametrize("section", ["scalar", "short_range"])
     def test_config_kind_that_is_not_a_name_exit_one(self, tmp_path, capsys, section):

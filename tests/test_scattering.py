@@ -22,7 +22,7 @@ from oracles import (
 
 from gaugekit import pipeline, scattering
 
-from gaugekit.angular import AngularFunction, row_blocks, sphere_grid
+from gaugekit.angular import AngularFunction, SphereFunction, row_blocks, sphere_grid
 from gaugekit.errors import (
     DimensionMismatch,
     GridMismatch,
@@ -237,6 +237,24 @@ class TestOffsetTables:
         rows = np.arange(M)
         for p in range(-M, M):
             assert np.max(np.abs(S.band(p) - grid[rows, (rows - p) % M])) < 1e-15
+
+    @pytest.mark.parametrize("complex_remainder", [False, True])
+    @pytest.mark.parametrize("M", [64, 256, 1024])
+    def test_band_is_the_value_grid_bit_for_bit(self, M, complex_remainder):
+        # a gauged kernel: unit prefactors that are not 1, and a remainder
+        # whose products round differently in another operand order
+        rng = np.random.default_rng(M)
+        R = 0.01 * rng.standard_normal((M, M))
+        if complex_remainder:
+            R = R + 0.01j * rng.standard_normal((M, M))
+        S = apply_gauge_to_kernel(
+            assemble_kernel(0.35, a0_out=_phi_sin(0.2), a0_in=_phi_cos(0.15, 2), smooth=R,
+                            n_grid=M),
+            GaugeElement(dimension=2, m=1, phi=_phi_cos(0.3, 3)))
+        grid = S.value_grid()
+        rows = np.arange(M)
+        for p in (-8, 8, 9, 48):
+            assert S.band(p).tobytes() == grid[rows, (rows - p) % M].tobytes()
 
     @pytest.mark.parametrize("read", ["value_grid", "band"])
     def test_singular_part_evaluated_once_per_offset(self, monkeypatch, read):
@@ -567,6 +585,8 @@ class TestGaugeActionOnKernels:
                              phi_callable=lambda V: 0.3 * np.atleast_2d(V)[:, 2] ** 2)
             T = apply_gauge_to_kernel(K, g)
             phi = 0.3 * grid.vertices[:, 2] ** 2
+            np.testing.assert_array_equal(T.phase_out, phi)
+            np.testing.assert_array_equal(T.phase_in, -phi[grid.antipode])
             want = (np.exp(1j * phi)[:, None] * K.values
                     * np.exp(-1j * phi[grid.antipode])[None, :])
             assert np.array_equal(T.values, want)
@@ -583,6 +603,27 @@ class TestGaugeActionOnKernels:
         oneshot = apply_gauge_to_kernel(K, product)
         assert np.max(np.abs(seq.values - oneshot.values)) < 1e-12
         assert np.shares_memory(seq.base, K.base)
+
+    def test_sampled_phases_compose_by_their_sum(self):
+        # the action adds phases: two gauges given on the nodes equal one
+        # gauge by the summed phase
+        grid = sphere_grid(refinement=2)
+        K = synthesize_sphere_kernel(grid)
+        f1 = SphereFunction.from_callable(_even_phase(), refinement=2)
+        f2 = SphereFunction.from_callable(_even_phase(-0.3, 0.1, 0.35), refinement=2)
+        seq = apply_gauge_to_kernel(apply_gauge_to_kernel(
+            K, GaugeElement(dimension=3, phi_sphere=f1)), GaugeElement(dimension=3, phi_sphere=f2))
+        total = SphereFunction(grid=grid, values=f1.values + f2.values)
+        oneshot = apply_gauge_to_kernel(K, GaugeElement(dimension=3, phi_sphere=total))
+        np.testing.assert_array_equal(seq.phase_out, oneshot.phase_out)
+        np.testing.assert_array_equal(seq.phase_in, oneshot.phase_in)
+        assert np.max(np.abs(seq.values - oneshot.values)) < 1e-12
+
+    def test_sampled_phase_needs_the_kernel_refinement(self):
+        K = synthesize_sphere_kernel(sphere_grid(refinement=2))
+        phi = SphereFunction.from_callable(_even_phase(), refinement=1)
+        with pytest.raises(GridMismatch):
+            apply_gauge_to_kernel(K, GaugeElement(dimension=3, phi_sphere=phi))
 
     def test_sphere_inverse_round_trip(self):
         grid = sphere_grid(refinement=2)
@@ -603,14 +644,27 @@ class TestGaugeActionOnKernels:
         assert K.max_abs() == np.max(np.abs(V))
         assert np.array_equal(K.rows(slice(5, 9)), V[5:9])
 
-    def test_sphere_prefactors_come_in_pairs(self):
+    def test_sphere_phases_come_in_pairs(self):
+        # both phases or neither, one finite real value per node
         grid = sphere_grid(refinement=1)
         base = synthesize_sphere_kernel(grid).base
-        with pytest.raises(ValueError):
-            SphereScatteringKernel(grid=grid, base=base, prefactor_out=np.ones(grid.size))
-        with pytest.raises(ValueError):
-            SphereScatteringKernel(grid=grid, base=base, prefactor_out=np.ones(3),
-                                   prefactor_in=np.ones(3))
+        zero = np.zeros(grid.size)
+        for bad in ({"phase_out": zero}, {"phase_in": zero},
+                    {"phase_out": np.zeros(3), "phase_in": np.zeros(3)},
+                    {"phase_out": zero, "phase_in": np.r_[np.nan, zero[1:]]},
+                    {"phase_out": np.r_[zero[1:], np.inf], "phase_in": zero}):
+            with pytest.raises(ValueError):
+                SphereScatteringKernel(grid=grid, base=base, **bad)
+        given = np.linspace(-1.0, 1.0, grid.size)
+        K = SphereScatteringKernel(grid=grid, base=base, phase_out=given, phase_in=-given)
+        assert K.phase_out.dtype == float and not K.phase_out.flags.writeable
+        assert not np.shares_memory(K.phase_out, given)
+        out, inc = K._prefactors
+        np.testing.assert_array_equal(out, np.exp(1j * given))
+        np.testing.assert_array_equal(inc, np.exp(-1j * given))
+        ungauged = SphereScatteringKernel(grid=grid, base=base)
+        assert all(p.dtype == float and np.all(p == 1.0) for p in ungauged._prefactors)
+        assert np.shares_memory(ungauged.rows(slice(0, 4)), base)
 
 
 class TestKernelDistance:
@@ -1166,40 +1220,68 @@ class TestCertifiedVerify:
         assert res.witness["kind"] == "verification"
         assert res.provenance["verified_by"] == "distance"
 
-    def test_scaled_prefactors_on_one_base_are_not_equivalent(self):
-        # prefactors of modulus 2 scale the values by 4 with no phase to
-        # fit: the bound's identity fails, and the exact distance answers
+    def test_scaled_base_is_not_equivalent(self):
+        # a base scaled by 4 has no phase to fit: the kernels hold two
+        # bases, and the exact distance answers
         grid = sphere_grid(refinement=2)
         K1 = synthesize_sphere_kernel(grid)
-        two = 2 * np.ones(grid.size)
-        K2 = SphereScatteringKernel(grid=grid, base=K1.base, prefactor_out=two,
-                                    prefactor_in=two)
-        assert K2.base is K1.base
+        K2 = SphereScatteringKernel(grid=grid, base=4 * K1.base)
         res = gauge_equivalence_solver(K1, K2)
         assert res.verdict == "not_equivalent"
         assert res.witness["kind"] == "verification"
         assert res.provenance["verified_by"] == "distance"
         assert res.provenance["verify_distance"] > 2 * K1.max_abs()
 
-    def test_scaled_kernel_1_does_not_stand_for_its_base(self):
-        # kernel 1's scan reads half its base's largest |value|, so it
-        # cannot scale the sphere bound
-        grid = sphere_grid(refinement=2)
-        half = np.full(grid.size, np.sqrt(0.5), dtype=complex)
-        K1 = SphereScatteringKernel(grid=grid, base=synthesize_sphere_kernel(grid).base,
-                                    prefactor_out=half, prefactor_in=half)
-        K2 = apply_gauge_to_kernel(K1, GaugeElement(dimension=3, phi_callable=_even_phase()))
-        res = gauge_equivalence_solver(K1, K2)
-        assert res.verdict == "equivalent" and res.provenance["verified_by"] == "distance"
+    def test_nan_prefactor_table_takes_the_exact_distance(self):
+        # a nan phase makes a prefactor table nan: the bound is not finite,
+        # and the exact distance answers
+        S1 = _pipeline_kernel(64, "diagonal_gaussian")
+        S2 = S1._rephased(S1.alpha, S1.winding, S1.phase_out + AngularFunction.constant(np.nan),
+                          S1.phase_in)
+        assert np.all(np.isnan(S2._grid_tables[0]))
+        assert np.isnan(scattering._shared_grid_bound(S1, S2, None))
+        prov = {}
+        with np.errstate(invalid="ignore"):
+            res = scattering._verify(S1, S2, GaugeElement(dimension=2), prov, 1e-6, dict)
+        assert res.verdict == "not_equivalent" and res.witness["kind"] == "verification"
+        assert prov["verified_by"] == "distance" and np.isnan(prov["verify_distance"])
 
-    @pytest.mark.parametrize("scale", [2.0, 1 + 1e-9, 0.5, np.nan])
-    def test_mismatch_is_unbounded_off_the_unit_circle(self, scale):
-        p = np.exp(1j * np.linspace(0, 1, 16))
-        q = p.copy()
-        q[5] *= scale
-        assert scattering._prefactor_mismatch(p, p, p, p) < 1e-14
-        assert scattering._prefactor_mismatch(p, q, p, p) == np.inf
-        assert scattering._prefactor_mismatch(p, p, q, p) == np.inf
+    @pytest.mark.parametrize("kind", ["plane", "sphere"])
+    def test_bound_holds_for_composed_random_gauges(self, kind):
+        # kernel 1 under one gauge against kernel 1 under two composed
+        # gauges whose phases sum to it, up to a constant and an error eta
+        # from 0 to 1e-3: the certificate bound is never below the distance,
+        # and within 100 times it (plus rounding)
+        rng = np.random.default_rng(25)
+        if kind == "plane":
+            S = _pipeline_kernel(64, "diagonal_gaussian")
+        else:
+            grid = sphere_grid(refinement=2)
+            S = apply_gauge_to_kernel(synthesize_sphere_kernel(grid), GaugeElement(
+                dimension=3, phi_callable=_even_phase(0.1, 0.3, -0.2)))
+        for eta in np.r_[0.0, np.geomspace(1e-15, 1e-3, 49)]:
+            if kind == "plane":
+                phases = [_phi_cos(rng.uniform(-0.5, 0.5), k) + _phi_sin(rng.uniform(-0.5, 0.5), k)
+                          for k in rng.integers(1, 6, 2)]
+                m1, m2 = rng.integers(-3, 4, 2)
+                g1 = GaugeElement(dimension=2, m=m1, phi=phases[0])
+                g2 = GaugeElement(dimension=2, m=m2, phi=phases[1])
+                g = GaugeElement(dimension=2, m=m1 + m2,
+                                 phi=phases[0] + phases[1] + _phi_cos(eta, 2))
+            else:
+                a = rng.uniform(-0.5, 0.5, (2, 3))
+                const, wobble = rng.uniform(-3, 3), rng.integers(grid.size)
+                g1 = GaugeElement(dimension=3, phi_callable=_even_phase(*a[0]))
+                g2 = GaugeElement(dimension=3, phi_callable=_even_phase(*a[1]))
+                g = GaugeElement(dimension=3, phi_callable=lambda V: (
+                    _even_phase(*a[0])(V) + _even_phase(*a[1])(V) + const
+                    + eta * (np.arange(len(V)) == wobble)))
+            S2 = apply_gauge_to_kernel(apply_gauge_to_kernel(S, g1), g2)
+            Sg = apply_gauge_to_kernel(S, g)
+            bound = scattering._shared_grid_bound(
+                Sg, S2, None if kind == "plane" else S.max_abs())
+            dist = kernel_distance(Sg, S2)
+            assert dist <= bound < 100 * dist + 1e-12
 
 
 class TestSerialization:

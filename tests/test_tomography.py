@@ -772,6 +772,59 @@ class TestRecoverField2d:
         assert rec.max_abs() < 1e-3 * scale
 
 
+class TestNonFiniteFields:
+    """A nan or inf field value ends every line and ray integral with
+    NonConvergent: no rule returns a nan value."""
+
+    @staticmethod
+    def _gaussian(bad, where, calls):
+        def f(p):
+            calls.append(len(p))
+            return np.where(where(p), bad, np.exp(-np.sum(p**2, axis=1)))
+        return f
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_line(self, bad):
+        calls = []
+        V = ScalarPotential(dimension=2, func=self._gaussian(bad, lambda p: p[:, 1] > 5, calls),
+                            envelope=DecayEnvelope(C=1.0, eps0=1.0))
+        with np.errstate(invalid="ignore"), pytest.raises(
+                NonConvergent, match="Kronrod/Gauss difference nan"):
+            line_integrals_scalar(V, [Line.from_impact_angle(1.5, 0.0),
+                                      Line.from_impact_angle(2.0, 1.0)])
+        # the nan panels are accepted, not bisected down to the depth cap
+        assert len(calls) <= 2 and sum(calls) < 2 * 650
+
+    @pytest.mark.parametrize("where", ["leg", "tail"])
+    def test_gauge_scalar_ray(self, where):
+        # F = x e^{-|x|^2 / 8} = grad(-4 e^{-|x|^2 / 8}), nan on a shell of
+        # radii inside the far radius 16 (the legs) or beyond it (the tails)
+        lo, hi = {"leg": (3.0, 3.5), "tail": (30.0, 40.0)}[where]
+
+        def F(p):
+            r = np.linalg.norm(p, axis=1)
+            return np.where(((lo < r) & (r < hi))[:, None], np.nan,
+                            p * np.exp(-r**2 / 8)[:, None])
+
+        gs = tomography.GaugeScalar(
+            field=ShortRangeField(dimension=2, func=F, envelope=DecayEnvelope(C=2.0, eps0=1.0)),
+            far_radius=16.0, tail_tol=1e-9)
+        match = {"leg": "gauge-scalar leg sum is not finite",
+                 "tail": "gauge-scalar tail Kronrod/Gauss difference nan"}[where]
+        with pytest.raises(NonConvergent, match=match):
+            gs.evaluate(np.array([[2.0, 0.5], [-2.5, 1.0]]))
+        with pytest.raises(NonConvergent, match=match):
+            gs.on_polar_grid([2.5, 4.0], [0.0, 1.0, 2.0])
+
+    def test_scalar_sinogram(self):
+        V = ScalarPotential(dimension=2, func=self._gaussian(np.nan, lambda p: p[:, 1] > 5, []),
+                            envelope=DecayEnvelope(C=1.0, eps0=1.0))
+        cfg = PotentialConfig(dimension=2, obstacle_radius=1.0, scalar=V)
+        angles, offsets = parallel_geometry(4, 8, 1.5, 3.0)
+        with pytest.raises(NonConvergent, match="tangent rule sum is not finite"):
+            forward_sinogram(cfg, angles, offsets, kind="scalar")
+
+
 class TestFindGaugeScalar:
     def test_recovers_inverse_bracket(self):
         # field = grad <x>^-1, potential <x>^-1
