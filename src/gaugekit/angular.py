@@ -1,8 +1,10 @@
 """Trigonometric profiles on the circle and sampled functions on the sphere.
 
-Real 2*pi-periodic profiles are stored as finite Fourier series; functions on
-S^2 are sampled on a subdivided-icosahedron grid whose nodes come in exact
-antipodal pairs, so f(omega) - f(-omega) at a node reads two samples.
+Real 2*pi-periodic profiles are stored as finite Fourier series, read on a
+uniform angle grid by one inverse FFT of the coefficients folded onto the
+grid (on_grid), with a certified sup (max_abs). Functions on S^2 are
+sampled on a subdivided-icosahedron grid whose nodes come in exact antipodal
+pairs, so f(omega) - f(-omega) at a node reads two samples.
 """
 from __future__ import annotations
 
@@ -57,11 +59,15 @@ class AngularFunction:
         c = np.asarray(self.coefficients, dtype=complex)
         if c.ndim != 1 or c.size % 2 != 1:
             raise ValueError("coefficient array must have odd length (k = -N..N)")
+        if not np.all(np.isfinite(c)):
+            raise ValueError("coefficients must be finite")
         mirrored = np.conj(c[::-1])
         scale = max(1.0, float(np.max(np.abs(c))))
         if np.max(np.abs(c - mirrored)) > _REALNESS_TOL * scale:
             raise ValueError("coefficients do not describe a real function")
-        c = 0.5 * (c + mirrored)  # enforce c_{-k} = conj(c_k) exactly
+        # enforce c_{-k} = conj(c_k) exactly; halving first keeps the sum of
+        # two finite coefficients finite (the same bits as halving the sum)
+        c = 0.5 * c + 0.5 * mirrored
         c.flags.writeable = False
         object.__setattr__(self, "coefficients", c)
 
@@ -127,16 +133,32 @@ class AngularFunction:
         return float(self.coefficients[self.degree].real)
 
     def __call__(self, theta):
+        """Values at arbitrary angles, one e^{ik theta} per angle and
+        coefficient; on a uniform grid use on_grid."""
         th = np.asarray(theta, dtype=float)
         n = self.degree
         ks = np.arange(-n, n + 1)
         vals = (np.exp(1j * np.outer(th, ks)) @ self.coefficients).real
         return float(vals[0]) if th.ndim == 0 else vals.reshape(th.shape)
 
+    def on_grid(self, M: int, shift: float = 0.0) -> np.ndarray:
+        """Values f(2 pi j / M + shift), j = 0..M-1, by one inverse FFT: c_k
+        e^{ik shift} is folded onto bin k mod M, which aliases as the samples
+        do, so any M >= 1 is exact (up to rounding)."""
+        n = self.degree
+        ks = np.arange(-n, n + 1)
+        folded = np.zeros(M, dtype=complex)
+        np.add.at(folded, ks % M, self.coefficients * np.exp(1j * ks * shift))
+        return (np.fft.ifft(folded) * M).real
+
     def max_abs(self) -> float:
-        """Largest |value| over 4096 equally spaced angles."""
-        theta = np.arange(4096) * 2 * np.pi / 4096
-        return float(np.max(np.abs(self(theta))))
+        """Certified upper bound on sup |f|: sec(pi N / K) max_j |f(theta_j)|
+        over K = max(4096, 64 N) equally spaced angles. Since K > 2N, the
+        Ehlich-Zeller bound gives sup |f| <= that (up to the rounding of the
+        samples); the factor is 1.0012 at N = 64 and exactly 1 at N = 0."""
+        n = self.degree
+        K = max(4096, 64 * n)
+        return float(np.max(np.abs(self.on_grid(K))) / np.cos(np.pi * n / K))
 
     # ---------------- calculus ----------------
 

@@ -12,10 +12,12 @@ k = (i - j) mod M: the singular part, the angle gap and the diagonal-band mask
 are length-M tables in k, and kernel values read the singular table through
 a read-only circulant view, over a block of rows (rows) or on one band
 theta' = theta - 2 pi p / M (band). Each kernel builds its tables once, on
-the first read: the two prefactors on the M grid angles and the singular
-part per offset. A block's values are (singular + R) * prefactor in that
-operand order: complex multiplication is not bitwise commutative, and this
-order keeps rows and value_grid equal bit for bit at every M.
+the first read: the two prefactors on the M grid angles, whose phase
+profiles are read by AngularFunction.on_grid (one inverse FFT each, the in
+profile shifted by pi), and the singular part per offset. A block's values
+are (singular + R) * prefactor in that operand order: complex
+multiplication is not bitwise commutative, and this order keeps rows and
+value_grid equal bit for bit at every M.
 
 The remainder bound |R| <= C dist^{-delta} is certified once per grid: one
 scan of the per-offset peaks of |R| (_offdiagonal_peaks: over the row
@@ -280,11 +282,13 @@ class ScatteringKernel:
 
     @cached_property
     def _grid_tables(self) -> tuple:
-        """prefactor_out and prefactor_in on the stored angles, and the
-        singular part at each offset k (u = 2 pi k / M, 0 at k = 0): M values
-        each, read-only, built on the first read of the grid."""
-        M = self.n_grid
-        tables = (self.prefactor_out(self.thetas), self.prefactor_in(self.thetas),
+        """prefactor_out and prefactor_in on the stored angles, their phase
+        profiles read by AngularFunction.on_grid, and the singular part at
+        each offset k (u = 2 pi k / M, 0 at k = 0): M values each, read-only,
+        built on the first read of the grid."""
+        M, w, th = self.n_grid, self.winding, self.thetas
+        tables = (np.exp(1j * (w * th + self.phase_out.on_grid(M))),
+                  np.exp(-1j * (w * (th + np.pi) + self.phase_in.on_grid(M, np.pi))),
                   np.r_[0, singular_offdiagonal(self.alpha, 2 * np.pi * np.arange(1, M) / M)])
         for t in tables:
             t.flags.writeable = False

@@ -847,10 +847,10 @@ def find_gauge_scalar(field, r_in: float, r_out: float,
         raise TailNotBounded("need an envelope to integrate the outward rays to infinity")
     probes = annulus_points(np.random.default_rng(seed), r_in, r_out, 100)
     curls = curl(field, probes, step_rel=1e-4)
-    if np.max(np.abs(curls)) > curl_tol:
+    if not np.all(np.abs(curls) <= curl_tol):  # a nan curl fails too
         raise NotCurlFree(f"max |curl| {np.max(np.abs(curls)):.3e} exceeds {curl_tol:.1e}")
     loop = 2 * np.pi * flux(field, 0.5 * (r_in + r_out))
-    if abs(loop) > loop_tol:
+    if not abs(loop) <= loop_tol:
         raise ResidualFlux(f"loop integral {loop:.3e} exceeds {loop_tol:.1e}")
     envelope.truncation_radius(tail_tol)  # TailNotBounded for a decay too slow to map
     return GaugeScalar(field=field, far_radius=8.0 * r_out, tail_tol=tail_tol)

@@ -8,7 +8,8 @@ cell, the distance of two plane kernels from their full value grids, its
 remainder interpolated through the full 2-D transform, central
 differences taken one axis at a time, sinograms rebuilt line table by line
 table for every angle, the line rule's former fixed 24-panel table, and the
-catalog fields as broadcast formulas over the coordinate axis, kept only to
+catalog fields as broadcast formulas over the coordinate axis, a profile's
+values on a fine uniform grid by an inverse real FFT, kept only to
 check the library against an independent method; plus a field wrapper that
 counts evaluation points and a counter of remainder-grid scans.
 """
@@ -112,6 +113,17 @@ def dense_sphere_phase_fit(S1, S2):
     A[-1, :] = 1.0
     even = np.linalg.lstsq(A, np.asarray(rhs + [0.0]), rcond=None)[0]
     return even + odd
+
+
+def fine_profile_samples(f, n: int, shift: float = 0.0) -> np.ndarray:
+    """f(2 pi j / n + shift), j = 0..n-1, for n > 2 f.degree, from an inverse
+    real FFT of the nonnegative-frequency coefficients zero-padded to n / 2 + 1
+    (f = c_0 + 2 Re sum_{k > 0} c_k e^{ik theta}), not AngularFunction.on_grid's
+    folded complex transform."""
+    N = f.degree
+    half = np.zeros(n // 2 + 1, dtype=complex)
+    half[:N + 1] = f.coefficients[N:] * np.exp(1j * np.arange(N + 1) * shift)
+    return np.fft.irfft(half, n) * n
 
 
 def direct_value_grid(S):

@@ -4,6 +4,7 @@ import pytest
 
 from gaugekit.angular import AngularFunction, SphereFunction, sphere_grid
 from gaugekit.errors import NonzeroMean
+from oracles import fine_profile_samples
 
 
 class TestAngularFunction:
@@ -47,6 +48,85 @@ class TestAngularFunction:
         f = AngularFunction.from_coefficients({0: 0.3, 2: 0.1 - 0.2j})
         g = AngularFunction.from_triples(f.to_triples())
         assert f.distance(g) == 0.0
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_coefficients_refused(self, bad):
+        # a nan passes the realness comparison (nan > tol is False), and
+        # inf - inf is nan: finiteness is checked first
+        with pytest.raises(ValueError, match="finite"):
+            AngularFunction(np.array([bad, 1.0, bad], dtype=complex))
+        with pytest.raises(ValueError, match="finite"):
+            AngularFunction(np.array([0.5, bad, 0.5], dtype=complex))
+        with pytest.raises(ValueError, match="finite"):
+            AngularFunction.from_triples([[0, bad, 0.0]])
+        with pytest.raises(ValueError, match="finite"):
+            AngularFunction.from_triples([[0, 0.1, 0.0], [2, 0.5, bad]])
+
+    def test_largest_coefficients_stay_finite(self):
+        # symmetrizing 1.5e308 with itself must not overflow to inf
+        f = AngularFunction.from_coefficients({0: 1.5e308, 1: 1e308 - 1e308j})
+        assert np.all(np.isfinite(f.coefficients))
+        assert f.coefficients[1] == 1.5e308 and f.coefficients[2] == 1e308 - 1e308j
+
+
+def _random_profile(rng, n: int) -> AngularFunction:
+    half = rng.normal(size=n) + 1j * rng.normal(size=n)
+    return AngularFunction(np.concatenate([np.conj(half[::-1]), [rng.normal()], half]))
+
+
+class TestOnGrid:
+    @pytest.mark.parametrize("half_turns", [0, 1])
+    @pytest.mark.parametrize("size", ["N", "2N+1", "2N+2", "256", "1024", "4096"])
+    def test_matches_the_dense_sum(self, size, half_turns):
+        # M = N aliases every frequency but 0 onto another; the folded
+        # coefficients alias as the samples do. The dense sum reads
+        # e^{ik(2 pi j / M + shift)} as e^{2 pi i (kj mod M) / M} (-1)^{k half_turns}
+        # with its phases reduced exactly: f(theta) rounds k theta itself,
+        # up to 1.3e-14 sum |c_k| off at degree 64 on these grids
+        rng = np.random.default_rng(26)
+        for n in range(65):
+            f = _random_profile(rng, n)
+            M = {"N": max(n, 1), "2N+1": 2 * n + 1, "2N+2": 2 * n + 2}.get(size) or int(size)
+            ks = np.arange(-n, n + 1)
+            turns = np.outer(np.arange(M), ks) % M
+            signs = (-1.0) ** (ks * half_turns)
+            dense = (np.exp(2j * np.pi * turns / M) @ (f.coefficients * signs)).real
+            scale = np.sum(np.abs(f.coefficients))
+            got = f.on_grid(M, half_turns * np.pi)
+            assert np.max(np.abs(got - dense)) <= 1e-14 * scale, (n, M)
+
+
+class TestCertifiedMaxAbs:
+    @staticmethod
+    def _peaked(kind, n, theta0, rng):
+        """Degree-n profiles whose peak sits at theta0."""
+        if kind == "cos":  # the extremal case of the bound: cos n(theta - theta0)
+            return AngularFunction.from_coefficients({n: 0.5 * np.exp(-1j * n * theta0)})
+        if kind == "dirichlet":  # sum_k e^{ik(theta - theta0)}
+            return AngularFunction.from_coefficients(
+                {k: np.exp(-1j * k * theta0) for k in range(-n, n + 1)})
+        f = _random_profile(rng, n)  # random, rotated so that its peak lands on theta0
+        samples = fine_profile_samples(f, 1 << 16)
+        peak = 2 * np.pi * np.argmax(np.abs(samples)) / samples.size
+        ks = np.arange(-n, n + 1)
+        return AngularFunction(f.coefficients * np.exp(-1j * ks * (theta0 - peak)))
+
+    @pytest.mark.parametrize("kind", ["cos", "dirichlet", "random"])
+    @pytest.mark.parametrize("n", [1, 2, 5, 16, 64, 100])
+    def test_bounds_the_sup_with_the_peak_between_nodes(self, n, kind):
+        K = max(4096, 64 * n)
+        theta0 = np.pi / K  # halfway between the nodes 0 and 2 pi / K
+        f = self._peaked(kind, n, theta0, np.random.default_rng(n))
+        true_sup = np.max(np.abs(fine_profile_samples(f, 1 << 22, shift=theta0)))
+        sampled = np.max(np.abs(f(np.arange(K) * 2 * np.pi / K)))
+        slack = 1e-14 * np.sum(np.abs(f.coefficients))
+        bound = f.max_abs()
+        assert sampled < true_sup  # the sampled maximum alone is not a sup
+        assert true_sup <= bound + slack
+        assert bound <= (sampled + slack) / np.cos(np.pi * n / K)
+
+    def test_constant_is_exact(self):
+        assert AngularFunction.constant(-0.7).max_abs() == 0.7
 
 
 class TestZeroMeanAntiderivative:

@@ -228,7 +228,9 @@ class TestOffsetTables:
         got, want = S.value_grid(), direct_value_grid(S)
         off = ~np.eye(M, dtype=bool)
         assert np.max(np.abs(got - want)[off] / np.abs(want)[off]) < 1e-12
-        np.testing.assert_array_equal(np.diagonal(got), np.diagonal(want))
+        # the grid tables read the phases by one inverse FFT, the oracle by
+        # the dense sum: the same values up to rounding
+        np.testing.assert_allclose(np.diagonal(got), np.diagonal(want), rtol=1e-14, atol=0)
 
     def test_band_matches_value_grid(self):
         M = 64
@@ -325,8 +327,22 @@ class TestOffsetTables:
         tables = S._grid_tables
         assert S._grid_tables is tables
         for t, want in zip(tables, (S.prefactor_out(S.thetas), S.prefactor_in(S.thetas))):
-            np.testing.assert_array_equal(t, want)
+            np.testing.assert_allclose(t, want, rtol=1e-14, atol=0)
         assert not any(t.flags.writeable for t in tables)
+
+    def test_grid_reads_never_evaluate_a_profile_pointwise(self, monkeypatch):
+        # the grid tables and the certified sup read the phase profiles by
+        # on_grid only; the dense AngularFunction.__call__ is for angles off
+        # a grid
+        S = _structured_kernel(256)
+
+        def dense(self, theta):
+            raise AssertionError("AngularFunction.__call__ on a uniform grid")
+
+        monkeypatch.setattr(AngularFunction, "__call__", dense)
+        out, inc, _ = S._grid_tables
+        assert out.shape == inc.shape == (256,)
+        assert S.phase_out.max_abs() > 0 and S.phase_in.max_abs() > 0
 
     def test_thetas_derived_from_the_remainder(self):
         assert "thetas" not in {f.name for f in dataclasses.fields(ScatteringKernel)}
@@ -1233,12 +1249,15 @@ class TestCertifiedVerify:
         assert res.provenance["verify_distance"] > 2 * K1.max_abs()
 
     def test_nan_prefactor_table_takes_the_exact_distance(self):
-        # a nan phase makes a prefactor table nan: the bound is not finite,
-        # and the exact distance answers
+        # a finite phase whose grid values overflow, 0.8e308 + 1e308 cos 64
+        # theta = 1.8e308 on every one of the 64 grid angles, makes a
+        # prefactor table nan: the bound is not finite, and the exact
+        # distance answers
         S1 = _pipeline_kernel(64, "diagonal_gaussian")
-        S2 = S1._rephased(S1.alpha, S1.winding, S1.phase_out + AngularFunction.constant(np.nan),
-                          S1.phase_in)
-        assert np.all(np.isnan(S2._grid_tables[0]))
+        huge = AngularFunction.from_coefficients({0: 0.8e308, 64: 0.5e308})
+        S2 = S1._rephased(S1.alpha, S1.winding, S1.phase_out + huge, S1.phase_in)
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert np.all(np.isnan(S2._grid_tables[0]))
         assert np.isnan(scattering._shared_grid_bound(S1, S2, None))
         prov = {}
         with np.errstate(invalid="ignore"):

@@ -891,6 +891,23 @@ class TestFindGaugeScalar:
         with pytest.raises(NotCurlFree):
             find_gauge_scalar(fld, r_in=1.2, r_out=4.0)
 
+    @pytest.mark.parametrize("shell, error", [((2.0, 2.5), NotCurlFree),
+                                              ((2.25 - 1e-6, 2.25 + 1e-6), ResidualFlux)])
+    def test_nan_on_the_probe_annulus_raises(self, shell, error):
+        # F = x e^{-|x|^2 / 8} = grad(-4 e^{-|x|^2 / 8}), nan on a shell of the
+        # probe annulus 1.5-3 (a nan curl) or only on the loop's circle, radius
+        # 2.25 (a nan loop): a nan fails its check, it does not pass it
+        lo, hi = shell
+
+        def F(p):
+            r = np.linalg.norm(p, axis=1)
+            return np.where(((lo < r) & (r < hi))[:, None], np.nan,
+                            p * np.exp(-r**2 / 8)[:, None])
+
+        fld = ShortRangeField(dimension=2, func=F, envelope=DecayEnvelope(C=2.0, eps0=1.0))
+        with np.errstate(invalid="ignore"), pytest.raises(error, match="nan"):
+            find_gauge_scalar(fld, r_in=1.5, r_out=3.0)
+
     def test_batch_evaluate_matches_points(self):
         fld = catalog.build_vector("grad_bumps", {"bumps": [[0.5, 2.0, 0.7, 0.8]]})
         gs = find_gauge_scalar(fld, r_in=1.2, r_out=4.0)
