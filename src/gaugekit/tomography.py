@@ -8,22 +8,21 @@ integrated numerically.
 
 Two vectorised rules integrate along k lines at once. The line rule
 (_line_rule: short-range scalars and vector remainders, so every vector
-sinogram) applies the 25-node Gauss-Kronrod rule K25 on core panels
-|s| <= s_core graded away from closest approach, and on tails mapped to
-infinity through s = v^(-1/eps0) from the declared envelope (_tail_nodes;
-the gauge scalar's outward rays use the same map and rule beyond their far
-radius). K25 extends the 12-node Gauss rule G12 (_gauss_kronrod), so one
-set of field values gives both sums. The core is refined by error: a panel
-whose |K25 - G12| misses its length share of tail_tol / 4 is bisected, one
-field call per level over the panels still open on all lines. A line's
-value sums the K25 of its tails and accepted panels; its estimate sums their
-|K25 - G12|, which raises NonConvergent above tail_tol (_kronrod_checked, for
-lines and rays alike), plus the envelope bound of tails skipped below
-tail_tol. Every line, ray and tail is sampled by _on_lines. The
-tangent rule (_tangent_rule: scalar sinograms, the 3-space homogeneous part)
-is a fixed rule in s = c tan(t), without an estimate; it does not cover slow
-power decay. A nan or inf field value ends every rule with NonConvergent:
-a nan estimate fails the check, and sums without one must be finite.
+sinogram) applies the 25-node Gauss-Kronrod rule K25, whose 12 Gauss nodes
+give G12 from the same field values (_gauss_kronrod), on core panels
+|s| <= s_core graded away from closest approach and on tails mapped to
+infinity through s = v^(-1/eps0) from the declared envelope (_tail_nodes).
+A panel whose |K25 - G12| misses its length share of tail_tol / 4 is
+bisected, one field call per level over the panels still open on all lines
+(_refined_panels); the gauge scalar's outward rays use the same panels and
+tails. A line's or ray's estimate sums the |K25 - G12| of its tails and
+accepted panels, and raises NonConvergent above tail_tol (_kronrod_checked);
+a line's adds the envelope bound of tails skipped below tail_tol. Every line,
+ray and tail is sampled by _on_lines. The tangent rule (_tangent_rule: scalar
+sinograms, the 3-space homogeneous part) is a fixed rule in s = c tan(t),
+without an estimate; it does not cover slow power decay. A nan or inf field
+value ends every rule with NonConvergent: a nan estimate fails the check,
+and sums without one must be finite.
 Both rules build their node tables from the line distances alone, so a
 parallel-beam sinogram, whose angles share the distances |offsets|, builds
 them once, with the flux decomposition and the obstacle check, and applies
@@ -78,8 +77,7 @@ _CORE_WIDTHS = np.concatenate([_CORE_HALF[::-1], _CORE_HALF]) / _CORE_HALF.sum()
 # the 6 starting core panels on [-1, 1]: every fourth edge of the graded widths
 _CORE_EDGES = np.cumsum(np.concatenate([[-1.0], _CORE_WIDTHS]))[::4]
 _LINE_DEPTH = 7  # bisections of a starting core panel; a panel at this depth is accepted
-_GAUGE_NODES = 200  # nodes per gauge-scalar path leg
-_GAUGE_PANEL_NODES = 24  # nodes per panel between consecutive polar-grid radii
+_RAY_PANELS = 6  # gauge-scalar panels graded from a point, or the largest grid radius, to the far radius
 _SINOGRAM_NODES = 384  # tangent-rule nodes per sinogram line
 _TIE_MARGIN = 0.25  # winding limits this close to a half-integer are ambiguous
 _INVERT_THETAS = 128  # angles of the inverted polar grid
@@ -258,6 +256,37 @@ def _check_clear(distances, obstacle_radius: float) -> None:
         raise LineHitsObstacle(f"line at distance {np.min(distances):.3f} meets the obstacle")
 
 
+def _refined_panels(evaluate: Callable, x0s, omegas, scale, f, line, centre, half,
+                    value, estimate, tail_tol: float) -> tuple:
+    """Refine by error the K25 panels on the k lines x0s[i] + s omegas[i],
+    adding each accepted panel's K25 sum to value[line] and its |K25 - G12|
+    to estimate[line]. Panel j covers s = scale[line[j]] (centre[j] + t
+    half[j]), |t| <= 1; f holds its values at the 25 Kronrod nodes, shaped
+    (panels, 25), from the caller's first field call. A panel is accepted when
+    its |K25 - G12| is at most tail_tol / 4 times |half[j]|, its share in units
+    of scale, or nan (which bisection cannot mend), and bisected otherwise, one
+    evaluate call per level; at depth _LINE_DEPTH every panel is accepted."""
+    x, w = _gauss_kronrod(_LINE_NODES)
+    k = len(x0s)
+    for depth in range(_LINE_DEPTH + 1):
+        if depth:
+            f = _on_lines(evaluate, x0s[line], omegas[line],
+                          scale[line, None] * (centre[:, None] + half[:, None] * x))
+        sums = f @ w.T * (scale[line] * half)[:, None]
+        diff = np.abs(sums[:, 1])
+        done = ~(diff > 0.25 * tail_tol * np.abs(half))
+        if depth == _LINE_DEPTH:
+            done[:] = True
+        value += np.bincount(line[done], sums[done, 0], k)
+        estimate += np.bincount(line[done], diff[done], k)
+        line, centre, half = line[~done], centre[~done], half[~done]
+        if not line.size:
+            break
+        line, half = np.repeat(line, 2), np.repeat(0.5 * half, 2)
+        centre = np.repeat(centre, 2) + np.tile([-1.0, 1.0], centre.size) * half
+    return value, estimate
+
+
 def _line_rule(envelope: DecayEnvelope | None, distances, tail_tol: float) -> Callable:
     """The line rule for lines at the given distances |x0| from the origin:
     its node tables are built here, once, and rule(evaluate, x0s, omegas)
@@ -265,16 +294,10 @@ def _line_rule(envelope: DecayEnvelope | None, distances, tail_tol: float) -> Ca
     points to (m,) scalar values, or to (m, n) vectors whose component along
     each line's direction is integrated.
 
-    The core |s| <= s_core starts as 6 graded panels (_CORE_EDGES). The first
-    evaluate call takes their 25 Gauss-Kronrod nodes and the two tails' on
-    every line; each later call takes the nodes of the panels still open, at
-    most _LINE_DEPTH more. A panel is accepted when its |K25 - G12| is at
-    most tail_tol / 4 times its share of the core length, or nan (which
-    bisection cannot mend), and bisected otherwise; panels still open after
-    _LINE_DEPTH bisections are accepted as they stand. A line's value is the
-    sum of its tails' and accepted panels' K25, and its estimate the sum of
-    their |K25 - G12|, which raises NonConvergent above tail_tol, plus the
-    envelope bound of skipped tails.
+    The core |s| <= s_core starts as 6 graded panels (_CORE_EDGES), refined
+    by _refined_panels in units of s_core; the first evaluate call takes their
+    nodes and the two tails' on every line. The estimate, which raises
+    NonConvergent above tail_tol, adds the envelope bound of skipped tails.
     """
     if envelope is None:
         raise TailNotBounded("no decay envelope declared for the tail bound")
@@ -293,26 +316,10 @@ def _line_rule(envelope: DecayEnvelope | None, distances, tail_tol: float) -> Ca
     def rule(evaluate: Callable, x0s, omegas):
         f = _on_lines(evaluate, x0s, omegas, s_first)
         tails = np.sum(f[:, -2 * m:].reshape(k, 2, m) * w_tail[:, :, None], axis=3)
-        value, estimate = tails[0].sum(axis=1), np.abs(tails[1]).sum(axis=1)
-        f = f[:, :-2 * m].reshape(-1, m)
-        # the open panels: their line, and centre and half-width in units of s_core
-        line, centre, half = np.repeat(np.arange(k), centre0.size), np.tile(centre0, k), np.tile(half0, k)
-        for depth in range(_LINE_DEPTH + 1):
-            if depth:
-                f = _on_lines(evaluate, x0s[line], omegas[line],
-                              s_core[line, None] * (centre[:, None] + half[:, None] * x))
-            sums = f @ w.T * (s_core[line] * half)[:, None]
-            diff = np.abs(sums[:, 1])
-            done = ~(diff > 0.25 * tail_tol * half)  # half: the panel's share of the core
-            if depth == _LINE_DEPTH:
-                done[:] = True
-            value += np.bincount(line[done], sums[done, 0], k)
-            estimate += np.bincount(line[done], diff[done], k)
-            line, centre, half = line[~done], centre[~done], half[~done]
-            if not line.size:
-                break
-            line, half = np.repeat(line, 2), np.repeat(0.5 * half, 2)
-            centre = np.repeat(centre, 2) + np.tile([-1.0, 1.0], centre.size) * half
+        value, estimate = _refined_panels(
+            evaluate, x0s, omegas, s_core, f[:, :-2 * m].reshape(-1, m),
+            np.repeat(np.arange(k), centre0.size), np.tile(centre0, k), np.tile(half0, k),
+            tails[0].sum(axis=1), np.abs(tails[1]).sum(axis=1), tail_tol)
         value, estimate = _kronrod_checked(np.stack([value, estimate]), tail_tol, "line rule")
         return value, estimate + skipped
 
@@ -760,75 +767,66 @@ def recover_field_2d(sino: Sinogram) -> PolarGridField:
 # gauge scalar from a curl-free short-range difference
 # ===================================================================
 
-def _legs(r_from, r_to, n: int):
-    """n-node Gauss-Legendre nodes and weights of the radial legs from
-    r_from[j] to r_to[j], each shaped (legs, n)."""
-    xg, wg = _gauss_legendre(n)
-    span = (r_to - r_from)[:, None]
-    return r_from[:, None] + 0.5 * span * (xg + 1.0), 0.5 * span * wg
-
-
 @dataclass
 class GaugeScalar:
     """L(x) = -int_{|x|}^inf F(s x^) . x^ ds for a curl-free short-range
-    field F (whose envelope bounds the tails): minus the integral of F along
-    the point's outward ray, which stays outside the convex obstacle, so that
-    L vanishes at infinity. Each ray is a 200-node Gauss-Legendre leg from
-    the point out to far_radius plus the line rule's 25-node Kronrod tail
-    beyond it, mapped to infinity through the envelope's eps0 (_tail_nodes);
-    a tail whose Kronrod/Gauss difference exceeds tail_tol, or a leg whose
-    sum is not finite, raises NonConvergent. The rays are sampled through
-    _on_lines with x0 = 0 and omega = x^, in one field call per evaluate or
-    on_polar_grid.
-
-    on_polar_grid shares the legs of a polar grid: per angle, one leg in to
-    the largest radius, then a 24-node panel between consecutive radii,
-    summed inward, and one tail.
+    field F whose envelope bounds the tails: minus the integral of F along
+    the point's outward ray, which misses the convex obstacle, so L vanishes
+    at infinity. A ray is read as a line is, by K25 panels out to far_radius,
+    refined in units of far_radius, and the Kronrod tail beyond; its summed
+    |K25 - G12| raises NonConvergent above tail_tol. evaluate grades
+    _RAY_PANELS panels geometrically from |x| to far_radius, so the nodes move
+    smoothly with x; on_polar_grid shares one row of edges across its angles:
+    the sorted radii, then the graded panels beyond the largest.
     """
 
     field: Callable
     far_radius: float
     tail_tol: float
 
-    def _rays(self, omegas, s) -> tuple:
-        """The field's components along the rays s omegas[i] at the nodes s
-        (one row per ray), and each ray's integral beyond far_radius, from
-        one field call."""
+    def _graded(self, r) -> np.ndarray:
+        """Edges from each radius r to far_radius, graded geometrically, a row per r."""
+        r = np.reshape(r, (-1, 1))
+        return r * (self.far_radius / r) ** (np.arange(_RAY_PANELS + 1) / _RAY_PANELS)
+
+    def _at_edges(self, omegas, edges) -> np.ndarray:
+        """L at the radii edges[i, :-1] of the rays s omegas[i], shaped (rays,
+        edges - 1); each row of edges ends at far_radius, and a single row is
+        shared by all rays. One field call takes every starting panel's and
+        tail's nodes; each starting panel is a bin, and the bins sum inward."""
         x, w = _gauss_kronrod(_LINE_NODES)
-        s_tail, w_tail = _tail_nodes(np.full(len(omegas), self.far_radius),
-                                     self.field.envelope.eps0, x, w)
-        vals = _on_lines(self.field, np.zeros_like(omegas), omegas,
-                         np.concatenate([s, s_tail], axis=1))
-        tail, _ = _kronrod_checked(np.sum(vals[:, s.shape[1]:] * w_tail, axis=2),
-                                   self.tail_tol, "gauge-scalar tail")
-        return vals[:, :s.shape[1]], tail
+        k, far, m = len(omegas), self.far_radius, x.size
+        edges = np.broadcast_to(edges, (k, np.shape(edges)[-1]))
+        n = edges.shape[1] - 1
+        centre = (0.5 / far) * (edges[:, 1:] + edges[:, :-1]).ravel()
+        half = (0.5 / far) * (edges[:, 1:] - edges[:, :-1]).ravel()
+        s_tail, w_tail = _tail_nodes([far], self.field.envelope.eps0, x, w)
+        s = np.concatenate([far * (centre[:, None] + half[:, None] * x).reshape(k, -1),
+                            np.broadcast_to(s_tail, (k, m))], axis=1)
+        f = _on_lines(self.field, np.zeros_like(omegas), omegas, s)
+        tail = np.sum(f[:, -m:] * w_tail, axis=2)
+        value, estimate = _refined_panels(
+            self.field, np.zeros((k * n, omegas.shape[1])), np.repeat(omegas, n, axis=0),
+            np.full(k * n, far), f[:, :-m].reshape(k * n, m), np.arange(k * n), centre, half,
+            np.zeros(k * n), np.zeros(k * n), self.tail_tol)
+        estimate = np.abs(tail[1]) + estimate.reshape(k, n).sum(axis=1)
+        tail, _ = _kronrod_checked(np.stack([tail[0], estimate]), self.tail_tol, "gauge-scalar ray")
+        return -(np.cumsum(value.reshape(k, n)[:, ::-1], axis=1)[:, ::-1] + tail[:, None])
 
     def evaluate(self, points) -> np.ndarray:
         p = np.atleast_2d(np.asarray(points, dtype=float))
         r = np.linalg.norm(p, axis=1)
-        s, w = _legs(np.full(r.size, self.far_radius), r, _GAUGE_NODES)
-        vals, tail = self._rays(p / r[:, None], s)
-        return _finite_sums(np.sum(vals * w, axis=1), "gauge-scalar leg") - tail
+        return self._at_edges(p / r[:, None], self._graded(r))[:, 0]
 
     def on_polar_grid(self, radii, thetas) -> np.ndarray:
         """L on the polar grid, shaped (radii, thetas): the radius-major order
         of polar_points."""
         radii = np.asarray(radii, dtype=float)
-        thetas = np.asarray(thetas, dtype=float)
-        order = np.argsort(radii)[::-1]
-        r_desc = radii[order]
-        s_ray, w_ray = _legs(np.array([self.far_radius]), r_desc[:1], _GAUGE_NODES)
-        s_panels, w_panels = _legs(r_desc[:-1], r_desc[1:], _GAUGE_PANEL_NODES)
-        s = np.concatenate([s_ray.ravel(), s_panels.ravel()])
         omegas = np.column_stack([np.cos(thetas), np.sin(thetas)])
-        vals, tail = self._rays(omegas, np.tile(s, (thetas.size, 1)))
-        ray = np.sum(vals[:, :_GAUGE_NODES] * w_ray, axis=1)
-        panels = np.sum((vals[:, _GAUGE_NODES:].reshape(thetas.size, -1, _GAUGE_PANEL_NODES)
-                         * w_panels), axis=2)
-        legs = _finite_sums(np.column_stack([ray, panels]), "gauge-scalar leg")
-        inward = np.cumsum(legs, axis=1) - tail[:, None]
-        out = np.empty((radii.size, thetas.size))
-        out[order] = inward.T
+        order = np.argsort(radii)
+        edges = np.concatenate([radii[order], self._graded(radii[order[-1]])[0, 1:]])
+        out = np.empty((radii.size, len(omegas)))
+        out[order] = self._at_edges(omegas, edges)[:, :radii.size].T
         return out
 
 
@@ -838,9 +836,10 @@ def find_gauge_scalar(field, r_in: float, r_out: float,
     """Scalar L with grad L equal to the given curl-free short-range field.
 
     Verifies curl-freeness on 100 probe points and a vanishing loop integral
-    (plane only), then returns L along outward rays (GaugeScalar), with the
-    far radius 8 r_out and the tails beyond it bounded by the field's own
-    envelope, checked against tail_tol as they are evaluated.
+    (plane only), then returns L along outward rays (GaugeScalar) with the
+    far radius 8 r_out: error-refined Kronrod panels out to it and tails
+    beyond it mapped by the field's own envelope, each ray checked against
+    tail_tol as it is evaluated.
     """
     envelope = getattr(field, "envelope", None)
     if envelope is None:

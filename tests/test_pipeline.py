@@ -596,7 +596,7 @@ class TestEmitReport:
                 == (tmp_path / "ref.csv").read_bytes())
 
     def test_gauge_scalar_csv_field_points(self, tmp_path, scalar_part_report):
-        # point-by-point rays would take 1,152 x 225 nodes = 259,200; the grid takes 37,296
+        # point-by-point rays would take 1,152 x 175 nodes = 201,600; the grid takes 36,000
         gs = scalar_part_report.artifacts["gauge_scalar"]
         counted = dataclasses.replace(gs, field=CountingField(gs.field))
         emit_report(Report(kind="classify", artifacts={"gauge_scalar": counted}), tmp_path)

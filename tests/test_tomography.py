@@ -798,7 +798,8 @@ class TestNonFiniteFields:
     @pytest.mark.parametrize("where", ["leg", "tail"])
     def test_gauge_scalar_ray(self, where):
         # F = x e^{-|x|^2 / 8} = grad(-4 e^{-|x|^2 / 8}), nan on a shell of
-        # radii inside the far radius 16 (the legs) or beyond it (the tails)
+        # radii inside the far radius 16 (the leg of panels from the point
+        # out to it) or beyond it (the tail)
         lo, hi = {"leg": (3.0, 3.5), "tail": (30.0, 40.0)}[where]
 
         def F(p):
@@ -809,8 +810,7 @@ class TestNonFiniteFields:
         gs = tomography.GaugeScalar(
             field=ShortRangeField(dimension=2, func=F, envelope=DecayEnvelope(C=2.0, eps0=1.0)),
             far_radius=16.0, tail_tol=1e-9)
-        match = {"leg": "gauge-scalar leg sum is not finite",
-                 "tail": "gauge-scalar tail Kronrod/Gauss difference nan"}[where]
+        match = "gauge-scalar ray Kronrod/Gauss difference nan"
         with pytest.raises(NonConvergent, match=match):
             gs.evaluate(np.array([[2.0, 0.5], [-2.5, 1.0]]))
         with pytest.raises(NonConvergent, match=match):
@@ -839,21 +839,41 @@ class TestFindGaugeScalar:
 
     def test_tail_closed_form(self):
         # int_R^inf of -s (1 + s^2)^(-3/2) ds along every ray: at the far
-        # radius the leg is empty and L is minus that tail
+        # radius the panels have no length and L is minus that tail
         fld = catalog.build_vector("grad_power", {"c": 1.0, "p": 1.0})
         gs = find_gauge_scalar(fld, r_in=1.2, r_out=4.0)
         R = gs.far_radius
         th = np.array([0.0, 0.5 * np.pi, np.pi, -0.5 * np.pi, 1.0, -2.5])
         dirs = np.column_stack([np.cos(th), np.sin(th)])
-        _, tail = gs._rays(dirs, np.zeros((th.size, 0)))
-        np.testing.assert_allclose(tail, -(1.0 + R**2) ** -0.5, rtol=0, atol=1e-13)
+        np.testing.assert_allclose(gs.on_polar_grid([R], th)[0], (1.0 + R**2) ** -0.5,
+                                   rtol=0, atol=1e-13)
         np.testing.assert_allclose(gs.evaluate(R * dirs), (1.0 + R**2) ** -0.5,
                                    rtol=0, atol=1e-13)
 
+    def test_beyond_far_radius(self):
+        # past the far radius the graded panels run back to it; they are
+        # accepted as readily as the panels of a point inside it
+        fld = catalog.build_vector("grad_power", {"c": 1.0, "p": 1.0})
+        gs = find_gauge_scalar(fld, r_in=1.2, r_out=4.0)
+        batches = []
+        counted = dataclasses.replace(gs, field=dataclasses.replace(
+            fld, func=lambda p: batches.append(len(p)) or fld.func(p)))
+        dirs = np.column_stack([np.cos([0.3, 2.0]), np.sin([0.3, 2.0])])
+        points = {}
+        for scale in (0.5, 2.0):
+            batches.clear()
+            r = scale * gs.far_radius
+            np.testing.assert_allclose(counted.evaluate(r * dirs), (1.0 + r**2) ** -0.5,
+                                       rtol=0, atol=1e-15)
+            points[scale] = sum(batches)
+        assert points[2.0] <= points[0.5] == 2 * 175
+
     def test_field_calls(self):
-        # evaluate: one call of 200 leg + 25 tail nodes per point; the polar
-        # grid: one call for the whole grid, 200 + 23 x 24 + 25 per angle,
-        # 37,296 for the 24 x 48 grid of gauge_scalar.csv
+        # evaluate: one call of 6 graded panels and the tail, 7 x 25 nodes per
+        # point; the polar grid: one call for the whole grid, (23 panels
+        # between radii + 6 graded + the tail) x 25 per angle, 36,000 for
+        # the 24 x 48 grid of gauge_scalar.csv; no panel of this smooth
+        # field is bisected
         fld = catalog.build_vector("grad_power", {"c": 1.0, "p": 1.0})
         gs = find_gauge_scalar(fld, r_in=1.2, r_out=4.0)
         batches = []
@@ -861,11 +881,54 @@ class TestFindGaugeScalar:
             fld, func=lambda p: batches.append(p) or fld.func(p)))
         pts = annulus_points(np.random.default_rng(3), 1.2, 4.0, 7)
         counted.evaluate(pts)
-        assert [b.shape for b in batches] == [(7 * 225, 2)]
+        assert [b.shape for b in batches] == [(7 * 175, 2)]
         batches.clear()
         radii = np.linspace(gs.far_radius / 8.0, gs.far_radius / 2.0, 24)
         counted.on_polar_grid(radii, np.arange(48) * 2 * np.pi / 48)
-        assert [b.shape for b in batches] == [(48 * (200 + 23 * 24 + 25), 2)]
+        assert [b.shape for b in batches] == [(48 * (23 + 6 + 1) * 25, 2)]
+
+    @pytest.mark.parametrize("kind, params", [
+        ("gaussian_bumps", {"bumps": [[0.5, 2.2, 0.0, 1.0]]}),
+        ("gaussian_bumps", {"bumps": [[0.5, 2.2, 0.0, 0.3]]}),
+        ("gaussian_bumps", {"bumps": [[0.5, 2.2, 0.0, 0.05]]}),
+        ("gaussian_bumps", {"bumps": [[0.5, 2.2, 0.0, 0.02]]}),
+        ("gaussian_ring", {"amplitude": 0.7, "r0": 2.0, "sigma": 0.25,
+                           "modulation": [[2, 0.3, -0.2]]}),
+        ("power", {"c": 1.0, "p": 1.5}),
+    ], ids=["bump-1", "bump-0.3", "bump-0.05", "bump-0.02", "ring", "power-1.5"])
+    def test_closed_form(self, kind, params):
+        # grad L of a catalog scalar gives back L, which vanishes at
+        # infinity; the bumps sit on the grid's ray at angle 0, and the
+        # narrow ones are refined, not stepped over. Built directly:
+        # find_gauge_scalar's finite-difference curl probe rejects many
+        # narrow bumps as not curl-free
+        L = catalog.build_scalar(kind, params, dimension=2)
+        cfg = apply_gauge_to_potential(PotentialConfig(dimension=2, obstacle_radius=1.0),
+                                       GaugeElement(dimension=2, scalar=L))
+        gs = tomography.GaugeScalar(field=cfg.short_range, far_radius=32.0, tail_tol=1e-9)
+        radii, thetas = np.linspace(1.2, 4.0, 15), np.arange(24) * 2 * np.pi / 24
+        pts = polar_points(radii, thetas)[2]
+        np.testing.assert_allclose(gs.evaluate(pts), L(pts), rtol=0, atol=3e-14)
+        np.testing.assert_allclose(gs.on_polar_grid(radii, thetas).ravel(), L(pts),
+                                   rtol=0, atol=3e-14)
+
+    def test_unresolved_ray_raises(self):
+        # F = (x - c)/|x - c| e^{-|x|^2 / 8} jumps at c = (2, 0), on the ray
+        # from (1.5, 0): bisection to the depth cap leaves an estimate far
+        # above tail_tol, which raises, as on a line
+        c = np.array([2.0, 0.0])
+
+        def F(p):
+            d = p - c
+            return d / np.linalg.norm(d, axis=1)[:, None] * np.exp(-np.sum(p**2, axis=1) / 8)[:, None]
+
+        gs = tomography.GaugeScalar(
+            field=ShortRangeField(dimension=2, func=F, envelope=DecayEnvelope(C=2.0, eps0=1.0)),
+            far_radius=16.0, tail_tol=1e-9)
+        with pytest.raises(NonConvergent, match="gauge-scalar ray Kronrod/Gauss difference"):
+            gs.evaluate(np.array([[1.5, 0.0]]))
+        with pytest.raises(NonConvergent, match="gauge-scalar ray Kronrod/Gauss difference"):
+            gs.on_polar_grid([1.5, 3.0], [0.0, 1.0])
 
     def test_zero_field(self):
         fld = catalog.build_vector("zero")
