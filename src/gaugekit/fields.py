@@ -65,8 +65,10 @@ def eval_ab_potential(alpha: float, x) -> np.ndarray:
 class DecayEnvelope:
     """Bound |f(x)| <= C (1+|x|^2)^(-(1+eps0)/2) with decay rate eps0 > 0.
 
-    The envelope is trusted as declared: nothing checks it against the field
-    at run time, and tail truncation and the line rule's tail bounds rely on it.
+    Only the decay rate enters a numeric result: it maps the tails of every
+    line and ray, whose Kronrod/Gauss difference then measures them. C only
+    decides TailNotBounded (truncation_radius); nothing checks either against
+    the field at run time.
     """
 
     C: float
@@ -85,10 +87,9 @@ class DecayEnvelope:
         """S with integral of C s^(-1-eps0) over (S, inf) below tail_tol.
 
         Raises TailNotBounded when S is not a finite float, i.e. when eps0 is
-        so small that the decay is not integrable in practice.
+        so small that the decay is not integrable in practice. The line rule
+        and the gauge scalar read S for this refusal only.
         """
-        if self.C == 0:
-            return 1.0
         try:
             S = (self.C / (self.eps0 * tail_tol)) ** (1.0 / self.eps0)
         except OverflowError:

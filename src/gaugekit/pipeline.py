@@ -66,6 +66,7 @@ DEFAULT_TOLERANCES = {
     "scalar_tol": 1e-7,
     "recon_v_rel": 0.05,
     "recon_b_rel": 0.08,
+    "leading_tol": 1e-4,
 }
 
 
@@ -514,9 +515,8 @@ def _reconstruct_3d(scenario: Scenario, rep: Report) -> Report:
         return curl(cfg, np.atleast_2d(p), step_rel=1e-5)
 
     samples = sample_on_spheres(b_comps, radii, grid)
-    leads, resid = extract_leading_order(radii, samples, grid,
-                                         tol=scenario.tolerances.get("leading_tol", 1e-4),
-                                         return_residual=True)
+    leads, resid = extract_leading_order(
+        radii, samples, grid, tol=scenario.tolerances["leading_tol"], return_residual=True)
     rep.add("leading_order_residual", resid, None, "extract_leading_order")
     rep.artifacts["leading_order"] = leads
     rep.provenance["radii"] = list(map(float, radii))

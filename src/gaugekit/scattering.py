@@ -100,7 +100,7 @@ from .fields import GaugeElement
 
 DIAG_MARGIN_CELLS = 5
 INTEGER_FLUX_TOL = 1e-9
-_CHANNEL_JUMP_TOL = 1e-6  # smallest channel step read as the flux jump
+_CHANNEL_JUMP_TOL = 1e-6  # smallest channel jump 2|sin(pi f)| that anchors a flux f
 _ROUND_OFF = 16 * np.finfo(float).eps  # relative rounding of a kernel value and its prefactors
 
 
@@ -725,23 +725,12 @@ class SolverResult:
     provenance: dict | None = None
 
 
-def _spectrum_flux(spec: ChannelSpectrum):
-    """Effective flux from a channel spectrum: step index from the jump
-    location, fractional part from the argument on the upper side. Returns
-    None for a constant spectrum (integer flux: no jump to locate)."""
-    vals = spec.values
-    jumps = np.nonzero(np.abs(np.diff(vals)) > _CHANNEL_JUMP_TOL)[0]
-    if jumps.size == 0:
-        return None
-    if jumps.size > 1:
-        raise ValueError("channel spectrum has multiple jumps; not a flux kernel")
-    step = int(spec.indices[jumps[0] + 1])
-    upper = complex(vals[jumps[0] + 1])
-    frac = float(np.angle(upper * (-1.0) ** step) / np.pi)
-    frac = frac % 2.0
-    if frac >= 1.0:  # upper argument determines alpha pi mod 2 pi; fold
-        frac -= 2.0
-    return step + frac
+def _anchored_flux(S: ScatteringKernel) -> float | None:
+    """The kernel's effective flux f, or None when the jump 2|sin(pi f)| its
+    channel spectrum shows at the step [f] is too small to anchor the phase
+    (integer flux: the diagonal singularity vanishes)."""
+    f = S.effective_flux()
+    return f if 2 * abs(np.sin(np.pi * f)) > _CHANNEL_JUMP_TOL else None
 
 
 def _fit_plane_gauge(S1: ScatteringKernel, S2: ScatteringKernel, m: int):
@@ -891,7 +880,7 @@ def _verify(S1, S2, g: GaugeElement, prov: dict, verify_tol: float, witness,
 def _solve_plane(S1: ScatteringKernel, S2: ScatteringKernel,
                  verify_tol: float, phase_tol: float) -> SolverResult:
     spec1, spec2 = S1.channel_spectrum(), S2.channel_spectrum()
-    f1, f2 = _spectrum_flux(spec1), _spectrum_flux(spec2)
+    f1, f2 = _anchored_flux(S1), _anchored_flux(S2)
     if f1 is None or f2 is None:
         return SolverResult(
             verdict="ambiguous",

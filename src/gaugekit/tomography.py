@@ -7,22 +7,22 @@ difference of its angular profile, and only the short-range remainder is
 integrated numerically.
 
 Two vectorised rules integrate along k lines at once. The line rule
-(_line_rule: short-range scalars and vector remainders, so every vector
-sinogram) applies the 25-node Gauss-Kronrod rule K25, whose 12 Gauss nodes
-give G12 from the same field values (_gauss_kronrod), on core panels
-|s| <= s_core graded away from closest approach and on tails mapped to
-infinity through s = v^(-1/eps0) from the declared envelope (_tail_nodes).
-A panel whose |K25 - G12| misses its length share of tail_tol / 4 is
-bisected, one field call per level over the panels still open on all lines
-(_refined_panels); the gauge scalar's outward rays use the same panels and
-tails. A line's or ray's estimate sums the |K25 - G12| of its tails and
-accepted panels, and raises NonConvergent above tail_tol (_kronrod_checked);
-a line's adds the envelope bound of tails skipped below tail_tol. Every line,
-ray and tail is sampled by _on_lines. The tangent rule (_tangent_rule: scalar
-sinograms, the 3-space homogeneous part) is a fixed rule in s = c tan(t),
-without an estimate; it does not cover slow power decay. A nan or inf field
-value ends every rule with NonConvergent: a nan estimate fails the check,
-and sums without one must be finite.
+(_line_rule: short-range scalars and every vector transform) applies the
+25-node Gauss-Kronrod rule K25, whose 12 Gauss nodes give G12 from the same
+field values (_gauss_kronrod), on core panels |s| <= s_core graded away from
+closest approach and on both tails mapped to infinity through
+s = v^(-1/eps0) (_tail_nodes), eps0 the field's declared decay rate
+(_decay_rate), or 1 for the 3-space homogeneous part. A panel whose
+|K25 - G12| misses its length share of tail_tol / 4 is bisected, one field
+call per level over the panels still open on all lines (_refined_panels);
+the gauge scalar's outward rays use the same panels and tails. A line's or
+ray's estimate sums the |K25 - G12| of its tails and accepted panels and
+raises NonConvergent above tail_tol (_kronrod_checked), so a rate that
+overstates the decay is measured, not trusted. Every line, ray and tail is
+sampled by _on_lines. The tangent rule (_tangent_rule: scalar sinograms) is
+a fixed rule in s = c tan(t), without an estimate; it does not cover slow
+power decay. A nan or inf field value ends every rule with NonConvergent: a
+nan estimate fails the check, and sums without one must be finite.
 Both rules build their node tables from the line distances alone, so a
 parallel-beam sinogram, whose angles share the distances |offsets|, builds
 them once, with the flux decomposition and the obstacle check, and applies
@@ -61,7 +61,6 @@ from .errors import (
     TailNotBounded,
 )
 from .fields import (
-    DecayEnvelope,
     PotentialConfig,
     ShortRangeField,
     TransversalField,
@@ -287,27 +286,31 @@ def _refined_panels(evaluate: Callable, x0s, omegas, scale, f, line, centre, hal
     return value, estimate
 
 
-def _line_rule(envelope: DecayEnvelope | None, distances, tail_tol: float) -> Callable:
-    """The line rule for lines at the given distances |x0| from the origin:
-    its node tables are built here, once, and rule(evaluate, x0s, omegas)
-    applies them along the k lines x0s[i] + s omegas[i]. evaluate maps (m, n)
-    points to (m,) scalar values, or to (m, n) vectors whose component along
-    each line's direction is integrated.
-
-    The core |s| <= s_core starts as 6 graded panels (_CORE_EDGES), refined
-    by _refined_panels in units of s_core; the first evaluate call takes their
-    nodes and the two tails' on every line. The estimate, which raises
-    NonConvergent above tail_tol, adds the envelope bound of skipped tails.
-    """
+def _decay_rate(field, tail_tol: float) -> float:
+    """The decay rate eps0 of the field's declared envelope; TailNotBounded
+    when it declares none or its truncation radius at tail_tol overflows."""
+    envelope = getattr(field, "envelope", None)
     if envelope is None:
-        raise TailNotBounded("no decay envelope declared for the tail bound")
-    S = max(envelope.truncation_radius(tail_tol), 1.0)
-    eps0 = envelope.eps0
-    s_core = np.minimum(S, np.maximum(8.0 * (distances + 2.0), 48.0))
+        raise TailNotBounded("no decay envelope declared to map the tails")
+    envelope.truncation_radius(tail_tol)
+    return envelope.eps0
+
+
+def _line_rule(eps0: float, distances, tail_tol: float) -> Callable:
+    """The line rule for lines at the given distances |x0| from the origin and
+    a field of decay rate eps0: its node tables are built here, once, and
+    rule(evaluate, x0s, omegas) applies them along the k lines x0s[i] + s
+    omegas[i]. evaluate maps (m, n) points to (m,) scalar values, or to (m, n)
+    vectors whose component along each line's direction is integrated.
+
+    The core |s| <= s_core = max(8 (|x0| + 2), 48) starts as 6 graded panels
+    (_CORE_EDGES), refined by _refined_panels in units of s_core; the first
+    evaluate call takes their nodes and the two tails' on every line. Returns
+    the values and the estimates, which raise NonConvergent above tail_tol.
+    """
+    s_core = np.maximum(8.0 * (distances + 2.0), 48.0)
     x, w = _gauss_kronrod(_LINE_NODES)
     s_tail, w_tail = _tail_nodes(s_core, eps0, x, w)
-    w_tail = np.where((S > s_core)[:, None], w_tail, 0.0)
-    skipped = np.where(S > s_core, 0.0, 2.0 * envelope.C / (eps0 * s_core**eps0))
     centre0, half0 = 0.5 * (_CORE_EDGES[1:] + _CORE_EDGES[:-1]), 0.5 * np.diff(_CORE_EDGES)
     s_first = np.concatenate(
         [s_core[:, None] * (centre0[:, None] + half0[:, None] * x).ravel(), s_tail, -s_tail], axis=1)
@@ -320,17 +323,16 @@ def _line_rule(envelope: DecayEnvelope | None, distances, tail_tol: float) -> Ca
             evaluate, x0s, omegas, s_core, f[:, :-2 * m].reshape(-1, m),
             np.repeat(np.arange(k), centre0.size), np.tile(centre0, k), np.tile(half0, k),
             tails[0].sum(axis=1), np.abs(tails[1]).sum(axis=1), tail_tol)
-        value, estimate = _kronrod_checked(np.stack([value, estimate]), tail_tol, "line rule")
-        return value, estimate + skipped
+        return _kronrod_checked(np.stack([value, estimate]), tail_tol, "line rule")
 
     return rule
 
 
 def _tangent_rule(distances) -> Callable:
     """A fixed 384-node Gauss-Legendre rule in s = c tan(t), c = max(|x0|, 1),
-    for lines at the given distances |x0|, built once; rule(evaluate, x0s,
-    omegas) as for _line_rule, with no error estimate: a sum that is not
-    finite raises NonConvergent. A sinogram passes its exact offsets."""
+    for lines at the given distances |x0|, built once (forward_sinogram's
+    scalar rule); rule(evaluate, x0s, omegas) returns the values, with no
+    error estimate: a sum that is not finite raises NonConvergent."""
     xg, wg = _gauss_legendre(_SINOGRAM_NODES)
     t_nodes = 0.5 * (xg + 1.0) * (np.pi - 2e-10) - (np.pi / 2 - 1e-10)
     t_weights = 0.5 * (np.pi - 2e-10) * wg
@@ -346,8 +348,8 @@ def line_integrals_scalar(potential, lines: Sequence[Line], tail_tol: float = TA
     """Integrals of a short-range scalar potential along admissible lines.
 
     Returns (values, error estimates), one of each per line, from one pass of
-    the vectorised line rule. The tails are bounded by the potential's own
-    envelope; a potential without one raises TailNotBounded.
+    the vectorised line rule. The tails are mapped by the decay rate of the
+    potential's own envelope; a potential without one raises TailNotBounded.
     """
     lines = tuple(lines)
     if not lines:
@@ -355,7 +357,7 @@ def line_integrals_scalar(potential, lines: Sequence[Line], tail_tol: float = TA
     x0s = np.array([ln.x0 for ln in lines])
     distances = np.linalg.norm(x0s, axis=1)
     _check_clear(distances, obstacle_radius)
-    rule = _line_rule(getattr(potential, "envelope", None), distances, tail_tol)
+    rule = _line_rule(_decay_rate(potential, tail_tol), distances, tail_tol)
     return rule(potential, x0s, np.array([ln.omega for ln in lines]))
 
 
@@ -387,14 +389,15 @@ def _vector_transform(config: PotentialConfig, distances, tail_tol: float) -> Ca
     The flux decomposition and the node tables are built here, once.
 
     Plane: vortex flux alpha gives alpha*pi*sign(x0^w) and the gradient part
-    of the transversal profile a0(w) - a0(-w). In 3-space the homogeneous part
-    goes through the tangent rule; the short-range remainder through the line rule.
+    of the transversal profile a0(w) - a0(-w). In 3-space the homogeneous
+    part, whose A . w = -x0 . A / s decays like s^-2, goes through the line
+    rule with rate 1; the short-range remainder with its declared rate.
     """
     tv, sr = config.transversal, config.short_range
     plane = tv is not None and config.dimension == 2
     dec = decompose_transversal(tv) if plane else None
-    tangent_rule = _tangent_rule(distances) if tv is not None and not plane else None
-    line_rule = _line_rule(sr.envelope, distances, tail_tol) if sr is not None else None
+    homogeneous_rule = _line_rule(1.0, distances, tail_tol) if tv is not None and not plane else None
+    line_rule = _line_rule(_decay_rate(sr, tail_tol), distances, tail_tol) if sr is not None else None
 
     def transform(x0s, omegas) -> np.ndarray:
         total = np.zeros(len(x0s))
@@ -404,7 +407,7 @@ def _vector_transform(config: PotentialConfig, distances, tail_tol: float) -> Ca
             total += dec.alpha * np.pi * np.where(wedge < 0, -1.0, 1.0)  # sign(x0 ^ w), +1 at 0
             total += dec.a0(theta_w) - dec.a0(theta_w + np.pi)
         elif tv is not None:
-            total += tangent_rule(tv, x0s, omegas)
+            total += homogeneous_rule(tv, x0s, omegas)[0]
         if sr is not None:
             total += line_rule(sr, x0s, omegas)[0]
         return total
@@ -770,7 +773,7 @@ def recover_field_2d(sino: Sinogram) -> PolarGridField:
 @dataclass
 class GaugeScalar:
     """L(x) = -int_{|x|}^inf F(s x^) . x^ ds for a curl-free short-range
-    field F whose envelope bounds the tails: minus the integral of F along
+    field F whose decay rate maps the tails: minus the integral of F along
     the point's outward ray, which misses the convex obstacle, so L vanishes
     at infinity. A ray is read as a line is, by K25 panels out to far_radius,
     refined in units of far_radius, and the Kronrod tail beyond; its summed
@@ -800,7 +803,7 @@ class GaugeScalar:
         n = edges.shape[1] - 1
         centre = (0.5 / far) * (edges[:, 1:] + edges[:, :-1]).ravel()
         half = (0.5 / far) * (edges[:, 1:] - edges[:, :-1]).ravel()
-        s_tail, w_tail = _tail_nodes([far], self.field.envelope.eps0, x, w)
+        s_tail, w_tail = _tail_nodes([far], _decay_rate(self.field, self.tail_tol), x, w)
         s = np.concatenate([far * (centre[:, None] + half[:, None] * x).reshape(k, -1),
                             np.broadcast_to(s_tail, (k, m))], axis=1)
         f = _on_lines(self.field, np.zeros_like(omegas), omegas, s)
@@ -838,12 +841,10 @@ def find_gauge_scalar(field, r_in: float, r_out: float,
     Verifies curl-freeness on 100 probe points and a vanishing loop integral
     (plane only), then returns L along outward rays (GaugeScalar) with the
     far radius 8 r_out: error-refined Kronrod panels out to it and tails
-    beyond it mapped by the field's own envelope, each ray checked against
-    tail_tol as it is evaluated.
+    beyond it mapped by the field's decay rate (_decay_rate, read first),
+    each ray checked against tail_tol as it is evaluated.
     """
-    envelope = getattr(field, "envelope", None)
-    if envelope is None:
-        raise TailNotBounded("need an envelope to integrate the outward rays to infinity")
+    _decay_rate(field, tail_tol)
     probes = annulus_points(np.random.default_rng(seed), r_in, r_out, 100)
     curls = curl(field, probes, step_rel=1e-4)
     if not np.all(np.abs(curls) <= curl_tol):  # a nan curl fails too
@@ -851,7 +852,6 @@ def find_gauge_scalar(field, r_in: float, r_out: float,
     loop = 2 * np.pi * flux(field, 0.5 * (r_in + r_out))
     if not abs(loop) <= loop_tol:
         raise ResidualFlux(f"loop integral {loop:.3e} exceeds {loop_tol:.1e}")
-    envelope.truncation_radius(tail_tol)  # TailNotBounded for a decay too slow to map
     return GaugeScalar(field=field, far_radius=8.0 * r_out, tail_tol=tail_tol)
 
 

@@ -26,21 +26,18 @@ from gaugekit.scattering import DIAG_MARGIN_CELLS, flux_step, singular_offdiagon
 _QUAD_OPTS = dict(limit=200, epsabs=1e-13, epsrel=1e-12)
 
 
-def adaptive_line_integral(evaluate, line, envelope, tail_tol=1e-9):
+def adaptive_line_integral(evaluate, line):
     """int f(x0 + s w) ds by adaptive quad on the same core |s| <= s_core as
     the library rule, plus QUADPACK's infinite-range tails. A vector-valued
     evaluate is projected on the line direction."""
-    S = max(envelope.truncation_radius(tail_tol), 1.0)
-    s_core = min(S, max(8.0 * (line.distance + 2.0), 48.0))
+    s_core = max(8.0 * (line.distance + 2.0), 48.0)
 
     def f(s):
         v = np.asarray(evaluate(line.points(s)), dtype=float)
         return float(v[0] @ line.omega) if v.ndim == 2 else float(v[0])
 
-    total = quad(f, -s_core, s_core, **_QUAD_OPTS)[0]
-    if S > s_core:
-        total += quad(f, s_core, np.inf, **_QUAD_OPTS)[0] + quad(f, -np.inf, -s_core, **_QUAD_OPTS)[0]
-    return total
+    return (quad(f, -s_core, s_core, **_QUAD_OPTS)[0] + quad(f, s_core, np.inf, **_QUAD_OPTS)[0]
+            + quad(f, -np.inf, -s_core, **_QUAD_OPTS)[0])
 
 
 def line_integral_vector_quadrature(config, line) -> float:
@@ -235,25 +232,23 @@ _FIXED_WIDTHS = np.concatenate([_FIXED_HALF[::-1], _FIXED_HALF]) / _FIXED_HALF.s
 _FIXED_EDGES = np.cumsum(np.concatenate([[-1.0], _FIXED_WIDTHS]))
 
 
-def fixed_line_rule(evaluate, x0s, omegas, envelope, tail_tol):
+def fixed_line_rule(evaluate, x0s, omegas, eps0, tail_tol):
     """The Kronrod values of K25 on the 24 fixed core panels and the two
-    tails: 650 nodes on every line, whatever the field."""
-    S = max(envelope.truncation_radius(tail_tol), 1.0)
-    eps0 = envelope.eps0
-    s_core = np.minimum(S, np.maximum(8.0 * (np.linalg.norm(x0s, axis=1) + 2.0), 48.0))
+    tails mapped by the decay rate eps0: 650 nodes on every line, whatever
+    the field (tail_tol is unused: the table has no estimate)."""
+    s_core = np.maximum(8.0 * (np.linalg.norm(x0s, axis=1) + 2.0), 48.0)
     x, w = tomography._gauss_kronrod(tomography._LINE_NODES)
     w_kronrod = w[0]  # the value's weights alone, without the Kronrod/Gauss difference
     u = (_FIXED_EDGES[:-1, None] + 0.5 * _FIXED_WIDTHS[:, None] * (x + 1.0)).ravel()
     uw = (0.5 * _FIXED_WIDTHS[:, None] * w_kronrod).ravel()
     s_tail, w_tail = tomography._tail_nodes(s_core, eps0, x, w_kronrod)
-    w_tail = np.where((S > s_core)[:, None], w_tail, 0.0)
     s = np.concatenate([s_core[:, None] * u, s_tail, -s_tail], axis=1)
     ws = np.concatenate([s_core[:, None] * uw, w_tail, w_tail], axis=1)
     return np.sum(_broadcast_on_lines(evaluate, x0s, omegas, s) * ws, axis=1)
 
 
-def _fresh_line_rule(evaluate, x0s, omegas, envelope, tail_tol):
-    rule = tomography._line_rule(envelope, np.linalg.norm(x0s, axis=1), tail_tol)
+def _fresh_line_rule(evaluate, x0s, omegas, eps0, tail_tol):
+    rule = tomography._line_rule(eps0, np.linalg.norm(x0s, axis=1), tail_tol)
     return rule(evaluate, x0s, omegas)[0]
 
 
@@ -290,7 +285,7 @@ def per_angle_sinogram(config, angles, offsets, kind, line_rule=_fresh_line_rule
             total += dec.a0(theta_w) - dec.a0(theta_w + np.pi)
         if config.short_range is not None:
             sr = config.short_range
-            total += line_rule(sr, x0s, omegas, sr.envelope, tomography.TAIL_TOL)
+            total += line_rule(sr, x0s, omegas, sr.envelope.eps0, tomography.TAIL_TOL)
         out[i] = total
     return out
 

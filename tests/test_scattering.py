@@ -829,6 +829,28 @@ class TestPlaneSolver:
         assert res.verdict == "ambiguous"
         assert res.gauge is None
 
+    @pytest.mark.parametrize("m", [33, 40])
+    def test_flux_beyond_the_channel_window(self, m):
+        # the effective flux 0.3 + m lies beyond the 65 channels of
+        # channel_spectrum, which show it no jump; the solver reads the
+        # stored flux and anchors it
+        S1 = assemble_kernel(0.3, n_grid=256)
+        phi = _phi_cos(0.1, 2)
+        S2 = apply_gauge_to_kernel(S1, GaugeElement(dimension=2, m=m, phi=phi))
+        res = gauge_equivalence_solver(S1, S2)
+        assert res.verdict == "equivalent"
+        assert res.gauge.m == m
+        assert res.gauge.phi.distance(phi) < 1e-6
+        res = gauge_equivalence_solver(S2, S2)
+        assert res.verdict == "equivalent" and res.gauge.m == 0
+
+    def test_near_integer_flux_is_ambiguous(self):
+        # a flux of 1e-7 jumps by 2 sin(1e-7 pi) < 1e-6 across the channels
+        S = assemble_kernel(1e-7, n_grid=64)
+        res = gauge_equivalence_solver(S, S)
+        assert res.verdict == "ambiguous"
+        assert res.provenance["flux_1"] is None and res.provenance["flux_2"] is None
+
     def test_distinct_remainders_fail_verification(self):
         def bump(t, p):
             return 0.2 * np.exp(-(((t - 2.0) ** 2) + (p - 4.0) ** 2) / 0.6)

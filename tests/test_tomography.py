@@ -202,6 +202,23 @@ class TestLineRule:
         with pytest.raises(TailNotBounded):
             line_integrals_scalar(V, [ln, Line.from_impact_angle(3.0, 1.0)])
 
+    @pytest.mark.parametrize("scalar,exact", [
+        # the bump's maximum on the line is 1, its declared envelope 1e-8
+        ({"kind": "gaussian_bumps", "params": {"bumps": [[1.0, 1.5, 3.0, 0.3]]},
+          "C": 1e-8, "eps0": 2.0}, 0.3 * np.sqrt(2.0 * np.pi)),
+        ({"kind": "power", "params": {"c": 0.8, "p": 3.0}, "C": 1e-7, "eps0": 2.0},
+         _power_closed_form(0.8, 3.0, 1.5)),
+    ], ids=["gaussian_bumps", "power"])
+    def test_understated_envelope_is_not_trusted(self, scalar, exact):
+        # a declared C far below the field's magnitude must not cut the line
+        # short: the decay rate alone maps both tails, and K25 - G12 measures
+        # them
+        cfg = catalog.config_from_dict({"dimension": 2, "obstacle_radius": 1.0, "scalar": scalar})
+        vals, est = line_integrals_scalar(
+            cfg.scalar, [Line(x0=np.array([1.5, 0.0]), omega=np.array([0.0, 1.0]))])
+        assert abs(vals[0] - exact) <= 1e-12
+        assert est[0] <= tomography.TAIL_TOL
+
     @pytest.mark.parametrize("kind,params", [
         ("zero", {}),
         ("gaussian_ring", {"amplitude": 0.8, "r0": 2.15, "sigma": 0.4,
@@ -216,9 +233,9 @@ class TestLineRule:
         V = catalog.build_scalar(kind, params)
         lines = _random_lines(5)
         x0s = np.array([ln.x0 for ln in lines])
-        vals, _ = _line_rule(V.envelope, np.linalg.norm(x0s, axis=1), 1e-9)(
+        vals, _ = _line_rule(V.envelope.eps0, np.linalg.norm(x0s, axis=1), 1e-9)(
             V, x0s, np.array([ln.omega for ln in lines]))
-        ref = [adaptive_line_integral(V, ln, V.envelope) for ln in lines]
+        ref = [adaptive_line_integral(V, ln) for ln in lines]
         np.testing.assert_allclose(vals, ref, rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("kind,params", [
@@ -231,9 +248,9 @@ class TestLineRule:
         F = catalog.build_vector(kind, params)
         lines = _random_lines(6)
         x0s = np.array([ln.x0 for ln in lines])
-        vals, _ = _line_rule(F.envelope, np.linalg.norm(x0s, axis=1), 1e-9)(
+        vals, _ = _line_rule(F.envelope.eps0, np.linalg.norm(x0s, axis=1), 1e-9)(
             F, x0s, np.array([ln.omega for ln in lines]))
-        ref = [adaptive_line_integral(F, ln, F.envelope) for ln in lines]
+        ref = [adaptive_line_integral(F, ln) for ln in lines]
         np.testing.assert_allclose(vals, ref, rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("width", [0.05, 0.08, 0.12])
@@ -243,8 +260,7 @@ class TestLineRule:
         V = catalog.build_scalar("gaussian_bumps", {"bumps": [[1.0, 2.0, 0.0, width]]})
         lines = [Line.from_impact_angle(d, 0.0) for d in np.linspace(1.5, 2.3, 9)]
         vals, est = line_integrals_scalar(V, lines, tail_tol=1e-6)
-        ref = np.array([adaptive_line_integral(V, ln, V.envelope, tail_tol=1e-6)
-                        for ln in lines])
+        ref = np.array([adaptive_line_integral(V, ln) for ln in lines])
         assert np.all(np.abs(vals - ref) <= est + 1e-14)
 
     @pytest.mark.parametrize("width", [0.02, 0.03])
@@ -254,8 +270,7 @@ class TestLineRule:
         V = catalog.build_scalar("gaussian_bumps", {"bumps": [[1.0, 2.0, 0.0, width]]})
         lines = [Line.from_impact_angle(d, 0.0) for d in np.linspace(1.5, 2.3, 9)]
         vals, est = line_integrals_scalar(V, lines, tail_tol=1e-6)
-        ref = np.array([adaptive_line_integral(V, ln, V.envelope, tail_tol=1e-6)
-                        for ln in lines])
+        ref = np.array([adaptive_line_integral(V, ln) for ln in lines])
         assert np.all(np.abs(vals - ref) <= est + 1e-14)
 
     @pytest.mark.parametrize("width", [0.001])
@@ -286,7 +301,7 @@ class TestLineRule:
         np.testing.assert_allclose(vals, single, rtol=0, atol=1e-15)
         # the oracle's own absolute error is near its epsabs, 1e-13, on lines
         # whose integral is tiny, as in test_estimate_bounds_the_error
-        ref = np.array([adaptive_line_integral(V, ln, V.envelope) for ln in lines])
+        ref = np.array([adaptive_line_integral(V, ln) for ln in lines])
         assert est.shape == (8,) and np.all(est <= 1e-9)
         assert np.all(np.abs(vals - ref) <= est + 1e-14)
 
@@ -356,6 +371,16 @@ class TestLineIntegralVector:
         split = line_integrals_vector(cfg, lines)
         brute = [line_integral_vector_quadrature(cfg, ln) for ln in lines]
         np.testing.assert_allclose(split, brute, rtol=0, atol=1e-8)
+
+    def test_three_d_homogeneous_closed_form(self):
+        # A = c (a x x) / |x|^2 gives c (a x x0) . w pi / |x0| on every line;
+        # the line rule maps its tails with rate 1 (A . w decays like s^-2)
+        axis, c = np.array([0.0, 0.0, 1.0]), 0.5
+        cfg = PotentialConfig(dimension=3, obstacle_radius=1.0,
+                              transversal=catalog.cross_axis_transversal(axis=tuple(axis), c=c))
+        lines = _random_space_lines(5, n=200)
+        exact = [c * np.cross(axis, ln.x0) @ ln.omega * np.pi / ln.distance for ln in lines]
+        np.testing.assert_allclose(line_integrals_vector(cfg, lines), exact, rtol=0, atol=1e-13)
 
     def test_batch_equals_single_lines(self):
         prof = AngularFunction.constant(0.45) + AngularFunction.harmonic(2, sin_amp=0.1)
@@ -935,6 +960,23 @@ class TestFindGaugeScalar:
         gs = find_gauge_scalar(fld, r_in=1.2, r_out=4.0)
         pts = np.array([[1.5, 0.0], [0.0, 2.5], [-3.0, 1.0]])
         assert np.max(np.abs(gs.evaluate(pts))) < 1e-12
+
+    def test_no_decay_rate_raises_tail_not_bounded(self):
+        # a field without an envelope, or with a rate too slow to map, is
+        # refused by find_gauge_scalar before its curl check (the swirl is not
+        # curl-free), and by a GaugeScalar built on it directly
+        def swirl(p):
+            return np.column_stack([-p[:, 1], p[:, 0]]) * np.exp(-np.sum(p**2, axis=1) / 8.0)[:, None]
+
+        for envelope in (None, DecayEnvelope(C=1.0, eps0=1e-6)):
+            fld = ShortRangeField(dimension=2, func=swirl, envelope=envelope)
+            with pytest.raises(TailNotBounded):
+                find_gauge_scalar(fld, r_in=1.2, r_out=4.0)
+            gs = tomography.GaugeScalar(field=fld, far_radius=16.0, tail_tol=1e-9)
+            with pytest.raises(TailNotBounded):
+                gs.evaluate(np.array([[2.0, 0.5]]))
+            with pytest.raises(TailNotBounded):
+                gs.on_polar_grid([2.5, 4.0], [0.0, 1.0])
 
     @pytest.mark.parametrize("alpha", [0.3, -0.6, 1.4])
     def test_ab_raises_residual_flux(self, alpha):
