@@ -213,25 +213,46 @@ class Report:
 # kernel synthesis from configurations
 # ===================================================================
 
+def _spec_number(spec: dict, key: str, default, where: str, integer: bool = False):
+    """spec[key], or default when the key is missing: a finite number,
+    returned as a float, or with integer an integer, returned as an int
+    (bool is neither). ValueError naming where and the key otherwise."""
+    value = spec.get(key, default)
+    kinds = (int, np.integer) if integer else (int, float, np.integer, np.floating)
+    try:
+        ok = (isinstance(value, kinds) and not isinstance(value, bool)
+              and np.isfinite(float(value)))
+    except OverflowError:  # an integer beyond float range
+        ok = False
+    if not ok:
+        what = "an integer" if integer else "a finite number"
+        raise ValueError(f"{where} {key!r} must be {what}, got {value!r}")
+    return int(value) if integer else float(value)
+
+
 def _remainder_grid(spec: dict | None, n_grid: int) -> np.ndarray | None:
     """The remainder grid a kernel spec declares on the uniform n_grid angle
     grid, sampled in its structure: separable_trig,
     a cos(p theta) sin(q theta'), as the outer product of its two factors on
     the grid angles; diagonal_gaussian, a function of the offset
     theta - theta' alone, at the n_grid offsets 2 pi k / n_grid, read over
-    every cell through a circulant view."""
+    every cell through a circulant view. ValueError naming the key when the
+    amplitude is not a finite number, p or q not an integer, or the width
+    not a finite number above 0."""
     if not spec or spec.get("kind", "none") == "none":
         return None
     kind = spec["kind"]
     thetas = np.arange(n_grid) * 2 * np.pi / n_grid
     if kind == "separable_trig":
-        a = float(spec.get("amplitude", 0.1))
-        p = int(spec.get("p", 1))
-        q = int(spec.get("q", 2))
+        a = _spec_number(spec, "amplitude", 0.1, "remainder")
+        p = _spec_number(spec, "p", 1, "remainder", integer=True)
+        q = _spec_number(spec, "q", 2, "remainder", integer=True)
         return np.outer(a * np.cos(p * thetas), np.sin(q * thetas))
     if kind == "diagonal_gaussian":
-        a = float(spec.get("amplitude", 0.1))
-        w = float(spec.get("width", 0.5))
+        a = _spec_number(spec, "amplitude", 0.1, "remainder")
+        w = _spec_number(spec, "width", 0.5, "remainder")
+        if not w > 0:
+            raise ValueError(f"remainder 'width' must be above 0, got {w!r}")
         u = np.mod(thetas + np.pi, 2 * np.pi) - np.pi
         return np.ascontiguousarray(_circulant(a * np.exp(-u**2 / (2 * w**2))))
     raise ValueError(f"unknown remainder kind {kind!r}")
@@ -256,12 +277,15 @@ def synthesize_kernels(scenario: Scenario):
     and certified bound, so the grid is sampled and scanned once.
     A synthesized kernel holds the integer step of its flux as the winding,
     so the remainder carries the winding factor as under the gauge action.
-    Raises DimensionMismatch for configurations in 3-space.
+    Raises DimensionMismatch for configurations in 3-space, and ValueError
+    naming kernels 'n_grid' unless it is an integer of at least 16.
     """
     if scenario.config1.dimension != 2:
         raise DimensionMismatch("classify and kernel-lab compare plane kernels")
     ks = scenario.kernels
-    n_grid = int(ks.get("n_grid", 512))
+    n_grid = _spec_number(ks, "n_grid", 512, "kernels", integer=True)
+    if n_grid < 16:
+        raise ValueError(f"kernels 'n_grid' must be at least 16, got {n_grid}")
     lam = float(ks.get("lam", 1.0))
     dec1 = decompose_transversal(scenario.config1.transversal) \
         if scenario.config1.transversal is not None else None

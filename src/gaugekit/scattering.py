@@ -30,9 +30,13 @@ construction and dataclasses.replace check again.
 
 Off the grid, the remainder is trigonometric interpolation: the grid is
 contracted with the Dirichlet weight rows of both angles (M values per
-angle, no 2-D transform of the grid). evaluate reads its two angle arrays,
-broadcast together, pair by pair; a table of every pair is a broadcast
-of a column against a row.
+angle, no 2-D transform of the grid), first with the rows of the distinct
+in-angles and then, pair by pair, with the out-angle's row, so pairs that
+share an in-angle share one product with the grid. evaluate reads its two
+angle arrays, broadcast together, pair by pair; a table of every pair is a
+broadcast of a column against a row. Its prefactors read the phase
+profiles at angles reduced into [0, 2 pi), the in profile at theta' with
+its coefficients shifted by pi, as on_grid reads it.
 
 Channel constants. Writing u = theta - theta' and [a] for the integer step
 of the flux, the convolution part is
@@ -56,21 +60,28 @@ read is the same bits as from the complex grid, and real data (a synthesized
 sphere base, the pipeline's remainders) is stored and streamed in half the
 bytes.
 
-Both kinds are compared by one layer. A kind supplies rows(block) and
-far_pairs(), the mask of the pairs a comparison reads (off the diagonal band
-on the plane, more than angular.FAR_PAIR_ANGLE apart on the sphere); one
-pair check, one blocked distance over angular.row_blocks (about
-angular.ROW_BLOCK_BYTES each, each block of both kernels built once) and one
-verification step serve kernel_distance and both solvers. No pass over all
-pairs (maxima, distance, synthesis) forms a second n x n matrix; value_grid
-remains for callers.
+Both kinds are compared by one layer. A kind supplies rows(block), its
+base before the prefactors (_base_rows: singular + R on the plane, the base
+on the sphere), its real phase tables (_phases) and far_pairs(), the mask
+of the pairs a comparison reads (off the diagonal band on the plane, more
+than angular.FAR_PAIR_ANGLE apart on the sphere); one pair check, one
+blocked distance over angular.row_blocks (about angular.ROW_BLOCK_BYTES
+each) and one verification step serve kernel_distance and both solvers. No
+pass over all pairs (maxima, distance, synthesis) forms a second n x n
+matrix; value_grid remains for callers.
 
-The verification step skips the pass when the two kernels hold one grid
-object, as every pair the package builds does (the gauge action and
-synthesize_kernels reuse kernel 1's grid): they then differ only in their
-prefactors, each e^{i phase} of a real phase, and _shared_grid_bound bounds
-their distance in O(n) from the prefactors, the singular tables and the
-certified (C, delta). A bound within verify_tol answers equivalent;
+Every pair the package builds reads one base (the gauge action and
+synthesize_kernels reuse kernel 1's grid): on the plane one remainder
+object and an equal alpha, so one singular table; on the sphere one base
+object. Such a pair differs only in its prefactors, each e^{i phase} of a
+real phase, so |v1 - v2| = |base| |a_i - b_j| with a = e^{i(out1 - out2)}
+and b = e^{i(in2 - in1)} (_relative_phases). The distance pass then reads
+|base| once per row block; equal phases give a = b = 1 and a distance of
+exactly 0. Pairs on two grids (two kernels loaded from files) build each
+block of both kernels and take the difference. The verification step
+skips the pass altogether for a pair on one grid object: _shared_grid_bound
+bounds the distance in O(n) from the same a and b, the singular tables and
+the certified (C, delta). A bound within verify_tol answers equivalent;
 unshared grids, or a bound that fails, take the exact blocked distance, the
 only path that answers not_equivalent.
 
@@ -242,12 +253,21 @@ class ScatteringKernel:
         return self.alpha + self.winding
 
     def prefactor_out(self, theta) -> np.ndarray:
-        theta = np.asarray(theta, dtype=float)
-        return np.exp(1j * (self.winding * theta + self.phase_out(theta)))
+        """e^{i(w theta + p(theta))}, theta reduced into [0, 2 pi) first: the
+        dense AngularFunction.__call__ rounds k theta, which grows with
+        theta."""
+        t = np.mod(np.asarray(theta, dtype=float), 2 * np.pi)
+        return np.exp(1j * (self.winding * t + self.phase_out(t)))
 
     def prefactor_in(self, theta_prime) -> np.ndarray:
-        t = np.asarray(theta_prime, dtype=float) + np.pi
-        return np.exp(-1j * (self.winding * t + self.phase_in(t)))
+        """e^{-i(w (theta' + pi) + q(theta' + pi))}, theta' reduced into
+        [0, 2 pi) first. q(theta' + pi) is read at theta' with the
+        coefficients (-1)^k c_k, so the profile never meets the rounding of
+        theta' + pi, which q' would magnify."""
+        t = np.mod(np.asarray(theta_prime, dtype=float), 2 * np.pi)
+        q = self.phase_in
+        q_pi = AngularFunction(q.coefficients * (-1.0) ** np.arange(-q.degree, q.degree + 1))
+        return np.exp(-1j * (self.winding * (t + np.pi) + q_pi(t)))
 
     def _dirichlet_rows(self, theta: np.ndarray) -> np.ndarray:
         """Trigonometric-interpolation weights of the grid angles at each angle:
@@ -262,17 +282,20 @@ class ScatteringKernel:
         the pairs of the two angle arrays broadcast together, in that shape (a
         number for two numbers): evaluate(theta[:, None], theta_prime) gives
         a table. The remainder at a pair contracts R with the Dirichlet rows
-        of both angles, ((D_out R) * D_in).sum(), meaningful off the diagonal."""
+        of both angles, meaningful off the diagonal: R is contracted first
+        with the rows of the distinct in-angles, X = R D_in^T, and pair p
+        reads sum_a D_out[p, a] X[a, in-angle of p]. Pairs that share their
+        in-angle, as near_diagonal_growth's do, share one column of X."""
         th, tp = np.broadcast_arrays(np.asarray(theta, dtype=float),
                                      np.asarray(theta_prime, dtype=float))
-        d_out, d_in = self._dirichlet_rows(th.ravel()), self._dirichlet_rows(tp.ravel())
+        ins, inv = np.unique(tp.ravel(), return_inverse=True)
+        d_out, d_in = self._dirichlet_rows(th.ravel()), self._dirichlet_rows(ins)
         R = self.remainder
         if np.iscomplexobj(R):
-            d_out_R = d_out @ R
-        else:  # one real product, where d_out @ R would cast the grid to complex
-            parts = np.concatenate([d_out.real, d_out.imag]) @ R
-            d_out_R = parts[:len(d_out)] + 1j * parts[len(d_out):]
-        rem = (d_out_R * d_in).sum(axis=1).reshape(th.shape)
+            X = R @ d_in.T
+        else:  # two real products, where R @ d_in.T would cast the grid to complex
+            X = R @ d_in.real.T + 1j * (R @ d_in.imag.T)
+        rem = (d_out * X.T[inv]).sum(axis=1).reshape(th.shape)
         # (singular + R) * prefactor, in the operand order of rows(): numpy
         # would take that order only above its temporary-elision size, so a
         # value would depend on the size of its batch
@@ -281,25 +304,45 @@ class ScatteringKernel:
         return v
 
     @cached_property
-    def _grid_tables(self) -> tuple:
-        """prefactor_out and prefactor_in on the stored angles, their phase
-        profiles read by AngularFunction.on_grid, and the singular part at
-        each offset k (u = 2 pi k / M, 0 at k = 0): M values each, read-only,
-        built on the first read of the grid."""
+    def _phases(self) -> tuple:
+        """The real exponents of prefactor_out and prefactor_in on the stored
+        angles, w theta + p(theta) and -(w (theta + pi) + q(theta + pi)),
+        their phase profiles read by AngularFunction.on_grid: M values each,
+        read-only, built on the first read of the grid."""
         M, w, th = self.n_grid, self.winding, self.thetas
-        tables = (np.exp(1j * (w * th + self.phase_out.on_grid(M))),
-                  np.exp(-1j * (w * (th + np.pi) + self.phase_in.on_grid(M, np.pi))),
+        phases = (w * th + self.phase_out.on_grid(M),
+                  -(w * (th + np.pi) + self.phase_in.on_grid(M, np.pi)))
+        for t in phases:
+            t.flags.writeable = False
+        return phases
+
+    @cached_property
+    def _grid_tables(self) -> tuple:
+        """prefactor_out and prefactor_in on the stored angles, e^{i phase}
+        of _phases, and the singular part at each offset k (u = 2 pi k / M,
+        0 at k = 0): M values each, read-only, built on the first read of
+        the grid."""
+        out, inc = self._phases
+        M = self.n_grid
+        # e^{-i x} of the in exponent x negated back, not e^{i (-x)}: the two
+        # differ in the sign of a zero imaginary part
+        tables = (np.exp(1j * out), np.exp(-1j * -inc),
                   np.r_[0, singular_offdiagonal(self.alpha, 2 * np.pi * np.arange(1, M) / M)])
         for t in tables:
             t.flags.writeable = False
         return tables
 
+    def _base_rows(self, block: slice) -> np.ndarray:
+        """singular + R over a block of rows, a new array: the kernel's
+        values before its prefactors."""
+        return _circulant(self._grid_tables[2])[block] + self.remainder[block]
+
     def rows(self, block: slice) -> np.ndarray:
         """Values of a block of rows of the grid, value_grid()[block] bit for
         bit: (singular + R) * prefactor, in that operand order (complex
         multiplication is not bitwise commutative)."""
-        out, inc, singular = self._grid_tables
-        v = _circulant(singular)[block] + self.remainder[block]
+        out, inc, _ = self._grid_tables
+        v = self._base_rows(block)
         v *= np.multiply.outer(out[block], inc)
         return v
 
@@ -578,23 +621,56 @@ def _check_pair(S1, S2) -> None:
         raise GridMismatch("kernels at different energies")
 
 
+def _one_base(S1, S2) -> bool:
+    """Do the two kernels of a checked pair read one base, so that they
+    differ only in their prefactors? On the plane: one remainder object and
+    an equal alpha, so one singular table; on the sphere: one base object."""
+    if isinstance(S1, ScatteringKernel):
+        return S1.remainder is S2.remainder and S1.alpha == S2.alpha
+    return S1.base is S2.base
+
+
+def _relative_phases(S1, S2) -> tuple:
+    """a = e^{i(out1 - out2)} and b = e^{i(in2 - in1)} from the two kernels'
+    real phase tables: a value of kernel k is base * e^{i out_k} e^{i in_k},
+    so |v1 - v2| = |base| |a_i - b_j|. Equal phases give a = b = 1 exactly."""
+    out1, in1 = S1._phases
+    out2, in2 = S2._phases
+    return np.exp(1j * (out1 - out2)), np.exp(1j * (in2 - in1))
+
+
 def _distance(S1, S2) -> tuple:
     """kernel_distance of a checked pair, and S2's largest |value|: one pass
-    over row blocks, each block of both kernels built once. The distance is
-    the largest |S1 - S2| on S1.far_pairs(), plus the channel-spectrum
-    distance for plane kernels; the largest |value| includes every pair.
-    Both reduce with numpy, so a nan shows."""
+    over row blocks. The distance is the largest |S1 - S2| on
+    S1.far_pairs(), plus the channel-spectrum distance for plane kernels;
+    the largest |value| includes every pair. Both reduce with numpy, so a
+    nan shows.
+
+    Two kernels that read one base (_one_base), as every pair the package
+    builds does, differ only in their unimodular prefactors: the pass reads
+    |base| once per block and takes |base_ij| |a_i - b_j| (_relative_phases),
+    and the largest |value| is the largest |base|, both within a few ulps
+    of the values' own. Other pairs (two kernels loaded from files) build
+    each block of both kernels and take their difference."""
     far = S1.far_pairs()
     dist, top = [], []
-    for b in row_blocks(far.shape[0]):
-        v2 = S2.rows(b)
-        top.append(np.max(np.abs(v2)))
-        v1 = S1.rows(b)
-        # a fresh block takes the difference in place: a new 512 KiB array
-        # lies past malloc's mmap threshold and pays fresh page faults
-        d = np.subtract(v1, v2, out=v1 if v1.flags.writeable else None)
-        dist.append(np.max(np.abs(d), where=far[b], initial=0.0))
-        del v1, v2, d  # free this block before the next one is built
+    if _one_base(S1, S2):
+        a, b = _relative_phases(S1, S2)
+        for blk in row_blocks(far.shape[0]):
+            m = np.abs(S2._base_rows(blk))
+            top.append(np.max(m))
+            m *= np.abs(np.subtract.outer(a[blk], b))
+            dist.append(np.max(m, where=far[blk], initial=0.0))
+    else:
+        for blk in row_blocks(far.shape[0]):
+            v2 = S2.rows(blk)
+            top.append(np.max(np.abs(v2)))
+            v1 = S1.rows(blk)
+            # a fresh block takes the difference in place: a new 512 KiB
+            # array lies past malloc's mmap threshold and pays fresh page faults
+            d = np.subtract(v1, v2, out=v1 if v1.flags.writeable else None)
+            dist.append(np.max(np.abs(d), where=far[blk], initial=0.0))
+            del v1, v2, d  # free this block before the next one is built
     off = float(np.max(dist))
     if isinstance(S1, ScatteringKernel):
         off += S1.channel_spectrum().distance(S2.channel_spectrum())
@@ -665,6 +741,19 @@ class SphereScatteringKernel:
         if self.phase_out is None:
             return (np.ones(self.grid.size),) * 2
         return np.exp(1j * self.phase_out), np.exp(1j * self.phase_in)
+
+    @property
+    def _phases(self) -> tuple:
+        """The real exponents of the out and in prefactors: the phase
+        vectors, zeros when ungauged."""
+        if self.phase_out is None:
+            return (np.zeros(self.grid.size),) * 2
+        return self.phase_out, self.phase_in
+
+    def _base_rows(self, block: slice) -> np.ndarray:
+        """The base over a block of rows, a read-only view: the kernel's
+        values before its prefactors."""
+        return self.base[block]
 
     def rows(self, block: slice) -> np.ndarray:
         """Values of a block of rows: a read-only view of the base when
@@ -801,17 +890,17 @@ def gauge_equivalence_solver(S1, S2, verify_tol: float = 1e-6,
     return solve(S1, S2, verify_tol, phase_tol)
 
 
-def _prefactor_mismatch(o1, c1, o2, c2) -> float:
-    """eps with |o1_i c1_j - o2_i c2_j| <= eps at every pair (i, j) for tables
-    e^{i phase} (nan if one holds nan). With a = o1 conj(o2), b = c2 conj(c1),
-    o1 c1 - o2 c2 = o2 c1 (a - b) when |o2| = |c1| = 1, and
-    |a_i - b_j| <= |a_i - z| + |z - b_j|. z = a[0], not 1: a phase is fitted
-    up to a constant, which a and b then both carry. A computed e^{i phase}
-    is unimodular to 1 ulp, which adds o1 c1 (1 - |o2|^2) - o2 c2 (1 - |c1|^2),
-    about 4 ulps, and scales eps by 1 + 2 ulps; the _ROUND_OFF (16 ulps) that
-    callers add to eps covers both for eps <= 1, the only bounds a tolerance
-    below 1 accepts, with the rounding of the values."""
-    a, b = o1 * np.conj(o2), c2 * np.conj(c1)
+def _prefactor_mismatch(a, b) -> float:
+    """eps with |a_i - b_j| <= eps at every pair (i, j) for the relative
+    phases a, b of two kernels (_relative_phases; nan if one holds nan).
+    With unimodular prefactors o = e^{i out}, c = e^{i in},
+    |o1_i c1_j - o2_i c2_j| = |a_i - b_j| <= |a_i - z| + |z - b_j|. z = a[0],
+    not 1: a phase is fitted up to a constant, which a and b then both carry.
+    A computed e^{i x} is unimodular to 1 ulp, and a phase difference d is
+    rounded by |d| / 2 ulps, so while |d| <= 2 pi, a and b stand within a
+    few ulps of o1 conj(o2) and c2 conj(c1); there the _ROUND_OFF (16 ulps)
+    that callers add to eps covers this for eps <= 1, the only bounds a
+    tolerance below 1 accepts, with the rounding of the values."""
     z = a[0]
     return float(np.max(np.abs(a - z)) + np.max(np.abs(b - z)))
 
@@ -833,19 +922,17 @@ def _shared_grid_bound(S1, S2, base_max: float | None) -> float:
         R = S2.remainder
         if S1.remainder is not R or not np.all(np.isfinite(np.diagonal(R))):
             return np.inf
-        out1, in1, s1 = S1._grid_tables
-        out2, in2, s2 = S2._grid_tables
-        eps = _prefactor_mismatch(out1, in1, out2, in2)
+        eps = _prefactor_mismatch(*_relative_phases(S1, S2))
         M = S2.n_grid
         far = slice(DIAG_MARGIN_CELLS + 1, M - DIAG_MARGIN_CELLS)  # the offsets far_pairs() reads
         C = S2.bound_C
         r_top = C * _offset_gap(M)[far] ** (-S2.bound_delta) + 1e-12 * max(1.0, C)
-        s1, s2 = s1[far], s2[far]
+        s1, s2 = S1._grid_tables[2][far], S2._grid_tables[2][far]
         off = np.max(np.abs(s1 - s2) * (1 + 4 * _ROUND_OFF) + (np.abs(s2) + r_top) * (eps + _ROUND_OFF))
         return float(off) + S1.channel_spectrum().distance(S2.channel_spectrum())
     if S1.base is not S2.base:
         return np.inf
-    return base_max * (_prefactor_mismatch(*S1._prefactors, *S2._prefactors) + _ROUND_OFF)
+    return base_max * (_prefactor_mismatch(*_relative_phases(S1, S2)) + _ROUND_OFF)
 
 
 def _verify(S1, S2, g: GaugeElement, prov: dict, verify_tol: float, witness,

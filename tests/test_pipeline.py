@@ -192,6 +192,36 @@ class TestSynthesizeKernels:
         with pytest.raises(ValueError):
             synthesize_kernels(sc)
 
+    @pytest.mark.parametrize("kind, key, value", [
+        ("separable_trig", "amplitude", float("nan")),
+        ("diagonal_gaussian", "amplitude", float("inf")),
+        ("diagonal_gaussian", "amplitude", None),
+        ("separable_trig", "amplitude", 10**400),
+        ("diagonal_gaussian", "width", 0.0),
+        ("diagonal_gaussian", "width", -0.5),
+        ("diagonal_gaussian", "width", float("nan")),
+        ("diagonal_gaussian", "width", "0.5"),
+        ("separable_trig", "p", 1.5),
+        ("separable_trig", "q", "2"),
+        ("separable_trig", "p", True),
+    ])
+    def test_bad_remainder_spec_names_the_key(self, kind, key, value):
+        # unchecked, a width of 0 gives a nan growth exponent under the verdict
+        # inspected
+        sc = Scenario(kind="kernel-lab", config1=_plane_config(0.3),
+                      kernels={"n_grid": 64, "lam": 1.0, "remainder": {"kind": kind, key: value}})
+        with pytest.raises(ValueError, match=f"^remainder '{key}' must be "):
+            run_kernel_lab(sc)
+
+    @pytest.mark.parametrize("n_grid", [None, 2.5, 512.0, True, "512", 15, -64])
+    def test_n_grid_must_be_an_integer_of_at_least_16(self, n_grid):
+        sc = Scenario(kind="kernel-lab", config1=_plane_config(0.3),
+                      kernels={"n_grid": n_grid, "lam": 1.0})
+        with pytest.raises(ValueError, match="^kernels 'n_grid' must be "):
+            synthesize_kernels(sc)
+        assert synthesize_kernels(dataclasses.replace(
+            sc, kernels={"n_grid": 16, "lam": 1.0}))[0].n_grid == 16
+
 
 class TestClassify:
     def test_gauge_pair_equivalent(self):
@@ -773,6 +803,16 @@ class TestCli:
                          "--out", str(tmp_path / "out")]) == 1
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: DimensionMismatch: ")
+
+    def test_n_grid_that_is_null_exit_one(self, tmp_path, capsys):
+        path = self._write_gauge_pair_scenario(tmp_path)
+        data = json.loads(path.read_text())
+        data["kernels"]["n_grid"] = None
+        path.write_text(json.dumps(data))
+        assert cli.main(["classify", "--scenario", str(path),
+                         "--out", str(tmp_path / "out")]) == cli.EXIT_ERROR
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["error: kernels 'n_grid' must be an integer, got None"]
 
     def test_missing_scenario_exit_one(self, tmp_path):
         assert cli.main(["classify", "--scenario",

@@ -47,6 +47,12 @@ from gaugekit.scattering import (
 )
 
 
+# two kernels on one base are compared by |base| |a_i - b_j|, the dense
+# oracles by |v1 - v2| of the values: the same figure up to the rounding of
+# the values, within this many ulps of max(1, largest |value|)
+_ROUNDING = 8 * np.finfo(float).eps
+
+
 def _phi_sin(amplitude: float, k: int = 1) -> AngularFunction:
     """amplitude * sin(k theta) as an angular profile."""
     return AngularFunction.from_coefficients({k: -0.5j * amplitude})
@@ -330,6 +336,21 @@ class TestOffsetTables:
             np.testing.assert_allclose(t, want, rtol=1e-14, atol=0)
         assert not any(t.flags.writeable for t in tables)
 
+    def test_prefactors_off_the_grid_match_the_tables(self):
+        # degree-64 phases read pointwise at the grid angles agree with the
+        # on_grid tables; a dense sum read at theta' + pi would meet the
+        # rounding of theta' + pi (5.3e-15 sum |c_k| over 20 such profiles,
+        # 1.9e-14 for coefficients that do not decay)
+        rng = np.random.default_rng(64)
+        for _ in range(8):
+            coeffs = {k: complex(*rng.uniform(-0.5, 0.5, 2)) / k for k in range(1, 65)}
+            phase = AngularFunction.from_coefficients(coeffs)
+            S = assemble_kernel(0.35, a0_out=phase, a0_in=phase, n_grid=256, winding=1)
+            tol = 3e-15 * np.sum(np.abs(phase.coefficients))
+            out, inc, _ = S._grid_tables
+            assert np.max(np.abs(S.prefactor_out(S.thetas) - out)) <= tol
+            assert np.max(np.abs(S.prefactor_in(S.thetas) - inc)) <= tol
+
     def test_grid_reads_never_evaluate_a_profile_pointwise(self, monkeypatch):
         # the grid tables and the certified sup read the phase profiles by
         # on_grid only; the dense AngularFunction.__call__ is for angles off
@@ -530,6 +551,33 @@ class TestEvaluate:
         parts = np.concatenate([S.evaluate(th[k:k + 1000], tp[k:k + 1000])
                                 for k in range(0, 20_000, 1000)])
         np.testing.assert_array_equal(whole, parts)
+
+    @pytest.mark.parametrize("complex_remainder", [False, True])
+    def test_repeated_in_angles_match_distinct_pairs(self, complex_remainder):
+        S = _structured_kernel(256)
+        if complex_remainder:
+            S = dataclasses.replace(S, remainder=S.remainder + 0.01j * S.remainder.T)
+        rng = np.random.default_rng(13)
+        th = rng.uniform(0, 2 * np.pi, 30)
+        tp = rng.choice([0.37, 2.0, 5.5], 30)
+        got = S.evaluate(th, tp)
+        one_by_one = np.array([S.evaluate(a, b) for a, b in zip(th, tp)])
+        assert np.max(np.abs(got - one_by_one)) <= 1e-13 * np.max(np.abs(one_by_one))
+
+    def test_near_diagonal_probe_contracts_one_in_angle(self, monkeypatch):
+        # its 24 pairs share theta' = 0.37: the remainder grid meets the
+        # Dirichlet row of that one angle, not 24 copies of it
+        S = _structured_kernel(256)
+        sizes = []
+        rows = ScatteringKernel._dirichlet_rows
+
+        def counted(self, theta):
+            sizes.append(np.size(theta))
+            return rows(self, theta)
+
+        monkeypatch.setattr(ScatteringKernel, "_dirichlet_rows", counted)
+        near_diagonal_growth(S)
+        assert sorted(sizes) == [1, 24]
 
     def test_one_angle_against_a_number(self):
         S = _structured_kernel(64)
@@ -749,8 +797,75 @@ class TestKernelDistance:
             with np.errstate(invalid="ignore"):
                 got = scattering._distance(S1, S2)
                 want = dense_plane_distance(S1, S2)
-            np.testing.assert_array_equal(got, want)
+                tol = _ROUNDING * max(1.0, np.nanmax(np.abs(S2.value_grid())))
+            assert scattering._one_base(S1, S2)
+            assert abs(got[0] - want[0]) <= tol
             assert np.isfinite(got[0]) and np.isnan(got[1]) == (diagonal == "nan")
+            assert np.isnan(want[1]) if diagonal == "nan" else abs(got[1] - want[1]) <= tol
+
+    @pytest.mark.parametrize("kind", ["real", "complex", "none", "sphere"])
+    def test_one_base_pass_matches_the_values_pass(self, kind):
+        # the same pair compared on one base and, through a copy of kernel
+        # 2 that holds its own grid, by the rows of both kernels
+        if kind == "sphere":
+            grid = sphere_grid(refinement=3)
+            S1 = apply_gauge_to_kernel(synthesize_sphere_kernel(grid), GaugeElement(
+                dimension=3, phi_callable=_even_phase(0.1, 0.3, -0.2)))
+            S2 = apply_gauge_to_kernel(S1, GaugeElement(dimension=3, phi_callable=_even_phase()))
+            copy = SphereScatteringKernel(grid=grid, base=np.array(S2.base),
+                                          phase_out=S2.phase_out, phase_in=S2.phase_in)
+        else:
+            rng = np.random.default_rng(12)
+            R = {"real": 0.02 * rng.standard_normal((256, 256)),
+                 "complex": 0.02 * (rng.standard_normal((256, 256))
+                                    + 1j * rng.standard_normal((256, 256))),
+                 "none": None}[kind]
+            S1 = assemble_kernel(0.35, a0_out=_phi_sin(0.2), a0_in=_phi_cos(0.15, 2), smooth=R,
+                                 n_grid=256, winding=1)
+            S2 = apply_gauge_to_kernel(S1, GaugeElement(dimension=2, m=-1, phi=_phi_cos(0.3, 3)))
+            copy = ScatteringKernel.from_header_and_grid(S2.header_dict(), np.array(S2.remainder))
+        assert scattering._one_base(S1, S2) and not scattering._one_base(S1, copy)
+        shared, unshared = scattering._distance(S1, S2), scattering._distance(S1, copy)
+        tol = _ROUNDING * max(1.0, unshared[1])
+        assert shared[0] > 0.1
+        assert abs(shared[0] - unshared[0]) <= tol and abs(shared[1] - unshared[1]) <= tol
+
+    @pytest.mark.parametrize("kind", ["real", "complex", "sphere"])
+    def test_equal_phases_give_exactly_zero(self, kind):
+        if kind == "sphere":
+            S = apply_gauge_to_kernel(synthesize_sphere_kernel(sphere_grid(refinement=2)),
+                                      GaugeElement(dimension=3, phi_callable=_even_phase()))
+            twin = dataclasses.replace(S)
+        else:
+            S = _structured_kernel(256)
+            if kind == "complex":
+                S = dataclasses.replace(S, remainder=S.remainder * np.exp(0.3j))
+            twin = apply_gauge_to_kernel(S, GaugeElement(dimension=2))
+        assert kernel_distance(S, S) == 0.0
+        # another kernel object with the same base and phase bits
+        assert scattering._one_base(S, twin) and kernel_distance(S, twin) == 0.0
+
+    @pytest.mark.parametrize("kind", ["plane", "sphere"])
+    def test_nan_cell_off_the_diagonal_shows(self, kind):
+        if kind == "sphere":
+            grid = sphere_grid(refinement=2)
+            base = np.array(synthesize_sphere_kernel(grid).base)
+            base[0, grid.antipode[0]] = np.nan
+            S = SphereScatteringKernel(grid=grid, base=base)
+            g = GaugeElement(dimension=3, phi_callable=_even_phase())
+        else:
+            # the certificate refuses such a grid, so the kernel is built
+            # past it, as a stand-in for corrupted data
+            S = _structured_kernel(64)
+            R = np.array(S.remainder)
+            R[3, 40] = np.nan
+            S = ScatteringKernel._certified(**{**{f.name: getattr(S, f.name)
+                                                  for f in dataclasses.fields(S)},
+                                               "remainder": R})
+            g = GaugeElement(dimension=2, m=1, phi=_phi_cos(0.1, 2))
+        for T in (S, apply_gauge_to_kernel(S, g)):
+            assert scattering._one_base(S, T)
+            assert np.isnan(kernel_distance(S, T))
 
     @pytest.mark.parametrize("M", [64, 256, 1024])
     def test_row_blocks_are_the_value_grid(self, M):
@@ -1021,7 +1136,8 @@ class TestSphereSolver:
         assert grid.far_pairs() is mask
         assert not mask.flags.writeable
         np.testing.assert_array_equal(mask, grid.vertices @ grid.vertices.T < np.cos(0.15))
-        assert d == np.max(np.abs(K1.values - K2.values)[mask])
+        want = np.max(np.abs(K1.values - K2.values)[mask])
+        assert abs(d - want) <= _ROUNDING * max(1.0, K2.max_abs())
 
     @pytest.mark.parametrize("refinement", [0, 1, 2, 3])
     def test_blocked_distance_matches_dense(self, refinement):
@@ -1033,7 +1149,8 @@ class TestSphereSolver:
         K3 = apply_gauge_to_kernel(K1, GaugeElement(dimension=3,
                                                     phi_callable=_even_phase(0.1, 0.3, -0.2)))
         for A, B in ((K1, K2), (K2, K1), (K3, K2)):
-            assert kernel_distance(A, B) == np.max(np.abs(A.values - B.values)[mask])
+            want = np.max(np.abs(A.values - B.values)[mask])
+            assert abs(kernel_distance(A, B) - want) <= _ROUNDING * max(1.0, B.max_abs())
 
     def test_row_blocks_cover_the_grid_without_one_row_blocks(self):
         plane_sizes = [64, 256, 512, 1024]
@@ -1280,7 +1397,7 @@ class TestCertifiedVerify:
         S2 = S1._rephased(S1.alpha, S1.winding, S1.phase_out + huge, S1.phase_in)
         with np.errstate(over="ignore", invalid="ignore"):
             assert np.all(np.isnan(S2._grid_tables[0]))
-        assert np.isnan(scattering._shared_grid_bound(S1, S2, None))
+            assert np.isnan(scattering._shared_grid_bound(S1, S2, None))
         prov = {}
         with np.errstate(invalid="ignore"):
             res = scattering._verify(S1, S2, GaugeElement(dimension=2), prov, 1e-6, dict)
