@@ -222,7 +222,7 @@ class AngularFunction:
     def from_triples(cls, triples) -> "AngularFunction":
         try:
             coefficients = {int(k): re + 1j * im for k, re, im in triples}
-        except (TypeError, ValueError):
+        except (TypeError, ValueError, OverflowError):
             raise ValueError("coefficients must be a list of [k, re, im] triples, "
                              f"got {triples!r}") from None
         return cls.from_coefficients(coefficients)

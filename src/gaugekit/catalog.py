@@ -5,6 +5,8 @@ builders here return the callables together with calibrated decay envelopes.
 """
 from __future__ import annotations
 
+import sys
+
 import numpy as np
 
 from .angular import AngularFunction
@@ -16,6 +18,41 @@ from .fields import (
     TransversalField,
 )
 from .errors import TailNotBounded
+
+
+def _read_number(d, key: str, default, where: str, integer: bool = False, *,
+                 above=None, at_least=None):
+    """The one reader of JSON numbers: d[key] (default when absent; None: required)
+    as a float, or an int with integer, once finite, not a bool, integral with
+    integer, and above or at least the given bound; else a ValueError naming where, key."""
+    if not isinstance(d, dict):
+        raise ValueError(f"{where} must be a JSON object, got {d!r}")
+    if default is None and key not in d:
+        raise ValueError(f"{where} {key!r} must be given")
+    value = d.get(key, default)
+    kinds = (int, np.integer) if integer else (int, float, np.integer, np.floating)
+    if not (isinstance(value, kinds) and not isinstance(value, bool)
+            and abs(value) <= sys.float_info.max):  # not nan, inf or an int beyond floats
+        what = "an integer" if integer else "a finite number"
+        raise ValueError(f"{where} {key!r} must be {what}, got {value!r}")
+    value = int(value) if integer else float(value)
+    if above is not None and not value > above:
+        raise ValueError(f"{where} {key!r} must be above {above}, got {value!r}")
+    if at_least is not None and not value >= at_least:
+        raise ValueError(f"{where} {key!r} must be at least {at_least}, got {value!r}")
+    return value
+
+
+def _read_rows(rows, where: str, columns: dict) -> list:
+    """rows as given, once they are a list of rows of one number per column
+    that _read_number accepts with the column's options (say {"above": 0})."""
+    if not isinstance(rows, list) or any(
+            not isinstance(row, list) or len(row) != len(columns) for row in rows):
+        raise ValueError(f"{where} must be a list of [{', '.join(columns)}] rows, got {rows!r}")
+    for i, row in enumerate(rows):
+        for name, options in columns.items():
+            _read_number(dict(zip(columns, row)), name, None, f"{where} row {i}", **options)
+    return rows
 
 
 # Fields are formed one coordinate column at a time, in the order of operations
@@ -91,16 +128,17 @@ def _power_gradient(c: float, p_exp: float):
     return grad
 
 
-def _scalar_zero(params, dim):
+def _scalar_zero(params, dim, where):
     env = DecayEnvelope(C=1e-300, eps0=2.0)
     return (lambda p: np.zeros(p.shape[0])), (lambda p: np.zeros_like(p)), env
 
 
-def _scalar_gaussian_ring(params, dim):
-    a = float(params.get("amplitude", 1.0))
-    r0 = float(params.get("r0", 1.5))
-    sig = float(params.get("sigma", 0.25))
-    mod = params.get("modulation", [])  # [[l, cos_amp, sin_amp], ...]
+def _scalar_gaussian_ring(params, dim, where):
+    a = _read_number(params, "amplitude", 1.0, where)
+    r0 = _read_number(params, "r0", 1.5, where)
+    sig = _read_number(params, "sigma", 0.25, where, above=0)
+    mod = _read_rows(params.get("modulation", []), f"{where} 'modulation'",
+                     {"l": {"integer": True}, "cos_amp": {}, "sin_amp": {}})
 
     def f(p):
         r = np.sqrt(_sq_norms(p.T))
@@ -143,21 +181,24 @@ def _scalar_gaussian_ring(params, dim):
     return f, grad, env
 
 
-def _scalar_gaussian_bumps(params, dim):
-    bumps = params["bumps"]  # [[amplitude, cx, cy(, cz), width], ...]
+def _bump_rows(params, dim, where) -> list:
+    columns = {"amplitude": {}, **{f"centre {k}": {} for k in range(dim)}, "width": {"above": 0}}
+    return _read_rows(params.get("bumps"), f"{where} 'bumps'", columns)
+
+
+def _scalar_gaussian_bumps(params, dim, where):
+    bumps = _bump_rows(params, dim, where)
 
     def f(p):
         out = np.zeros(p.shape[0])
-        for b in bumps:
-            a, *c, w = b
+        for a, *c, w in bumps:
             diff = [x - ck for x, ck in zip(p.T, np.asarray(c, dtype=float))]
             out += a * np.exp(-_sq_norms(diff) / (2 * w**2))
         return out
 
     def mag(r):
         out = np.zeros_like(r)
-        for b in bumps:
-            a, *c, w = b
+        for a, *c, w in bumps:
             d = np.maximum(r - np.linalg.norm(c), 0.0)
             out += abs(a) * np.exp(-(d**2) / (2 * w**2))
         return out
@@ -165,9 +206,9 @@ def _scalar_gaussian_bumps(params, dim):
     return f, _bumps_gradient(bumps), _calibrate_envelope(mag, eps0=2.0)
 
 
-def _scalar_power(params, dim):
-    c = float(params.get("c", 1.0))
-    p_exp = float(params.get("p", 1.0))
+def _scalar_power(params, dim, where):
+    c = _read_number(params, "c", 1.0, where)
+    p_exp = _read_number(params, "p", 1.0, where)
     if p_exp <= 1.0:
         raise TailNotBounded(f"power decay p={p_exp:g} <= 1 is not integrable along a line")
 
@@ -188,14 +229,14 @@ SCALAR_KINDS = {
 
 # ---------------- vector kinds ----------------
 
-def _vector_zero(params, dim):
+def _vector_zero(params, dim, where):
     return (lambda p: np.zeros_like(p)), DecayEnvelope(C=1e-300, eps0=2.0)
 
 
-def _vector_grad_power(params, dim):
+def _vector_grad_power(params, dim, where):
     """grad of c <x>^-p; curl-free and short-range."""
-    c = float(params.get("c", 1.0))
-    p_exp = float(params.get("p", 1.0))
+    c = _read_number(params, "c", 1.0, where)
+    p_exp = _read_number(params, "p", 1.0, where)
 
     def mag(r):
         return abs(c) * p_exp * r * (1 + r**2) ** (-(p_exp + 2) / 2)
@@ -203,14 +244,13 @@ def _vector_grad_power(params, dim):
     return _power_gradient(c, p_exp), _calibrate_envelope(mag, eps0=p_exp)
 
 
-def _vector_grad_bumps(params, dim):
+def _vector_grad_bumps(params, dim, where):
     """grad of a sum of Gaussian bumps; curl-free and short-range."""
-    bumps = params["bumps"]
+    bumps = _bump_rows(params, dim, where)
 
     def mag(r):
         out = np.zeros_like(r)
-        for b in bumps:
-            a, *c, w = b
+        for a, *c, w in bumps:
             d = np.maximum(r - np.linalg.norm(c), 0.0)
             peak = (abs(a) / w) * np.exp(-0.5)  # max of |t| e^{-t^2/2} / w at |t|=w
             out += np.where(d > 0, (abs(a) / w**2) * (d + 3 * w) * np.exp(-(d**2) / (2 * w**2)), peak)
@@ -219,7 +259,7 @@ def _vector_grad_bumps(params, dim):
     return _bumps_gradient(bumps), _calibrate_envelope(mag, eps0=2.0)
 
 
-def _vector_ring_bump_tangential(params, dim):
+def _vector_ring_bump_tangential(params, dim, where):
     """Short-range tangential field whose curl is a Gaussian ring bump.
 
     A = (F(r)/r - M/r) that, where F(r) = int_0^r s b(s) ds for the bump
@@ -229,9 +269,9 @@ def _vector_ring_bump_tangential(params, dim):
     """
     from scipy.special import erf  # here, so that only this kind loads scipy
 
-    b0 = float(params.get("b0", 1.0))
-    r0 = float(params.get("r0", 1.5))
-    sig = float(params.get("sigma", 0.25))
+    b0 = _read_number(params, "b0", 1.0, where)
+    r0 = _read_number(params, "r0", 1.5, where)
+    sig = _read_number(params, "sigma", 0.25, where, above=0)
     s2 = np.sqrt(2.0) * sig
 
     def F(r):
@@ -249,10 +289,11 @@ def _vector_ring_bump_tangential(params, dim):
     return f, _calibrate_envelope(lambda r: np.abs(F(r) - M) / r, eps0=2.0)
 
 
-def _vector_cross_axis(params, dim):
+def _vector_cross_axis(params, dim, where):
     """x -> (axis cross x)/|x|^2 scaled; transversal, homogeneous -1, curl != 0 (n=3)."""
-    axis = np.asarray(params.get("axis", [0.0, 0.0, 1.0]), dtype=float)
-    c = float(params.get("c", 1.0))
+    axis = np.asarray(_read_rows([params.get("axis", [0.0, 0.0, 1.0])], f"{where} 'axis'",
+                                 dict.fromkeys("xyz", {}))[0], dtype=float)
+    c = _read_number(params, "c", 1.0, where)
 
     def f(pts):
         r2 = _sq_norms(pts.T)
@@ -270,19 +311,28 @@ VECTOR_KINDS = {
 }
 
 
-def _builder(kinds: dict, kind, what: str):
-    """The builder of a named kind, or a ValueError naming the known kinds."""
-    if isinstance(kind, str) and kind in kinds:
-        return kinds[kind]
-    raise ValueError(f"unknown {what} kind {kind!r}; known kinds: {', '.join(kinds)}")
+def _build(kinds: dict, what: str, kind, params: dict, dimension: int, C, eps0) -> tuple:
+    """What the builder of a named kind returns for params, its envelope last,
+    with a declared C or eps0 in place of its own half of that envelope."""
+    if not (isinstance(kind, str) and kind in kinds):
+        raise ValueError(f"unknown {what} kind {kind!r}; known kinds: {', '.join(kinds)}")
+    where = f"{kind} params"
+    if not isinstance(params, dict):
+        raise ValueError(f"{where} must be a JSON object, got {params!r}")
+    try:
+        *parts, env = kinds[kind](params, dimension, where)
+    except (OverflowError, ZeroDivisionError):  # say, the square of a width of 1e300
+        raise ValueError(f"{where} {params!r} overflow or underflow a float") from None
+    if declared := {key: value for key, value in (("C", C), ("eps0", eps0)) if value is not None}:
+        env = DecayEnvelope(C=_read_number(declared, "C", env and env.C, what, at_least=0),
+                            eps0=_read_number(declared, "eps0", env and env.eps0, what, above=0))
+    return *parts, env
 
 
 def build_scalar(kind: str, params: dict | None = None, dimension: int = 2,
                  C: float | None = None, eps0: float | None = None) -> ScalarPotential:
     params = params or {}
-    func, gradient, env = _builder(SCALAR_KINDS, kind, "scalar")(params, dimension)
-    if C is not None and eps0 is not None:
-        env = DecayEnvelope(C=C, eps0=eps0)
+    func, gradient, env = _build(SCALAR_KINDS, "scalar", kind, params, dimension, C, eps0)
     return ScalarPotential(dimension=dimension, func=func, envelope=env, kind=kind, params=params,
                            gradient=gradient)
 
@@ -290,14 +340,12 @@ def build_scalar(kind: str, params: dict | None = None, dimension: int = 2,
 def build_vector(kind: str, params: dict | None = None, dimension: int = 2,
                  C: float | None = None, eps0: float | None = None) -> ShortRangeField:
     params = params or {}
-    func, env = _builder(VECTOR_KINDS, kind, "vector")(params, dimension)
-    if C is not None and eps0 is not None:
-        env = DecayEnvelope(C=C, eps0=eps0)
+    func, env = _build(VECTOR_KINDS, "vector", kind, params, dimension, C, eps0)
     return ShortRangeField(dimension=dimension, func=func, envelope=env, kind=kind, params=params)
 
 
 def cross_axis_transversal(axis=(0.0, 0.0, 1.0), c: float = 1.0) -> TransversalField:
-    func, _ = _vector_cross_axis({"axis": list(axis), "c": c}, 3)
+    func, _ = _vector_cross_axis({"axis": list(axis), "c": c}, 3, "cross_axis params")
     return TransversalField(dimension=3, profile=func)
 
 
@@ -326,29 +374,20 @@ def config_to_dict(cfg: PotentialConfig) -> dict:
     return out
 
 
-def _number(d: dict, key: str, kind):
-    try:
-        return kind(d[key])
-    except (TypeError, ValueError):
-        raise ValueError(f"configuration {key!r} must be a number, got {d[key]!r}") from None
-
-
-def _section(d: dict, name: str) -> dict | None:
+def _section(d: dict, name: str, where: str = "configuration") -> dict | None:
     """The object d[name], or None when it is absent or empty."""
     s = d.get(name)
     if not s:
         return None
     if not isinstance(s, dict):
-        raise ValueError(f"configuration {name!r} must be a JSON object, got {s!r}")
-    if not isinstance(s.get("params") or {}, dict):
-        raise ValueError(f"configuration {name!r} params must be a JSON object")
+        raise ValueError(f"{where} {name!r} must be a JSON object, got {s!r}")
     return s
 
 
 def config_from_dict(d: dict) -> PotentialConfig:
     if not isinstance(d, dict):
         raise ValueError("configuration must be a JSON object")
-    dim = _number(d, "dimension", int)
+    dim = _read_number(d, "dimension", None, "configuration", integer=True)
     transversal = None
     if s := _section(d, "transversal"):
         transversal = TransversalField.from_profile(AngularFunction.from_triples(s["profile"]))
@@ -358,6 +397,7 @@ def config_from_dict(d: dict) -> PotentialConfig:
     scalar = None
     if s := _section(d, "scalar"):
         scalar = build_scalar(s["kind"], s.get("params"), dim, s.get("C"), s.get("eps0"))
-    return PotentialConfig(dimension=dim, obstacle_radius=_number(d, "obstacle_radius", float),
+    radius = _read_number(d, "obstacle_radius", None, "configuration")
+    return PotentialConfig(dimension=dim, obstacle_radius=radius,
                            transversal=transversal, short_range=short_range, scalar=scalar,
                            label=d.get("label", ""))

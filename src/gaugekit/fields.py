@@ -441,7 +441,7 @@ def extract_leading_order(radii, values, grid: SphereGrid, tol: float = 1e-6,
     limit, correction = neville_at_zero(1.0 / radii, list(g))
     scale = max(1.0, float(np.max(np.abs(limit))))
     residual = float(np.max(np.abs(correction)))
-    if residual > tol * scale:
+    if not residual <= tol * scale:  # a nan residual fails too
         raise NonConvergent(
             f"extrapolation residual {residual:.3e} exceeds {tol:.1e} (decay slower than |x|^-2?)")
     if limit.ndim == 1:

@@ -21,10 +21,10 @@ from pathlib import Path
 
 import numpy as np
 
-from . import catalog
 from ._csvio import write_csv, write_grid_csv
 from .angular import AngularFunction, sphere_grid
-from .errors import DimensionMismatch, NotCurlFree, ResidualFlux
+from .catalog import _read_number, _section, config_from_dict, config_to_dict
+from .errors import DimensionMismatch, NonConvergent, NotCurlFree, ResidualFlux
 from .fields import (
     GaugeElement,
     PotentialConfig,
@@ -96,9 +96,11 @@ class Scenario:
                 raise ValueError("configurations must share the dimension")
             if self.config2.obstacle_radius != self.config1.obstacle_radius:
                 raise ValueError("configurations must share the obstacle radius")
-        tol = dict(DEFAULT_TOLERANCES)
-        tol.update(self.tolerances)
-        self.tolerances = tol
+        self.tolerances = {key: _read_number(self.tolerances, key, default, "tolerances")
+                           for key, default in DEFAULT_TOLERANCES.items()}
+        self.seed = _read_number(vars(self), "seed", None, "scenario", integer=True, at_least=0)
+        if not isinstance(self.output_dir, (str, type(None))):
+            raise ValueError(f"scenario 'output_dir' must be a path, got {self.output_dir!r}")
 
     @classmethod
     def from_json(cls, text: str) -> "Scenario":
@@ -107,8 +109,8 @@ class Scenario:
             raise ValueError("scenario must be a JSON object")
         if data.get("schema_version") != 1:
             raise ValueError("unsupported scenario schema version")
-        cfg1 = catalog.config_from_dict(data["config1"])
-        cfg2 = catalog.config_from_dict(data["config2"]) if data.get("config2") else None
+        cfg1 = config_from_dict(data["config1"])
+        cfg2 = config_from_dict(data["config2"]) if data.get("config2") else None
         options = {k: data[k] for k in ("geometry", "tolerances", "kernels", "seed", "label",
                                         "obstacle_convex", "output_dir") if k in data}
         return cls(kind=data["kind"], config1=cfg1, config2=cfg2, **options)
@@ -124,8 +126,8 @@ class Scenario:
             "label": self.label,
             "seed": self.seed,
             "obstacle_convex": self.obstacle_convex,
-            "config1": catalog.config_to_dict(self.config1),
-            "config2": catalog.config_to_dict(self.config2) if self.config2 else None,
+            "config1": config_to_dict(self.config1),
+            "config2": config_to_dict(self.config2) if self.config2 else None,
             "geometry": self.geometry,
             "tolerances": self.tolerances,
             "kernels": self.kernels,
@@ -156,6 +158,8 @@ class Report:
 
     def add(self, name: str, value: float, tolerance: float | None,
             operation: str) -> ReportEntry:
+        if not np.isfinite(value):  # say, a reconstruction that overflowed
+            raise NonConvergent(f"report entry {name!r} is not finite, got {value!r}")
         passed = None if tolerance is None else bool(abs(value) <= tolerance)
         e = ReportEntry(name=name, value=float(value), tolerance=tolerance,
                         operation=operation, passed=passed)
@@ -188,8 +192,12 @@ class Report:
         rep = cls(kind=data["kind"], label=data.get("label", ""),
                   verdict=data.get("verdict"), gauge=data.get("gauge"),
                   witness=data.get("witness"), provenance=data.get("provenance", {}))
-        for e in data.get("entries", []):
-            rep.entries.append(ReportEntry(**e))
+        for i, e in enumerate(data.get("entries", [])):
+            try:
+                rep.entries.append(ReportEntry(**e))
+            except TypeError:
+                raise ValueError(f"report entry {i} must be an object with name, value, "
+                                 f"tolerance and operation, got {e!r}") from None
         return rep
 
     def summary_lines(self) -> list:
@@ -213,46 +221,27 @@ class Report:
 # kernel synthesis from configurations
 # ===================================================================
 
-def _spec_number(spec: dict, key: str, default, where: str, integer: bool = False):
-    """spec[key], or default when the key is missing: a finite number,
-    returned as a float, or with integer an integer, returned as an int
-    (bool is neither). ValueError naming where and the key otherwise."""
-    value = spec.get(key, default)
-    kinds = (int, np.integer) if integer else (int, float, np.integer, np.floating)
-    try:
-        ok = (isinstance(value, kinds) and not isinstance(value, bool)
-              and np.isfinite(float(value)))
-    except OverflowError:  # an integer beyond float range
-        ok = False
-    if not ok:
-        what = "an integer" if integer else "a finite number"
-        raise ValueError(f"{where} {key!r} must be {what}, got {value!r}")
-    return int(value) if integer else float(value)
-
-
 def _remainder_grid(spec: dict | None, n_grid: int) -> np.ndarray | None:
     """The remainder grid a kernel spec declares on the uniform n_grid angle
     grid, sampled in its structure: separable_trig,
     a cos(p theta) sin(q theta'), as the outer product of its two factors on
     the grid angles; diagonal_gaussian, a function of the offset
     theta - theta' alone, at the n_grid offsets 2 pi k / n_grid, read over
-    every cell through a circulant view. ValueError naming the key when the
-    amplitude is not a finite number, p or q not an integer, or the width
-    not a finite number above 0."""
+    every cell through a circulant view. ValueError names a refused key."""
     if not spec or spec.get("kind", "none") == "none":
         return None
     kind = spec["kind"]
     thetas = np.arange(n_grid) * 2 * np.pi / n_grid
     if kind == "separable_trig":
-        a = _spec_number(spec, "amplitude", 0.1, "remainder")
-        p = _spec_number(spec, "p", 1, "remainder", integer=True)
-        q = _spec_number(spec, "q", 2, "remainder", integer=True)
+        a = _read_number(spec, "amplitude", 0.1, "remainder")
+        p = _read_number(spec, "p", 1, "remainder", integer=True)
+        q = _read_number(spec, "q", 2, "remainder", integer=True)
         return np.outer(a * np.cos(p * thetas), np.sin(q * thetas))
     if kind == "diagonal_gaussian":
-        a = _spec_number(spec, "amplitude", 0.1, "remainder")
-        w = _spec_number(spec, "width", 0.5, "remainder")
-        if not w > 0:
-            raise ValueError(f"remainder 'width' must be above 0, got {w!r}")
+        a = _read_number(spec, "amplitude", 0.1, "remainder")
+        w = _read_number(spec, "width", 0.5, "remainder", above=0)
+        if not 0 < w * w < np.inf:  # w**2 below would overflow, or give 0 and a nan diagonal
+            raise ValueError(f"remainder 'width' must have a float square, got {w!r}")
         u = np.mod(thetas + np.pi, 2 * np.pi) - np.pi
         return np.ascontiguousarray(_circulant(a * np.exp(-u**2 / (2 * w**2))))
     raise ValueError(f"unknown remainder kind {kind!r}")
@@ -261,10 +250,9 @@ def _remainder_grid(spec: dict | None, n_grid: int) -> np.ndarray | None:
 def _gauge_from_spec(spec: dict | None) -> GaugeElement | None:
     if spec is None:
         return None
-    phi = None
-    if spec.get("phi"):
-        phi = AngularFunction.from_triples(spec["phi"])
-    return GaugeElement(dimension=2, m=int(spec.get("m", 0)), phi=phi)
+    m = _read_number(spec, "m", 0, "relating_gauge", integer=True)
+    phi = AngularFunction.from_triples(spec["phi"]) if spec.get("phi") else None
+    return GaugeElement(dimension=2, m=m, phi=phi)
 
 
 def synthesize_kernels(scenario: Scenario):
@@ -283,17 +271,15 @@ def synthesize_kernels(scenario: Scenario):
     if scenario.config1.dimension != 2:
         raise DimensionMismatch("classify and kernel-lab compare plane kernels")
     ks = scenario.kernels
-    n_grid = _spec_number(ks, "n_grid", 512, "kernels", integer=True)
-    if n_grid < 16:
-        raise ValueError(f"kernels 'n_grid' must be at least 16, got {n_grid}")
-    lam = float(ks.get("lam", 1.0))
+    n_grid = _read_number(ks, "n_grid", 512, "kernels", integer=True, at_least=16)
+    lam = _read_number(ks, "lam", 1.0, "kernels")
     dec1 = decompose_transversal(scenario.config1.transversal) \
         if scenario.config1.transversal is not None else None
     a1 = dec1.alpha if dec1 else 0.0
     p1 = dec1.a0 if dec1 else AngularFunction.zero()
     w1 = flux_step(a1)
     S1 = assemble_kernel(a1 - w1, a0_in=p1, a0_out=p1,
-                         smooth=_remainder_grid(ks.get("remainder"), n_grid),
+                         smooth=_remainder_grid(_section(ks, "remainder", "kernels"), n_grid),
                          lam=lam, n_grid=n_grid, winding=w1)
 
     def flux_kernel(alpha, a0):  # kernel 1's remainder and certified bound
@@ -384,7 +370,7 @@ def run_classify(scenario: Scenario) -> Report:
     rng = np.random.default_rng(scenario.seed)
     geo = scenario.geometry
     r_in = cfg1.obstacle_radius + 0.05 * max(1.0, cfg1.obstacle_radius)
-    r_out = float(geo.get("r_max", 3.5))
+    r_out = _read_number(geo, "r_max", 3.5, "geometry")
     scale_v = 1.0
     if cfg1.scalar is not None or cfg2.scalar is not None:
         pts = annulus_points(rng, r_in, r_out, 200)
@@ -487,8 +473,9 @@ def run_reconstruct(scenario: Scenario) -> Report:
     if cfg.dimension == 3:
         return _reconstruct_3d(scenario, rep)
     geo = scenario.geometry
-    angles, offsets = parallel_geometry(int(geo["n_angles"]), int(geo["n_offsets"]),
-                                        float(geo["r_min"]), float(geo["r_max"]))
+    angles, offsets = parallel_geometry(
+        *(_read_number(geo, key, None, "geometry", integer=key.startswith("n_"))
+          for key in ("n_angles", "n_offsets", "r_min", "r_max")))
 
     has_vector = cfg.transversal is not None or cfg.short_range is not None
     if has_vector:
@@ -532,8 +519,8 @@ def _reconstruct_3d(scenario: Scenario, rep: Report) -> Report:
     cfg = scenario.config1
     geo = scenario.geometry
     r_lo = max(4.0, 3.0 * cfg.obstacle_radius)
-    radii = np.geomspace(r_lo, 8 * r_lo, int(geo.get("n_radii", 6)))
-    grid = sphere_grid(int(geo.get("sphere_refinement", 2)))
+    radii = np.geomspace(r_lo, 8 * r_lo, _read_number(geo, "n_radii", 6, "geometry", integer=True))
+    grid = sphere_grid(_read_number(geo, "sphere_refinement", 2, "geometry", integer=True))
 
     def b_comps(p):
         return curl(cfg, np.atleast_2d(p), step_rel=1e-5)
@@ -596,23 +583,15 @@ def emit_report(report: Report, out_dir) -> list:
         if isinstance(obj, ScatteringKernel):
             q = out / f"{name}_slice.csv"
             kernel_slice_csv(obj, q)
-            written.append(q)
-        elif isinstance(obj, Sinogram):
+        elif isinstance(obj, (Sinogram, PolarGridField)):
             q = out / f"{name}.csv"
             obj.to_csv(q)
-            written.append(q)
-        elif isinstance(obj, PolarGridField):
+        elif name in ("gauge_scalar", "leading_order"):
             q = out / f"{name}.csv"
-            obj.to_csv(q)
-            written.append(q)
-        elif name == "gauge_scalar":
-            q = out / "gauge_scalar.csv"
-            _gauge_scalar_to_csv(obj, q)
-            written.append(q)
-        elif name == "leading_order":
-            q = out / "leading_order.csv"
-            _leading_to_csv(obj, q)
-            written.append(q)
+            (_gauge_scalar_to_csv if name == "gauge_scalar" else _leading_to_csv)(obj, q)
+        else:
+            continue
+        written.append(q)
     return written
 
 
@@ -623,8 +602,6 @@ def _gauge_scalar_to_csv(gs, path) -> None:
 
 
 def _leading_to_csv(leads, path) -> None:
-    if not isinstance(leads, list):
-        leads = [leads]
     grid = leads[0].grid
     header = "wx,wy,wz," + ",".join(f"b{k}" for k in range(len(leads)))
     write_csv(path, header, [grid.vertices] + [lead.values for lead in leads])

@@ -101,6 +101,7 @@ from numpy.lib.stride_tricks import as_strided, sliding_window_view
 
 from ._csvio import read_csv, write_grid_csv
 from .angular import AngularFunction, SphereFunction, SphereGrid, row_blocks
+from .catalog import _read_number
 from .errors import (
     DimensionMismatch,
     GridMismatch,
@@ -389,24 +390,16 @@ class ScatteringKernel:
 
     @classmethod
     def from_header_and_grid(cls, header: dict, remainder: np.ndarray) -> "ScatteringKernel":
-        if not isinstance(header, dict):
-            raise ValueError(f"kernel header must be a JSON object, got {header!r}")
-
-        def number(key: str, kind=float):
-            try:
-                return kind(header[key])
-            except (TypeError, ValueError):
-                raise ValueError(
-                    f"kernel header {key!r} must be a number, got {header[key]!r}") from None
-
+        M, winding, alpha, C, delta, lam = (
+            _read_number(header, key, None, "kernel header", integer=key in ("n_grid", "winding"))
+            for key in ("n_grid", "winding", "alpha", "C", "delta", "lam"))
         if header.get("dimension", 2) != 2:
             raise ValueError(f"kernel header 'dimension' must be 2, got {header['dimension']!r}")
-        M = number("n_grid", int)
-        return cls(alpha=number("alpha"), winding=number("winding", int),
+        return cls(alpha=alpha, winding=winding,
                    phase_out=AngularFunction.from_triples(header["phase_out"]),
                    phase_in=AngularFunction.from_triples(header["phase_in"]),
                    remainder=np.asarray(remainder).reshape(M, M),
-                   bound_C=number("C"), bound_delta=number("delta"), lam=number("lam"))
+                   bound_C=C, bound_delta=delta, lam=lam)
 
     def remainder_to_csv(self, path) -> None:
         index = np.arange(self.n_grid)

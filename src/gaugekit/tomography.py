@@ -519,8 +519,8 @@ def forward_sinogram(config: PotentialConfig, angles, offsets, kind: str = "scal
         x0s = offsets[:, None] * np.array([np.cos(ang), np.sin(ang)])
         omegas = np.broadcast_to([-np.sin(ang), np.cos(ang)], (offsets.size, 2))
         out[i] = transform(x0s, omegas)
-    return Sinogram(angles=angles, offsets=offsets, values=out, kind=kind,
-                    obstacle_radius=config.obstacle_radius)
+    return Sinogram(angles=angles, offsets=offsets, values=_finite_sums(out, "sinogram"),
+                    kind=kind, obstacle_radius=config.obstacle_radius)
 
 
 # ===================================================================
@@ -741,7 +741,7 @@ def radon_invert_scalar(sino: Sinogram) -> PolarGridField:
         dpl = _spline_derivative(t_pos, p_hat[il], slopes[:, j], tv, interval)
         vl = -(1.0 / np.pi) * np.sum(dpl * np.cosh(l * s) * sw, axis=1)
         out += vl[:, None] * np.exp(1j * l * thetas[None, :])
-    return PolarGridField(radii=radii, thetas=thetas, values=out.real,
+    return PolarGridField(radii=radii, thetas=thetas, values=_finite_sums(out.real, "inversion"),
                           annulus=(float(radii[0]), float(radii[-1])),
                           dropped_harmonics=tuple(sorted(dropped)))
 

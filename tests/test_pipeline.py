@@ -534,6 +534,14 @@ class TestReport:
         assert back.entries[0].name == "flux_difference"
         assert back.to_json() == rep.to_json()
 
+    def test_malformed_entry_exit_one(self, tmp_path, capsys):
+        path = tmp_path / "report.json"
+        path.write_text('{"kind": "classify", "entries": [{"name": "x"}]}')
+        assert cli.main(["report", "--report", str(path)]) == cli.EXIT_ERROR
+        assert capsys.readouterr().err.splitlines() == [
+            "error: report entry 0 must be an object with name, value, tolerance and "
+            "operation, got {'name': 'x'}"]
+
     def test_summary_lines_mark_outcomes(self):
         rep = Report(kind="classify", verdict="equivalent")
         rep.add("good", 0.0, 1e-6, "probe")
@@ -891,7 +899,7 @@ class TestCli:
                      ["gauge", "--kernel", str(k1), "--m", "1", "--out", str(k2)]):
             assert cli.main(["kernel"] + argv) == cli.EXIT_ERROR
             err = capsys.readouterr().err.splitlines()
-            assert err == ["error: kernel alpha must be finite, got inf"]
+            assert err == ["error: kernel header 'alpha' must be a finite number, got inf"]
         assert sorted(p.name for p in tmp_path.iterdir()) == ["k1.json", "k1_remainder.csv"]
 
     def test_kernel_solve_integer_flux_exit_two(self, tmp_path, capsys):
@@ -946,7 +954,7 @@ class TestCli:
         assert cli.main(["kernel", "compare", "--kernel1", str(k1),
                          "--kernel2", str(k1)]) == cli.EXIT_ERROR
         err = capsys.readouterr().err.splitlines()
-        assert err == ["error: kernel header 'n_grid' must be a number, got None"]
+        assert err == ["error: kernel header 'n_grid' must be an integer, got None"]
 
     def test_kernel_header_of_another_dimension_exit_one(self, tmp_path, capsys):
         # a plane kernel file holds dimension 2; any other value is refused

@@ -546,6 +546,15 @@ class TestRadonInvertScalar:
 
 
 class TestForwardSinogram:
+    def test_scalar_sinogram_without_a_scalar_part_is_zero(self):
+        cfg = PotentialConfig(dimension=2, obstacle_radius=1.0,
+                              transversal=TransversalField.from_profile(
+                                  AngularFunction.constant(0.3)))
+        angles, offsets = parallel_geometry(5, 8, 1.001, 3.0)
+        sino = forward_sinogram(cfg, angles, offsets, kind="scalar")
+        assert sino.values.shape == (5, 8)
+        np.testing.assert_array_equal(sino.values, 0.0)
+
     @pytest.mark.parametrize("kind", ["scalar", "vector"])
     def test_space_config_rejected(self, kind):
         # no scalar part: a scalar sinogram must not come back as silent zeros
