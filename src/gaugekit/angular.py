@@ -221,11 +221,13 @@ class AngularFunction:
     @classmethod
     def from_triples(cls, triples) -> "AngularFunction":
         try:
-            coefficients = {int(k): re + 1j * im for k, re, im in triples}
+            rows = [(int(k), k, re + 1j * im) for k, re, im in triples]
         except (TypeError, ValueError, OverflowError):
             raise ValueError("coefficients must be a list of [k, re, im] triples, "
                              f"got {triples!r}") from None
-        return cls.from_coefficients(coefficients)
+        if any(i != k for i, k, _ in rows):  # int() would truncate 1.5 to 1
+            raise ValueError(f"coefficient indices must be integers, got {triples!r}")
+        return cls.from_coefficients({i: c for i, _, c in rows})
 
 
 # ===================================================================

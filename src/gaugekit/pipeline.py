@@ -189,6 +189,8 @@ class Report:
         data = json.loads(text)
         if not isinstance(data, dict):
             raise ValueError("report must be a JSON object")
+        if data.get("gauge") is not None:  # an object whose phi_max summary_lines prints
+            _read_number(data["gauge"], "phi_max", None, "report 'gauge'")
         rep = cls(kind=data["kind"], label=data.get("label", ""),
                   verdict=data.get("verdict"), gauge=data.get("gauge"),
                   witness=data.get("witness"), provenance=data.get("provenance", {}))

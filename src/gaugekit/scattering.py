@@ -106,6 +106,7 @@ from .errors import (
     DimensionMismatch,
     GridMismatch,
     RemainderBoundViolated,
+    NonConvergent,
     SingularPartMissing,
 )
 from .fields import GaugeElement
@@ -114,6 +115,7 @@ DIAG_MARGIN_CELLS = 5
 INTEGER_FLUX_TOL = 1e-9
 _CHANNEL_JUMP_TOL = 1e-6  # smallest channel jump 2|sin(pi f)| that anchors a flux f
 _ROUND_OFF = 16 * np.finfo(float).eps  # relative rounding of a kernel value and its prefactors
+_CG_TOL, _CG_MAX_ITER = 1e-14, 1000  # the sphere fit's relative residual and iteration cap
 
 
 def flux_step(alpha: float) -> int:
@@ -675,12 +677,15 @@ def near_diagonal_growth(S: ScatteringKernel) -> tuple[float, float]:
     theta0 = 0.37, over 24 geometric u from 1e-3 to 1e-1.
 
     SingularPartMissing at integer base flux: sin(alpha pi) vanishes, so the
-    kernel has no diagonal singularity to fit."""
+    kernel has no diagonal singularity to fit. NonConvergent when a probed
+    value is zero or not finite."""
     if is_integer_flux(S.alpha):
         raise SingularPartMissing("integer flux: the kernel has no diagonal singularity")
     us = np.geomspace(1e-3, 1e-1, 24)
     theta0 = 0.37
     logs = np.log(np.abs(S.evaluate(theta0 + us, np.full(us.size, theta0))))
+    if not np.all(np.isfinite(logs)):
+        raise NonConvergent("the near-diagonal probe read a value that is zero or not finite")
     A = np.column_stack([np.log(us), np.ones(us.size)])
     slope, intercept = np.linalg.lstsq(A, logs, rcond=None)[0]
     return float(-slope), float(np.exp(intercept))
@@ -784,13 +789,15 @@ class SphereScatteringKernel:
 def synthesize_sphere_kernel(grid: SphereGrid, lam: float = 1.0) -> SphereScatteringKernel:
     """Diagonal-concentrated smooth stand-in kernel exp(-|w - w'|^2 / width^2)
     with width 0.6, plus a fixed small offset so the ratio is anchored
-    everywhere near the diagonal. Filled by row blocks into one float64
-    array, the real base."""
+    everywhere near the diagonal. Filled in place by row blocks into one
+    float64 array, the real base."""
     V = grid.vertices
     vals = np.empty((grid.size, grid.size))
     for b in row_blocks(grid.size):
-        d2 = np.maximum(2.0 - 2.0 * (V[b] @ V.T), 0.0)
-        vals[b] = np.exp(-d2 / 0.6**2) + 0.05
+        # exp(-max(2 - 2c, 0) / 0.6^2) + 0.05 in place, bit for bit: halving both is exact
+        x = np.matmul(V[b], V.T, out=vals[b])
+        np.maximum(np.subtract(1.0, x, out=x), 0.0, out=x)
+        np.add(np.exp(np.divide(x, -0.6**2 / 2, out=x), out=x), 0.05, out=x)
     return SphereScatteringKernel(grid=grid, base=vals, lam=lam)
 
 
@@ -867,11 +874,11 @@ def gauge_equivalence_solver(S1, S2, verify_tol: float = 1e-6,
     by applying the fitted gauge and measuring the kernel distance.
 
     Sphere: requires declared singular support on S1; the diagonal ratio
-    gives the odd part of the phase (it must vanish for a legitimate gauge:
-    direction functions entering gauges are antipodally even), near-diagonal
-    pairs on the grid edges give even-part differences, fitted in least
-    squares by a sparse graph-Laplacian solve; anchored pairs that leave the
-    grid disconnected give Ambiguous. Verified by applying the fitted gauge.
+    gives the odd part of the phase (it must vanish: gauge direction
+    functions are antipodally even), near-diagonal pairs on the grid edges
+    give even-part differences, fitted in least squares by conjugate
+    gradients on the edge graph's Laplacian; anchored pairs that leave the
+    grid disconnected, or a fit at its iteration cap, give Ambiguous.
 
     Both verify the fitted gauge g with _verify: from the O(n) certificate
     bound when S1 under g and S2 hold one grid object (provenance
@@ -991,13 +998,42 @@ def _solve_plane(S1: ScatteringKernel, S2: ScatteringKernel,
                    lambda: {"fitted_m": m, "fitted_phase_max": phi.max_abs()})
 
 
+def _component_count(i: np.ndarray, j: np.ndarray, n: int) -> int:
+    """Connected components of the graph on n nodes with edges (i, j), by label
+    propagation: each node takes its neighbours' least label until none changes."""
+    labels, before = np.arange(n), None
+    while not np.array_equal(labels, before):
+        before = labels.copy()
+        np.minimum.at(labels, i, labels[j])
+        np.minimum.at(labels, j, labels[i])
+    return int(np.count_nonzero(labels == np.arange(n)))
+
+
+def _laplacian_fit(i: np.ndarray, j: np.ndarray, beta: np.ndarray, n: int) -> tuple:
+    """(e, iterations, relative residual) of the least-squares fit e[i] - e[j]
+    = beta on a connected graph: Jacobi-preconditioned conjugate gradients on
+    L e = D^T beta in the mean-zero subspace, the Laplacian L = D^T D applied
+    from the edge list, until |r| <= _CG_TOL |b|, _CG_MAX_ITER steps or a nan."""
+    degree = np.bincount(i, minlength=n) + np.bincount(j, minlength=n)
+    r = np.bincount(i, beta, n) - np.bincount(j, beta, n)
+    r -= np.mean(r)
+    e, p, it, r_norm = np.zeros(n), r / degree, 0, np.linalg.norm(r)
+    rz, b_norm = r @ p, r_norm
+    while r_norm > _CG_TOL * b_norm and it < _CG_MAX_ITER:
+        d = p[i] - p[j]
+        q = np.bincount(i, d, n) - np.bincount(j, d, n)
+        step = rz / (p @ q)
+        e += step * p
+        r -= step * q
+        z = r / degree
+        rz, rz_old = r @ z, rz
+        p = z + (rz / rz_old) * p
+        r_norm, it = np.linalg.norm(r), it + 1
+    return e, it, float(r_norm / b_norm) if b_norm != 0 else 0.0
+
+
 def _solve_sphere(S1: SphereScatteringKernel, S2: SphereScatteringKernel,
                   verify_tol: float, phase_tol: float) -> SolverResult:
-    # scipy.sparse loads on the first sphere solve, not with the package
-    from scipy import sparse
-    from scipy.sparse.csgraph import connected_components
-    from scipy.sparse.linalg import spsolve
-
     if not S1.singular_support:
         raise SingularPartMissing(
             "no declared diagonal singularity on the base kernel; "
@@ -1027,25 +1063,19 @@ def _solve_sphere(S1: SphereScatteringKernel, S2: SphereScatteringKernel,
         return SolverResult(verdict="ambiguous",
                             reason="too few anchored near-diagonal pairs to fit the phase",
                             provenance=prov)
-    rows = np.arange(i.size)
-    D = sparse.csr_matrix((np.r_[np.ones(i.size), -np.ones(i.size)],
-                           (np.r_[rows, rows], np.r_[i, j])), shape=(i.size, n))
-    L = (D.T @ D).tocsc()
-    n_parts, _ = connected_components(L, directed=False)
-    if n_parts > 1:
+    if (n_parts := _component_count(i, j, n)) > 1:
         return SolverResult(verdict="ambiguous",
                             reason=f"anchored near-diagonal pairs split the grid into "
                                    f"{n_parts} components; the phase offsets between "
                                    f"them are undetermined",
                             provenance=prov)
-    # least squares through the normal equations L e = D^T beta (the graph
-    # Laplacian), grounded at vertex 0; the mean-zero shift is the solution
-    # of minimum norm
-    even = np.zeros(n)
-    even[1:] = spsolve(L[1:, 1:], (D.T @ beta)[1:])
-    even -= np.mean(even)
-    residual = float(np.max(np.abs(even[i] - even[j] - beta)))
-    prov["even_fit_residual"] = residual
+    even, iterations, relative = _laplacian_fit(i, j, beta, n)
+    prov.update(even_fit_iterations=iterations, even_fit_relative_residual=relative)
+    even -= np.mean(even)  # the mean-zero shift: the solution of minimum norm
+    prov["even_fit_residual"] = residual = float(np.max(np.abs(even[i] - even[j] - beta)))
+    if relative > _CG_TOL:  # the fit reached its cap
+        return SolverResult(verdict="ambiguous", provenance=prov, reason="the even-part fit "
+                            f"did not converge in {_CG_MAX_ITER} conjugate-gradient iterations")
     phi_vals = even + odd
     phi = SphereFunction(grid=grid, values=phi_vals)
     if prov["odd_part_max"] > phase_tol:
@@ -1055,7 +1085,7 @@ def _solve_sphere(S1: SphereScatteringKernel, S2: SphereScatteringKernel,
                      "odd_part_max": prov["odd_part_max"],
                      "note": "gauge direction functions must be antipodally even"},
             provenance=prov)
-    if not np.all(np.isfinite(phi_vals)):  # a nan or inf value reached the fit
+    if not np.all(np.isfinite(phi_vals)) or np.isnan(residual):  # a nan or inf reached the fit
         return SolverResult(verdict="not_equivalent", provenance=prov,
                             witness={"kind": "verification", "distance": np.nan})
     return _verify(S1, S2, GaugeElement(dimension=3, phi_sphere=phi), prov, verify_tol, dict,

@@ -62,6 +62,14 @@ class TestAngularFunction:
         with pytest.raises(ValueError, match="finite"):
             AngularFunction.from_triples([[0, 0.1, 0.0], [2, 0.5, bad]])
 
+    def test_non_integer_index_refused(self):
+        # int() would read the index 1.5 as 1; an integral float still reads
+        with pytest.raises(ValueError, match="indices must be integers"):
+            AngularFunction.from_triples([[0, 0.1, 0.0], [1.5, 0.1, 0.0]])
+        f = AngularFunction.from_triples([[2.0, 0.1, 0.2]])
+        want = AngularFunction.from_coefficients({2: 0.1 + 0.2j})
+        assert np.array_equal(f.coefficients, want.coefficients)
+
     def test_largest_coefficients_stay_finite(self):
         # symmetrizing 1.5e308 with itself must not overflow to inf
         f = AngularFunction.from_coefficients({0: 1.5e308, 1: 1e308 - 1e308j})

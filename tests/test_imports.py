@@ -2,8 +2,9 @@
 and in the test oracles is used, every public name of the package is read
 (stdlib ast; no linter needed), quadrature node tables are built only by
 the two cached builders in tomography, kernel grids are not widened to
-complex outside the allowlisted 1-D vectors, and importing the package
-loads no scipy module.
+complex outside the allowlisted 1-D vectors, importing the package loads
+no scipy module, and the only scipy import in the source is catalog's
+scipy.special.
 
 ``__init__.py`` is skipped by the usage rules: its imports are re-exports.
 ``__future__`` imports are directives, not names. A private name is a
@@ -17,9 +18,9 @@ package outside its own body (an import in ``__init__.py`` exports it and
 counts as a read) or be named in ``ALLOWLIST`` with the reason it stays;
 an allowlisted name that is gone or now read fails too. Reads match by name,
 so a method stays unflagged when a method of the same name elsewhere is
-read. scipy is imported only inside the functions that need it (the sphere
-solver, one catalog kind), so ``import gaugekit`` and the CLI's cold start
-do not pay for it.
+read. The package's one scipy import is ``scipy.special`` (erf), inside the
+function of the one catalog kind that needs it, so ``import gaugekit``,
+the CLI's cold start and the sphere solver do not pay for scipy.
 """
 import ast
 import os
@@ -335,14 +336,16 @@ def test_detector_flags_a_widened_grid():
         ("kernel.K.__post_init__.inner", 9), ("kernel.grid", 4)]
 
 
-def _module_level_scipy_imports(source: str) -> list:
-    """(line, module) of each scipy import that runs when the module loads:
-    anywhere but inside a function body."""
+def _scipy_imports(source: str, in_functions: bool = False) -> list:
+    """(line, module) of each scipy import that runs when the module loads
+    (anywhere but inside a function body), or of every one with
+    in_functions."""
     found = []
 
     def visit(node):
         for child in ast.iter_child_nodes(node):
-            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            if not in_functions and isinstance(
+                    child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
                 continue
             if isinstance(child, ast.Import):
                 found.extend((child.lineno, alias.name) for alias in child.names
@@ -358,7 +361,16 @@ def _module_level_scipy_imports(source: str) -> list:
 
 @pytest.mark.parametrize("path", PACKAGE, ids=lambda p: p.name)
 def test_no_module_level_scipy_import(path):
-    assert _module_level_scipy_imports(path.read_text()) == []
+    assert _scipy_imports(path.read_text()) == []
+
+
+def test_catalog_erf_is_the_only_scipy_import():
+    """Anywhere under src/, function bodies included, the one scipy import
+    is scipy.special in catalog.py (erf, for the ring bump): the sphere
+    solver's fit is matrix-free, so scipy.sparse stays out."""
+    found = {(path.name, module) for path in SRC.parent.rglob("*.py")
+             for _, module in _scipy_imports(path.read_text(), in_functions=True)}
+    assert found == {("catalog.py", "scipy.special")}
 
 
 def test_detector_flags_a_module_level_scipy_import():
@@ -368,8 +380,11 @@ def test_detector_flags_a_module_level_scipy_import():
               "class Fit:\n    from scipy.linalg import solve\n"
               "    def run(self):\n        from scipy.optimize import brentq\n"
               "def build():\n    import scipy.interpolate\n")
-    assert _module_level_scipy_imports(source) == [
+    assert _scipy_imports(source) == [
         (2, "scipy.sparse"), (3, "scipy.special"), (6, "scipy"), (10, "scipy.linalg")]
+    assert _scipy_imports(source, in_functions=True) == [
+        (2, "scipy.sparse"), (3, "scipy.special"), (6, "scipy"), (10, "scipy.linalg"),
+        (12, "scipy.optimize"), (14, "scipy.interpolate")]
 
 
 @pytest.mark.parametrize("module", ["gaugekit", "gaugekit.cli"])

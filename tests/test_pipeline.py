@@ -542,6 +542,17 @@ class TestReport:
             "error: report entry 0 must be an object with name, value, tolerance and "
             "operation, got {'name': 'x'}"]
 
+    @pytest.mark.parametrize("gauge, message", [
+        ("5", "report 'gauge' must be a JSON object, got 5"),
+        ("[1]", "report 'gauge' must be a JSON object, got [1]"),
+        ("{}", "report 'gauge' 'phi_max' must be given"),
+        ('{"phi_max": "x"}', "report 'gauge' 'phi_max' must be a finite number, got 'x'")])
+    def test_malformed_gauge_exit_one(self, tmp_path, capsys, gauge, message):
+        path = tmp_path / "report.json"
+        path.write_text(f'{{"kind": "classify", "gauge": {gauge}}}')
+        assert cli.main(["report", "--report", str(path)]) == cli.EXIT_ERROR
+        assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
+
     def test_summary_lines_mark_outcomes(self):
         rep = Report(kind="classify", verdict="equivalent")
         rep.add("good", 0.0, 1e-6, "probe")

@@ -26,6 +26,7 @@ from gaugekit.angular import AngularFunction, SphereFunction, row_blocks, sphere
 from gaugekit.errors import (
     DimensionMismatch,
     GridMismatch,
+    NonConvergent,
     RemainderBoundViolated,
     SingularPartMissing,
 )
@@ -891,6 +892,14 @@ class TestNearDiagonalGrowth:
         with pytest.raises(SingularPartMissing, match="integer flux"):
             near_diagonal_growth(assemble_kernel(alpha, n_grid=64))
 
+    def test_non_finite_probe_raises(self):
+        # a nan on the remainder's diagonal is accepted (the certificate reads
+        # the off-diagonal cells only), and every probed value contracts it
+        R = np.zeros((16, 16))
+        R[3, 3] = np.nan
+        with pytest.raises(NonConvergent, match="not finite"):
+            near_diagonal_growth(assemble_kernel(0.3, smooth=R, n_grid=16))
+
     def test_phases_do_not_change_exponent(self):
         S = assemble_kernel(0.3, a0_out=_phi_sin(0.5), a0_in=_phi_cos(0.4, 2),
                             n_grid=256, winding=2)
@@ -1057,12 +1066,26 @@ def _even_phase(a=0.4, b=-0.2, c=0.0):
     return lambda V: a * V[:, 2] ** 2 + b * V[:, 0] * V[:, 1] + c * V[:, 0] * V[:, 2]
 
 
+def _in_a_fresh_process(*lines: str) -> str:
+    """stdout of a fresh interpreter that imports gaugekit, checks that no
+    scipy module is loaded, defines _even_phase and runs the given lines."""
+    code = "\n".join([
+        "import sys", "import gaugekit",
+        "assert not [m for m in sys.modules if m.split('.')[0] == 'scipy']",
+        inspect.getsource(_even_phase), *lines])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(Path(scattering.__file__).resolve().parents[1])]
+        + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, check=True).stdout
+
+
 def _round_trip_memory():
     """(verdict, traced peak bytes, grid size) of a refinement-4 even-gauge
-    round trip. A refinement-2 round trip first loads the solver's lazy
-    imports and the grid's far-pair mask is cached, so that the trace holds
-    the round trip alone, whatever the process imported before. It imports
-    what it needs, so that a fresh interpreter can run its source."""
+    round trip, traced from its first solve: the solver imports nothing, so
+    no warm-up is needed. Only the grid's far-pair mask is cached first, as
+    a grid keeps it for every later solve. It imports what it needs, so that
+    a fresh interpreter can run its source."""
     import tracemalloc
 
     from gaugekit.angular import sphere_grid
@@ -1074,17 +1097,12 @@ def _round_trip_memory():
     )
 
     g = GaugeElement(dimension=3, phi_callable=_even_phase())
-
-    def round_trip(grid):
-        K1 = synthesize_sphere_kernel(grid)
-        return gauge_equivalence_solver(K1, apply_gauge_to_kernel(K1, g))
-
-    round_trip(sphere_grid(refinement=2))
     grid = sphere_grid(refinement=4)
     grid.far_pairs()
     tracemalloc.start()
     try:
-        res = round_trip(grid)
+        K1 = synthesize_sphere_kernel(grid)
+        res = gauge_equivalence_solver(K1, apply_gauge_to_kernel(K1, g))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -1124,6 +1142,8 @@ class TestSphereSolver:
         assert res.verdict == "equivalent"
         # the noise leaves edge residuals, so the fit is a true least-squares problem
         assert res.provenance["even_fit_residual"] > 1e-10
+        assert 0 < res.provenance["even_fit_iterations"] < scattering._CG_MAX_ITER
+        assert res.provenance["even_fit_relative_residual"] <= scattering._CG_TOL
         want = dense_sphere_phase_fit(K1, K2)
         assert np.max(np.abs(res.gauge.phi_sphere.values - want)) < 1e-12
 
@@ -1179,19 +1199,41 @@ class TestSphereSolver:
     def test_round_trip_memory_in_a_fresh_process(self):
         # the same round trip where no scipy module is loaded beforehand, as
         # in a process that imports only gaugekit
-        code = "\n".join([
-            "import sys", "import gaugekit",
-            "assert not [m for m in sys.modules if m.split('.')[0] == 'scipy']",
-            inspect.getsource(_even_phase), inspect.getsource(_round_trip_memory),
-            "print(*_round_trip_memory())"])
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            [str(Path(scattering.__file__).resolve().parents[1])]
-            + [p for p in [os.environ.get("PYTHONPATH")] if p]))
-        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                             text=True, check=True)
-        verdict, peak, n = out.stdout.split()
+        verdict, peak, n = _in_a_fresh_process(
+            inspect.getsource(_round_trip_memory), "print(*_round_trip_memory())").split()
         assert verdict == "equivalent"
         assert int(peak) <= 1.5 * int(n) ** 2 * 8
+
+    def test_sphere_solve_loads_no_scipy(self):
+        out = _in_a_fresh_process(
+            "from gaugekit.angular import sphere_grid",
+            "from gaugekit.fields import GaugeElement",
+            "from gaugekit.scattering import (",
+            "    apply_gauge_to_kernel, gauge_equivalence_solver, synthesize_sphere_kernel)",
+            "K1 = synthesize_sphere_kernel(sphere_grid(refinement=3))",
+            "g = GaugeElement(dimension=3, phi_callable=_even_phase())",
+            "print(gauge_equivalence_solver(K1, apply_gauge_to_kernel(K1, g)).verdict)",
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+        assert out.splitlines() == ["equivalent", "[]"]
+
+    def test_fit_at_its_iteration_cap_is_ambiguous(self, monkeypatch):
+        monkeypatch.setattr(scattering, "_CG_MAX_ITER", 2)
+        grid = sphere_grid(refinement=2)
+        K1 = synthesize_sphere_kernel(grid)
+        K2 = apply_gauge_to_kernel(K1, GaugeElement(dimension=3, phi_callable=_even_phase()))
+        res = gauge_equivalence_solver(K1, K2)
+        assert res.verdict == "ambiguous"
+        assert res.gauge is None
+        assert "did not converge in 2 conjugate-gradient iterations" in res.reason
+        assert res.provenance["even_fit_iterations"] == 2
+        assert res.provenance["even_fit_relative_residual"] > scattering._CG_TOL
+
+    def test_component_count_by_label_propagation(self):
+        # a path 0-4-2, a triangle 1-3-5 and the lone node 6
+        i, j = np.array([[0, 4], [2, 4], [1, 3], [3, 5], [1, 5]]).T
+        assert scattering._component_count(i, j, 7) == 3
+        grid = sphere_grid(refinement=2)
+        assert scattering._component_count(*grid.edges().T, grid.size) == 1
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     @pytest.mark.parametrize("where", ["far", "near", "diagonal"])
