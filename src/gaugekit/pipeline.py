@@ -145,6 +145,22 @@ class ReportEntry:
     passed: bool | None = None
 
 
+def _read_entry(e, where: str) -> ReportEntry:
+    """The ReportEntry a JSON object holds, with a finite value, a finite
+    tolerance or null, and passed true, false or null; else a ValueError."""
+    try:
+        entry = ReportEntry(**e)
+    except TypeError:
+        raise ValueError(f"{where} must be an object with name, value, tolerance and "
+                         f"operation, got {e!r}") from None
+    entry.value = _read_number(e, "value", None, where)
+    if entry.tolerance is not None:
+        entry.tolerance = _read_number(e, "tolerance", None, where)
+    if not isinstance(entry.passed, (bool, type(None))):
+        raise ValueError(f"{where} 'passed' must be true, false or null, got {entry.passed!r}")
+    return entry
+
+
 @dataclass
 class Report:
     kind: str
@@ -191,15 +207,15 @@ class Report:
             raise ValueError("report must be a JSON object")
         if data.get("gauge") is not None:  # an object whose phi_max summary_lines prints
             _read_number(data["gauge"], "phi_max", None, "report 'gauge'")
-        rep = cls(kind=data["kind"], label=data.get("label", ""),
+        kind, entries = data.get("kind"), data.get("entries", [])
+        if not isinstance(kind, str):
+            raise ValueError(f"report 'kind' must be a string, got {kind!r}")
+        if not isinstance(entries, list):
+            raise ValueError(f"report 'entries' must be a list of objects, got {entries!r}")
+        rep = cls(kind=kind, label=data.get("label", ""),
                   verdict=data.get("verdict"), gauge=data.get("gauge"),
                   witness=data.get("witness"), provenance=data.get("provenance", {}))
-        for i, e in enumerate(data.get("entries", [])):
-            try:
-                rep.entries.append(ReportEntry(**e))
-            except TypeError:
-                raise ValueError(f"report entry {i} must be an object with name, value, "
-                                 f"tolerance and operation, got {e!r}") from None
+        rep.entries = [_read_entry(e, f"report entry {i}") for i, e in enumerate(entries)]
         return rep
 
     def summary_lines(self) -> list:
@@ -533,6 +549,7 @@ def _reconstruct_3d(scenario: Scenario, rep: Report) -> Report:
     rep.add("leading_order_residual", resid, None, "extract_leading_order")
     rep.artifacts["leading_order"] = leads
     rep.provenance["radii"] = list(map(float, radii))
+    rep.provenance["field_source"] = "configuration, central-difference curl"  # no line data
     rep.verdict = "reconstructed"
     return rep
 

@@ -2,9 +2,10 @@
 and in the test oracles is used, every public name of the package is read
 (stdlib ast; no linter needed), quadrature node tables are built only by
 the two cached builders in tomography, kernel grids are not widened to
-complex outside the allowlisted 1-D vectors, importing the package loads
-no scipy module, and the only scipy import in the source is catalog's
-scipy.special.
+complex outside the allowlisted 1-D vectors, the source imports no scipy,
+no process that builds the catalog kinds or reconstructs a ring bump loads
+it, and the declared runtime dependencies are the third-party modules the
+source imports.
 
 ``__init__.py`` is skipped by the usage rules: its imports are re-exports.
 ``__future__`` imports are directives, not names. A private name is a
@@ -18,12 +19,14 @@ package outside its own body (an import in ``__init__.py`` exports it and
 counts as a read) or be named in ``ALLOWLIST`` with the reason it stays;
 an allowlisted name that is gone or now read fails too. Reads match by name,
 so a method stays unflagged when a method of the same name elsewhere is
-read. The package's one scipy import is ``scipy.special`` (erf), inside the
-function of the one catalog kind that needs it, so ``import gaugekit``,
-the CLI's cold start and the sphere solver do not pay for scipy.
+read. The runtime needs numpy alone: the ring bump's erfc is Cody's
+rational approximation in numpy, so scipy is only the tests' independent
+reference, and ``import gaugekit``, the CLI's cold start and every scenario
+runner load none of it.
 """
 import ast
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -336,65 +339,91 @@ def test_detector_flags_a_widened_grid():
         ("kernel.K.__post_init__.inner", 9), ("kernel.grid", 4)]
 
 
-def _scipy_imports(source: str, in_functions: bool = False) -> list:
-    """(line, module) of each scipy import that runs when the module loads
-    (anywhere but inside a function body), or of every one with
-    in_functions."""
-    found = []
-
-    def visit(node):
-        for child in ast.iter_child_nodes(node):
-            if not in_functions and isinstance(
-                    child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
-                continue
-            if isinstance(child, ast.Import):
-                found.extend((child.lineno, alias.name) for alias in child.names
-                             if alias.name.split(".")[0] == "scipy")
-            elif (isinstance(child, ast.ImportFrom) and child.level == 0
-                  and child.module.split(".")[0] == "scipy"):
-                found.append((child.lineno, child.module))
-            visit(child)
-
-    visit(ast.parse(source))
-    return sorted(found)
-
-
-@pytest.mark.parametrize("path", PACKAGE, ids=lambda p: p.name)
-def test_no_module_level_scipy_import(path):
-    assert _scipy_imports(path.read_text()) == []
-
-
-def test_catalog_erf_is_the_only_scipy_import():
-    """Anywhere under src/, function bodies included, the one scipy import
-    is scipy.special in catalog.py (erf, for the ring bump): the sphere
-    solver's fit is matrix-free, so scipy.sparse stays out."""
-    found = {(path.name, module) for path in SRC.parent.rglob("*.py")
-             for _, module in _scipy_imports(path.read_text(), in_functions=True)}
-    assert found == {("catalog.py", "scipy.special")}
-
-
-def test_detector_flags_a_module_level_scipy_import():
-    source = ("import numpy as np\nimport scipy.sparse as sp\n"
-              "from scipy.special import erf\nfrom . import scipy\n"
-              "try:\n    import scipy\nexcept ImportError:\n    pass\n"
-              "class Fit:\n    from scipy.linalg import solve\n"
-              "    def run(self):\n        from scipy.optimize import brentq\n"
-              "def build():\n    import scipy.interpolate\n")
-    assert _scipy_imports(source) == [
-        (2, "scipy.sparse"), (3, "scipy.special"), (6, "scipy"), (10, "scipy.linalg")]
-    assert _scipy_imports(source, in_functions=True) == [
-        (2, "scipy.sparse"), (3, "scipy.special"), (6, "scipy"), (10, "scipy.linalg"),
-        (12, "scipy.optimize"), (14, "scipy.interpolate")]
-
-
 @pytest.mark.parametrize("module", ["gaugekit", "gaugekit.cli"])
 def test_import_loads_no_scipy(module):
     """A fresh interpreter that imports the package (or the CLI) holds no
     scipy module afterwards."""
+    assert _scipy_modules_after(f"import {module}") == "[]"
+
+
+def _scipy_modules_after(code: str) -> str:
+    """The sorted scipy modules a fresh interpreter holds after running code."""
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [str(SRC.parent)] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
     out = subprocess.run(
-        [sys.executable, "-c", f"import sys, {module}; "
+        [sys.executable, "-c", f"import sys\n{code}\n"
          "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"],
         env=env, capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "[]"
+    return out.stdout.strip().splitlines()[-1]
+
+
+_BUILD_AND_RECONSTRUCT = """
+import numpy as np
+from gaugekit import catalog
+from gaugekit.angular import AngularFunction
+from gaugekit.fields import PotentialConfig, TransversalField
+from gaugekit.pipeline import Scenario, run_reconstruct
+bumps = {"bumps": [[0.5, 1.0, 2.0, 0.3]]}
+pts = np.array([[1.5, 0.5], [-2.0, 1.0]])
+for kind in catalog.SCALAR_KINDS:
+    catalog.build_scalar(kind, bumps if kind == "gaussian_bumps" else {"p": 2.0})(pts)
+for kind in catalog.VECTOR_KINDS:
+    dim = 3 if kind == "cross_axis" else 2
+    catalog.build_vector(kind, bumps, dimension=dim)(np.ones((2, dim)))
+ring = catalog.build_vector("ring_bump_tangential", {"b0": 0.4, "r0": 2.0, "sigma": 0.3})
+cfg = PotentialConfig(dimension=2, obstacle_radius=1.0, short_range=ring,
+                      transversal=TransversalField.from_profile(AngularFunction.constant(0.3)))
+rep = run_reconstruct(Scenario(kind="reconstruct", config1=cfg, geometry={
+    "n_angles": 8, "n_offsets": 16, "r_min": 1.001, "r_max": 3.5}))
+assert rep.verdict == "reconstructed", rep.verdict
+"""
+
+
+def test_catalog_and_reconstruct_load_no_scipy():
+    """A fresh interpreter that builds and evaluates every catalog kind and
+    reconstructs a ring bump on an 8 x 16 plane geometry holds no scipy module."""
+    assert _scipy_modules_after(_BUILD_AND_RECONSTRUCT) == "[]"
+
+
+def _third_party_imports(sources) -> set:
+    """Top-level names of the absolute imports in the sources that are
+    neither the standard library nor gaugekit."""
+    names = set()
+    for text in sources:
+        for node in ast.walk(ast.parse(text)):
+            if isinstance(node, ast.Import):
+                names.update(alias.name.split(".")[0] for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names.add(node.module.split(".")[0])
+    return names - set(sys.stdlib_module_names) - {"gaugekit"}
+
+
+def _src_third_party_imports() -> set:
+    return _third_party_imports(path.read_text() for path in SRC.parent.rglob("*.py"))
+
+
+def test_no_scipy_import_under_src():
+    """Anywhere under src/, function bodies included, the only third-party
+    import is numpy: the ring bump's erfc is numpy's, and the sphere
+    solver's fit is matrix-free."""
+    assert _src_third_party_imports() == {"numpy"}
+
+
+def test_dependencies_are_the_imported_modules():
+    """[project].dependencies of pyproject.toml names exactly the third-party
+    modules imported under src/."""
+    tomllib = pytest.importorskip("tomllib")
+    project = tomllib.loads((SRC.parents[1] / "pyproject.toml").read_text())["project"]
+    declared = {re.match(r"[A-Za-z0-9_.-]+", dep).group().lower().replace("-", "_")
+                for dep in project["dependencies"]}
+    assert declared == _src_third_party_imports()
+
+
+def test_detector_lists_third_party_imports():
+    source = ("from __future__ import annotations\nimport json, os.path\n"
+              "import numpy as np\nfrom numpy.lib import stride_tricks\n"
+              "from .fields import curl\nfrom gaugekit import catalog\n"
+              "try:\n    import scipy.sparse as sp\nexcept ImportError:\n    pass\n"
+              "class Fit:\n    from scipy.linalg import solve\n"
+              "def late():\n    import sympy\n    from yaml import safe_load\n")
+    assert _third_party_imports([source]) == {"numpy", "scipy", "sympy", "yaml"}

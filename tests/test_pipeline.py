@@ -22,6 +22,7 @@ from gaugekit.fields import (
 from gaugekit.pipeline import (
     DEFAULT_TOLERANCES,
     Report,
+    ReportEntry,
     Scenario,
     emit_report,
     kernel_slice_csv,
@@ -486,6 +487,17 @@ class TestReconstruct:
         for lead, ref in zip(leads, want):
             assert np.max(np.abs(np.asarray(lead.values) - ref)) < 1e-6
 
+    def test_space_field_source_is_recorded(self, tmp_path):
+        """In 3-space B is the configuration's own difference curl, not a
+        reconstruction from line data, and the report says so."""
+        sc = Scenario(kind="reconstruct", config1=_space_config(),
+                      geometry={"n_radii": 3, "sphere_refinement": 1})
+        rep = run_reconstruct(sc)
+        assert rep.provenance["field_source"] == "configuration, central-difference curl"
+        emit_report(rep, tmp_path)
+        back = Report.from_json((tmp_path / "report.json").read_text())
+        assert back.provenance["field_source"] == "configuration, central-difference curl"
+
     def test_kind_guard(self):
         sc = Scenario(kind="reconstruct", config1=_plane_config(0.3))
         with pytest.raises(ValueError):
@@ -541,6 +553,32 @@ class TestReport:
         assert capsys.readouterr().err.splitlines() == [
             "error: report entry 0 must be an object with name, value, tolerance and "
             "operation, got {'name': 'x'}"]
+
+    @pytest.mark.parametrize("doc, message", [
+        ('{"kind": "classify", "entries": 5}',
+         "report 'entries' must be a list of objects, got 5"),
+        ('{"kind": "classify", "entries": [{"name": "x", "value": "a", "tolerance": 1e-6, '
+         '"operation": "probe"}]}', "report entry 0 'value' must be a finite number, got 'a'"),
+        ('{"kind": "classify", "entries": [{"name": "x", "value": 1.0, "tolerance": "a", '
+         '"operation": "probe"}]}', "report entry 0 'tolerance' must be a finite number, got 'a'"),
+        ('{"kind": "classify", "entries": [{"name": "x", "value": 1.0, "tolerance": null, '
+         '"operation": "probe", "passed": 1}]}',
+         "report entry 0 'passed' must be true, false or null, got 1"),
+        ('{"entries": []}', "report 'kind' must be a string, got None"),
+        ('{"kind": 3}', "report 'kind' must be a string, got 3")],
+        ids=["entries-not-list", "value-string", "tolerance-string",
+             "passed-int", "kind-missing", "kind-number"])
+    def test_malformed_report_exit_one(self, tmp_path, capsys, doc, message):
+        path = tmp_path / "report.json"
+        path.write_text(doc)
+        assert cli.main(["report", "--report", str(path)]) == cli.EXIT_ERROR
+        assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
+
+    def test_report_entry_with_null_tolerance_reads_back(self):
+        back = Report.from_json('{"kind": "reconstruct", "entries": [{"name": "x", "value": 2, '
+                                '"tolerance": null, "operation": "probe", "passed": null}]}')
+        assert back.entries == [ReportEntry("x", 2.0, None, "probe", None)]
+        assert isinstance(back.entries[0].value, float)
 
     @pytest.mark.parametrize("gauge, message", [
         ("5", "report 'gauge' must be a JSON object, got 5"),
