@@ -26,7 +26,7 @@ class CircleInsideObstacle(GaugekitError):
 
 
 class RegionTouchesObstacle(GaugekitError):
-    """Differentiation stencil reaches into the obstacle."""
+    """A curl's circulation loop reaches into the obstacle."""
 
 
 class NonConvergent(GaugekitError):

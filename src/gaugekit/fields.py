@@ -6,10 +6,12 @@ envelope, and an electric potential. The transversal part in the plane is
 determined by a circle profile; every such profile splits into a constant
 flux times the vortex field plus an exact gradient of a periodic function.
 
-Every numerical derivative is a central difference from central_partials,
-which calls the differentiated function once on all stencil points: the
-curl, the gradient of a direction function and the gradient of a gauge
-scalar L that declares no closed-form gradient, each with its own step.
+The curl is a circulation: the mean curl over a small disc or ball, read
+from a degree-5 rule on its boundary, so it needs no step and reads zero on
+a gradient. Every numerical gradient is a central difference from
+central_partials, which calls the differentiated function once on all
+stencil points: the gradient of a direction function and the gradient of a
+gauge scalar L that declares no closed-form gradient, each with its own step.
 """
 from __future__ import annotations
 
@@ -19,7 +21,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .angular import AngularFunction, SphereFunction, SphereGrid
+from .angular import AngularFunction, SphereFunction, SphereGrid, _icosahedron
 from .errors import (
     CircleInsideObstacle,
     DimensionMismatch,
@@ -34,6 +36,11 @@ ORIGIN_TOL = 1e-12
 TRANSVERSAL_TOL = 1e-10
 _DECOMPOSE_DEGREE = 64  # a raw callable is sampled at 2 * degree + 1 circle nodes
 _FLUX_NODES = 2048
+CURL_LOOP_REL = 1e-5  # curl's loop radius relative to |x|
+_HEXAGON = np.array([[1.0, 0.0], [0.5, 0.5 * np.sqrt(3.0)], [-0.5, 0.5 * np.sqrt(3.0)],
+                     [-1.0, 0.0], [-0.5, -0.5 * np.sqrt(3.0)], [0.5, -0.5 * np.sqrt(3.0)]])
+_ICOSAHEDRON = _icosahedron()[0]
+_DIRECTION_STEP = 1e-6  # gradient_of_direction_function's central-difference step
 
 
 def _points(x, dim: int) -> tuple[np.ndarray, bool]:
@@ -363,13 +370,21 @@ def central_partials(evaluate: Callable, points, h) -> np.ndarray:
     return (vals[0] - vals[1]) / (2 * step).reshape((m,) + (1,) * (vals.ndim - 2))
 
 
-def curl(field, points, step_rel: float = 1e-3):
-    """Centered-difference curl at the given points, with step step_rel * |x|.
+def curl(field, points):
+    """Mean curl over the disc or ball of radius rho = CURL_LOOP_REL * |x|
+    around each point, read from its boundary by Stokes' theorem:
+
+        curl ~ (n / (N rho)) sum_k u_k ^ F(x + rho u_k),  (u ^ F)_ij = u_i F_j - u_j F_i,
+
+    over the N = 6 vertices of a regular hexagon (plane) or the 12 of the
+    icosahedron (3-space). Both node sets integrate every polynomial of
+    degree <= 5 on the circle or sphere exactly, so a gradient reads zero to
+    O(rho^4), below rounding, and a linear field's curl is exact. The field
+    is called once, on the N m loop points.
 
     Plane fields give scalar values dA2/dx1 - dA1/dx2; fields in 3-space give
-    the three independent two-form components ordered (B12, B13, B23), which
-    is antisymmetric by construction. A PotentialConfig's stencil must stay
-    outside its obstacle.
+    the three independent two-form components ordered (B12, B13, B23). A
+    PotentialConfig's loops must stay outside its obstacle.
     """
     obstacle_radius = 0.0
     if isinstance(field, PotentialConfig):
@@ -383,18 +398,22 @@ def curl(field, points, step_rel: float = 1e-3):
         evaluate = field
         dim = np.shape(points)[-1]
     p, single = _points(points, dim)
-    r = np.linalg.norm(p, axis=1)
-    h = step_rel * r
-    if np.any(r - h * np.sqrt(dim) <= obstacle_radius):
-        raise RegionTouchesObstacle("difference stencil reaches the obstacle")
     if dim not in (2, 3):
         raise DimensionMismatch("curl implemented for dimensions 2 and 3")
-    d = central_partials(evaluate, p, h)  # d[:, j, k] = d A_k / d x_j
+    r = np.linalg.norm(p, axis=1)
+    rho = CURL_LOOP_REL * r
+    if np.any(r - rho <= obstacle_radius):
+        raise RegionTouchesObstacle("circulation loop reaches the obstacle")
+    nodes = _HEXAGON if dim == 2 else _ICOSAHEDRON
+    loops = rho[:, None, None] * nodes  # (point, node, coordinate)
+    loops += p[:, None]
+    vals = np.asarray(evaluate(loops.reshape(-1, dim)), dtype=float).reshape(loops.shape)
+    s = nodes.T @ vals  # s[:, i, j] = sum_k u_ki F_kj
+    w = (s - s.transpose(0, 2, 1)) * (dim / (len(nodes) * rho))[:, None, None]
     if dim == 2:
-        out = d[:, 0, 1] - d[:, 1, 0]
+        out = w[:, 0, 1]
         return float(out[0]) if single else out
-    out = np.column_stack([d[:, 0, 1] - d[:, 1, 0], d[:, 0, 2] - d[:, 2, 0],
-                           d[:, 1, 2] - d[:, 2, 1]])
+    out = np.column_stack([w[:, 0, 1], w[:, 0, 2], w[:, 1, 2]])
     return out[0] if single else out
 
 
@@ -451,8 +470,7 @@ def extract_leading_order(radii, values, grid: SphereGrid, tol: float = 1e-6,
     return (result, residual) if return_residual else result
 
 
-def gradient_of_direction_function(psi: Callable, points: np.ndarray,
-                                   step: float = 1e-6) -> np.ndarray:
+def gradient_of_direction_function(psi: Callable, points: np.ndarray) -> np.ndarray:
     """grad of x -> psi(x/|x|) by central differences.
 
     psi maps an (k, 3) array of unit vectors to the (k,) array of its values;
@@ -466,7 +484,7 @@ def gradient_of_direction_function(psi: Callable, points: np.ndarray,
             raise ValueError("direction function must map (k,3) unit vectors to (k,) values")
         return vals
 
-    out = central_partials(on_directions, p, step)
+    out = central_partials(on_directions, p, _DIRECTION_STEP)
     return out[0] if single else out
 
 

@@ -513,12 +513,14 @@ def run_reconstruct(scenario: Scenario) -> Report:
         rep.artifacts["reconstruction_b"] = recB
         # a plane transversal field a(theta)/r theta^ is curl-free off the origin
         ref = (np.zeros(recB.values.shape) if cfg.short_range is None
-               else recB.sample(lambda p: curl(cfg.short_range, p, step_rel=1e-5)))
+               else recB.sample(lambda p: curl(cfg.short_range, p)))
         if float(np.max(np.abs(ref))) > 1e-9:
             rep.add("field_reconstruction_rel_l2", recB.l2_relative_error(ref),
                     tol["recon_b_rel"], "recover_field_2d")
-        else:
-            rep.add("field_reconstruction_max", recB.max_abs(), None, "recover_field_2d")
+        else:  # no field to be relative to: measure against the data scale
+            rep.add("field_reconstruction_max", recB.max_abs(),
+                    tol["recon_b_rel"] * float(np.max(np.abs(sino_a.values))),
+                    "recover_field_2d")
     if cfg.scalar is not None:
         sino_v = forward_sinogram(cfg, angles, offsets, kind="scalar")
         rep.artifacts["sinogram_scalar"] = sino_v
@@ -540,16 +542,13 @@ def _reconstruct_3d(scenario: Scenario, rep: Report) -> Report:
     radii = np.geomspace(r_lo, 8 * r_lo, _read_number(geo, "n_radii", 6, "geometry", integer=True))
     grid = sphere_grid(_read_number(geo, "sphere_refinement", 2, "geometry", integer=True))
 
-    def b_comps(p):
-        return curl(cfg, np.atleast_2d(p), step_rel=1e-5)
-
-    samples = sample_on_spheres(b_comps, radii, grid)
+    samples = sample_on_spheres(lambda p: curl(cfg, p), radii, grid)
     leads, resid = extract_leading_order(
         radii, samples, grid, tol=scenario.tolerances["leading_tol"], return_residual=True)
     rep.add("leading_order_residual", resid, None, "extract_leading_order")
     rep.artifacts["leading_order"] = leads
     rep.provenance["radii"] = list(map(float, radii))
-    rep.provenance["field_source"] = "configuration, central-difference curl"  # no line data
+    rep.provenance["field_source"] = "configuration, circulation curl"  # no line data
     rep.verdict = "reconstructed"
     return rep
 

@@ -61,6 +61,7 @@ from .errors import (
     TailNotBounded,
 )
 from .fields import (
+    CURL_LOOP_REL,
     PotentialConfig,
     ShortRangeField,
     TransversalField,
@@ -838,15 +839,18 @@ def find_gauge_scalar(field, r_in: float, r_out: float,
                       tail_tol: float = TAIL_TOL, seed: int = 11) -> GaugeScalar:
     """Scalar L with grad L equal to the given curl-free short-range field.
 
-    Verifies curl-freeness on 100 probe points and a vanishing loop integral
-    (plane only), then returns L along outward rays (GaugeScalar) with the
-    far radius 8 r_out: error-refined Kronrod panels out to it and tails
-    beyond it mapped by the field's decay rate (_decay_rate, read first),
-    each ray checked against tail_tol as it is evaluated.
+    Verifies curl-freeness, |curl| <= curl_tol by the circulation curl on
+    100 probe points of the annulus r_in < |x| < r_out (NotCurlFree
+    otherwise; a gradient reads zero there to rounding), and a vanishing
+    loop integral on the circle of radius (r_in + r_out) / 2 (ResidualFlux
+    otherwise; plane only). Then returns L along outward rays (GaugeScalar)
+    with the far radius 8 r_out: error-refined Kronrod panels out to it and
+    tails beyond it mapped by the field's decay rate (_decay_rate, read
+    first), each ray checked against tail_tol as it is evaluated.
     """
     _decay_rate(field, tail_tol)
     probes = annulus_points(np.random.default_rng(seed), r_in, r_out, 100)
-    curls = curl(field, probes, step_rel=1e-4)
+    curls = curl(field, probes)
     if not np.all(np.abs(curls) <= curl_tol):  # a nan curl fails too
         raise NotCurlFree(f"max |curl| {np.max(np.abs(curls)):.3e} exceeds {curl_tol:.1e}")
     loop = 2 * np.pi * flux(field, 0.5 * (r_in + r_out))
@@ -897,18 +901,18 @@ class Plane:
 
 
 def plane_restrict(B, plane: Plane, half_width: float, n: int = 17,
-                   obstacle_radius: float = 0.0, step_rel: float = 1e-4) -> np.ndarray:
+                   obstacle_radius: float = 0.0) -> np.ndarray:
     """Pullback of a two-form to a plane patch, sampled on an n x n grid.
 
     B is either a callable returning (B12, B13, B23) rows or a potential
-    object whose curl provides them.
+    object whose curl provides them. A patch that comes within a curl
+    loop's radius of the obstacle ball raises PlaneHitsObstacle.
     """
     pts = plane.grid(half_width, n)
-    margin = step_rel * np.max(np.linalg.norm(pts, axis=1)) * 2
-    if np.min(np.linalg.norm(pts, axis=1)) <= obstacle_radius + margin:
+    if np.min(np.linalg.norm(pts, axis=1)) * (1 - CURL_LOOP_REL) <= obstacle_radius:
         raise PlaneHitsObstacle("restriction patch meets the obstacle ball")
     if isinstance(B, (PotentialConfig, ShortRangeField, TransversalField)):
-        comps = curl(B, pts, step_rel=step_rel)
+        comps = curl(B, pts)
     else:
         comps = np.asarray(B(pts), dtype=float)
         if comps.shape != (pts.shape[0], 3):

@@ -240,7 +240,7 @@ def test_criterion_08_tomographic_recovery():
         short_range=bump)
     recB = recover_field_2d(forward_sinogram(cfg_b, angles, offsets, kind="vector"))
     err_b = recB.l2_relative_error(
-        lambda pts: np.asarray(curl(cfg_b, pts, step_rel=1e-5)))
+        lambda pts: np.asarray(curl(cfg_b, pts)))
 
     grad_profile = AngularFunction.from_coefficients({1: 0.15, 2: -0.1j})
     cfg_g = PotentialConfig(

@@ -11,6 +11,7 @@ from gaugekit import catalog
 from gaugekit.angular import AngularFunction, SphereFunction, sphere_grid
 from gaugekit.errors import (
     CircleInsideObstacle,
+    DimensionMismatch,
     NonConvergent,
     NotTransversal,
     OriginSingularity,
@@ -21,6 +22,7 @@ from gaugekit.fields import (
     GaugeElement,
     PotentialConfig,
     ScalarPotential,
+    ShortRangeField,
     TransversalField,
     apply_gauge_to_potential,
     central_partials,
@@ -172,36 +174,60 @@ class TestCurl:
         rng = np.random.default_rng(1)
         pts = rng.uniform(1.0, 3.0, (40, 2)) * np.sign(rng.normal(size=(40, 2)))
         pts = pts[np.linalg.norm(pts, axis=1) > 1.0]
-        vals = curl(field, pts, step_rel=1e-4)
+        vals = curl(field, pts)
         assert np.max(np.abs(vals)) < 1e-7
 
-    def test_uniform_field(self):
-        def half_rot(p):
-            return 0.5 * np.column_stack([-p[:, 1], p[:, 0]])
-        pts = np.array([[1.0, 0.5], [2.0, -1.0], [0.3, 1.4]])
-        np.testing.assert_allclose(curl(half_rot, pts, step_rel=1e-5), 1.0, atol=1e-9)
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_linear_field_is_exact(self, dim):
+        # the loop nodes u_k sum to 0 and u_k u_k^T to (N / n) I, so the rule
+        # returns the antisymmetric part of M for A(x) = M x + c, up to rounding
+        rng = np.random.default_rng(dim)
+        M = rng.standard_normal((dim, dim))
+        c = rng.standard_normal(dim)
+        linear = ShortRangeField(dimension=dim, func=lambda p: p @ M.T + c,
+                                 envelope=DecayEnvelope(C=1.0, eps0=1.0))
+        cfg = PotentialConfig(dimension=dim, obstacle_radius=1.0, short_range=linear)
+        pts = rng.normal(size=(60, dim))
+        pts *= rng.uniform(1.2, 4.0, (60, 1)) / np.linalg.norm(pts, axis=1)[:, None]
+        pairs = [(0, 1)] if dim == 2 else [(0, 1), (0, 2), (1, 2)]
+        want = np.array([M[j, i] - M[i, j] for i, j in pairs])  # dA_j/dx_i - dA_i/dx_j
+        got = curl(cfg, pts)
+        assert got.shape == ((60,) if dim == 2 else (60, 3))
+        np.testing.assert_allclose(got.reshape(60, -1) - want, 0.0, rtol=0, atol=1e-10)
 
     def test_profile_against_symbolic_curl(self):
         # A = cos(theta) (-y, x)/r^2 has curl  d/dx(x cos th / r^2) - d/dy(-y cos th / r^2)
-        # which vanishes identically away from 0 (locally a gradient); verify O(h^2) -> 0
+        # which vanishes identically away from 0 (locally a gradient)
         field = TransversalField.from_profile(AngularFunction.harmonic(1, cos_amp=1.0))
         pts = np.array([[1.3, 0.4], [-0.8, 1.1], [2.0, 2.0]])
-        coarse = np.max(np.abs(curl(field, pts, step_rel=1e-3)))
-        fine = np.max(np.abs(curl(field, pts, step_rel=1e-4)))
-        assert fine < 1e-8 and fine < coarse
+        assert np.max(np.abs(curl(field, pts))) < 1e-10
 
     def test_obstacle_guard(self):
+        # the loop around x has radius 1e-5 |x|: it reaches the unit obstacle
+        # from |x| = 1 / (1 - 1e-5) inwards
         cfg = PotentialConfig(dimension=2, obstacle_radius=1.0,
                               transversal=TransversalField.from_profile(
                                   AngularFunction.constant(1.0)))
         with pytest.raises(RegionTouchesObstacle):
-            curl(cfg, np.array([[1.0005, 0.0]]), step_rel=1e-3)
+            curl(cfg, np.array([[1.000005, 0.0]]))
+        assert abs(curl(cfg, np.array([[1.00002, 0.0]]))) < 1e-6
 
     def test_three_d_antisymmetry_is_structural(self):
         tr = catalog.cross_axis_transversal(axis=(0, 0, 1.0), c=0.7)
         pts = np.array([[2.0, 1.0, 1.5], [-1.0, 2.5, 0.5]])
-        vals = curl(tr, pts, step_rel=1e-5)
+        vals = curl(tr, pts)
         assert vals.shape == (2, 3)
+
+    @pytest.mark.parametrize("dim, nodes", [(2, 6), (3, 12)])
+    def test_curl_calls_its_field_once(self, dim, nodes):
+        # one call on all loops: the hexagon's 6 or the icosahedron's 12 nodes per point
+        calls = []
+        curl(_counted(np.sin, calls), np.full((7, dim), 1.5))
+        assert calls == [nodes * 7]
+
+    def test_four_dimensional_points_raise(self):
+        with pytest.raises(DimensionMismatch):
+            curl(lambda p: p, np.full((3, 4), 2.0))
 
 
 def _counted(func, calls):
@@ -233,39 +259,6 @@ class TestCentralPartials:
         assert got.shape == want.shape
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
         assert calls == [6 * 40]
-
-    def _plane_config(self):
-        return PotentialConfig(
-            dimension=2, obstacle_radius=1.0,
-            transversal=TransversalField.from_profile(
-                AngularFunction.constant(0.3) + AngularFunction.harmonic(2, sin_amp=0.2)),
-            short_range=catalog.build_vector("grad_bumps", {"bumps": [[0.5, 1.8, 0.4, 0.6]]}))
-
-    def _space_config(self):
-        return PotentialConfig(
-            dimension=3, obstacle_radius=1.0,
-            transversal=catalog.cross_axis_transversal(axis=(0.0, 0.0, 1.0), c=0.4),
-            short_range=catalog.build_vector("grad_bumps", {"bumps": [[0.4, 1.3, 0.2, -0.3, 0.55]]},
-                                             dimension=3))
-
-    @pytest.mark.parametrize("dim", [2, 3])
-    def test_curl_matches_per_axis_reference(self, dim):
-        cfg = self._plane_config() if dim == 2 else self._space_config()
-        rng = np.random.default_rng(dim)
-        pts = rng.normal(size=(60, dim))
-        pts *= rng.uniform(1.2, 4.0, (60, 1)) / np.linalg.norm(pts, axis=1)[:, None]
-        d = per_axis_partials(cfg.vector_potential, pts, 1e-3 * np.linalg.norm(pts, axis=1))
-        pairs = [(0, 1)] if dim == 2 else [(0, 1), (0, 2), (1, 2)]
-        want = np.column_stack([d[:, i, j] - d[:, j, i] for i, j in pairs])
-        np.testing.assert_array_equal(curl(cfg, pts), want[:, 0] if dim == 2 else want)
-
-    @pytest.mark.parametrize("dim", [2, 3])
-    def test_curl_calls_its_field_once(self, dim):
-        base = self._plane_config() if dim == 2 else self._space_config()
-        calls = []
-        pts = np.full((7, dim), 1.5)
-        curl(_counted(base.vector_potential, calls), pts)
-        assert calls == [2 * dim * 7]
 
     def test_gauge_scalar_gradient_matches_per_axis_reference(self):
         L = catalog.build_scalar("gaussian_bumps", {"bumps": [[0.6, 1.9, -0.5, 0.5]]})
@@ -344,7 +337,7 @@ class TestExtractLeadingOrder:
                                   {"bumps": [[0.5, 1.0, 0.5, 0.0, 0.4]]}, dimension=3)
         grid = sphere_grid(1)
         radii = np.geomspace(6.0, 60.0, 6)
-        samples = sample_on_spheres(lambda p: curl(sr, p, step_rel=1e-5), radii, grid)
+        samples = sample_on_spheres(lambda p: curl(sr, p), radii, grid)
         leads, resid = extract_leading_order(radii, samples, grid, tol=1e-5,
                                              return_residual=True)
         assert max(l.values.max() for l in leads) < 1e-6
@@ -677,13 +670,13 @@ class TestCatalogColumns:
 
     @pytest.mark.parametrize("b0, r0, sig", [(0.4, 1.9, 0.3), (-1.2, 2.5, 0.15)])
     def test_ring_bump_curl_is_the_bump(self, b0, r0, sig):
-        """Needs no erf: the difference curl of the field is b0 e^{-(r-r0)^2/(2 sig^2)}."""
+        """Needs no erf: the circulation curl of the field is b0 e^{-(r-r0)^2/(2 sig^2)}."""
         F = catalog.build_vector("ring_bump_tangential", {"b0": b0, "r0": r0, "sigma": sig})
         rng = np.random.default_rng(3)
         r = rng.uniform(r0 - 3 * sig, r0 + 3 * sig, 60)
         th = rng.uniform(0, 2 * np.pi, 60)
         pts = r[:, None] * np.column_stack([np.cos(th), np.sin(th)])
-        np.testing.assert_allclose(curl(F, pts, step_rel=1e-5),  # O(h^2): 4e-9 at sigma 0.15
+        np.testing.assert_allclose(curl(F, pts),  # a disc mean, O(rho^2): 4e-9 at sigma 0.15
                                    b0 * np.exp(-((r - r0) ** 2) / (2 * sig**2)),
                                    rtol=0, atol=1e-8 * abs(b0))
 

@@ -457,6 +457,21 @@ class TestReconstruct:
         assert "field_reconstruction_rel_l2" not in entries
         assert entries["field_reconstruction_max"].value < 1e-6
 
+    def test_curl_free_short_range_is_judged_against_the_data(self):
+        # a gradient's reference curl is zero: the recovered field's largest
+        # value then carries recon_b_rel times the largest |value| of the
+        # vector sinogram as its tolerance, and passes it
+        short = catalog.build_vector("grad_bumps", {"bumps": [[0.4, 1.8, 0.5, 0.3]]})
+        cfg = _plane_config(0.3, short=short)
+        rep = run_reconstruct(Scenario(kind="reconstruct", config1=cfg,
+                                       geometry=dict(SMALL_GEO)))
+        entries = {e.name: e for e in rep.entries}
+        assert "field_reconstruction_rel_l2" not in entries
+        scale = float(np.max(np.abs(rep.artifacts["sinogram_vector"].values)))
+        got = entries["field_reconstruction_max"]
+        assert got.tolerance == DEFAULT_TOLERANCES["recon_b_rel"] * scale
+        assert got.passed and got.value < 1e-6 * scale
+
     def test_empty_configuration(self):
         sc = Scenario(kind="reconstruct", config1=_plane_config(),
                       geometry=dict(SMALL_GEO))
@@ -488,15 +503,15 @@ class TestReconstruct:
             assert np.max(np.abs(np.asarray(lead.values) - ref)) < 1e-6
 
     def test_space_field_source_is_recorded(self, tmp_path):
-        """In 3-space B is the configuration's own difference curl, not a
+        """In 3-space B is the configuration's own circulation curl, not a
         reconstruction from line data, and the report says so."""
         sc = Scenario(kind="reconstruct", config1=_space_config(),
                       geometry={"n_radii": 3, "sphere_refinement": 1})
         rep = run_reconstruct(sc)
-        assert rep.provenance["field_source"] == "configuration, central-difference curl"
+        assert rep.provenance["field_source"] == "configuration, circulation curl"
         emit_report(rep, tmp_path)
         back = Report.from_json((tmp_path / "report.json").read_text())
-        assert back.provenance["field_source"] == "configuration, central-difference curl"
+        assert back.provenance["field_source"] == "configuration, circulation curl"
 
     def test_kind_guard(self):
         sc = Scenario(kind="reconstruct", config1=_plane_config(0.3))

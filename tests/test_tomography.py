@@ -933,9 +933,7 @@ class TestFindGaugeScalar:
     def test_closed_form(self, kind, params):
         # grad L of a catalog scalar gives back L, which vanishes at
         # infinity; the bumps sit on the grid's ray at angle 0, and the
-        # narrow ones are refined, not stepped over. Built directly:
-        # find_gauge_scalar's finite-difference curl probe rejects many
-        # narrow bumps as not curl-free
+        # narrow ones are refined, not stepped over
         L = catalog.build_scalar(kind, params, dimension=2)
         cfg = apply_gauge_to_potential(PotentialConfig(dimension=2, obstacle_radius=1.0),
                                        GaugeElement(dimension=2, scalar=L))
@@ -995,15 +993,35 @@ class TestFindGaugeScalar:
         with pytest.raises(ResidualFlux):
             find_gauge_scalar(fld, r_in=1.2, r_out=4.0)
 
-    def test_swirl_raises_not_curl_free(self):
+    @pytest.mark.parametrize("source", ["swirl", "ring_bump_tangential"])
+    def test_curl_raises_not_curl_free(self, source):
+        # the ring bump's curl is a Gaussian ring of height 0.4 at radius 1.9
         def swirl(p):
             r2 = np.sum(p**2, axis=1)
             return np.column_stack([-p[:, 1], p[:, 0]]) * np.exp(-r2 / 8.0)[:, None]
 
-        fld = ShortRangeField(dimension=2, func=swirl,
-                              envelope=DecayEnvelope(C=10.0, eps0=1.0))
+        fld = (ShortRangeField(dimension=2, func=swirl, envelope=DecayEnvelope(C=10.0, eps0=1.0))
+               if source == "swirl" else
+               catalog.build_vector(source, {"b0": 0.4, "r0": 1.9, "sigma": 0.3}))
         with pytest.raises(NotCurlFree):
-            find_gauge_scalar(fld, r_in=1.2, r_out=4.0)
+            find_gauge_scalar(fld, r_in=1.2, r_out=4.0, curl_tol=1e-6)
+
+    def test_narrow_bump_gradients_are_curl_free(self):
+        # the gradient of one narrow bump, 20 draws per width: central
+        # differences of step 1e-4 |x| read a curl above 1e-6 on 24 of
+        # these 60 true gradients; the circulation reads at most 2e-10
+        rng = np.random.default_rng(16)
+        refused = []
+        for w in (0.1, 0.05, 0.02):
+            for _ in range(20):
+                rad, ang = rng.uniform(1.5, 3.5), rng.uniform(0, 2 * np.pi)
+                bump = [0.5, rad * np.cos(ang), rad * np.sin(ang), w]
+                try:
+                    find_gauge_scalar(catalog.build_vector("grad_bumps", {"bumps": [bump]}),
+                                      r_in=1.2, r_out=4.0, curl_tol=1e-6)
+                except NotCurlFree:
+                    refused.append(bump)
+        assert refused == []
 
     @pytest.mark.parametrize("shell, error", [((2.0, 2.5), NotCurlFree),
                                               ((2.25 - 1e-6, 2.25 + 1e-6), ResidualFlux)])
@@ -1132,7 +1150,7 @@ class TestPlaneRestrict:
                                   envelope=DecayEnvelope(C=100.0, eps0=1.0))
         plane = Plane(point=origin, e1=e1, e2=e2)
         n = 7
-        rest = plane_restrict(A_field, plane, half_width=1.0, n=n, step_rel=1e-5)
+        rest = plane_restrict(A_field, plane, half_width=1.0, n=n)
         axis = np.linspace(-1.0, 1.0, n)
         uu, vv = np.meshgrid(axis, axis, indexing="ij")
         expected = pull_num(uu, vv)
@@ -1144,6 +1162,12 @@ class TestPlaneRestrict:
         with pytest.raises(PlaneHitsObstacle):
             plane_restrict(lambda p: np.zeros_like(p), plane, half_width=1.0,
                            n=5, obstacle_radius=1.0)
+
+    def test_two_form_callable_must_return_three_components(self):
+        plane = Plane(point=np.array([0.0, 0.0, 3.0]),
+                      e1=np.array([1.0, 0.0, 0.0]), e2=np.array([0.0, 1.0, 0.0]))
+        with pytest.raises(DimensionMismatch, match=r"\(m, 3\)"):
+            plane_restrict(lambda p: np.zeros((len(p), 2)), plane, half_width=1.0, n=5)
 
 
 class TestAntipodalDefect:
