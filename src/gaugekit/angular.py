@@ -289,15 +289,24 @@ class SphereGrid:
             self._inv_cache["edges"] = e
         return self._inv_cache["edges"]
 
+    def _gram_rows(self, rows: slice, out: np.ndarray | None = None) -> np.ndarray:
+        """The dot products w . w' of a block of nodes with every node,
+        V[rows] @ V.T, against a contiguous copy of V.T cached on the grid
+        (into out when given)."""
+        if "vertices_t" not in self._inv_cache:
+            vt = np.ascontiguousarray(self.vertices.T)
+            vt.flags.writeable = False
+            self._inv_cache["vertices_t"] = vt
+        return np.matmul(self.vertices[rows], self._inv_cache["vertices_t"], out=out)
+
     def far_pairs(self) -> np.ndarray:
         """(size, size) mask of the vertex pairs more than FAR_PAIR_ANGLE
         apart (w . w' < cos(FAR_PAIR_ANGLE)), built by row blocks; read-only
         and cached."""
         if "far_pairs" not in self._inv_cache:
-            V = self.vertices
             mask = np.empty((self.size, self.size), dtype=bool)
             for rows in row_blocks(self.size):
-                np.less(V[rows] @ V.T, np.cos(FAR_PAIR_ANGLE), out=mask[rows])
+                np.less(self._gram_rows(rows), np.cos(FAR_PAIR_ANGLE), out=mask[rows])
             mask.flags.writeable = False
             self._inv_cache["far_pairs"] = mask
         return self._inv_cache["far_pairs"]

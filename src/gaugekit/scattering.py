@@ -781,6 +781,15 @@ class SphereScatteringKernel:
         """The grid's mask of direction pairs more than FAR_PAIR_ANGLE apart."""
         return self.grid.far_pairs()
 
+    @cached_property
+    def _base_max(self) -> float:
+        """Largest |base| entry, by row blocks on the first read (nan if any
+        entry is nan): the largest |value| when ungauged, and within 2 ulps
+        of it when gauged, the prefactors being unimodular.
+        synthesize_sphere_kernel sets it as it builds the base."""
+        return float(np.max([np.max(np.abs(self._base_rows(b)))
+                             for b in row_blocks(self.grid.size)]))
+
     def max_abs(self) -> float:
         """Largest |value|, by row blocks (nan if any value is nan)."""
         return float(np.max([np.max(np.abs(self.rows(b))) for b in row_blocks(self.grid.size)]))
@@ -790,15 +799,19 @@ def synthesize_sphere_kernel(grid: SphereGrid, lam: float = 1.0) -> SphereScatte
     """Diagonal-concentrated smooth stand-in kernel exp(-|w - w'|^2 / width^2)
     with width 0.6, plus a fixed small offset so the ratio is anchored
     everywhere near the diagonal. Filled in place by row blocks into one
-    float64 array, the real base."""
-    V = grid.vertices
+    float64 array, the real base, whose largest entry (its largest |entry|,
+    every entry being above 0.05) each block gives while it is in cache."""
     vals = np.empty((grid.size, grid.size))
+    tops = []
     for b in row_blocks(grid.size):
         # exp(-max(2 - 2c, 0) / 0.6^2) + 0.05 in place, bit for bit: halving both is exact
-        x = np.matmul(V[b], V.T, out=vals[b])
+        x = grid._gram_rows(b, out=vals[b])
         np.maximum(np.subtract(1.0, x, out=x), 0.0, out=x)
         np.add(np.exp(np.divide(x, -0.6**2 / 2, out=x), out=x), 0.05, out=x)
-    return SphereScatteringKernel(grid=grid, base=vals, lam=lam)
+        tops.append(np.max(x))
+    K = SphereScatteringKernel(grid=grid, base=vals, lam=lam)
+    K.__dict__["_base_max"] = float(np.max(tops))
+    return K
 
 
 # ===================================================================
@@ -874,11 +887,14 @@ def gauge_equivalence_solver(S1, S2, verify_tol: float = 1e-6,
     by applying the fitted gauge and measuring the kernel distance.
 
     Sphere: requires declared singular support on S1; the diagonal ratio
-    gives the odd part of the phase (it must vanish: gauge direction
-    functions are antipodally even), near-diagonal pairs on the grid edges
-    give even-part differences, fitted in least squares by conjugate
-    gradients on the edge graph's Laplacian; anchored pairs that leave the
-    grid disconnected, or a fit at its iteration cap, give Ambiguous.
+    gives the odd part of the phase, which must vanish (gauge direction
+    functions are antipodally even), so an odd part above phase_tol answers
+    NotEquivalent with the odd_phase witness before any edge is read. Else
+    near-diagonal pairs on the grid edges give even-part differences, fitted
+    in least squares by conjugate gradients on the edge graph's Laplacian;
+    anchored pairs that leave the grid disconnected (counted only when the
+    anchoring floor, 1e-8 of S1's largest |base|, drops an edge), or a fit
+    at its iteration cap, give Ambiguous. No step reads a block of rows.
 
     Both verify the fitted gauge g with _verify: from the O(n) certificate
     bound when S1 under g and S2 hold one grid object (provenance
@@ -915,9 +931,10 @@ def _shared_grid_bound(S1, S2, base_max: float | None) -> float:
     |v1 - v2| <= |s1_k - s2_k| |o1 c1| + |s2_k + R| eps, and the certificate
     gives |R| <= C gap_k^-delta + 1e-12 max(1, C) (the slack _bound_constant
     allows). Sphere: |v1 - v2| <= |base| eps <= base_max eps, base_max being
-    the largest |value| of kernel 1, whose unimodular prefactors make it the
-    base's to 2 ulps. _ROUND_OFF covers the rounding of both values and of
-    the prefactor tables (_prefactor_mismatch)."""
+    the largest |base| of the shared base (SphereScatteringKernel._base_max,
+    nan if the base holds a nan, and then so is the bound). _ROUND_OFF
+    covers the rounding of both values and of the prefactor tables
+    (_prefactor_mismatch)."""
     if isinstance(S1, ScatteringKernel):
         R = S2.remainder
         if S1.remainder is not R or not np.all(np.isfinite(np.diagonal(R))):
@@ -941,7 +958,8 @@ def _verify(S1, S2, g: GaugeElement, prov: dict, verify_tol: float, witness,
     within verify_tol max(1, top) of S2, top being S2's largest |value|?
 
     When S1g and S2 hold one grid object (plane remainder, sphere base;
-    base_max is sphere kernel 1's largest |value|), _shared_grid_bound bounds
+    base_max is that base's largest |base|, the figure a sphere kernel
+    keeps from its synthesis or its first read), _shared_grid_bound bounds
     their distance in O(n) from the prefactors and the certified remainder
     bound. A finite bound within verify_tol answers equivalent (max(1, top)
     >= 1, so top is not needed), verified_by "certificate". Otherwise the
@@ -1039,8 +1057,8 @@ def _solve_sphere(S1: SphereScatteringKernel, S2: SphereScatteringKernel,
             "no declared diagonal singularity on the base kernel; "
             "the prefactor ratio cannot be anchored")
     grid = S1.grid
-    top = S1.max_abs()
-    floor = 1e-8 * top
+    base_max = S1._base_max
+    floor = 1e-8 * base_max
     n = grid.size
     nodes = np.arange(n)
     diag1 = S1.entries(nodes, nodes)
@@ -1051,6 +1069,13 @@ def _solve_sphere(S1: SphereScatteringKernel, S2: SphereScatteringKernel,
     evenness_defect = float(np.max(np.abs(odd + odd[grid.antipode])))
     prov = {"odd_part_max": float(np.max(np.abs(odd))),
             "odd_antisymmetry_defect": evenness_defect}
+    if prov["odd_part_max"] > phase_tol:  # false for nan, which the fit's check below meets
+        return SolverResult(
+            verdict="not_equivalent",
+            witness={"kind": "odd_phase",
+                     "odd_part_max": prov["odd_part_max"],
+                     "note": "gauge direction functions must be antipodally even"},
+            provenance=prov)
     # even part differences on grid edges: for neighbors w_j ~ w_i the kernel
     # entry (i, j) carries phi(w_i) - phi(-w_j) = o_i + o_j + e_i - e_j
     i, j = grid.edges().T
@@ -1063,7 +1088,8 @@ def _solve_sphere(S1: SphereScatteringKernel, S2: SphereScatteringKernel,
         return SolverResult(verdict="ambiguous",
                             reason="too few anchored near-diagonal pairs to fit the phase",
                             provenance=prov)
-    if (n_parts := _component_count(i, j, n)) > 1:
+    # every sphere_grid's full edge graph is connected: only dropped edges can split it
+    if not np.all(keep) and (n_parts := _component_count(i, j, n)) > 1:
         return SolverResult(verdict="ambiguous",
                             reason=f"anchored near-diagonal pairs split the grid into "
                                    f"{n_parts} components; the phase offsets between "
@@ -1078,15 +1104,8 @@ def _solve_sphere(S1: SphereScatteringKernel, S2: SphereScatteringKernel,
                             f"did not converge in {_CG_MAX_ITER} conjugate-gradient iterations")
     phi_vals = even + odd
     phi = SphereFunction(grid=grid, values=phi_vals)
-    if prov["odd_part_max"] > phase_tol:
-        return SolverResult(
-            verdict="not_equivalent",
-            witness={"kind": "odd_phase",
-                     "odd_part_max": prov["odd_part_max"],
-                     "note": "gauge direction functions must be antipodally even"},
-            provenance=prov)
     if not np.all(np.isfinite(phi_vals)) or np.isnan(residual):  # a nan or inf reached the fit
         return SolverResult(verdict="not_equivalent", provenance=prov,
                             witness={"kind": "verification", "distance": np.nan})
     return _verify(S1, S2, GaugeElement(dimension=3, phi_sphere=phi), prov, verify_tol, dict,
-                   top)
+                   base_max)

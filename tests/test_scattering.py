@@ -1232,8 +1232,22 @@ class TestSphereSolver:
         # a path 0-4-2, a triangle 1-3-5 and the lone node 6
         i, j = np.array([[0, 4], [2, 4], [1, 3], [3, 5], [1, 5]]).T
         assert scattering._component_count(i, j, 7) == 3
-        grid = sphere_grid(refinement=2)
-        assert scattering._component_count(*grid.edges().T, grid.size) == 1
+        # every full edge graph is one component, so the solver counts
+        # components only when its floor drops an edge
+        for refinement in range(5):
+            grid = sphere_grid(refinement=refinement)
+            assert scattering._component_count(*grid.edges().T, grid.size) == 1
+
+    @pytest.mark.parametrize("refinement", [0, 2, 4])
+    def test_gram_rows_match_the_strided_product(self, refinement):
+        grid = sphere_grid(refinement=refinement)
+        V = grid.vertices
+        for rows in row_blocks(grid.size)[:3]:
+            assert np.array_equal(grid._gram_rows(rows), V[rows] @ V.T)
+        out = np.empty((rows.stop - rows.start, grid.size))
+        assert grid._gram_rows(rows, out=out) is out
+        vt = grid._inv_cache["vertices_t"]
+        assert vt.flags.c_contiguous and not vt.flags.writeable
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     @pytest.mark.parametrize("where", ["far", "near", "diagonal"])
@@ -1286,6 +1300,64 @@ class TestSphereSolver:
         res = gauge_equivalence_solver(K1, K2)
         assert res.verdict == "not_equivalent"
         assert res.witness["kind"] == "odd_phase"
+        # the odd part decides before any edge is read or fitted
+        assert res.provenance["odd_part_max"] == res.witness["odd_part_max"] > 0.25
+        assert not [k for k in res.provenance if k.startswith("even_fit_")]
+
+    def test_odd_pair_with_split_anchors_is_odd_phase(self):
+        # vertex 0's edge entries fall below the floor, which splits the grid,
+        # but the odd part alone proves the pair is not gauge equivalent
+        grid = sphere_grid(refinement=2)
+        vals = np.array(synthesize_sphere_kernel(grid).base)
+        a, b = grid.edges()[np.any(grid.edges() == 0, axis=1)].T
+        vals[a, b] = vals[b, a] = 0.0
+        K1 = SphereScatteringKernel(grid=grid, base=vals)
+        K2 = apply_gauge_to_kernel(K1, GaugeElement(
+            dimension=3, phi_callable=lambda V: 0.3 * np.atleast_2d(V)[:, 2]))
+        res = gauge_equivalence_solver(K1, K2)
+        assert res.verdict == "not_equivalent"
+        assert res.witness["kind"] == "odd_phase"
+        assert "odd_part_max" in res.provenance
+        assert not [k for k in res.provenance if k.startswith("even_fit_")]
+
+    def test_sphere_solve_makes_no_dense_pass(self, monkeypatch):
+        # the largest |base| comes with the synthesized base, so neither
+        # verdict reads a block of rows
+        grid = sphere_grid(refinement=2)
+        K1 = synthesize_sphere_kernel(grid)
+
+        def refuse(self, block):
+            raise AssertionError("a dense pass in the sphere solver")
+
+        monkeypatch.setattr(SphereScatteringKernel, "rows", refuse)
+        monkeypatch.setattr(SphereScatteringKernel, "_base_rows", refuse)
+        even = GaugeElement(dimension=3, phi_callable=_even_phase())
+        res = gauge_equivalence_solver(K1, apply_gauge_to_kernel(K1, even))
+        assert res.verdict == "equivalent" and res.provenance["verified_by"] == "certificate"
+        odd = GaugeElement(dimension=3, phi_callable=lambda V: 0.3 * np.atleast_2d(V)[:, 2])
+        res = gauge_equivalence_solver(K1, apply_gauge_to_kernel(K1, odd))
+        assert res.verdict == "not_equivalent" and res.witness["kind"] == "odd_phase"
+
+    @pytest.mark.parametrize("refinement", [1, 2, 3])
+    def test_cached_base_max_of_a_synthesized_kernel(self, refinement):
+        K = synthesize_sphere_kernel(sphere_grid(refinement=refinement))
+        assert "_base_max" in K.__dict__  # set by synthesis, not by a later pass
+        want = np.max(np.abs(K.base))
+        assert K._base_max == want and K.max_abs() == want
+        Kg = apply_gauge_to_kernel(K, GaugeElement(dimension=3, phi_callable=_even_phase()))
+        assert Kg._base_max == want
+
+    def test_cached_base_max_of_a_hand_built_base(self):
+        grid = sphere_grid(refinement=2)
+        rng = np.random.default_rng(5)
+        base = rng.standard_normal((grid.size, grid.size)) \
+            + 1j * rng.standard_normal((grid.size, grid.size))
+        K = SphereScatteringKernel(grid=grid, base=base)
+        assert "_base_max" not in K.__dict__
+        assert K._base_max == np.max(np.abs(base)) == K.max_abs()
+        Kg = apply_gauge_to_kernel(K, GaugeElement(dimension=3, phi_callable=_even_phase()))
+        assert Kg._base_max == K._base_max
+        assert abs(Kg.max_abs() - Kg._base_max) <= 2 * np.spacing(Kg._base_max)
 
     def test_missing_singular_support_raises(self):
         grid = sphere_grid(refinement=1)
@@ -1360,6 +1432,25 @@ class TestCertifiedVerify:
             dimension=3, phi_callable=lambda V: phi(V) + offset))
         bound = scattering._shared_grid_bound(K1g, K2, K1.max_abs())
         assert kernel_distance(K1g, K2) <= bound <= 1e-12
+
+    def test_nan_base_gives_no_certificate(self):
+        # a nan in the shared base makes its largest |base| nan, so the bound
+        # is not finite and the exact distance answers
+        grid = sphere_grid(refinement=2)
+        vals = np.array(synthesize_sphere_kernel(grid).base)
+        vals[0, grid.antipode[0]] = np.nan
+        K1 = SphereScatteringKernel(grid=grid, base=vals)
+        assert np.isnan(K1._base_max)
+        g = GaugeElement(dimension=3, phi_callable=_even_phase())
+        K2 = apply_gauge_to_kernel(K1, g)
+        assert not np.isfinite(scattering._shared_grid_bound(
+            apply_gauge_to_kernel(K1, g), K2, K1._base_max))
+        res = scattering._verify(K1, K2, g, {}, 1e-6, dict, K1._base_max)
+        assert res.verdict == "not_equivalent"
+        assert res.witness["kind"] == "verification"
+        assert res.provenance["verified_by"] == "distance"
+        with np.errstate(invalid="ignore"):
+            assert gauge_equivalence_solver(K1, K2).verdict != "equivalent"
 
     @pytest.mark.parametrize("refinement", [2, 3])
     def test_sphere_solve_on_a_gauged_kernel(self, refinement):
