@@ -4,19 +4,22 @@ Real 2*pi-periodic profiles are stored as finite Fourier series, read on a
 uniform angle grid by one inverse FFT of the coefficients folded onto the
 grid (on_grid), with a certified sup (max_abs). Functions on S^2 are
 sampled on a subdivided-icosahedron grid whose nodes come in exact antipodal
-pairs, so f(omega) - f(-omega) at a node reads two samples.
+pairs, so f(omega) - f(-omega) at a node reads two samples. One array
+subdivision builds the grid's nodes, faces, edges and antipode map: each
+level adds a node at the normalised midpoint of each edge, the edges found
+by one unique over integer keys i n + j, and the antipodes pair the rows of
+the node array sorted as v and as -v.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from functools import cache
+from dataclasses import dataclass
+from functools import cache, cached_property
 from typing import Callable, Sequence
 
 import numpy as np
 
 from .errors import NonzeroMean
 
-DEFAULT_DEGREE = 64
 MEAN_TOL = 1e-10
 _REALNESS_TOL = 1e-9
 FAR_PAIR_ANGLE = 0.15  # radians; sphere kernel comparisons skip closer pairs
@@ -109,11 +112,6 @@ class AngularFunction:
         spec = np.fft.fft(v) / m  # order 0..N, -N..-1
         c = np.concatenate([spec[n + 1:], spec[:n + 1]])
         return cls(c)
-
-    @classmethod
-    def from_callable(cls, f: Callable, degree: int = DEFAULT_DEGREE) -> "AngularFunction":
-        theta = np.arange(2 * degree + 1) * 2 * np.pi / (2 * degree + 1)
-        return cls.from_samples(np.asarray(f(theta), dtype=float))
 
     @classmethod
     def harmonic(cls, k: int, cos_amp: float = 0.0, sin_amp: float = 0.0) -> "AngularFunction":
@@ -248,124 +246,96 @@ def _icosahedron():
     d2 = np.sum((verts[:, None, :] - verts[None, :, :]) ** 2, axis=-1)
     edge_len = np.min(d2[d2 > 1e-9])
     adj = d2 < edge_len * 1.5
-    faces = []
-    n = verts.shape[0]
-    for i in range(n):
-        for j in range(i + 1, n):
-            if not adj[i, j]:
-                continue
-            for k in range(j + 1, n):
-                if adj[i, k] and adj[j, k]:
-                    faces.append((i, j, k))
-    return verts, np.array(faces)
+    ijk = np.argwhere(adj[:, :, None] & adj[:, None, :] & adj[None, :, :])
+    return verts, ijk[(ijk[:, 0] < ijk[:, 1]) & (ijk[:, 1] < ijk[:, 2])]
 
 
-def _vertex_key(v: np.ndarray) -> tuple:
-    return tuple(np.round(v + 0.0, 9))  # +0.0 folds -0.0 into 0.0
+def _edge_keys(faces: np.ndarray, n: int) -> np.ndarray:
+    """Keys i n + j, i < j, of the edges ab, bc, ca of each face (a, b, c) in turn."""
+    ends = faces[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2)
+    return np.min(ends, axis=1) * n + np.max(ends, axis=1)
 
 
 @dataclass(frozen=True)
 class SphereGrid:
-    """Subdivided icosahedral grid on S^2 with exact antipodal pairing."""
+    """Subdivided icosahedral grid on S^2 with exact antipodal pairing: node
+    coordinates, faces, the (i, j) edges with i < j in lexicographic order
+    and the antipode map, all read-only."""
 
     vertices: np.ndarray
     faces: np.ndarray
+    edges: np.ndarray
     antipode: np.ndarray
     refinement: int
-    _inv_cache: dict = field(default_factory=dict, compare=False, repr=False)
 
     @property
     def size(self) -> int:
         return self.vertices.shape[0]
 
-    def edges(self) -> np.ndarray:
-        """Unique (i, j) vertex pairs with i < j, one per face edge, in
-        lexicographic order; read-only and cached."""
-        if "edges" not in self._inv_cache:
-            f = self.faces
-            pairs = np.sort(np.concatenate([f[:, [0, 1]], f[:, [1, 2]], f[:, [0, 2]]]), axis=1)
-            e = np.unique(pairs, axis=0)
-            e.flags.writeable = False
-            self._inv_cache["edges"] = e
-        return self._inv_cache["edges"]
+    @cached_property
+    def _vertices_t(self) -> np.ndarray:
+        vt = np.ascontiguousarray(self.vertices.T)
+        vt.flags.writeable = False
+        return vt
 
     def _gram_rows(self, rows: slice, out: np.ndarray | None = None) -> np.ndarray:
         """The dot products w . w' of a block of nodes with every node,
         V[rows] @ V.T, against a contiguous copy of V.T cached on the grid
         (into out when given)."""
-        if "vertices_t" not in self._inv_cache:
-            vt = np.ascontiguousarray(self.vertices.T)
-            vt.flags.writeable = False
-            self._inv_cache["vertices_t"] = vt
-        return np.matmul(self.vertices[rows], self._inv_cache["vertices_t"], out=out)
+        return np.matmul(self.vertices[rows], self._vertices_t, out=out)
 
+    @cached_property
     def far_pairs(self) -> np.ndarray:
         """(size, size) mask of the vertex pairs more than FAR_PAIR_ANGLE
-        apart (w . w' < cos(FAR_PAIR_ANGLE)), built by row blocks; read-only
-        and cached."""
-        if "far_pairs" not in self._inv_cache:
-            mask = np.empty((self.size, self.size), dtype=bool)
-            for rows in row_blocks(self.size):
-                np.less(self._gram_rows(rows), np.cos(FAR_PAIR_ANGLE), out=mask[rows])
-            mask.flags.writeable = False
-            self._inv_cache["far_pairs"] = mask
-        return self._inv_cache["far_pairs"]
-
-
-_GRID_CACHE: dict[int, SphereGrid] = {}
+        apart (w . w' < cos(FAR_PAIR_ANGLE)), built by row blocks on the
+        first read; read-only."""
+        mask = np.empty((self.size, self.size), dtype=bool)
+        for rows in row_blocks(self.size):
+            np.less(self._gram_rows(rows), np.cos(FAR_PAIR_ANGLE), out=mask[rows])
+        mask.flags.writeable = False
+        return mask
 
 
 def sphere_grid(refinement: int = 4) -> SphereGrid:
-    """Icosphere with 10*4^r + 2 nodes, antipodally closed bit-for-bit."""
-    if refinement in _GRID_CACHE:
-        return _GRID_CACHE[refinement]
-    verts, faces = _icosahedron()
-    verts = [np.array(v) for v in verts]
-    index = {_vertex_key(v): i for i, v in enumerate(verts)}
-    faces = [tuple(f) for f in faces]
+    """Icosphere with 10*4^r + 2 nodes, antipodally closed bit-for-bit, for
+    an int refinement r from 0 to 8 (655,362 nodes; each level quadruples
+    every array); one grid object per refinement."""
+    if type(refinement) is not int or not 0 <= refinement <= 8:  # no bool
+        raise ValueError(f"sphere refinement must be an integer from 0 to 8, got {refinement!r}")
+    return _subdivided(refinement)
+
+
+@cache
+def _subdivided(refinement: int) -> SphereGrid:
+    v, f = _icosahedron()
     for _ in range(refinement):
-        midpoint_of = {}
-
-        def midpoint(i, j):
-            key = (min(i, j), max(i, j))
-            if key in midpoint_of:
-                return midpoint_of[key]
-            m = verts[i] + verts[j]
-            m = m / np.linalg.norm(m)
-            vk = _vertex_key(m)
-            if vk in index:
-                idx = index[vk]
-            else:
-                idx = len(verts)
-                verts.append(m)
-                index[vk] = idx
-            midpoint_of[key] = idx
-            return idx
-
-        new_faces = []
-        for a, b, c in faces:
-            ab, bc, ca = midpoint(a, b), midpoint(b, c), midpoint(c, a)
-            new_faces += [(a, ab, ca), (b, bc, ab), (c, ca, bc), (ab, bc, ca)]
-        faces = new_faces
-    v = np.array(verts)
-    # canonical antipodal closure: overwrite each pair's second member with -first
-    antipode = np.full(v.shape[0], -1, dtype=int)
-    index = {_vertex_key(p): i for i, p in enumerate(v)}
-    for i in range(v.shape[0]):
-        if antipode[i] >= 0:
-            continue
-        j = index.get(_vertex_key(-v[i]))
-        if j is None:
-            raise RuntimeError("grid not antipodally closed")
-        v[j] = -v[i]
-        antipode[i], antipode[j] = j, i
-    v.flags.writeable = False
-    f = np.array(faces)
-    f.flags.writeable = False
-    antipode.flags.writeable = False
-    grid = SphereGrid(vertices=v, faces=f, antipode=antipode, refinement=refinement)
-    _GRID_CACHE[refinement] = grid
-    return grid
+        # one node per edge at its normalised midpoint, numbered in the order
+        # the face edges first reach it; the four faces of each face follow
+        n = v.shape[0]
+        keys, first_seen, inverse = np.unique(_edge_keys(f, n), return_index=True,
+                                              return_inverse=True)
+        order = np.argsort(first_seen)
+        number = np.empty_like(order)
+        number[order] = np.arange(n, n + order.size)
+        i, j = np.divmod(keys[order], n)
+        m = v[i] + v[j]
+        m /= np.sqrt(np.matmul(m[:, None, :], m[:, :, None])[:, 0])  # as np.linalg.norm(m[k])
+        v = np.concatenate([v, m])
+        ab, bc, ca = number[inverse].reshape(-1, 3).T
+        a, b, c = f.T
+        f = np.stack([a, ab, ca, b, bc, ab, c, ca, bc, ab, bc, ca], axis=1).reshape(-1, 3)
+    n = v.shape[0]
+    edges = np.stack(np.divmod(np.unique(_edge_keys(f, n)), n), axis=1)
+    antipode = np.empty(n, dtype=int)
+    antipode[np.lexsort((-v).T)] = np.lexsort(v.T)
+    if not np.array_equal(v[antipode], -v):
+        raise RuntimeError("grid not antipodally closed")
+    # canonical signs of zeros: each pair's second member is -first
+    first = np.flatnonzero(np.arange(n) < antipode)
+    v[antipode[first]] = -v[first]
+    for array in (v, f, edges, antipode):
+        array.flags.writeable = False
+    return SphereGrid(vertices=v, faces=f, edges=edges, antipode=antipode, refinement=refinement)
 
 
 @dataclass(frozen=True)

@@ -198,7 +198,6 @@ class FluxDecomposition:
 
     alpha: float
     a0: AngularFunction
-    a_hat: AngularFunction
 
 
 def decompose_transversal(field) -> FluxDecomposition:
@@ -232,7 +231,7 @@ def decompose_transversal(field) -> FluxDecomposition:
         a_hat = AngularFunction.from_samples(np.sum(vals * tangents, axis=1))
     alpha = a_hat.mean()
     a0 = (a_hat - alpha).antiderivative(mean_tol=1e-8)
-    return FluxDecomposition(alpha=alpha, a0=a0, a_hat=a_hat)
+    return FluxDecomposition(alpha=alpha, a0=a0)
 
 
 @dataclass(frozen=True)

@@ -779,7 +779,7 @@ class SphereScatteringKernel:
 
     def far_pairs(self) -> np.ndarray:
         """The grid's mask of direction pairs more than FAR_PAIR_ANGLE apart."""
-        return self.grid.far_pairs()
+        return self.grid.far_pairs
 
     @cached_property
     def _base_max(self) -> float:
@@ -1058,6 +1058,9 @@ def _solve_sphere(S1: SphereScatteringKernel, S2: SphereScatteringKernel,
             "the prefactor ratio cannot be anchored")
     grid = S1.grid
     base_max = S1._base_max
+    if not np.isfinite(base_max):  # a nan or inf in the base: no floor to anchor on
+        return SolverResult(verdict="not_equivalent", provenance={},
+                            witness={"kind": "verification", "distance": np.nan})
     floor = 1e-8 * base_max
     n = grid.size
     nodes = np.arange(n)
@@ -1078,7 +1081,7 @@ def _solve_sphere(S1: SphereScatteringKernel, S2: SphereScatteringKernel,
             provenance=prov)
     # even part differences on grid edges: for neighbors w_j ~ w_i the kernel
     # entry (i, j) carries phi(w_i) - phi(-w_j) = o_i + o_j + e_i - e_j
-    i, j = grid.edges().T
+    i, j = grid.edges.T
     s1 = S1.entries(i, j)
     keep = np.abs(s1) >= floor
     i, j, s1 = i[keep], j[keep], s1[keep]

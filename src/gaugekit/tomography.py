@@ -597,7 +597,6 @@ class PolarGridField:
     radii: np.ndarray
     thetas: np.ndarray
     values: np.ndarray
-    annulus: tuple[float, float]
     dropped_harmonics: tuple = ()
 
     def sample(self, f: Callable) -> np.ndarray:
@@ -743,7 +742,6 @@ def radon_invert_scalar(sino: Sinogram) -> PolarGridField:
         vl = -(1.0 / np.pi) * np.sum(dpl * np.cosh(l * s) * sw, axis=1)
         out += vl[:, None] * np.exp(1j * l * thetas[None, :])
     return PolarGridField(radii=radii, thetas=thetas, values=_finite_sums(out.real, "inversion"),
-                          annulus=(float(radii[0]), float(radii[-1])),
                           dropped_harmonics=tuple(sorted(dropped)))
 
 

@@ -104,7 +104,7 @@ def dense_sphere_phase_fit(S1, S2):
     floor = 1e-8 * float(np.max(np.abs(V1)))
     odd = 0.5 * np.angle(np.diagonal(V2) / np.diagonal(V1))
     pairs, rhs = [], []
-    for (i, j) in grid.edges():
+    for (i, j) in grid.edges:
         if abs(V1[i, j]) < floor:
             continue
         beta = float(np.angle(V2[i, j] / V1[i, j])) - odd[i] - odd[j]

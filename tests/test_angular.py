@@ -1,4 +1,6 @@
 """Circle profiles, antiderivatives, sphere grids, antipodal differences."""
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -212,6 +214,39 @@ class TestAntipodalDifference:
         np.testing.assert_allclose(diff, 2.0 * grid.vertices[:, 2], rtol=0, atol=1e-13)
 
 
+# hashlib.sha256(a.tobytes()).hexdigest() of vertices, faces, edges and
+# antipode at refinements 0-5, computed at commit 2fdc614, whose subdivision
+# deduplicated midpoints through dicts keyed by coordinates rounded to 9
+# digits (numpy 2.4, x86-64, little-endian): the array subdivision builds
+# the same bytes
+_GRID_SHA256 = {
+    0: ("eeaa950dc7cebcd5dbe2f3121f778ce7adbc12f35ed557aabcd6e415c9e0658a",
+        "f0dd2224615ca9d1fab6afba29e95d83af8aeb8b5c9e03fdadb5da522313a829",
+        "a7ffb948d8e4f919e2ac7e53152ad96eadf6dc270d5db889880ce4d17b8185e5",
+        "26d91f6bacec87242072eec69d36310a66aa6e4955b122a626e3a1cc02bc34ab"),
+    1: ("764275a5a99e172a0d9c1f5b8de279f30d5b810b3875fdb9215da9e4135b03aa",
+        "e78c9734e058563b685e21d09c6f0a0847150b85c3b73228b7b2d90d6aa55ca0",
+        "5f0979b1762cd7559a3ebff35e6ef579d7c4d2675299dc6e6f1f98ec0b862551",
+        "8f795914c028c2ddcaf8d69131bd2a372226a0d091a4aa9a66e17455f2569950"),
+    2: ("c1ee8f978b2c8af30c00d467332e4676d0d9b00ecf0295f9fb08faaf5c5083d8",
+        "adde9094e2e1c7b81c0b079ee8b8e4c6d7d26a0d676f2dff1f53183e0538484e",
+        "7d5610c0dae32de701a460d78b43c5561b4f96b2a8982c6123ae4ccab4a6c24f",
+        "31e9f4d70da21c82bd27d8628ff41c999537d5b2c5bcc7617864e80051f525fc"),
+    3: ("3ec3c8f6c19944e995a6109192284364ea8d6926ad30b1f1b0168bbf470f13ea",
+        "13fbf32e7810e66f77372de64440ccbe28a37a52d8f86033cecad52e52e08cab",
+        "fa88bdf9a1555aea4a981b1a60e740ebb042a9fd54df68ecb29a07fb224b8150",
+        "7613627b7561d9d142eb18a70005538d1c541ba73985dae333867ab0381839ac"),
+    4: ("0df6fb33a289fe02463fd824c949af7f6907d66351bb6bd283538e1df6d4b4bb",
+        "7417e10cd50da8755d7e60e02409a0ef103fbcd243cc0756da3db16d6797066d",
+        "e744c96dab62923c76684a1a0ba9e4a36bc5920e29a96df12275c340b4be7751",
+        "0909e140f1677bc58d9462850f9743c6959c5be0372dbbdbd89fa3f107bf9986"),
+    5: ("d22ebdce9cf7c16cb1ce5b97ffe22eb73c9c6a75f16f88bd17a28e1afafa56a5",
+        "6f4264547f673e2f795f3e277558853d853f605d3c2e9be18f7cc1e5a36fdaff",
+        "91de4ccf8e6b937d8d4f0ed1ad4a3a50c9853f2a7e6644e3a3496aa069b3116d",
+        "74d7d85a4ae9bc660bc91fc986d17e3e0dbef39a9e23310166904b76e9c0dcff"),
+}
+
+
 class TestSphereGrid:
     def test_antipodal_closure(self):
         grid = sphere_grid(2)
@@ -232,10 +267,25 @@ class TestSphereGrid:
             for p, q in ((a, b), (b, c), (a, c)):
                 pairs.add((min(p, q), max(p, q)))
         want = np.array(sorted(pairs))
-        got = grid.edges()
-        assert got.dtype == want.dtype
-        assert np.array_equal(got, want)
-        assert grid.edges() is got
+        assert grid.edges.dtype == want.dtype
+        assert np.array_equal(grid.edges, want)
+
+    @pytest.mark.parametrize("refinement", sorted(_GRID_SHA256))
+    def test_grids_are_pinned(self, refinement):
+        grid = sphere_grid(refinement)
+        arrays = (grid.vertices, grid.faces, grid.edges, grid.antipode)
+        assert tuple(hashlib.sha256(a.tobytes()).hexdigest() for a in arrays) == \
+            _GRID_SHA256[refinement]
+        assert not any(a.flags.writeable for a in arrays)
+
+    def test_one_grid_per_refinement(self):
+        assert sphere_grid(3) is sphere_grid(refinement=3)
+        assert sphere_grid() is sphere_grid(4)
+
+    @pytest.mark.parametrize("refinement", [-1, 9, 2.0, True, "2", None])
+    def test_refinement_outside_the_build_raises(self, refinement):
+        with pytest.raises(ValueError, match="from 0 to 8"):
+            sphere_grid(refinement)
 
     def test_from_callable_takes_arrays_only(self):
         shapes = []

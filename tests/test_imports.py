@@ -14,9 +14,10 @@ underscore; it must be read somewhere in its own module, because nothing
 outside should rely on it. A private method of a class (``def _name``, not
 a dunder) must be read as an attribute somewhere in the package, since it
 may be called from another module. A public module-level function or
-class, and a public method or property, must be read somewhere in the
-package outside its own body (an import in ``__init__.py`` exports it and
-counts as a read) or be named in ``ALLOWLIST`` with the reason it stays;
+class, and a public method, property or dataclass field, must be read
+somewhere in the package outside its own body (an import in ``__init__.py``
+exports it and counts as a read; setting a field by keyword does not) or be
+named in ``ALLOWLIST`` with the reason it stays;
 an allowlisted name that is gone or now read fails too. Reads match by name,
 so a method stays unflagged when a method of the same name elsewhere is
 read. The runtime needs numpy alone: the ring bump's erfc is Cody's
@@ -137,18 +138,27 @@ ALLOWLIST = {
     "tomography.synthetic_winding_family": _ACCEPTANCE,
     "Report.all_passed": _ACCEPTANCE,
     "ChannelSpectrum.shifted": _ACCEPTANCE,
+    "AntipodalDefect.max_defect": _ACCEPTANCE,
+    "AntipodalDefect.fitted_constant": "read by TestAntipodalDefect in tests/test_tomography.py",
     "AngularFunction.harmonic": _CLOSED_FORM,
-    "AngularFunction.from_callable": _CLOSED_FORM,
     "SphereFunction.from_callable": _CLOSED_FORM + "; README states its array contract",
 }
 
 
+def _decorator_names(node) -> set:
+    """The names a definition is decorated with, called or not."""
+    return {d.id if isinstance(d, ast.Name) else getattr(d, "attr", None)
+            for d in (dec.func if isinstance(dec, ast.Call) else dec
+                      for dec in node.decorator_list)}
+
+
 def _unread_public_names(sources: dict) -> list:
     """Qualified names ("module.name" for a module-level function or class,
-    "Class.name" for a method or property) of each public definition in the
-    sources ({module: text}) that no source reads outside the definition's
-    own body, as a loaded name, a loaded attribute or an imported name.
-    Reads match by name alone, whatever object they reach."""
+    "Class.name" for a method, a property or a field of a dataclass) of each
+    public definition in the sources ({module: text}) that no source reads
+    outside the definition's own body, as a loaded name, a loaded attribute
+    or an imported name. Reads match by name alone, whatever object they
+    reach; a keyword argument that sets a field is not a read."""
     trees = {module: ast.parse(text) for module, text in sources.items()}
     reads = {}
     for tree in trees.values():
@@ -164,16 +174,22 @@ def _unread_public_names(sources: dict) -> list:
     for module, tree in trees.items():
         for node in tree.body:
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                definitions.append((f"{module}.{node.name}", node))
+                definitions.append((f"{module}.{node.name}", node.name, node))
             if isinstance(node, ast.ClassDef):
-                definitions.extend((f"{node.name}.{item.name}", item) for item in node.body
+                definitions.extend((f"{node.name}.{item.name}", item.name, item)
+                                   for item in node.body
                                    if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)))
+            if isinstance(node, ast.ClassDef) and "dataclass" in _decorator_names(node):
+                definitions.extend((f"{node.name}.{item.target.id}", item.target.id, item)
+                                   for item in node.body
+                                   if isinstance(item, ast.AnnAssign)
+                                   and isinstance(item.target, ast.Name))
     unread = []
-    for qualname, node in definitions:
-        if node.name.startswith("_"):
+    for qualname, name, node in definitions:
+        if name.startswith("_"):
             continue
         own = {id(inner) for inner in ast.walk(node)}
-        if all(id(read) in own for read in reads.get(node.name, [])):
+        if all(id(read) in own for read in reads.get(name, [])):
             unread.append(qualname)
     return sorted(unread)
 
@@ -202,12 +218,16 @@ def test_detector_flags_an_unread_public_name():
               "    @property\n    def size(self):\n        return 0\n"
               "    def __call__(self):\n        return 0\n"
               "    def _private(self):\n        return 0\n"
-              "class Exported:\n    pass\n")
-    caller = ("from .kernel import K, used\n"
-              "def call(k):\n    return used() + k.size if isinstance(k, K) else k.read()\n")
-    init = "from .kernel import Exported\nfrom .caller import call\n"
+              "class Exported:\n    pass\n"
+              "@dataclass(frozen=True)\nclass Data:\n"
+              "    kept: int\n    orphan_field: int = 0\n    _private: int = 0\n"
+              "class Plain:\n    label: str = ''\n")
+    caller = ("from .kernel import Data, K, used\n"
+              "def call(k):\n    return used() + k.size if isinstance(k, K) else k.read()\n"
+              "def data():\n    return Data(kept=1, orphan_field=2).kept\n")
+    init = "from .kernel import Exported, Plain\nfrom .caller import call, data\n"
     assert _unread_public_names({"kernel": kernel, "caller": caller, "__init__": init}) == [
-        "K.orphan_method", "kernel.orphan", "kernel.recursive"]
+        "Data.orphan_field", "K.orphan_method", "kernel.orphan", "kernel.recursive"]
 
 
 # The calls that compute quadrature nodes, each with the one function allowed
@@ -222,10 +242,7 @@ _NODE_TABLE_BUILDERS = {
 
 def _is_cached(node) -> bool:
     """Whether a function definition is decorated with lru_cache or cache."""
-    names = {d.id if isinstance(d, ast.Name) else getattr(d, "attr", None)
-             for d in (dec.func if isinstance(dec, ast.Call) else dec
-                       for dec in node.decorator_list)}
-    return bool(names & {"lru_cache", "cache"})
+    return bool(_decorator_names(node) & {"lru_cache", "cache"})
 
 
 def _stray_node_tables(sources: dict) -> list:

@@ -688,8 +688,7 @@ class TestEmitReport:
     def test_polar_csv_has_the_bytes_of_radius_major_columns(self, tmp_path):
         rng = np.random.default_rng(4)
         radii, thetas = np.linspace(1.2, 3.0, 5), np.arange(7) * 2 * np.pi / 7
-        field = PolarGridField(radii=radii, thetas=thetas, values=rng.normal(size=(5, 7)),
-                               annulus=(1.2, 3.0))
+        field = PolarGridField(radii=radii, thetas=thetas, values=rng.normal(size=(5, 7)))
         emit_report(Report(kind="reconstruct", artifacts={"reconstruction_b": field}), tmp_path)
         r, t, _ = polar_points(radii, thetas)
         np.savetxt(tmp_path / "ref.csv", np.column_stack([r, t, field.values.ravel()]),
@@ -889,6 +888,17 @@ class TestCli:
     def test_missing_scenario_exit_one(self, tmp_path):
         assert cli.main(["classify", "--scenario",
                          str(tmp_path / "missing.json")]) == 1
+
+    @pytest.mark.parametrize("refinement", [-3, 9])
+    def test_sphere_refinement_outside_the_build_exit_one(self, tmp_path, capsys, refinement):
+        sc = Scenario(kind="reconstruct", config1=_space_config(transversal=False),
+                      geometry={"n_radii": 3, "sphere_refinement": refinement})
+        path = tmp_path / "scenario.json"
+        path.write_text(sc.to_json())
+        assert cli.main(["reconstruct", "--scenario", str(path),
+                         "--out", str(tmp_path / "out")]) == cli.EXIT_ERROR
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: sphere refinement must be an integer from 0 to 8, got {refinement}"]
 
     def test_reconstruct_and_report_commands(self, tmp_path, capsys):
         scalar = catalog.build_scalar("gaussian_ring",

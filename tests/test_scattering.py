@@ -702,7 +702,7 @@ class TestGaugeActionOnKernels:
         K = apply_gauge_to_kernel(synthesize_sphere_kernel(grid),
                                   GaugeElement(dimension=3, phi_callable=_even_phase()))
         V = K.values
-        i, j = grid.edges().T
+        i, j = grid.edges.T
         assert np.array_equal(K.entries(i, j), V[i, j])
         nodes = np.arange(grid.size)
         assert np.array_equal(K.entries(nodes, nodes), np.diagonal(V))
@@ -1098,7 +1098,7 @@ def _round_trip_memory():
 
     g = GaugeElement(dimension=3, phi_callable=_even_phase())
     grid = sphere_grid(refinement=4)
-    grid.far_pairs()
+    grid.far_pairs
     tracemalloc.start()
     try:
         K1 = synthesize_sphere_kernel(grid)
@@ -1152,8 +1152,8 @@ class TestSphereSolver:
         K1 = synthesize_sphere_kernel(grid)
         K2 = apply_gauge_to_kernel(K1, GaugeElement(dimension=3, phi_callable=_even_phase()))
         d = kernel_distance(K1, K2)
-        mask = grid.far_pairs()
-        assert grid.far_pairs() is mask
+        mask = grid.far_pairs
+        assert grid.far_pairs is mask
         assert not mask.flags.writeable
         np.testing.assert_array_equal(mask, grid.vertices @ grid.vertices.T < np.cos(0.15))
         want = np.max(np.abs(K1.values - K2.values)[mask])
@@ -1162,7 +1162,7 @@ class TestSphereSolver:
     @pytest.mark.parametrize("refinement", [0, 1, 2, 3])
     def test_blocked_distance_matches_dense(self, refinement):
         grid = sphere_grid(refinement=refinement)
-        mask = grid.far_pairs()
+        mask = grid.far_pairs
         np.testing.assert_array_equal(mask, grid.vertices @ grid.vertices.T < np.cos(0.15))
         K1 = synthesize_sphere_kernel(grid)
         K2 = apply_gauge_to_kernel(K1, GaugeElement(dimension=3, phi_callable=_even_phase()))
@@ -1236,7 +1236,7 @@ class TestSphereSolver:
         # components only when its floor drops an edge
         for refinement in range(5):
             grid = sphere_grid(refinement=refinement)
-            assert scattering._component_count(*grid.edges().T, grid.size) == 1
+            assert scattering._component_count(*grid.edges.T, grid.size) == 1
 
     @pytest.mark.parametrize("refinement", [0, 2, 4])
     def test_gram_rows_match_the_strided_product(self, refinement):
@@ -1246,7 +1246,7 @@ class TestSphereSolver:
             assert np.array_equal(grid._gram_rows(rows), V[rows] @ V.T)
         out = np.empty((rows.stop - rows.start, grid.size))
         assert grid._gram_rows(rows, out=out) is out
-        vt = grid._inv_cache["vertices_t"]
+        vt = grid._vertices_t
         assert vt.flags.c_contiguous and not vt.flags.writeable
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
@@ -1254,8 +1254,8 @@ class TestSphereSolver:
     def test_non_finite_value_is_never_equivalent(self, where, bad):
         grid = sphere_grid(refinement=3)
         K1 = synthesize_sphere_kernel(grid)
-        far = grid.far_pairs()
-        near_edges = [(a, b) for a, b in grid.edges() if not far[a, b]]
+        far = grid.far_pairs
+        near_edges = [(a, b) for a, b in grid.edges if not far[a, b]]
         i, j = {"far": (0, grid.antipode[0]), "near": near_edges[0], "diagonal": (0, 0)}[where]
         vals = np.array(apply_gauge_to_kernel(
             K1, GaugeElement(dimension=3, phi_callable=_even_phase())).values)
@@ -1264,6 +1264,22 @@ class TestSphereSolver:
             res = gauge_equivalence_solver(K1, SphereScatteringKernel(grid=grid, base=vals))
         assert res.verdict == "not_equivalent"
         assert res.witness["kind"] == "verification"
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("refinement", [1, 2])
+    def test_non_finite_base_answers_verification(self, refinement, bad):
+        # a nan or inf anywhere in the base leaves no floor to anchor on: the
+        # answer is the README's, not "too few anchored pairs" or a raise
+        grid = sphere_grid(refinement=refinement)
+        vals = np.array(synthesize_sphere_kernel(grid).base)
+        vals[0, grid.antipode[0]] = bad
+        K1 = SphereScatteringKernel(grid=grid, base=vals)
+        K2 = apply_gauge_to_kernel(K1, GaugeElement(
+            dimension=3, phi_callable=lambda w: 0.3 * w[:, 2] ** 2))
+        res = gauge_equivalence_solver(K1, K2)
+        assert res.verdict == "not_equivalent"
+        assert res.witness["kind"] == "verification"
+        assert np.isnan(res.witness["distance"])
 
     def test_sphere_solve_calls_no_dense_least_squares(self, monkeypatch):
         def refuse(*args, **kwargs):
@@ -1291,6 +1307,16 @@ class TestSphereSolver:
         assert res.gauge is None
         assert "2 components" in res.reason
 
+    def test_too_few_anchored_edges_are_ambiguous(self):
+        # a base that vanishes off the diagonal anchors no edge
+        grid = sphere_grid(refinement=1)
+        K1 = SphereScatteringKernel(grid=grid, base=np.diag(np.diagonal(
+            synthesize_sphere_kernel(grid).base)))
+        K2 = apply_gauge_to_kernel(K1, GaugeElement(dimension=3, phi_callable=_even_phase()))
+        res = gauge_equivalence_solver(K1, K2)
+        assert res.verdict == "ambiguous"
+        assert res.reason.startswith("too few anchored near-diagonal pairs")
+
     def test_odd_phase_rejected(self):
         grid = sphere_grid(refinement=2)
         K1 = synthesize_sphere_kernel(grid)
@@ -1309,7 +1335,7 @@ class TestSphereSolver:
         # but the odd part alone proves the pair is not gauge equivalent
         grid = sphere_grid(refinement=2)
         vals = np.array(synthesize_sphere_kernel(grid).base)
-        a, b = grid.edges()[np.any(grid.edges() == 0, axis=1)].T
+        a, b = grid.edges[np.any(grid.edges == 0, axis=1)].T
         vals[a, b] = vals[b, a] = 0.0
         K1 = SphereScatteringKernel(grid=grid, base=vals)
         K2 = apply_gauge_to_kernel(K1, GaugeElement(
